@@ -500,12 +500,13 @@ def assemble(
 def solve_pressure(system: SpdSystem, tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced system; the solution is cached on the system.
 
-    After the global iterative solve, the interior-moment unknowns of each
+    After the global direct solve, the interior-moment unknowns of each
     cell are recomputed from their own equations by an exact local solve.
     Those rows couple to nothing outside the cell, so this is one exact
     block-relaxation sweep: it can only decrease the energy error, and it
     pins the cell-local balance equations (which the velocity recovery rests
-    on) at machine precision instead of at the iterative solver's floor.
+    on) at machine precision in each cell instead of at the global solve's
+    residual, which the divergence check does not subtract.
     """
     x = linsolve.solve(system.matrix, system.rhs, tol=tol)
     system.solution = x

@@ -211,19 +211,19 @@ def test_criterion_6_kernel_suites(capsys):
     if worst_proj > 1e-11:
         failures.append(f"projectors {worst_proj:.1e}")
 
-    # iterative vs dense-factorization solve on an assembled system
+    # sparse LU (SuperLU) vs dense LAPACK Cholesky on an assembled system
     case = get_case("bubble-sine")
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2, distortion=0.2)
     system = ncvem.assemble(mesh, case.permeability, case.forcing, 1,
                             boundary=case.pressure)
-    x_cg = linsolve.solve(system.matrix, system.rhs, tol=1e-14)
+    x_lu = linsolve.solve(system.matrix, system.rhs, tol=1e-14)
     x_ch = oracles.cholesky_solve(system.matrix.csr.toarray(), system.rhs)
-    gap = np.abs(x_cg - x_ch).max() / max(1.0, np.abs(x_ch).max())
+    gap = np.abs(x_lu - x_ch).max() / max(1.0, np.abs(x_ch).max())
     if gap > 1e-9:
-        failures.append(f"cg vs cholesky {gap:.1e}")
+        failures.append(f"lu vs cholesky {gap:.1e}")
 
     ok = not failures
-    detail = "quadrature, complement dims, projectors, cg-vs-cholesky all in" \
+    detail = "quadrature, complement dims, projectors, lu-vs-cholesky all in" \
         if ok else "; ".join(failures)
     _report(capsys, 6, "kernel unit suites", ok, detail)
     assert ok, detail

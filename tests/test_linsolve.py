@@ -1,4 +1,4 @@
-"""Sparse SPD storage and the preconditioned CG solver."""
+"""Sparse SPD storage and the certified sparse direct solver."""
 
 import numpy as np
 import pytest
@@ -65,6 +65,40 @@ def test_nonpositive_diagonal_rejected():
         linsolve.solve(a, np.ones(2))
 
 
+def rank_deficient_gram() -> np.ndarray:
+    # rank 3 in exact arithmetic; rounding leaves tiny pivots of either sign
+    v = np.random.default_rng(1).standard_normal((6, 3))
+    return v @ v.T
+
+
+@pytest.mark.parametrize("dense", [
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    rank_deficient_gram(),
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+], ids=["singular", "rank-deficient", "indefinite"])
+def test_singular_or_indefinite_rejected(dense):
+    b = np.arange(1.0, dense.shape[0] + 1.0)
+    with pytest.raises(SolverError):
+        linsolve.solve(from_dense(dense), b)
+
+
+@pytest.mark.parametrize("n", [2, 2001])
+@pytest.mark.parametrize("where", ["rhs-nan", "rhs-inf", "matrix-nan"])
+def test_non_finite_input_rejected(where, n):
+    # the outcome must not depend on the size of the system
+    idx = np.arange(n)
+    rows = np.concatenate([idx, [0, 1]])
+    cols = np.concatenate([idx, [1, 0]])
+    vals = np.concatenate([np.full(n, 2.0), [1.0, 1.0]])
+    b = np.ones(n)
+    if where == "matrix-nan":
+        vals[n:] = np.nan
+    else:
+        b[1] = np.nan if where == "rhs-nan" else np.inf
+    with pytest.raises(ValueError):
+        linsolve.solve(SparseSpd.from_triplets(n, rows, cols, vals), b)
+
+
 def test_rhs_length_mismatch():
     a = from_dense(np.eye(3))
     with pytest.raises(ValueError):
@@ -98,9 +132,10 @@ def test_refine_floor_polishes_perturbed_solution():
 
 
 def test_floor_accepted_solution_is_forward_accurate():
-    # rhs aligned with the small end of a cond ~ 1e8 spectrum: CG stalls at
-    # the certified residual floor, where the unpolished forward error sits
-    # near eps * cond.  Refinement must push it well below that.
+    # rhs aligned with the small end of a cond ~ 1e8 spectrum: the direct
+    # solve lands on the certified residual floor, where the unpolished
+    # forward error can sit near eps * cond.  Refinement must not lose
+    # accuracy and must land well below that.
     rng = np.random.default_rng(11)
     n = 400
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -128,3 +163,16 @@ def test_cg_matches_cholesky_on_assembled_system():
     ref = oracles.cholesky_solve(system.matrix.dense(), system.rhs)
     scale = np.abs(ref).max()
     assert np.abs(x - ref).max() / scale < 1e-9
+
+
+def test_high_order_solve_is_forward_accurate():
+    # k = 3 on a distorted mesh is the worst-conditioned system the
+    # acceptance criteria solve; compare against an extended-precision oracle
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=5, distortion=0.2)
+    case = get_case("bubble-sine")
+    system = ncvem.assemble(mesh, case.permeability, case.forcing, 3,
+                            boundary=case.pressure)
+    assert system.matrix.shape[0] == 492
+    x = linsolve.solve(system.matrix, system.rhs)
+    ref = oracles.cholesky_solve_longdouble(system.matrix.dense(), system.rhs)
+    assert np.abs(x - ref).max() / np.abs(ref).max() < 1e-12
