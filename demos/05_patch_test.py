@@ -16,7 +16,7 @@ def main():
           f"{'errorDiv':>10}")
     for k in range(4):
         case = polynomial_case(k, seed=1)
-        result = solve_case(mesh, case, k, solver_tol=1e-14)
+        result = solve_case(mesh, case, k)
         row = error_norms(result, case)
         print(f"{k:>2} {row.error_u:>10.1e} {row.error_p:>10.1e} "
               f"{row.error_grad_p:>10.1e} {row.error_div:>10.1e}")

@@ -118,8 +118,8 @@ def _cmd_converge(args) -> int:
         seed=args.seed, distortion=args.distortion)
     print(study.format_table(rows))
     if len(rows) < args.levels:
-        print(f"warning: solver stalled, completed {len(rows)} of "
-              f"{args.levels} levels", file=sys.stderr)
+        print(f"warning: the pressure solve failed on level {len(rows) + 1}; "
+              f"completed {len(rows)} of {args.levels} levels", file=sys.stderr)
     if args.csv:
         study.write_convergence_csv(rows, args.csv)
         print(f"wrote {args.csv}")

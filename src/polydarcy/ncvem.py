@@ -22,7 +22,6 @@ from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import linsolve
 from .polybasis import (
-    EdgeBasis,
     GkPerpBasis,
     ScaledMonomialBasis,
     cell_basis,
@@ -30,7 +29,6 @@ from .polybasis import (
     edge_quadrature,
     gk_perp_basis,
     gradient_coefficient_matrix,
-    monomial_exponents,
     n_monomials,
     polygon_quadrature,
     vector_mass_matrix,
@@ -300,12 +298,8 @@ def build_element(
     p0k = cho_solve(cho_k, b0[:nk])
 
     # DOF matrix of monomials, for the dofi-dofi stabilization.
-    d_mat = np.empty((N, nk1))
-    for pos in range(n_e):
-        length = mesh.edge_lengths[edge_ids[pos]]
-        d_mat[pos * (k + 1):(pos + 1) * (k + 1), :] = edge_cross[pos] / length
-    if nkm1:
-        d_mat[base_slot:, :] = mass[:nkm1, :] / area
+    d_mat = _monomial_dof_table(edge_cross, mesh.edge_lengths[edge_ids],
+                                mass, area, k)
 
     consistency = grad_proj.T @ mk_w @ grad_proj
     tau = np.trace(consistency) / N
@@ -372,23 +366,25 @@ def build_element(
     )
 
 
+def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
+    """DOF vectors of the scaled monomials m_beta, as columns (N, pi_{k+1}).
+
+    Edge slots are the scaled edge moments (cross table over |f|), interior
+    slots the scaled cell moments of degree <= k-1 (mass rows over |P|).
+    """
+    nkm1 = n_monomials(k - 1)
+    edge_rows = [cross / length for cross, length in zip(edge_cross, edge_lengths)]
+    return np.vstack(edge_rows + [mass[:nkm1, :] / area])
+
+
 def monomial_dofs(element: NcElement) -> np.ndarray:
     """DOF vectors of the scaled monomials m_beta, as columns (N, pi_{k+1}).
 
-    Recomputed from the stored edge and mass tables; used by tests and the
-    dense reference solver.
+    Recomputed from the stored edge and mass tables; used by tests, the
+    velocity recovery's rounding envelopes and the dense reference solver.
     """
-    k = element.k
-    nkm1 = n_monomials(k - 1)
-    N = element.n_dofs
-    nk1 = n_monomials(k + 1)
-    out = np.empty((N, nk1))
-    for pos in range(element.n_edges):
-        length = element.edge_lengths[pos]
-        out[pos * (k + 1):(pos + 1) * (k + 1), :] = element.edge_cross[pos] / length
-    if nkm1:
-        out[element.n_edges * (k + 1):, :] = element.mass[:nkm1, :] / element.area
-    return out
+    return _monomial_dof_table(element.edge_cross, element.edge_lengths,
+                               element.mass, element.area, element.k)
 
 
 def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:
@@ -497,29 +493,12 @@ def assemble(
     )
 
 
-def solve_pressure(system: SpdSystem, tol: float = 1e-12) -> np.ndarray:
+def solve_pressure(system: SpdSystem) -> np.ndarray:
     """Solve the reduced system; the solution is cached on the system.
 
-    After the global direct solve, the interior-moment unknowns of each
-    cell are recomputed from their own equations by an exact local solve.
-    Those rows couple to nothing outside the cell, so this is one exact
-    block-relaxation sweep: it can only decrease the energy error, and it
-    pins the cell-local balance equations (which the velocity recovery rests
-    on) at machine precision in each cell instead of at the global solve's
-    residual, which the divergence check does not subtract.
+    One certified direct solve (see `linsolve.solve`) gives every unknown,
+    the interior moments included; its residual sits at the rounding floor,
+    below the envelope that the velocity recovery's checks subtract.
     """
-    x = linsolve.solve(system.matrix, system.rhs, tol=tol)
-    system.solution = x
-    k = system.k
-    n_cell = n_monomials(k - 1) if k >= 1 else 0
-    if n_cell:
-        for c in range(system.mesh.num_cells):
-            element = system.elements[c]
-            glob = system.dofmap.cell_global(c)
-            p_loc = system.local_pressure(c)
-            residual = element.load - element.stiffness @ p_loc
-            mslice = slice(element.n_dofs - n_cell, element.n_dofs)
-            kmm = element.stiffness[mslice, mslice]
-            delta = np.linalg.solve(kmm, residual[mslice])
-            x[glob[mslice]] += delta
-    return x
+    system.solution = linsolve.solve(system.matrix, system.rhs)
+    return system.solution

@@ -160,13 +160,14 @@ def polygon_kernel(coords: np.ndarray) -> np.ndarray | None:
     return arr
 
 
-def kernel_inradius(coords: np.ndarray) -> float:
-    """Radius of the largest disk inside the kernel of a CCW polygon.
+def _chebyshev_center(coords: np.ndarray) -> tuple:
+    """Center and radius of the largest disk inside the polygon's kernel.
 
-    Solved as the Chebyshev-center linear program over the edge half-planes:
-    maximize r subject to n_i . x + r <= n_i . a_i for unit inward... the
-    half-planes here are written with outward normals of each edge line.
-    Returns 0.0 for an empty kernel.
+    The kernel is the intersection of the half-planes left of each edge of
+    the CCW loop.  With n_i the unit outward normal of edge i's line through
+    a_i, the disk of center x and radius r lies in all of them exactly when
+    n_i . x + r <= n_i . a_i, so the linear program maximizes r under those
+    rows.  Returns (None, 0.0) when the program fails (empty kernel).
     """
     n = len(coords)
     a_rows = np.empty((n, 3))
@@ -190,8 +191,17 @@ def kernel_inradius(coords: np.ndarray) -> float:
         method="highs",
     )
     if not res.success:
-        return 0.0
-    return float(res.x[2])
+        return None, 0.0
+    return res.x[:2].copy(), float(res.x[2])
+
+
+def kernel_inradius(coords: np.ndarray) -> float:
+    """Radius of the largest disk inside the kernel of a CCW polygon.
+
+    Solved as a Chebyshev-center linear program over the edge half-planes
+    (see `_chebyshev_center`).  Returns 0.0 for an empty kernel.
+    """
+    return _chebyshev_center(coords)[1]
 
 
 def star_point(coords: np.ndarray) -> np.ndarray:
@@ -201,7 +211,6 @@ def star_point(coords: np.ndarray) -> np.ndarray:
     Raises MeshError if the polygon is not star-shaped.
     """
     c = polygon_centroid(coords)
-    n = len(coords)
     # Convex polygons (all CCW turns) always contain their centroid.
     pts = np.asarray(coords)
     d0 = np.roll(pts, -1, axis=0) - pts
@@ -221,28 +230,10 @@ def star_point(coords: np.ndarray) -> np.ndarray:
             break
     if inside:
         return c
-    # Chebyshev center of the original polygon's half-planes
-    m = len(coords)
-    a_rows = np.empty((m, 3))
-    b_rows = np.empty(m)
-    for i in range(m):
-        a = coords[i]
-        b = coords[(i + 1) % m]
-        d = b - a
-        length = math.hypot(d[0], d[1])
-        nx, ny = d[1] / length, -d[0] / length
-        a_rows[i] = (nx, ny, 1.0)
-        b_rows[i] = nx * a[0] + ny * a[1]
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_rows,
-        b_ub=b_rows,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success or res.x[2] <= 0.0:
+    center, radius = _chebyshev_center(coords)
+    if radius <= 0.0:
         raise MeshError("cell is not star-shaped with respect to any point")
-    return res.x[:2].copy()
+    return center
 
 
 @dataclass

@@ -158,7 +158,7 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     Pi0_k f; a disagreement beyond `tol` (relative) plus `noise` (absolute)
     signals a recovery bug and raises RecoveryError.  The identity is tested
     moment by moment, in the metric of the integrals themselves: converting
-    to coefficients first would multiply solver-level noise by the inverse
+    to coefficients first would multiply rounding-level noise by the inverse
     mass conditioning and report a gap that is an artifact of the basis, not
     of the recovery.  The comparison scale combines the boundary and
     interior term magnitudes with an optional caller-provided global f
@@ -266,21 +266,21 @@ def recover_velocity(
     divergence misses the projected source, or if the total boundary outflow
     does not balance the integrated source.
 
-    Two disagreement sources are subtracted before the tolerances apply,
-    because both are computable and neither is evidence against the
-    recovery.  First, the solver residual: the left and right recovery of an
-    interior-edge flux differ by exactly (global residual row) / |f|, and
-    the global conservation mismatch equals a known weighting of the same
-    residual vector, so those parts are removed using one extra
-    matrix-vector product (single-valuedness holds up to solver residual;
-    ownership, not averaging, defines the returned flux).  Second, the
-    rounding envelope of the data itself: recovered quantities come from the
-    residual load - K_loc @ p_loc, and a high-order stiffness on a distorted
-    cell is large enough (entries ~1e8 at k = 3) that merely storing it in
-    doubles leaves eps * |K| * |p| level noise in every slot.  No
-    floating-point implementation can verify the identities beyond these
-    terms, and they sit many orders below any genuine defect.  Reported gaps
-    are deflated accordingly.
+    The left and right recoveries of an interior-edge flux differ by exactly
+    (global residual row) / |f|, and the global conservation mismatch is a
+    weighting of the same residual vector.  The checks therefore hold the
+    pressure to the certified solve (see `linsolve.solve`), whose residual
+    sits at the rounding floor; a vector off that solve fails them.
+    Ownership, not averaging, defines the returned flux.
+
+    Only the rounding envelope of the data itself is subtracted before the
+    tolerances apply.  Recovered quantities come from the residual
+    load - K_loc @ p_loc, and a high-order stiffness on a distorted cell is
+    large enough (entries ~1e8 at k = 3) that merely storing it in doubles
+    leaves eps * |K| * |p| level noise in every slot.  No floating-point
+    implementation can verify the identities beyond this envelope, and it
+    sits many orders below any genuine defect.  Reported gaps are deflated
+    accordingly.
     """
     mesh = system.mesh
     k = system.k
@@ -311,44 +311,27 @@ def recover_velocity(
     )
     if system.solution is None:
         raise RuntimeError("system not solved yet")
-    res_glob = system.rhs - system.matrix.matvec(system.solution)
-    # Unit moments of the constant 1 per global DOF; weighs res_glob into the
-    # exact conservation mismatch.
-    cons_weights = np.zeros(system.dofmap.n_global)
-    edge_w = np.array([0.5 ** b / (b + 1) if b % 2 == 0 else 0.0
-                       for b in range(k + 1)])
 
     for c in range(nc):
         element = system.elements[c]
         p_loc = system.local_pressure(c)
         local = recover_edge_moments(element, p_loc)
-        glob = system.dofmap.cell_global(c)
         noise_slots = eps4 * (np.abs(element.stiffness) @ np.abs(p_loc)
                               + np.abs(element.load))
         d1 = monomial_dofs(element)[:, 0]
         cell_noise = float(np.abs(d1) @ noise_slots)
-        n_cell = element.n_dofs - element.n_edges * (k + 1)
-        if n_cell:
-            mslice = slice(element.n_dofs - n_cell, element.n_dofs)
-            cons_weights[glob[mslice]] = d1[mslice]
         for pos, e in enumerate(element.edge_ids):
             stored = element.edge_signs[pos] * local[pos]
             sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
             slot_noise = float(noise_slots[sl].max()) / element.edge_lengths[pos]
             if seen[e]:
-                # Left and right recoveries differ by exactly the global
-                # residual row over |f|; only the rest indicts the recovery.
-                solver_part = (element.edge_signs[pos]
-                               * res_glob[glob[sl]] / element.edge_lengths[pos])
-                gap_e = float(np.abs(stored - edge_coeffs[e] - solver_part).max())
+                gap_e = float(np.abs(stored - edge_coeffs[e]).max())
                 flux_gap_abs = max(flux_gap_abs,
                                    gap_e - slot_noise - edge_noise[e])
             else:
                 edge_coeffs[e] = stored
                 edge_noise[e] = slot_noise
                 seen[e] = True
-                if mesh.edge_right[e] >= 0:
-                    cons_weights[glob[sl]] = edge_w
             if mesh.edge_right[e] < 0:
                 part = _edge_integral(element.edge_lengths[pos], stored)
                 boundary_flux += part
@@ -377,7 +360,7 @@ def recover_velocity(
             f"gap {flux_gap:.3e} exceeds {flux_tol:.1e}"
         )
     cons_scale = max(abs(total_source), boundary_flux_abs, 1e-300)
-    cons_mismatch = boundary_flux - total_source + float(cons_weights @ res_glob)
+    cons_mismatch = boundary_flux - total_source
     conservation_gap = max(0.0, abs(cons_mismatch) - cons_noise) / cons_scale
     if conservation_gap > conservation_tol:
         raise RecoveryError(

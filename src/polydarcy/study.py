@@ -67,14 +67,14 @@ class RtRow:
     order_rt: object = None
 
 
-def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase, k: int,
-               solver_tol: float = 1e-12) -> SolveResult:
+def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
+               k: int) -> SolveResult:
     """Assemble, solve and recover one manufactured case on one mesh."""
     if not polymesh.euler_check(mesh):
         raise polymesh.MeshError("edge-count identity violated")
     system = ncvem.assemble(mesh, case.permeability, case.forcing, k,
                             boundary=case.pressure)
-    ncvem.solve_pressure(system, tol=solver_tol)
+    ncvem.solve_pressure(system)
     velocity = recovery.recover_velocity(system)
     nc = mesh.num_cells
     nk1 = n_monomials(k + 1)
@@ -167,7 +167,6 @@ def convergence_study(
     base_n: int = 4,
     seed: int = 2026,
     distortion: float = 0.2,
-    solver_tol: float = 1e-12,
 ) -> list:
     """Run `levels` refinements (h halves each level) and tabulate errors.
 
@@ -181,7 +180,7 @@ def convergence_study(
         mesh = generate_level_mesh(family, n, seed=seed + level,
                                    distortion=distortion)
         try:
-            result = solve_case(mesh, case, k, solver_tol=solver_tol)
+            result = solve_case(mesh, case, k)
         except linsolve.SolverError:
             break
         rows.append(error_norms(result, case))
@@ -214,7 +213,6 @@ def rt_comparison_study(
     seed: int = 2026,
     family: str = "distorted",
     distortion: float = 0.2,
-    solver_tol: float = 1e-12,
 ) -> list:
     """Projected versus RT-type velocity errors for k = 0, K = 1."""
     case = get_case("bubble-unit")
@@ -224,7 +222,7 @@ def rt_comparison_study(
         mesh = generate_level_mesh(family, n, seed=seed + level,
                                    distortion=distortion)
         try:
-            result = solve_case(mesh, case, 0, solver_tol=solver_tol)
+            result = solve_case(mesh, case, 0)
         except linsolve.SolverError:
             break
         e_proj, e_rt = rt_errors(result, case)

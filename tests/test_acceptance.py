@@ -80,7 +80,7 @@ def test_criterion_3_patch_exactness(capsys):
     for k in range(4):
         raw = polynomial_case(k, seed=1)
         case = _scaled_case(raw, 1.0 / max(1.0, np.abs(raw.velocity(sample)).max()))
-        result = study.solve_case(mesh, case, k, solver_tol=1e-14)
+        result = study.solve_case(mesh, case, k)
         dofs = result.velocity.dofs
         edge_ex, grad_ex, perp_ex = oracles.exact_velocity_dofs(
             result.system, case.velocity)
@@ -113,7 +113,7 @@ def test_criterion_4_monolithic_equivalence(capsys):
         for mesh in [polymesh.generate_uniform_quads(2, 2),
                      polymesh.generate_distorted_polygonal(4, 4, seed=5,
                                                            distortion=0.2)]:
-            result = study.solve_case(mesh, case, k, solver_tol=1e-14)
+            result = study.solve_case(mesh, case, k)
             edge_o, grad_o, perp_o, press_o = oracles.monolithic_solve(
                 result.system, case.permeability)
             dofs = result.velocity.dofs
@@ -216,7 +216,7 @@ def test_criterion_6_kernel_suites(capsys):
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2, distortion=0.2)
     system = ncvem.assemble(mesh, case.permeability, case.forcing, 1,
                             boundary=case.pressure)
-    x_lu = linsolve.solve(system.matrix, system.rhs, tol=1e-14)
+    x_lu = linsolve.solve(system.matrix, system.rhs)
     x_ch = oracles.cholesky_solve(system.matrix.csr.toarray(), system.rhs)
     gap = np.abs(x_lu - x_ch).max() / max(1.0, np.abs(x_ch).max())
     if gap > 1e-9:

@@ -14,7 +14,7 @@ from polydarcy.study import ConvergenceRow, RtRow
 def test_solve_case_field_shapes():
     mesh = polymesh.generate_distorted_polygonal(2, 2, seed=4, distortion=0.2)
     case = polynomial_case(1, seed=2)
-    result = study.solve_case(mesh, case, 1, solver_tol=1e-14)
+    result = study.solve_case(mesh, case, 1)
     assert result.k == 1
     assert result.pressure.degree == 2
     assert result.grad_pressure.degree == 1
@@ -27,7 +27,7 @@ def test_error_norms_vanish_on_polynomial_patch():
     # degree-2 pressure with constant K is reproduced exactly by the k=1 space
     mesh = polymesh.generate_distorted_polygonal(2, 2, seed=4, distortion=0.2)
     case = polynomial_case(1, seed=2)
-    result = study.solve_case(mesh, case, 1, solver_tol=1e-14)
+    result = study.solve_case(mesh, case, 1)
     row = study.error_norms(result, case)
     assert row.n_elements == 4
     assert row.error_u <= 1e-9 * max(row.ref_u, 1.0)
@@ -91,8 +91,7 @@ def test_convergence_study_first_order_rates():
 
 def test_convergence_study_exact_case_is_marked():
     case = polynomial_case(0, seed=1)
-    rows = study.convergence_study(case, 0, levels=3, base_n=2,
-                                   solver_tol=1e-14)
+    rows = study.convergence_study(case, 0, levels=3, base_n=2)
     for row in rows[1:]:
         assert row.order_u == study.EXACT_MARK
         assert row.order_p == study.EXACT_MARK
@@ -105,11 +104,11 @@ def test_partial_table_after_solver_failure(monkeypatch):
     real = ncvem.solve_pressure
     calls = {"n": 0}
 
-    def flaky(system, tol=1e-12):
+    def flaky(system):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise linsolve.SolverError("no convergence", residual=1.0)
-        return real(system, tol=tol)
+        return real(system)
 
     monkeypatch.setattr(ncvem, "solve_pressure", flaky)
     rows = study.convergence_study(get_case("bubble-unit"), 0, levels=4,

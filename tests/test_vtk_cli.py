@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polydarcy
-from polydarcy import cli, polymesh, study, vtk_export
+from polydarcy import cli, linsolve, ncvem, polymesh, study, vtk_export
 from polydarcy.cases import get_case
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +116,24 @@ def test_cli_converge_table_and_csv(tmp_path, capsys):
     assert "errorU" in out
     rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(rows) == 4
+
+
+def test_cli_converge_reports_failed_solve(monkeypatch, capsys):
+    real = ncvem.solve_pressure
+    calls = {"n": 0}
+
+    def failing_third(system):
+        calls["n"] += 1
+        if calls["n"] >= 3:
+            raise linsolve.SolverError("missed certificate", residual=1.0)
+        return real(system)
+
+    monkeypatch.setattr(ncvem, "solve_pressure", failing_third)
+    rc = cli.main(["converge", "--order", "0", "--levels", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pressure solve failed on level 3" in err
+    assert "completed 2 of 3 levels" in err
 
 
 def test_cli_rt_compare(tmp_path, capsys):
