@@ -8,21 +8,21 @@ is consistently the more accurate of the two.
 
 import os
 
-from polydarcy import rt_comparison_study
-from polydarcy.study import format_table, write_rt_csv
+from polydarcy import convergence_study, get_case
+from polydarcy.study import RT_COLUMNS, format_table, write_convergence_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "demo_out")
 
 
 def main():
-    rows = rt_comparison_study(levels=4)
-    print(format_table(rows))
-    wins = sum(r.error_rt < r.error_proj for r in rows)
+    rows = convergence_study(get_case("bubble-unit"), 0, levels=4)
+    print(format_table(rows, RT_COLUMNS))
+    wins = sum(r.error_rt < r.error_u for r in rows)
     print(f"affine field more accurate on {wins} of {len(rows)} levels")
 
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, "rt_comparison.csv")
-    write_rt_csv(rows, path)
+    write_convergence_csv(rows, path, RT_COLUMNS)
     print(f"wrote {path}")
 
 

@@ -48,11 +48,9 @@ from .recovery import (
 )
 from .study import (
     ConvergenceRow,
-    RtRow,
     SolveResult,
     convergence_study,
     error_norms,
-    rt_comparison_study,
     solve_case,
 )
 from .vtk_export import export_vtk

@@ -2,8 +2,11 @@
 
 Subcommands: `mesh gen` writes a mesh file; `solve` runs one case on a mesh
 and exports fields; `converge` and `rt-compare` produce rate tables as CSV;
-`export` solves and writes a VTK snapshot.  Any flag may instead be supplied
-through a `key = value` config file; explicit flags win.
+`export` solves and writes a VTK snapshot.  Every option is declared once
+in the parser with its type and default.  Any option may instead be
+supplied through a `key = value` config file: its values become the
+subcommand's defaults, so they are type-checked like flags and explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from . import polymesh, study, vtk_export
 from .cases import get_case
 from .linsolve import SolverError
 from .recovery import RecoveryError
+
+# Default of an option without one: a flag or the config file must set it.
+_REQUIRED = object()
 
 
 def _read_config(path: str) -> dict:
@@ -31,37 +37,24 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace, casts: dict) -> None:
-    """Fill unset args from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in casts:
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of `command`'s options.
+
+    Values stay strings here; the next parse converts them with each
+    option's type, and flags given on the command line still win.
+    """
+    dests = {action.dest for action in command._actions
+             if action.option_strings} - {"help", "config"}
+    values = _read_config(path)
+    for key in values:
+        if key not in dests:
             raise ValueError(f"unknown config key '{key}'")
-        if getattr(args, key, None) is None:
-            setattr(args, key, casts[key](raw))
-
-
-def _require(args: argparse.Namespace, names: list) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+    command.set_defaults(**values)
 
 
 def _cmd_mesh_gen(args) -> int:
-    casts = {"nx": int, "ny": int, "distortion": float, "seed": int, "out": str}
-    _merge_config(args, casts)
-    if args.distortion is None:
-        args.distortion = 0.0
-    if args.seed is None:
-        args.seed = 0
-    _require(args, ["nx", "ny", "out"])
-    if args.distortion == 0.0:
-        mesh = polymesh.generate_uniform_quads(args.nx, args.ny)
-    else:
-        mesh = polymesh.generate_distorted_polygonal(
-            args.nx, args.ny, seed=args.seed, distortion=args.distortion)
+    mesh = polymesh.generate_distorted_polygonal(
+        args.nx, args.ny, seed=args.seed, distortion=args.distortion)
     polymesh.write_mesh(mesh, args.out)
     print(f"wrote {args.out}: {mesh.num_vertices} vertices, "
           f"{mesh.num_cells} cells, {mesh.num_edges} edges")
@@ -75,11 +68,6 @@ def _solve_from_args(args):
 
 
 def _cmd_solve(args) -> int:
-    casts = {"mesh": str, "order": int, "case": str, "out_prefix": str}
-    _merge_config(args, casts)
-    if args.case is None:
-        args.case = "bubble-sine"
-    _require(args, ["mesh", "order", "out_prefix"])
     result, case = _solve_from_args(args)
     row = study.error_norms(result, case)
     vtk_path = f"{args.out_prefix}.vtk"
@@ -97,67 +85,41 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    casts = {"order": int, "levels": int, "family": str, "case": str,
-             "csv": str, "seed": int, "distortion": float}
-    _merge_config(args, casts)
-    if args.levels is None:
-        args.levels = 5
-    if args.family is None:
-        args.family = "distorted"
-    if args.case is None:
-        args.case = "bubble-sine"
-    if args.seed is None:
-        args.seed = 2026
-    if args.distortion is None:
-        args.distortion = 0.2
-    _require(args, ["order"])
-    case = get_case(args.case)
-    rows = study.convergence_study(
-        case, args.order, family=args.family, levels=args.levels,
-        seed=args.seed, distortion=args.distortion)
-    print(study.format_table(rows))
+def _run_study(args, case, k: int, columns) -> int:
+    rows = study.convergence_study(case, k, levels=args.levels, seed=args.seed,
+                                   distortion=args.distortion)
+    print(study.format_table(rows, columns))
     if len(rows) < args.levels:
         print(f"warning: the pressure solve failed on level {len(rows) + 1}; "
               f"completed {len(rows)} of {args.levels} levels", file=sys.stderr)
     if args.csv:
-        study.write_convergence_csv(rows, args.csv)
+        study.write_convergence_csv(rows, args.csv, columns)
         print(f"wrote {args.csv}")
     return 0 if len(rows) == args.levels else 1
+
+
+def _cmd_converge(args) -> int:
+    return _run_study(args, get_case(args.case), args.order,
+                      study.CONVERGENCE_COLUMNS)
 
 
 def _cmd_rt_compare(args) -> int:
-    casts = {"levels": int, "csv": str, "family": str, "seed": int,
-             "distortion": float}
-    _merge_config(args, casts)
-    if args.levels is None:
-        args.levels = 5
-    if args.family is None:
-        args.family = "distorted"
-    if args.seed is None:
-        args.seed = 2026
-    if args.distortion is None:
-        args.distortion = 0.2
-    rows = study.rt_comparison_study(
-        levels=args.levels, family=args.family, seed=args.seed,
-        distortion=args.distortion)
-    print(study.format_table(rows))
-    if args.csv:
-        study.write_rt_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
-    return 0 if len(rows) == args.levels else 1
+    # the RT-type field exists at the lowest order; K = 1 as in the paper
+    return _run_study(args, get_case("bubble-unit"), 0, study.RT_COLUMNS)
 
 
 def _cmd_export(args) -> int:
-    casts = {"mesh": str, "order": int, "case": str, "vtk": str}
-    _merge_config(args, casts)
-    if args.case is None:
-        args.case = "bubble-sine"
-    _require(args, ["mesh", "order", "vtk"])
-    result, case = _solve_from_args(args)
+    result, _ = _solve_from_args(args)
     vtk_export.export_vtk(result, args.vtk)
     print(f"wrote {args.vtk}")
     return 0
+
+
+def _command(sub, name: str, func, help: str, parents=()):
+    command = sub.add_parser(name, help=help, parents=list(parents))
+    command.add_argument("--config", type=str)
+    command.set_defaults(func=func, command_parser=command)
+    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,53 +129,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mesh_p = sub.add_parser("mesh", help="mesh utilities")
-    mesh_sub = mesh_p.add_subparsers(dest="mesh_command", required=True)
-    gen = mesh_sub.add_parser("gen", help="generate a mesh file")
-    gen.add_argument("--nx", type=int)
-    gen.add_argument("--ny", type=int)
-    gen.add_argument("--distortion", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out", type=str)
-    gen.add_argument("--config", type=str)
-    gen.set_defaults(func=_cmd_mesh_gen)
+    # options shared by several subcommands
+    case_opts = argparse.ArgumentParser(add_help=False)
+    case_opts.add_argument("--order", type=int, default=_REQUIRED)
+    case_opts.add_argument("--case", type=str, default="bubble-sine")
+    mesh_case_opts = argparse.ArgumentParser(add_help=False,
+                                             parents=[case_opts])
+    mesh_case_opts.add_argument("--mesh", type=str, default=_REQUIRED)
+    study_opts = argparse.ArgumentParser(add_help=False)
+    study_opts.add_argument("--levels", type=int, default=5)
+    study_opts.add_argument("--csv", type=str)
+    study_opts.add_argument("--seed", type=int, default=2026)
+    study_opts.add_argument("--distortion", type=float, default=0.2)
 
-    solve_p = sub.add_parser("solve", help="solve one case on a mesh file")
-    solve_p.add_argument("--mesh", type=str)
-    solve_p.add_argument("--order", type=int)
-    solve_p.add_argument("--case", type=str)
-    solve_p.add_argument("--out-prefix", dest="out_prefix", type=str)
-    solve_p.add_argument("--config", type=str)
-    solve_p.set_defaults(func=_cmd_solve)
+    mesh_sub = sub.add_parser("mesh", help="mesh utilities").add_subparsers(
+        dest="mesh_command", required=True)
+    gen = _command(mesh_sub, "gen", _cmd_mesh_gen, "generate a mesh file")
+    gen.add_argument("--nx", type=int, default=_REQUIRED)
+    gen.add_argument("--ny", type=int, default=_REQUIRED)
+    gen.add_argument("--distortion", type=float, default=0.0)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", type=str, default=_REQUIRED)
 
-    conv = sub.add_parser("converge", help="convergence rate study")
-    conv.add_argument("--order", type=int)
-    conv.add_argument("--levels", type=int)
-    conv.add_argument("--family", choices=["uniform", "distorted"])
-    conv.add_argument("--case", type=str)
-    conv.add_argument("--csv", type=str)
-    conv.add_argument("--seed", type=int)
-    conv.add_argument("--distortion", type=float)
-    conv.add_argument("--config", type=str)
-    conv.set_defaults(func=_cmd_converge)
+    solve_p = _command(sub, "solve", _cmd_solve,
+                       "solve one case on a mesh file", [mesh_case_opts])
+    solve_p.add_argument("--out-prefix", dest="out_prefix", type=str,
+                         default=_REQUIRED)
 
-    rt = sub.add_parser("rt-compare",
-                        help="projected vs RT-type velocity errors (k=0, K=1)")
-    rt.add_argument("--levels", type=int)
-    rt.add_argument("--csv", type=str)
-    rt.add_argument("--family", choices=["uniform", "distorted"])
-    rt.add_argument("--seed", type=int)
-    rt.add_argument("--distortion", type=float)
-    rt.add_argument("--config", type=str)
-    rt.set_defaults(func=_cmd_rt_compare)
+    _command(sub, "converge", _cmd_converge, "convergence rate study",
+             [case_opts, study_opts])
+    _command(sub, "rt-compare", _cmd_rt_compare,
+             "projected vs RT-type velocity errors (k=0, K=1)", [study_opts])
 
-    exp = sub.add_parser("export", help="solve and write a VTK snapshot")
-    exp.add_argument("--mesh", type=str)
-    exp.add_argument("--order", type=int)
-    exp.add_argument("--case", type=str)
-    exp.add_argument("--vtk", type=str)
-    exp.add_argument("--config", type=str)
-    exp.set_defaults(func=_cmd_export)
+    exp = _command(sub, "export", _cmd_export,
+                   "solve and write a VTK snapshot", [mesh_case_opts])
+    exp.add_argument("--vtk", type=str, default=_REQUIRED)
+
     return parser
 
 
@@ -221,6 +172,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(args.command_parser, args.config)
+            args = parser.parse_args(argv)
+        for dest, value in vars(args).items():
+            if value is _REQUIRED:
+                raise ValueError(
+                    f"missing required option --{dest.replace('_', '-')}")
         return args.func(args)
     except (polymesh.MeshError, SolverError, RecoveryError, ValueError,
             KeyError, OSError) as exc:

@@ -133,11 +133,7 @@ def _refine_floor(matrix: SparseSpd, b: np.ndarray, x: np.ndarray,
     return np.asarray(xl, dtype=float)
 
 
-def solve(
-    matrix: SparseSpd,
-    b: np.ndarray,
-    _refine: bool = True,
-) -> np.ndarray:
+def solve(matrix: SparseSpd, b: np.ndarray) -> np.ndarray:
     """Solve the SPD system A x = b with a certified residual.
 
     The matrix is Jacobi-scaled (D A D with D = diag(A)^-1/2), factored once
@@ -170,9 +166,7 @@ def solve(
 
     scale = 1.0 / np.sqrt(diag)
     correct = _factor(matrix, scale)
-    x = correct(b)
-    if _refine:
-        x = _refine_floor(matrix, b, x, correct)
+    x = _refine_floor(matrix, b, correct(b), correct)
 
     bnorm = float(np.linalg.norm(scale * b))
     rnorm = float(np.linalg.norm(scale * (b - matrix.matvec(x))))

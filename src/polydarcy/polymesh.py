@@ -400,20 +400,25 @@ def euler_check(mesh: PolyMesh) -> bool:
     return lhs == rhs
 
 
-def generate_uniform_quads(nx: int, ny: int) -> PolyMesh:
-    """Uniform nx-by-ny quadrilateral mesh of the unit square."""
+def _quad_grid(nx: int, ny: int) -> tuple:
+    """Vertices of the uniform nx-by-ny grid and its CCW quad loops."""
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be positive")
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     xv, yv = np.meshgrid(xs, ys)
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
-    cells = []
+    loops = []
     for j in range(ny):
         for i in range(nx):
             v0 = j * (nx + 1) + i
-            cells.append([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
-    return build_topology(vertices, cells)
+            loops.append([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
+    return vertices, loops
+
+
+def generate_uniform_quads(nx: int, ny: int) -> PolyMesh:
+    """Uniform nx-by-ny quadrilateral mesh of the unit square."""
+    return build_topology(*_quad_grid(nx, ny))
 
 
 def _loop_valid(coords: np.ndarray) -> bool:
@@ -443,21 +448,11 @@ def generate_distorted_polygonal(
     """
     if not 0.0 <= distortion < 0.5:
         raise MeshError("distortion must lie in [0, 0.5)")
-    if nx < 1 or ny < 1:
-        raise MeshError("nx and ny must be positive")
     if distortion == 0.0:
         return generate_uniform_quads(nx, ny)
 
+    vertices, loops = _quad_grid(nx, ny)
     rng = np.random.default_rng([seed, nx, ny, int(round(distortion * 1e9))])
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    xv, yv = np.meshgrid(xs, ys)
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-    loops = []
-    for j in range(ny):
-        for i in range(nx):
-            v0 = j * (nx + 1) + i
-            loops.append([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
 
     vertex_cells: dict[int, list[int]] = {}
     for c, loop in enumerate(loops):

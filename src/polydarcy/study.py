@@ -5,7 +5,8 @@ manufactured case, integrated at exactness 2(k+3).  Rate tables assume each
 level halves the mesh width, so the estimated order of convergence is the
 log2 of the error ratio between consecutive levels; rows whose errors sit at
 machine precision relative to the exact solution report "exact" instead of a
-meaningless ratio.
+meaningless ratio.  At the lowest order (k = 0) each row also carries the
+error of the Raviart-Thomas-type velocity, from the same solve.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linsolve, ncvem, polymesh, recovery
-from .cases import ManufacturedCase, get_case
+from .cases import ManufacturedCase
 from .polybasis import n_monomials, polygon_quadrature
 from .recovery import PiecewisePolyField, RecoveredVelocity, ScalarPolyField
 
@@ -39,32 +40,41 @@ class SolveResult:
 
 @dataclass
 class ConvergenceRow:
-    """Errors at one refinement level, with orders against the previous row."""
+    """Errors at one refinement level, with orders against the previous row.
+
+    `error_rt` is the error of the Raviart-Thomas-type velocity, which only
+    the lowest order (k = 0) recovers; it is None otherwise.
+    """
 
     n_elements: int
     error_u: float
     error_p: float
     error_grad_p: float
     error_div: float
+    error_rt: float | None = None
     order_u: object = None
     order_p: object = None
     order_grad_p: object = None
     order_div: object = None
+    order_rt: object = None
     ref_u: float = 0.0
     ref_p: float = 0.0
     ref_grad_p: float = 0.0
     ref_div: float = 0.0
 
 
-@dataclass
-class RtRow:
-    """RT-versus-projection comparison at one refinement level."""
-
-    n_elements: int
-    error_proj: float
-    error_rt: float
-    order_proj: object = None
-    order_rt: object = None
+# Output columns: (CSV header, table header, row field).  Each error column
+# is followed by its order column, "order..." in CSV and "ord" in the table.
+CONVERGENCE_COLUMNS = (
+    ("errorU", "errorU", "error_u"),
+    ("errorP", "errorP", "error_p"),
+    ("errorGradP", "errGradP", "error_grad_p"),
+    ("errorDiv", "errorDiv", "error_div"),
+)
+RT_COLUMNS = (
+    ("errorProjU", "errProjU", "error_u"),
+    ("errorRtU", "errRtU", "error_rt"),
+)
 
 
 def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
@@ -99,11 +109,16 @@ def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
 
 
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
-    """Broken L2 errors of velocity, pressure, gradient and divergence."""
+    """Broken L2 errors of velocity, pressure, gradient and divergence.
+
+    At k = 0 the error of the Raviart-Thomas-type velocity is integrated on
+    the same quadrature as well.
+    """
     mesh = result.mesh
     k = result.k
     proj = result.velocity.projected
-    err = np.zeros(4)
+    rt = result.velocity.rt
+    err = np.zeros(5)
     ref = np.zeros(4)
     for c in range(mesh.num_cells):
         coords = mesh.cell_coords(c)
@@ -121,6 +136,8 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
         err[1] += float(w @ (p_ex - p_h) ** 2)
         err[2] += float(w @ ((gp_ex - gp_h) ** 2).sum(axis=1))
         err[3] += float(w @ (f_ex - div_h) ** 2)
+        if rt is not None:
+            err[4] += float(w @ ((u_ex - rt.evaluate(c, pts)) ** 2).sum(axis=1))
         ref[0] += float(w @ (u_ex ** 2).sum(axis=1))
         ref[1] += float(w @ p_ex ** 2)
         ref[2] += float(w @ (gp_ex ** 2).sum(axis=1))
@@ -130,6 +147,7 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     return ConvergenceRow(
         n_elements=mesh.num_cells,
         error_u=err[0], error_p=err[1], error_grad_p=err[2], error_div=err[3],
+        error_rt=None if rt is None else err[4],
         ref_u=ref[0], ref_p=ref[1], ref_grad_p=ref[2], ref_div=ref[3],
     )
 
@@ -147,22 +165,13 @@ def compute_orders(rows: list) -> None:
         cur.order_p = _order(prev.error_p, cur.error_p, cur.ref_p)
         cur.order_grad_p = _order(prev.error_grad_p, cur.error_grad_p, cur.ref_grad_p)
         cur.order_div = _order(prev.error_div, cur.error_div, cur.ref_div)
-
-
-def generate_level_mesh(family: str, n: int, seed: int,
-                        distortion: float = 0.2) -> polymesh.PolyMesh:
-    if family == "uniform":
-        return polymesh.generate_uniform_quads(n, n)
-    if family == "distorted":
-        return polymesh.generate_distorted_polygonal(n, n, seed=seed,
-                                                     distortion=distortion)
-    raise ValueError(f"unknown mesh family '{family}'")
+        if prev.error_rt is not None and cur.error_rt is not None:
+            cur.order_rt = _order(prev.error_rt, cur.error_rt, cur.ref_u)
 
 
 def convergence_study(
     case: ManufacturedCase,
     k: int,
-    family: str = "distorted",
     levels: int = 5,
     base_n: int = 4,
     seed: int = 2026,
@@ -170,67 +179,23 @@ def convergence_study(
 ) -> list:
     """Run `levels` refinements (h halves each level) and tabulate errors.
 
-    A solver failure aborts the study and the partial table is returned.
+    Level L solves on the `base_n * 2**L` square distorted mesh with seed
+    `seed + L`; distortion 0 gives the uniform quadrilateral meshes.  A
+    solver failure aborts the study and the partial table is returned.
     """
     if levels < 3:
         raise ValueError("a convergence study needs at least 3 levels")
     rows = []
     for level in range(levels):
         n = base_n * 2 ** level
-        mesh = generate_level_mesh(family, n, seed=seed + level,
-                                   distortion=distortion)
+        mesh = polymesh.generate_distorted_polygonal(
+            n, n, seed=seed + level, distortion=distortion)
         try:
             result = solve_case(mesh, case, k)
         except linsolve.SolverError:
             break
         rows.append(error_norms(result, case))
     compute_orders(rows)
-    return rows
-
-
-def rt_errors(result: SolveResult, case: ManufacturedCase) -> tuple:
-    """(projection error, RT-type error) of the velocity in broken L2."""
-    if result.velocity.rt is None:
-        raise ValueError("RT-type field requires order k = 0")
-    mesh = result.mesh
-    err_proj = 0.0
-    err_rt = 0.0
-    for c in range(mesh.num_cells):
-        coords = mesh.cell_coords(c)
-        quad = polygon_quadrature(coords, 2 * (result.k + 3))
-        pts, w = quad.points, quad.weights
-        u_ex = case.velocity(pts)
-        u_p = result.velocity.projected.evaluate(c, pts)
-        u_rt = result.velocity.rt.evaluate(c, pts)
-        err_proj += float(w @ ((u_ex - u_p) ** 2).sum(axis=1))
-        err_rt += float(w @ ((u_ex - u_rt) ** 2).sum(axis=1))
-    return math.sqrt(err_proj), math.sqrt(err_rt)
-
-
-def rt_comparison_study(
-    levels: int = 5,
-    base_n: int = 4,
-    seed: int = 2026,
-    family: str = "distorted",
-    distortion: float = 0.2,
-) -> list:
-    """Projected versus RT-type velocity errors for k = 0, K = 1."""
-    case = get_case("bubble-unit")
-    rows = []
-    for level in range(levels):
-        n = base_n * 2 ** level
-        mesh = generate_level_mesh(family, n, seed=seed + level,
-                                   distortion=distortion)
-        try:
-            result = solve_case(mesh, case, 0)
-        except linsolve.SolverError:
-            break
-        e_proj, e_rt = rt_errors(result, case)
-        rows.append(RtRow(n_elements=mesh.num_cells,
-                          error_proj=e_proj, error_rt=e_rt))
-    for prev, cur in zip(rows, rows[1:]):
-        cur.order_proj = _order(prev.error_proj, cur.error_proj, 1.0)
-        cur.order_rt = _order(prev.error_rt, cur.error_rt, 1.0)
     return rows
 
 
@@ -244,57 +209,39 @@ def _fmt(value) -> str:
     return f"{value:.5e}"
 
 
-def write_convergence_csv(rows: list, path: str) -> None:
+def _order_field(field: str) -> str:
+    return field.replace("error_", "order_", 1)
+
+
+def write_convergence_csv(rows: list, path: str,
+                          columns=CONVERGENCE_COLUMNS) -> None:
+    """CSV of `rows`: cell count, then each column's error and order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["nElements", "errorU", "orderU", "errorP", "orderP",
-                         "errorGradP", "orderGradP", "errorDiv", "orderDiv"])
+        header = ["nElements"]
+        for name, _, _ in columns:
+            header += [name, name.replace("error", "order", 1)]
+        writer.writerow(header)
         for r in rows:
-            writer.writerow([
-                _fmt(r.n_elements),
-                _fmt(r.error_u), _fmt(r.order_u),
-                _fmt(r.error_p), _fmt(r.order_p),
-                _fmt(r.error_grad_p), _fmt(r.order_grad_p),
-                _fmt(r.error_div), _fmt(r.order_div),
-            ])
+            line = [_fmt(r.n_elements)]
+            for _, _, field in columns:
+                line += [_fmt(getattr(r, field)),
+                         _fmt(getattr(r, _order_field(field)))]
+            writer.writerow(line)
 
 
-def write_rt_csv(rows: list, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nElements", "errorProjU", "orderProjU",
-                         "errorRtU", "orderRtU"])
-        for r in rows:
-            writer.writerow([
-                _fmt(r.n_elements),
-                _fmt(r.error_proj), _fmt(r.order_proj),
-                _fmt(r.error_rt), _fmt(r.order_rt),
-            ])
-
-
-def format_table(rows: list) -> str:
+def format_table(rows: list, columns=CONVERGENCE_COLUMNS) -> str:
     """Human-readable rate table for terminal output."""
     if not rows:
         return "(no completed levels)"
-    if isinstance(rows[0], RtRow):
-        header = f"{'cells':>8} {'errProjU':>12} {'ord':>7} {'errRtU':>12} {'ord':>7}"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                f"{r.n_elements:>8d} {r.error_proj:>12.5e} {_ord_str(r.order_proj):>7} "
-                f"{r.error_rt:>12.5e} {_ord_str(r.order_rt):>7}"
-            )
-        return "\n".join(lines)
-    header = (f"{'cells':>8} {'errorU':>12} {'ord':>7} {'errorP':>12} {'ord':>7} "
-              f"{'errGradP':>12} {'ord':>7} {'errorDiv':>12} {'ord':>7}")
+    header = f"{'cells':>8}" + "".join(
+        f" {label:>12} {'ord':>7}" for _, label, _ in columns)
     lines = [header]
     for r in rows:
-        lines.append(
-            f"{r.n_elements:>8d} {r.error_u:>12.5e} {_ord_str(r.order_u):>7} "
-            f"{r.error_p:>12.5e} {_ord_str(r.order_p):>7} "
-            f"{r.error_grad_p:>12.5e} {_ord_str(r.order_grad_p):>7} "
-            f"{r.error_div:>12.5e} {_ord_str(r.order_div):>7}"
-        )
+        lines.append(f"{r.n_elements:>8d}" + "".join(
+            f" {_fmt(getattr(r, field)):>12} "
+            f"{_ord_str(getattr(r, _order_field(field))):>7}"
+            for _, _, field in columns))
     return "\n".join(lines)
 
 

@@ -49,12 +49,12 @@ def test_criterion_1_velocity_convergence_rates(capsys):
 def test_criterion_2_rt_beats_projection(capsys):
     # K = 1, k = 0, five levels: the RT-type field must be more accurate
     # than the projected velocity at every level and converge at order one
-    rows = study.rt_comparison_study()
+    rows = study.convergence_study(get_case("bubble-unit"), 0)
     assert len(rows) == 5
-    below = all(r.error_rt < r.error_proj for r in rows)
+    below = all(r.error_rt < r.error_u for r in rows)
     final_order = rows[-1].order_rt
     ok = below and isinstance(final_order, float) and final_order >= 0.95
-    detail = (f"rt < proj at {sum(r.error_rt < r.error_proj for r in rows)}/5 "
+    detail = (f"rt < proj at {sum(r.error_rt < r.error_u for r in rows)}/5 "
               f"levels, final rt EOC {final_order:.3f}")
     _report(capsys, 2, "RT-type field beats projection", ok, detail)
     assert ok, detail

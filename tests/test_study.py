@@ -8,7 +8,7 @@ import pytest
 from polydarcy import linsolve, ncvem, polymesh, study
 from polydarcy.cases import get_case, polynomial_case
 from polydarcy.polybasis import n_monomials
-from polydarcy.study import ConvergenceRow, RtRow
+from polydarcy.study import ConvergenceRow
 
 
 def test_solve_case_field_shapes():
@@ -36,11 +36,11 @@ def test_error_norms_vanish_on_polynomial_patch():
     assert row.error_div <= 1e-9 * max(row.ref_div, 1.0)
 
 
-def _row(n, e, **orders):
+def _row(n, e, **fields):
     return ConvergenceRow(n_elements=n, error_u=e, error_p=e,
                           error_grad_p=e, error_div=e,
                           ref_u=1.0, ref_p=1.0, ref_grad_p=1.0, ref_div=1.0,
-                          **orders)
+                          **fields)
 
 
 def test_compute_orders_is_log2_of_error_ratio():
@@ -56,16 +56,6 @@ def test_orders_at_machine_precision_report_exact():
     rows = [_row(16, 1e-13), _row(64, 2e-13)]
     study.compute_orders(rows)
     assert rows[1].order_u == study.EXACT_MARK
-
-
-def test_generate_level_mesh_families():
-    uniform = study.generate_level_mesh("uniform", 3, seed=0)
-    assert uniform.num_cells == 9
-    distorted = study.generate_level_mesh("distorted", 3, seed=0)
-    assert distorted.num_cells == 9
-    assert not np.array_equal(uniform.vertices, distorted.vertices)
-    with pytest.raises(ValueError):
-        study.generate_level_mesh("hexagonal", 3, seed=0)
 
 
 def test_convergence_study_needs_three_levels():
@@ -118,22 +108,51 @@ def test_partial_table_after_solver_failure(monkeypatch):
 
 
 def test_rt_errors_require_lowest_order():
+    # only k = 0 recovers the RT-type field, so only k = 0 rows carry its error
     mesh = polymesh.generate_uniform_quads(2, 2)
     case = get_case("bubble-unit")
-    result = study.solve_case(mesh, case, 1)
-    with pytest.raises(ValueError):
-        study.rt_errors(result, case)
+    assert study.error_norms(study.solve_case(mesh, case, 1), case).error_rt is None
+    row = study.error_norms(study.solve_case(mesh, case, 0), case)
+    assert 0.0 < row.error_rt < row.error_u
 
 
 def test_rt_comparison_study_small():
-    rows = study.rt_comparison_study(levels=3, base_n=2)
+    rows = study.convergence_study(get_case("bubble-unit"), 0, levels=3,
+                                   base_n=2)
     assert [r.n_elements for r in rows] == [4, 16, 64]
     for row in rows:
-        assert 0.0 < row.error_rt < row.error_proj
+        assert 0.0 < row.error_rt < row.error_u
     for prev, cur in zip(rows, rows[1:]):
-        assert cur.error_proj < prev.error_proj
+        assert cur.error_u < prev.error_u
         assert cur.error_rt < prev.error_rt
+    assert rows[0].order_rt is None
     assert rows[-1].order_rt > 0.8
+
+
+def test_higher_order_rows_have_no_rt_order():
+    rows = study.convergence_study(get_case("bubble-unit"), 1, levels=3,
+                                   base_n=1)
+    assert all(r.error_rt is None and r.order_rt is None for r in rows)
+    assert isinstance(rows[-1].order_u, float)
+
+
+def test_convergence_study_distortion_zero_is_uniform(monkeypatch):
+    meshes = []
+    real = study.solve_case
+
+    def spy(mesh, case, k):
+        meshes.append(mesh)
+        return real(mesh, case, k)
+
+    monkeypatch.setattr(study, "solve_case", spy)
+    rows = study.convergence_study(get_case("bubble-sine"), 0, levels=3,
+                                   base_n=2, distortion=0.0)
+    assert [r.n_elements for r in rows] == [4, 16, 64]
+    for mesh in meshes:
+        n = int(round(mesh.num_cells ** 0.5))
+        uniform = polymesh.generate_uniform_quads(n, n)
+        assert np.array_equal(mesh.vertices, uniform.vertices)
+        assert [list(c) for c in mesh.cells] == [list(c) for c in uniform.cells]
 
 
 def test_convergence_csv_layout(tmp_path):
@@ -159,12 +178,11 @@ def test_convergence_csv_layout(tmp_path):
 
 def test_rt_csv_layout(tmp_path):
     rows = [
-        RtRow(n_elements=4, error_proj=0.5, error_rt=0.25),
-        RtRow(n_elements=16, error_proj=0.25, error_rt=0.125,
-              order_proj=1.0, order_rt=1.0),
+        _row(4, 0.5, error_rt=0.25),
+        _row(16, 0.25, error_rt=0.125, order_u=1.0, order_rt=1.0),
     ]
     path = tmp_path / "rt.csv"
-    study.write_rt_csv(rows, str(path))
+    study.write_convergence_csv(rows, str(path), study.RT_COLUMNS)
     with open(path, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["nElements", "errorProjU", "orderProjU",
@@ -189,7 +207,7 @@ def test_format_table_strings():
 
 
 def test_format_table_rt_branch():
-    rows = [RtRow(n_elements=4, error_proj=0.5, error_rt=0.25)]
-    text = study.format_table(rows)
+    rows = [_row(4, 0.5, error_rt=0.25)]
+    text = study.format_table(rows, study.RT_COLUMNS)
     assert "errProjU" in text.splitlines()[0]
     assert "-" in text.splitlines()[1]

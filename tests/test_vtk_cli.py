@@ -136,6 +136,25 @@ def test_cli_converge_reports_failed_solve(monkeypatch, capsys):
     assert "completed 2 of 3 levels" in err
 
 
+def test_cli_rt_compare_reports_failed_solve(monkeypatch, capsys):
+    real = ncvem.solve_pressure
+    calls = {"n": 0}
+
+    def failing_third(system):
+        calls["n"] += 1
+        if calls["n"] >= 3:
+            raise linsolve.SolverError("missed certificate", residual=1.0)
+        return real(system)
+
+    monkeypatch.setattr(ncvem, "solve_pressure", failing_third)
+    rc = cli.main(["rt-compare", "--levels", "3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "errProjU" in captured.out
+    assert "pressure solve failed on level 3" in captured.err
+    assert "completed 2 of 3 levels" in captured.err
+
+
 def test_cli_rt_compare(tmp_path, capsys):
     csv_path = tmp_path / "rt.csv"
     rc = cli.main(["rt-compare", "--levels", "3", "--csv", str(csv_path)])
@@ -206,6 +225,44 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     rc = cli.main(["mesh", "gen", "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key 'resolution'" in capsys.readouterr().err
+
+
+def test_cli_converge_config_matches_flags(tmp_path):
+    flags_csv = tmp_path / "flags.csv"
+    rc = cli.main(["converge", "--order", "0", "--levels", "3",
+                   "--distortion", "0", "--csv", str(flags_csv)])
+    assert rc == 0
+    cfg_csv = tmp_path / "cfg.csv"
+    cfg = tmp_path / "converge.cfg"
+    cfg.write_text(f"order = 0\nlevels = 3\ndistortion = 0\ncsv = {cfg_csv}\n",
+                   encoding="utf-8")
+    rc = cli.main(["converge", "--config", str(cfg)])
+    assert rc == 0
+    assert cfg_csv.read_text(encoding="utf-8") == flags_csv.read_text(encoding="utf-8")
+    assert len(cfg_csv.read_text(encoding="utf-8").splitlines()) == 4
+
+
+def test_cli_config_value_of_wrong_type_fails(tmp_path, capsys):
+    cfg = tmp_path / "mesh.cfg"
+    cfg.write_text(f"nx = four\nny = 3\nout = {tmp_path / 'm.txt'}\n",
+                   encoding="utf-8")
+    try:
+        rc = cli.main(["mesh", "gen", "--config", str(cfg)])
+    except SystemExit as exc:  # argparse reports a bad value and exits
+        rc = exc.code
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "error:" in err and "four" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_cli_config_rejects_key_of_other_command(tmp_path, capsys):
+    cfg = tmp_path / "mesh.cfg"
+    cfg.write_text(f"nx = 2\nny = 2\nout = {tmp_path / 'm.txt'}\nvtk = x\n",
+                   encoding="utf-8")
+    rc = cli.main(["mesh", "gen", "--config", str(cfg)])
+    assert rc == 1
+    assert "unknown config key 'vtk'" in capsys.readouterr().err
 
 
 def test_cli_config_rejects_bad_line(tmp_path, capsys):
