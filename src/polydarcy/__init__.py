@@ -14,7 +14,6 @@ from .polybasis import (
     PolyQuadrature,
     ScaledMonomialBasis,
     cell_basis,
-    edge_basis,
     gk_perp_basis,
     l2_project_function,
     mass_matrix,

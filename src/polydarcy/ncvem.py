@@ -7,6 +7,11 @@ local space is "enhanced" so that cell moments of degrees k and k+1 of a
 function equal those of its energy projection, which makes the full L2
 projection onto P_{k+1} computable from the degrees of freedom alone.
 
+Edge moments come from one reference table per order (see
+`polybasis.edge_reference`): a cell's edge tables are built for all its
+edges at once, and the normal traces of the cell monomials are projected
+onto the edge monomials by one fixed matrix, so no edge Gram is solved.
+
 All element matrices are dense and small; the global SPD system is assembled
 from them with Dirichlet data eliminated.  Everything a later velocity
 recovery needs (projection tables, edge moment tables, the residual pieces)
@@ -25,8 +30,7 @@ from .polybasis import (
     GkPerpBasis,
     ScaledMonomialBasis,
     cell_basis,
-    edge_basis,
-    edge_quadrature,
+    edge_reference,
     gk_perp_basis,
     gradient_coefficient_matrix,
     n_monomials,
@@ -149,8 +153,7 @@ class NcElement:
     edge_ids: np.ndarray
     edge_signs: np.ndarray
     edge_lengths: np.ndarray
-    edge_mass: list                    # per edge, (k+1, k+1) edge-basis Gram
-    edge_cross: list                   # per edge, (k+1, pi_{k+1}) vs cell basis
+    edge_cross: np.ndarray             # (n_e, k+1, pi_{k+1}) vs cell basis
     mass: np.ndarray                   # (pi_{k+1}, pi_{k+1}) cell-basis Gram
     p_nabla: np.ndarray                # energy projection, (pi_{k+1}, N)
     p0: np.ndarray                     # L2 projection onto P_{k+1}, (pi_{k+1}, N)
@@ -172,9 +175,6 @@ class NcElement:
     @property
     def n_edges(self) -> int:
         return len(self.edge_ids)
-
-    def edge_slot(self, pos: int, alpha: int) -> int:
-        return pos * (self.k + 1) + alpha
 
     def cell_slot(self, gamma: int) -> int:
         return self.n_edges * (self.k + 1) + gamma
@@ -226,48 +226,27 @@ def build_element(
     mk_w[nk:, :nk] = (vk * (w * kvals[:, 1, 0])) @ vk.T
     mk_w[nk:, nk:] = (vk * (w * kvals[:, 1, 1])) @ vk.T
 
-    # Edge tables: Gram of edge monomials and cross table against cell basis.
-    n_edge_gauss = k + 3
-    edge_mass = []
-    edge_cross = []
-    edge_bases = []
-    for pos in range(n_e):
-        e = edge_ids[pos]
-        va = mesh.vertices[mesh.edges[e, 0]]
-        vb = mesh.vertices[mesh.edges[e, 1]]
-        eb = edge_basis(va, vb, k)
-        pts, ew = edge_quadrature(va, vb, n_edge_gauss)
-        ev = eb.evaluate(pts)                     # (k+1, ng)
-        cv = basis.evaluate(pts)                  # (pi_{k+1}, ng)
-        edge_bases.append((eb, pts, ew, ev, cv))
-        edge_mass.append(eb.mass_matrix())
-        edge_cross.append((ev * ew) @ cv.T)
+    # Edge tables from the reference segment, all edges at once:
+    # edge_cross[e, b, j] = int_f s^b m_j and traces[j, e] = edge-monomial
+    # coefficients of m_j restricted to edge e (degree <= k, so exact).
+    ref = edge_reference(k, k + 3)
+    pts = _edge_points(mesh, edge_ids, ref.nodes)
+    cv = basis.evaluate(pts.reshape(-1, 2)).reshape(nk1, n_e, -1)
+    lengths = mesh.edge_lengths[edge_ids]
+    edge_cross = lengths[:, None, None] * np.einsum("bq,jeq->ebj", ref.moments, cv)
+    traces = np.einsum("bq,jeq->jeb", ref.projector, cv[:nk])
 
     # b_g[j, i] = integral over P of chi_i . (components of) g_j via parts:
-    # boundary moments minus interior moments of div g_j.
-    b_g = np.zeros((2 * nk, N))
-    dxk, dyk = ScaledMonomialBasis(basis.center, basis.diameter, k).gradient_coefficients()
-    for pos in range(n_e):
-        e = edge_ids[pos]
-        sign = signs[pos]
-        nrm = sign * mesh.edge_normals[e]
-        length = mesh.edge_lengths[e]
-        eb, pts, ew, ev, cv = edge_bases[pos]
-        # normal components of every vector monomial on this edge
-        qvals = np.empty((2 * nk, len(ew)))
-        qvals[:nk] = cv[:nk] * nrm[0]
-        qvals[nk:] = cv[:nk] * nrm[1]
-        moments = (ev * ew) @ qvals.T             # (k+1, 2 pi_k)
-        coef = solve(edge_mass[pos], moments, assume_a="pos")
-        sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
-        b_g[:, sl] += length * coef.T
-    if nkm1:
-        base_slot = n_e * (k + 1)
-        for j in range(nk):
-            div_x = dxk[:nkm1, j]
-            div_y = dyk[:nkm1, j]
-            b_g[j, base_slot:base_slot + nkm1] -= area * div_x
-            b_g[nk + j, base_slot:base_slot + nkm1] -= area * div_y
+    # boundary moments of the normal traces minus interior moments of div g_j.
+    nrm = signs[:, None] * mesh.edge_normals[edge_ids]
+    n_edge_slots = n_e * (k + 1)
+    b_g = np.empty((2 * nk, N))
+    b_g[:nk, :n_edge_slots] = (traces * (lengths * nrm[:, 0])[:, None]).reshape(nk, -1)
+    b_g[nk:, :n_edge_slots] = (traces * (lengths * nrm[:, 1])[:, None]).reshape(nk, -1)
+    basis_k = ScaledMonomialBasis(basis.center, basis.diameter, k)
+    dxk, dyk = basis_k.gradient_coefficients()
+    b_g[:nk, n_edge_slots:] = -area * dxk[:nkm1].T
+    b_g[nk:, n_edge_slots:] = -area * dyk[:nkm1].T
     grad_proj = np.empty_like(b_g)
     grad_proj[:nk] = cho_solve(cho_k, b_g[:nk])
     grad_proj[nk:] = cho_solve(cho_k, b_g[nk:])
@@ -278,28 +257,24 @@ def build_element(
     mvec = vector_mass_matrix(mass_k)
     h_mat = emat.T @ mvec @ emat
     c_mat = emat.T @ b_g
-    perimeter = float(np.sum(mesh.edge_lengths[edge_ids]))
-    h_mat[0, :] = 0.0
+    perimeter = float(np.sum(lengths))
+    h_mat[0, :] = edge_cross[:, 0, :].sum(axis=0) / perimeter
     c_mat[0, :] = 0.0
-    for pos in range(n_e):
-        h_mat[0, :] += edge_cross[pos][0, :] / perimeter
-        c_mat[0, pos * (k + 1)] = mesh.edge_lengths[edge_ids[pos]] / perimeter
+    c_mat[0, :n_edge_slots:k + 1] = lengths / perimeter
     p_nabla = solve(h_mat, c_mat)
 
     # Moment table: low degrees are plain DOFs, degrees k and k+1 come from
     # the energy projection (enhancement), then invert Grams.
     b0 = np.zeros((nk1, N))
-    base_slot = n_e * (k + 1)
     for gamma in range(nkm1):
-        b0[gamma, base_slot + gamma] = area
+        b0[gamma, n_edge_slots + gamma] = area
     b0[nkm1:, :] = (mass @ p_nabla)[nkm1:, :]
     cho_k1 = cho_factor(mass)
     p0 = cho_solve(cho_k1, b0)
     p0k = cho_solve(cho_k, b0[:nk])
 
     # DOF matrix of monomials, for the dofi-dofi stabilization.
-    d_mat = _monomial_dof_table(edge_cross, mesh.edge_lengths[edge_ids],
-                                mass, area, k)
+    d_mat = _monomial_dof_table(edge_cross, lengths, mass, area, k)
 
     consistency = grad_proj.T @ mk_w @ grad_proj
     tau = np.trace(consistency) / N
@@ -315,29 +290,10 @@ def build_element(
     load = p0k.T @ f_moments
 
     # Gradient-complement machinery: orthonormal basis and the operator that
-    # recovers the complement moments of the velocity from local pressures.
-    gkp = gk_perp_basis(coords, k, quad)
-    dim = gkp.dim
-    gkperp_rec = np.zeros((dim, N))
-    if dim:
-        wcoef = np.empty((2 * nk, dim))
-        rhs = mk_w @ gkp.coeffs
-        wcoef[:nk] = cho_solve(cho_k, rhs[:nk])
-        wcoef[nk:] = cho_solve(cho_k, rhs[nk:])
-        for pos in range(n_e):
-            e = edge_ids[pos]
-            sign = signs[pos]
-            nrm = sign * mesh.edge_normals[e]
-            length = mesh.edge_lengths[e]
-            eb, pts, ew, ev, cv = edge_bases[pos]
-            qvals = (cv[:nk].T @ wcoef[:nk]) * nrm[0] + (cv[:nk].T @ wcoef[nk:]) * nrm[1]
-            moments = (ev * ew) @ qvals               # (k+1, dim)
-            coef = solve(edge_mass[pos], moments, assume_a="pos")
-            sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
-            gkperp_rec[:, sl] -= (length / area) * coef.T
-        if nkm1:
-            div_w = dxk[:nkm1] @ wcoef[:nk] + dyk[:nkm1] @ wcoef[nk:]
-            gkperp_rec[:, base_slot:base_slot + nkm1] += div_w.T
+    # recovers the complement moments of the velocity from local pressures:
+    # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
+    gkp = gk_perp_basis(basis_k, mass_k)
+    gkperp_rec = -(gkp.coeffs.T @ mk_w @ grad_proj) / area
 
     return NcElement(
         cell=c,
@@ -347,8 +303,7 @@ def build_element(
         area=area,
         edge_ids=np.asarray(edge_ids),
         edge_signs=np.asarray(signs),
-        edge_lengths=mesh.edge_lengths[edge_ids].copy(),
-        edge_mass=edge_mass,
+        edge_lengths=lengths,
         edge_cross=edge_cross,
         mass=mass,
         p_nabla=p_nabla,
@@ -366,6 +321,17 @@ def build_element(
     )
 
 
+def _edge_points(mesh: PolyMesh, edge_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Points a + t (b - a) at the reference nodes t of each edge, (n_e, n, 2).
+
+    a and b are the endpoints in stored order, so the nodes carry the edge
+    monomials of `polybasis.edge_reference`.
+    """
+    va = mesh.vertices[mesh.edges[edge_ids, 0]]
+    vb = mesh.vertices[mesh.edges[edge_ids, 1]]
+    return va[:, None, :] + nodes[None, :, None] * (vb - va)[:, None, :]
+
+
 def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
     """DOF vectors of the scaled monomials m_beta, as columns (N, pi_{k+1}).
 
@@ -373,8 +339,8 @@ def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
     slots the scaled cell moments of degree <= k-1 (mass rows over |P|).
     """
     nkm1 = n_monomials(k - 1)
-    edge_rows = [cross / length for cross, length in zip(edge_cross, edge_lengths)]
-    return np.vstack(edge_rows + [mass[:nkm1, :] / area])
+    edge_rows = (edge_cross / edge_lengths[:, None, None]).reshape(-1, mass.shape[0])
+    return np.vstack([edge_rows, mass[:nkm1, :] / area])
 
 
 def monomial_dofs(element: NcElement) -> np.ndarray:
@@ -394,17 +360,21 @@ def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:
     """
     gfun = scalar_field(g)
     out = np.zeros((mesh.num_edges, k + 1))
-    ng = max(k + 2, 10)
-    for e in range(mesh.num_edges):
-        if mesh.edge_right[e] >= 0:
-            continue
-        va = mesh.vertices[mesh.edges[e, 0]]
-        vb = mesh.vertices[mesh.edges[e, 1]]
-        eb = edge_basis(va, vb, k)
-        pts, ew = edge_quadrature(va, vb, ng)
-        ev = eb.evaluate(pts)
-        out[e] = (ev * ew) @ gfun(pts) / mesh.edge_lengths[e]
+    ref = edge_reference(k, max(k + 2, 10))
+    bnd = np.flatnonzero(mesh.edge_right < 0)
+    pts = _edge_points(mesh, bnd, ref.nodes)
+    gvals = gfun(pts.reshape(-1, 2)).reshape(len(bnd), len(ref.nodes))
+    out[bnd] = gvals @ ref.moments.T
     return out
+
+
+def _dirichlet_lift(element: NcElement, boundary_values: np.ndarray) -> np.ndarray:
+    """Local DOF vector holding Dirichlet values, zero on free slots.
+
+    Relies on `boundary_edge_values` leaving interior-edge rows at zero.
+    """
+    edge_part = boundary_values[element.edge_ids].ravel()
+    return np.concatenate([edge_part, np.zeros(element.n_dofs - edge_part.size)])
 
 
 @dataclass
@@ -422,13 +392,7 @@ class SpdSystem:
 
     def local_boundary(self, c: int) -> np.ndarray:
         """Local DOF vector holding Dirichlet values, zero on free slots."""
-        element = self.elements[c]
-        k = self.k
-        out = np.zeros(element.n_dofs)
-        for pos, e in enumerate(element.edge_ids):
-            if self.dofmap.edge_offset[e] < 0:
-                out[pos * (k + 1):(pos + 1) * (k + 1)] = self.boundary_values[e]
-        return out
+        return _dirichlet_lift(self.elements[c], self.boundary_values)
 
     def local_pressure(self, c: int) -> np.ndarray:
         """Full local DOF vector of the solved pressure on cell c."""
@@ -447,7 +411,6 @@ def assemble(
     f,
     k: int,
     boundary=None,
-    quad_degree: int | None = None,
 ) -> SpdSystem:
     """Assemble the global SPD pressure system with Dirichlet elimination.
 
@@ -461,15 +424,12 @@ def assemble(
     rows, cols, vals = [], [], []
     elements = []
     for c in range(mesh.num_cells):
-        element = build_element(mesh, c, k, K, f, quad_degree=quad_degree)
+        element = build_element(mesh, c, k, K, f)
         elements.append(element)
         glob = dofmap.cell_global(c)
         free = glob >= 0
         gidx = glob[free]
-        lifted = np.zeros(element.n_dofs)
-        for pos, e in enumerate(element.edge_ids):
-            if dofmap.edge_offset[e] < 0:
-                lifted[pos * (k + 1):(pos + 1) * (k + 1)] = bvals[e]
+        lifted = _dirichlet_lift(element, bvals)
         local_rhs = element.load - element.stiffness @ lifted
         np.add.at(rhs, gidx, local_rhs[free])
         kff = element.stiffness[np.ix_(free, free)]

@@ -8,7 +8,10 @@ ordered graded-lexicographically: (0,0), (1,0), (0,1), (2,0), (1,1),
 (0,2), ...  with x_D the polygon centroid and h_D its diameter.  Edge
 polynomials use the signed arclength from the edge midpoint scaled by the
 edge length, measured along the globally stored tangent so that moments on a
-shared edge mean the same thing to both incident cells.
+shared edge mean the same thing to both incident cells.  On the reference
+segment that parameter is t - 1/2 for every edge, so one cached table per
+order and rule (`edge_reference`) gives the edge moments and the L2 edge
+projector of all edges.
 
 Quadrature on a polygon fans it into triangles around a star point and maps
 a Gauss-Jacobi x Gauss-Legendre tensor rule through the collapsed-square
@@ -17,7 +20,6 @@ transform, giving positive weights and exactness up to the requested degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,49 +118,6 @@ def cell_basis(coords: np.ndarray, k: int) -> ScaledMonomialBasis:
     )
 
 
-@dataclass
-class EdgeBasis:
-    """Scaled monomials of the signed arclength along an oriented segment."""
-
-    start: np.ndarray
-    end: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        self.midpoint = 0.5 * (self.start + self.end)
-        d = self.end - self.start
-        self.length = float(math.hypot(d[0], d[1]))
-        self.tangent = d / self.length
-
-    def __len__(self) -> int:
-        return self.degree + 1
-
-    def params(self, points: np.ndarray) -> np.ndarray:
-        """Scaled signed arclength s in [-1/2, 1/2] of points on the edge."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - self.midpoint
-        return (rel @ self.tangent) / self.length
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        s = self.params(points)
-        return np.vstack([s ** b for b in range(self.degree + 1)])
-
-    def mass_matrix(self) -> np.ndarray:
-        """Exact edge Gram: int_f s^p ds = |f| (1/2)^p / (p+1) for even p."""
-        n = self.degree + 1
-        mat = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                p = i + j
-                if p % 2 == 0:
-                    mat[i, j] = self.length * 0.5 ** p / (p + 1)
-        return mat
-
-
-def edge_basis(start: np.ndarray, end: np.ndarray, k: int) -> EdgeBasis:
-    return EdgeBasis(np.asarray(start, float), np.asarray(end, float), k)
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(n)
@@ -172,14 +131,39 @@ def _gauss_jacobi01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 4.0
 
 
-def edge_quadrature(start, end, npoints: int):
-    """Gauss-Legendre nodes on a segment; returns (points (n,2), weights)."""
-    start = np.asarray(start, float)
-    end = np.asarray(end, float)
+@dataclass(frozen=True)
+class EdgeReference:
+    """Edge-monomial tables on the reference segment t in [0, 1].
+
+    An edge f from a to b (stored orientation) is x(t) = a + t (b - a), and
+    its monomials s^b use s = t - 1/2, the signed arclength from the midpoint
+    over |f|.  The tables therefore serve every edge alike:
+
+        int_f s^b v ds = |f| (moments @ v(x(nodes)))[b],
+
+    and `projector @ v(x(nodes))` holds the coefficients of the L2(f)
+    projection of v onto span{s^b : b <= k}, because the edge Gram is |f|
+    times the fixed G_k[i, j] = (1/2)^(i+j) / (i+j+1) (zero for odd i+j) and
+    |f| cancels.  Exact for v of degree <= 2 npoints - 1 - k.
+    """
+
+    nodes: np.ndarray       # (n,) Gauss-Legendre nodes in [0, 1]
+    moments: np.ndarray     # (k+1, n) V W: monomial values times weights
+    projector: np.ndarray   # (k+1, n) G_k^{-1} V W
+
+
+@lru_cache(maxsize=None)
+def edge_reference(k: int, npoints: int) -> EdgeReference:
+    """Cached reference tables for edge order k on an npoints Gauss rule."""
     t, w = _gauss_legendre01(npoints)
-    pts = start[None, :] + t[:, None] * (end - start)[None, :]
-    length = math.hypot(*(end - start))
-    return pts, w * length
+    s = t - 0.5
+    moments = np.vstack([s ** b for b in range(k + 1)]) * w
+    p = np.add.outer(np.arange(k + 1), np.arange(k + 1))
+    gram = np.where(p % 2 == 0, 0.5 ** p / (p + 1), 0.0)
+    projector = cho_solve(cho_factor(gram), moments)
+    for table in (t, moments, projector):  # shared through the caches
+        table.setflags(write=False)
+    return EdgeReference(nodes=t, moments=moments, projector=projector)
 
 
 @dataclass
@@ -296,23 +280,22 @@ def gradient_coefficient_matrix(k: int, diameter: float) -> np.ndarray:
     return e
 
 
-def gk_perp_basis(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) -> GkPerpBasis:
+def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray) -> GkPerpBasis:
     """Construct the orthonormal complement basis on one polygon.
 
-    The complement is the kernel of the pairing of (P_k)^2 against exact
-    gradients of P_{k+1}; an SVD nullspace is orthonormalized in the L2(P)
-    inner product by a Cholesky factor of its small Gram matrix.  Raises if
-    the numerical rank disagrees with 2 pi_k - pi_{k+1} + 1.
+    `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
+    Gram matrix on the cell.  The complement is the kernel of the pairing of
+    (P_k)^2 against exact gradients of P_{k+1}; an SVD nullspace is
+    orthonormalized in the L2(P) inner product by a Cholesky factor of its
+    small Gram matrix.  Raises if the numerical rank disagrees with
+    2 pi_k - pi_{k+1} + 1.
     """
-    basis = cell_basis(coords, k)
-    expected = gk_perp_dimension(k)
+    expected = gk_perp_dimension(basis.degree)
     if expected == 0:
         return GkPerpBasis(basis=basis, coeffs=np.zeros((2 * len(basis), 0)))
-    if quad is None or quad.degree < 2 * k:
-        quad = polygon_quadrature(coords, 2 * k)
-    mk = mass_matrix(coords, k, quad)
-    mvec = vector_mass_matrix(mk)
-    e = gradient_coefficient_matrix(k + 1, basis.diameter)[:, 1:]  # drop constant
+    mvec = vector_mass_matrix(mass_k)
+    # drop the constant, whose gradient is zero
+    e = gradient_coefficient_matrix(basis.degree + 1, basis.diameter)[:, 1:]
     constraints = e.T @ mvec
     nullsp = null_space(constraints)
     if nullsp.shape[1] != expected:

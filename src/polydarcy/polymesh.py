@@ -106,8 +106,6 @@ def is_simple_polygon(coords: np.ndarray) -> bool:
     for i in range(n):
         p0, p1 = coords[i], coords[(i + 1) % n]
         for j in range(i + 1, n):
-            if j == i:
-                continue
             adjacent = (j == i + 1) or (i == 0 and j == n - 1)
             q0, q1 = coords[j], coords[(j + 1) % n]
             if adjacent:
@@ -205,30 +203,18 @@ def kernel_inradius(coords: np.ndarray) -> float:
 
 
 def star_point(coords: np.ndarray) -> np.ndarray:
-    """A point from which every vertex of the polygon is visible.
+    """A point from which every vertex of the CCW polygon is visible.
 
-    Prefers the centroid; falls back to the Chebyshev center of the kernel.
-    Raises MeshError if the polygon is not star-shaped.
+    The kernel is the intersection of the inner half-planes of the edges, so
+    the centroid is returned when it lies strictly on the inner side of every
+    edge; otherwise the Chebyshev center of the kernel.  Raises MeshError if
+    the polygon is not star-shaped.
     """
     c = polygon_centroid(coords)
-    # Convex polygons (all CCW turns) always contain their centroid.
     pts = np.asarray(coords)
-    d0 = np.roll(pts, -1, axis=0) - pts
-    d1 = np.roll(d0, -1, axis=0)
-    turns = d0[:, 0] * d1[:, 1] - d0[:, 1] * d1[:, 0]
-    if np.all(turns >= -1e-14 * polygon_diameter(coords) ** 2):
-        return c
-    kernel = polygon_kernel(coords)
-    if kernel is None:
-        raise MeshError("cell is not star-shaped with respect to any point")
-    kc = np.asarray(kernel)
-    inside = True
-    for i in range(len(kc)):
-        a, b = kc[i], kc[(i + 1) % len(kc)]
-        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
-            inside = False
-            break
-    if inside:
+    d = np.roll(pts, -1, axis=0) - pts
+    rel = c - pts
+    if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0):
         return c
     center, radius = _chebyshev_center(coords)
     if radius <= 0.0:
@@ -421,6 +407,10 @@ def generate_uniform_quads(nx: int, ny: int) -> PolyMesh:
     return build_topology(*_quad_grid(nx, ny))
 
 
+# Share of interior edges that receive a midside vertex.
+_SPLIT_FRACTION = 0.15
+
+
 def _loop_valid(coords: np.ndarray) -> bool:
     return (
         polygon_area(coords) > 0.0
@@ -434,7 +424,6 @@ def generate_distorted_polygonal(
     ny: int,
     seed: int,
     distortion: float,
-    split_fraction: float = 0.15,
 ) -> PolyMesh:
     """Randomly perturbed quad mesh with a fraction of edges midside-split.
 
@@ -442,7 +431,7 @@ def generate_distorted_polygonal(
     drawn uniformly from [-distortion*h, distortion*h]^2 with h the smaller
     grid spacing; each offset is retried (up to 100 draws) until every cell
     touching the vertex stays simple, CCW and star-shaped, and a MeshError is
-    raised if no admissible offset is found.  A split_fraction share of the
+    raised if no admissible offset is found.  A fixed share (15%) of the
     interior edges then receives a jittered midside vertex, turning some quads
     into pentagons and hexagons.  Fully deterministic for fixed arguments.
     """
@@ -489,46 +478,43 @@ def generate_distorted_polygonal(
             key = (a, b) if a < b else (b, a)
             edge_cells.setdefault(key, []).append(c)
     interior = sorted(k for k, inc in edge_cells.items() if len(inc) == 2)
-    pick = rng.random(len(interior)) < split_fraction
+    pick = rng.random(len(interior)) < _SPLIT_FRACTION
 
-    vert_list = [row for row in vertices]
-    loops = [list(loop) for loop in loops]
+    # One preallocated slot per split; only the two trial loops are tested.
+    coords = np.empty((len(vertices) + int(np.count_nonzero(pick)), 2))
+    coords[:len(vertices)] = vertices
+    new_id = len(vertices)
     for key, chosen in zip(interior, pick):
         if not chosen:
             continue
         a, b = key
-        mid = 0.5 * (vert_list[a] + vert_list[b])
-        new_id = len(vert_list)
-        vert_list.append(mid)
-
-        def insert(loop, point):
-            out = list(loop)
-            n = len(out)
-            for i in range(n):
-                if {out[i], out[(i + 1) % n]} == {a, b}:
-                    out.insert(i + 1, new_id)
-                    return out
-            raise MeshError("edge not found in incident cell")
-
+        mid = 0.5 * (coords[a] + coords[b])
         c0, c1 = edge_cells[key]
-        trial0 = insert(loops[c0], mid)
-        trial1 = insert(loops[c1], mid)
+        trial0 = _insert_after_edge(loops[c0], a, b, new_id)
+        trial1 = _insert_after_edge(loops[c1], a, b, new_id)
+        idx0, idx1 = np.asarray(trial0), np.asarray(trial1)
         placed = False
         for _ in range(100):
-            candidate = mid + rng.uniform(-0.5 * amp, 0.5 * amp, size=2)
-            vert_list[new_id] = candidate
-            coords = np.array(vert_list)
-            if _loop_valid(coords[np.asarray(trial0)]) and _loop_valid(
-                coords[np.asarray(trial1)]
-            ):
+            coords[new_id] = mid + rng.uniform(-0.5 * amp, 0.5 * amp, size=2)
+            if _loop_valid(coords[idx0]) and _loop_valid(coords[idx1]):
                 placed = True
                 break
         if not placed:
-            vert_list[new_id] = mid  # exact midpoint is always admissible
+            coords[new_id] = mid  # exact midpoint is always admissible
         loops[c0] = trial0
         loops[c1] = trial1
+        new_id += 1
 
-    return build_topology(np.array(vert_list), loops)
+    return build_topology(coords, loops)
+
+
+def _insert_after_edge(loop: list, a: int, b: int, new_id: int) -> list:
+    """Copy of `loop` with `new_id` inserted between the endpoints a and b."""
+    n = len(loop)
+    for i in range(n):
+        if {loop[i], loop[(i + 1) % n]} == {a, b}:
+            return loop[:i + 1] + [new_id] + loop[i + 1:]
+    raise MeshError("edge not found in incident cell")
 
 
 def mesh_quality(mesh: PolyMesh) -> MeshQualityReport:

@@ -29,6 +29,13 @@ from .ncvem import NcElement, SpdSystem, monomial_dofs
 from .polybasis import ScaledMonomialBasis, n_monomials, vector_mass_matrix
 
 
+# Relative tolerances of the structural checks, applied after the rounding
+# envelope is subtracted (see recover_velocity).
+_FLUX_TOL = 1e-9
+_DIV_TOL = 1e-10
+_CONSERVATION_TOL = 1e-9
+
+
 class RecoveryError(RuntimeError):
     """A structural identity of the recovered velocity failed."""
 
@@ -108,13 +115,9 @@ def recover_edge_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     edge monomial.  n_P is the outward normal of this cell; multiply by the
     edge sign to express the flux against the globally stored edge normal.
     """
-    k = element.k
+    n_e, k = element.n_edges, element.k
     residual = element.load - element.stiffness @ p_loc
-    out = np.empty((element.n_edges, k + 1))
-    for pos in range(element.n_edges):
-        sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
-        out[pos] = residual[sl] / element.edge_lengths[pos]
-    return out
+    return residual[:n_e * (k + 1)].reshape(n_e, k + 1) / element.edge_lengths[:, None]
 
 
 def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
@@ -126,9 +129,7 @@ def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
     """
     nk = n_monomials(element.k)
     nd = n_monomials(degree)
-    boundary = np.zeros(nd)
-    for pos in range(element.n_edges):
-        boundary += edge_coeffs[pos] @ element.edge_cross[pos][:, :nd]
+    boundary = np.einsum("eb,ebj->j", edge_coeffs, element.edge_cross[:, :, :nd])
     interior = element.f_coeffs @ element.mass[:nk, :nd]
     return (boundary - interior)[1:] / element.area
 
@@ -168,12 +169,9 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     Returns (coefficients of div u, noise-deflated relative gap).
     """
     nk = n_monomials(element.k)
-    rhs = np.zeros(nk)
-    babs = np.zeros(nk)
-    for pos in range(element.n_edges):
-        cross = element.edge_cross[pos][:, :nk]
-        rhs += edge_coeffs[pos] @ cross
-        babs += np.abs(edge_coeffs[pos]) @ np.abs(cross)
+    cross = element.edge_cross[:, :, :nk]
+    rhs = np.einsum("eb,ebj->j", edge_coeffs, cross)
+    babs = np.einsum("eb,ebj->j", np.abs(edge_coeffs), np.abs(cross))
     rhs[1:] -= element.area * grad_moments[:nk - 1]
     moments = element.f_moments[:nk]
     scale = max(
@@ -253,12 +251,7 @@ def _edge_integral(length: float, coeffs: np.ndarray) -> float:
     return total
 
 
-def recover_velocity(
-    system: SpdSystem,
-    flux_tol: float = 1e-9,
-    div_tol: float = 1e-10,
-    conservation_tol: float = 1e-9,
-) -> RecoveredVelocity:
+def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     """Recover the velocity on the whole mesh and verify its structure.
 
     Raises RecoveryError if interior-edge fluxes from the two incident cells
@@ -341,7 +334,7 @@ def recover_velocity(
         grad_moments.append(nu)
         gkperp_moments.append(kappa)
         div_all[c], cell_gap = divergence(element, local, nu, f_scale=f_scale,
-                                          tol=div_tol, noise=cell_noise)
+                                          tol=_DIV_TOL, noise=cell_noise)
         div_gap = max(div_gap, cell_gap)
         f_all[c] = element.f_coeffs
         proj[c] = project_velocity(element, local, kappa)
@@ -354,15 +347,15 @@ def recover_velocity(
 
     flux_scale = max(float(np.abs(edge_coeffs).max()), 1e-300)
     flux_gap = max(0.0, flux_gap_abs) / flux_scale
-    if flux_gap > flux_tol:
+    if flux_gap > _FLUX_TOL:
         raise RecoveryError(
             f"interior edge fluxes disagree between incident cells: relative "
-            f"gap {flux_gap:.3e} exceeds {flux_tol:.1e}"
+            f"gap {flux_gap:.3e} exceeds {_FLUX_TOL:.1e}"
         )
     cons_scale = max(abs(total_source), boundary_flux_abs, 1e-300)
     cons_mismatch = boundary_flux - total_source
     conservation_gap = max(0.0, abs(cons_mismatch) - cons_noise) / cons_scale
-    if conservation_gap > conservation_tol:
+    if conservation_gap > _CONSERVATION_TOL:
         raise RecoveryError(
             f"global conservation violated: boundary outflow {boundary_flux:.12e} "
             f"vs integrated source {total_source:.12e}"

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own numerical paths:
 triangle integrals come from the closed form a! b! / (a + b + 2)! instead of
 the fan quadrature, nonpolynomial integrals from a plain tensor-Gauss rule
 with an explicit collapse factor, the kernel inradius from a dense grid
-search, linear solves from a dense factorization, and the coupled
+search, linear solves from a dense factorization, edge monomials from
+their definition (t - 1/2)^b on the segment a + t (b - a), and the coupled
 first-order system from one dense square solve instead of the sequential
 solve-then-recover pipeline.
 """
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from polydarcy.ncvem import SpdSystem, tensor_field
-from polydarcy.polybasis import edge_basis, n_monomials
+from polydarcy.polybasis import n_monomials
 
 
 def triangle_monomial_integral(v0, v1, v2, a: int, b: int) -> float:
@@ -113,10 +114,19 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower.T, y)
 
 
+def edge_monomials(t, k: int) -> np.ndarray:
+    """Edge monomials s^b, b <= k, at the segment parameters t in [0, 1].
+
+    s = t - 1/2 is the signed arclength from the midpoint over the length,
+    along the stored edge direction; returns (k+1, len(t)).
+    """
+    return np.vstack([(t - 0.5) ** b for b in range(k + 1)])
+
+
 def exact_local_dofs(mesh, element, p) -> np.ndarray:
     """Edge and interior scaled moments of an exact pressure, by quadrature.
 
-    Uses the package's basis definitions (those fix the DOF meaning) but
+    Uses the package's cell-basis definition (that fixes the DOF meaning) but
     integrates with plain Gauss rules.
     """
     k = element.k
@@ -128,7 +138,7 @@ def exact_local_dofs(mesh, element, p) -> np.ndarray:
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-        vals = edge_basis(va, vb, k).evaluate(pts)
+        vals = edge_monomials(t, k)
         out[pos * (k + 1):(pos + 1) * (k + 1)] = vals @ (0.5 * gw * p(pts))
     nkm1 = n_monomials(k - 1)
     if nkm1:
@@ -157,10 +167,10 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-        basis = edge_basis(va, vb, k)
+        vals = edge_monomials(t, k)
         un = velocity(pts) @ mesh.edge_normals[e]
-        moments = basis.length * (basis.evaluate(pts) @ (0.5 * gw * un))
-        edge[e] = np.linalg.solve(basis.mass_matrix(), moments)
+        edge[e] = np.linalg.solve((vals * (0.5 * gw)) @ vals.T,
+                                  vals @ (0.5 * gw * un))
     grad, perp = [], []
     for c in range(mesh.num_cells):
         el = system.elements[c]

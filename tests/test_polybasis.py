@@ -10,8 +10,7 @@ from polydarcy import polymesh
 from polydarcy.polybasis import (
     GkPerpBasis,
     cell_basis,
-    edge_basis,
-    edge_quadrature,
+    edge_reference,
     gk_perp_basis,
     gk_perp_dimension,
     gradient_coefficient_matrix,
@@ -56,20 +55,45 @@ def test_cell_basis_gradients_match_differences():
         assert np.abs(grads[:, :, d] - fd).max() < 1e-8
 
 
-def test_edge_basis_endpoint_value():
-    eb = edge_basis([0.0, 0.0], [1.0, 0.0], 2)
-    vals = eb.evaluate(np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]))
-    assert vals[1] == pytest.approx([0.5, 0.0, -0.5])
-    assert vals[0] == pytest.approx([1.0, 1.0, 1.0])
-    assert vals[2] == pytest.approx([0.25, 0.0, 0.25])
+SKEWED_EDGE = (np.array([0.2, -0.1]), np.array([0.9, 0.6]))
 
 
-def test_edge_mass_matrix_matches_quadrature():
-    eb = edge_basis([0.2, -0.1], [0.9, 0.6], 3)
-    pts, w = edge_quadrature([0.2, -0.1], [0.9, 0.6], 8)
-    vals = eb.evaluate(pts)
-    gram = (vals * w) @ vals.T
-    assert np.abs(gram - eb.mass_matrix()).max() < 1e-14
+def edge_points(start, end, t):
+    return start[None, :] + t[:, None] * (end - start)[None, :]
+
+
+def arclength_param(start, end, pts):
+    """Signed arclength from the midpoint over the length, from coordinates."""
+    d = end - start
+    length = math.hypot(d[0], d[1])
+    return (pts - 0.5 * (start + end)) @ (d / length) / length
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_edge_reference_projector_is_exact(k):
+    # any edge polynomial of degree <= k comes back with its coefficients
+    start, end = SKEWED_EDGE
+    ref = edge_reference(k, k + 3)
+    coeffs = np.random.default_rng(k).standard_normal(k + 1)
+    s = arclength_param(start, end, edge_points(start, end, ref.nodes))
+    values = sum(c * s ** b for b, c in enumerate(coeffs))
+    assert np.abs(ref.projector @ values - coeffs).max() < 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_edge_reference_gram_closed_form(k):
+    # int_f s^i s^j ds = |f| (1/2)^p / (p + 1) for even p = i + j, else 0
+    start, end = SKEWED_EDGE
+    length = math.hypot(*(end - start))
+    ref = edge_reference(k, k + 3)
+    s = arclength_param(start, end, edge_points(start, end, ref.nodes))
+    powers = np.vstack([s ** b for b in range(k + 1)])
+    gram = length * ref.moments @ powers.T
+    for i in range(k + 1):
+        for j in range(k + 1):
+            p = i + j
+            exact = length * 0.5 ** p / (p + 1) if p % 2 == 0 else 0.0
+            assert gram[i, j] == pytest.approx(exact, abs=1e-15)
 
 
 def test_quadrature_integrates_xy_on_unit_square():
@@ -118,13 +142,13 @@ def test_gk_perp_dimensions():
 
 
 def test_gk_perp_k0_is_empty():
-    gkp = gk_perp_basis(UNIT_SQUARE, 0)
+    gkp = gk_perp_basis(cell_basis(UNIT_SQUARE, 0), mass_matrix(UNIT_SQUARE, 0))
     assert gkp.dim == 0
 
 
 def test_gk_perp_k1_spans_rotation_on_square():
     square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    gkp = gk_perp_basis(square, 1)
+    gkp = gk_perp_basis(cell_basis(square, 1), mass_matrix(square, 1))
     assert gkp.dim == 1
     pts = np.array([[0.1, 0.2], [-0.3, 0.25], [0.4, -0.1]])
     vals = gkp.evaluate(pts)[0]
@@ -135,7 +159,7 @@ def test_gk_perp_k1_spans_rotation_on_square():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
-    gkp = gk_perp_basis(PENTAGON, k)
+    gkp = gk_perp_basis(cell_basis(PENTAGON, k), mass_matrix(PENTAGON, k))
     assert gkp.dim == gk_perp_dimension(k)
     quad = polygon_quadrature(PENTAGON, 2 * k + 2)
     gvals = gkp.evaluate(quad.points)

@@ -1,5 +1,6 @@
 """Mesh topology, generators, quality metrics and the text format."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -123,6 +124,32 @@ def test_generator_determinism():
     assert not np.array_equal(a.vertices, other.vertices)
 
 
+def mesh_digest(mesh) -> str:
+    """SHA-256 of the vertex coordinates and the cell loops, in order."""
+    digest = hashlib.sha256(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+    for loop in mesh.cells:
+        digest.update(np.asarray(loop, dtype="<i8").tobytes())
+        digest.update(b"|")
+    return digest.hexdigest()
+
+
+# Recorded with the generator that copied every vertex per split candidate;
+# (24, 2028) and (12, 601) are benchmark meshes (seed 2026 level 2, seed 601).
+PINNED_MESHES = [
+    (2, 0, 0.2, "e4b0a8ce2a11f9cfa779265942a9d433f240723ba2e4f7121f8cd2966c80dc96"),
+    (4, 3, 0.2, "13928e6a26bb7e253b54cc8e7c38ece85ba98b0bdeb294ecf270c301d457bf8b"),
+    (8, 11, 0.25, "15e5b22ef4e1e42eac029d30288126144f86e67b74a32b168c0bb8ec86d34688"),
+    (12, 601, 0.2, "306c46a050c56c849963f7b09e9edce48cd45cb380bc1d95de6ff31896362a5d"),
+    (24, 2028, 0.2, "e8149f7be1df4bc2d864afe8c883aca2a3a29a6d7cdcee421b25176a35517256"),
+]
+
+
+@pytest.mark.parametrize("n, seed, distortion, expected", PINNED_MESHES)
+def test_generated_meshes_are_pinned(n, seed, distortion, expected):
+    mesh = generate_distorted_polygonal(n, n, seed=seed, distortion=distortion)
+    assert mesh_digest(mesh) == expected
+
+
 def test_distorted_mesh_stays_admissible():
     mesh = generate_distorted_polygonal(8, 8, seed=4, distortion=0.3)
     assert euler_check(mesh)
@@ -168,6 +195,27 @@ def test_star_point_sees_all_edges():
             d = coords[(i + 1) % len(coords)] - a
             cross = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
             assert cross >= -1e-12
+
+
+def sees_every_edge(coords, p) -> bool:
+    d = np.roll(coords, -1, axis=0) - coords
+    rel = p - coords
+    return bool(np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0))
+
+
+def test_star_point_outside_kernel_centroid():
+    # the centroid (1.357, 1.357) of this thin L lies outside its kernel [0, 1]^2
+    thin_l = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0],
+                       [1.0, 4.0], [0.0, 4.0]])
+    assert not sees_every_edge(thin_l, polymesh.polygon_centroid(thin_l))
+    assert sees_every_edge(thin_l, star_point(thin_l))
+
+
+def test_star_point_rejects_u_shape():
+    u_shape = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
+                        [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+    with pytest.raises(MeshError):
+        star_point(u_shape)
 
 
 def test_mesh_file_roundtrip(tmp_path):
