@@ -96,10 +96,6 @@ class NcDofMap:
     mesh: PolyMesh = field(repr=False)
 
     @property
-    def n_edge_dofs(self) -> int:
-        return self.k + 1
-
-    @property
     def n_cell_dofs(self) -> int:
         return n_monomials(self.k - 1)
 

@@ -244,7 +244,6 @@ class PolyMesh:
     edge_left: np.ndarray
     edge_right: np.ndarray
     edge_normals: np.ndarray
-    edge_tangents: np.ndarray
     edge_lengths: np.ndarray
     cell_edges: list[np.ndarray] = field(repr=False)
     cell_edge_signs: list[np.ndarray] = field(repr=False)
@@ -275,9 +274,6 @@ class PolyMesh:
 
     def cell_coords(self, c: int) -> np.ndarray:
         return self.vertices[self.cells[c]]
-
-    def edge_midpoints(self) -> np.ndarray:
-        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
 
 def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
@@ -347,8 +343,8 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     edge_lengths = np.hypot(vec[:, 0], vec[:, 1])
     if np.any(edge_lengths <= 0.0):
         raise MeshError("zero-length edge")
-    edge_tangents = vec / edge_lengths[:, None]
-    edge_normals = np.column_stack([edge_tangents[:, 1], -edge_tangents[:, 0]])
+    tangents = vec / edge_lengths[:, None]
+    edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
     cell_edges = []
     cell_edge_signs = []
@@ -372,7 +368,6 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
         edge_left=edge_left,
         edge_right=edge_right,
         edge_normals=edge_normals,
-        edge_tangents=edge_tangents,
         edge_lengths=edge_lengths,
         cell_edges=cell_edges,
         cell_edge_signs=cell_edge_signs,

@@ -13,9 +13,14 @@ Those three families determine the L2 projection of u onto cellwise (P_k)^2
 and, at lowest order, a Raviart-Thomas-like field whose divergence is exactly
 the cell-averaged source.
 
-The driver recomputes every interior-edge flux from both incident cells and
-refuses to hand back a velocity whose two copies disagree, whose divergence
-is not the projected source, or that violates global conservation.
+`recover_velocity` is the one walk over the solved cells: it gathers each
+cell's local pressure once and fills every cellwise field of the
+post-processing (velocity DOFs, projected velocity, its divergence, the RT
+field, the projected pressure and its gradient) as a `PiecewisePolyField`.
+Every interior-edge flux is recovered from both incident cells; the left
+cell's copy is kept, and a velocity whose two copies disagree, whose
+divergence is not the projected source, or that violates global
+conservation is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
 
 from .ncvem import NcElement, SpdSystem, monomial_dofs
-from .polybasis import ScaledMonomialBasis, n_monomials, vector_mass_matrix
+from .polybasis import (ScaledMonomialBasis, gk_perp_dimension, n_monomials,
+                         vector_mass_matrix)
 
 
 # Relative tolerances of the structural checks, applied after the rounding
@@ -53,57 +59,53 @@ class VelocityDofs:
     """
 
     k: int
-    edge_coeffs: np.ndarray
-    grad_moments: list
-    gkperp_moments: list
+    edge_coeffs: np.ndarray     # (ne, k+1)
+    grad_moments: np.ndarray    # (nc, pi_k - 1)
+    gkperp_moments: np.ndarray  # (nc, dim of the complement)
 
 
 @dataclass
 class PiecewisePolyField:
-    """Cellwise polynomial vector field in scaled monomial coordinates.
+    """Cellwise polynomial field, scalar or vector, in scaled monomial coordinates.
 
-    Optionally carries divergence coefficients.  For recovered velocities the
-    divergence data describes the underlying conservative field, which for
-    the L2 projection is the virtual velocity rather than the projection.
+    coeffs[c] holds one block of pi_degree coefficients per component, the
+    x block first for a vector field.  All fields of one solve share the
+    centers and diameters of the cells' scaled monomial bases.
     """
 
     degree: int
-    coeffs: np.ndarray          # (nc, 2 * pi_degree), x block then y block
-    centers: np.ndarray
-    diameters: np.ndarray
-    div_degree: int = -1
-    div_coeffs: np.ndarray | None = None
-
-    def evaluate(self, c: int, points: np.ndarray) -> np.ndarray:
-        basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.degree)
-        vals = basis.evaluate(points)
-        m = len(basis)
-        return np.column_stack([self.coeffs[c, :m] @ vals, self.coeffs[c, m:] @ vals])
-
-    def evaluate_div(self, c: int, points: np.ndarray) -> np.ndarray:
-        if self.div_coeffs is None:
-            raise ValueError("field carries no divergence coefficients")
-        basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.div_degree)
-        return self.div_coeffs[c, :len(basis)] @ basis.evaluate(points)
-
-
-@dataclass
-class ScalarPolyField:
-    """Cellwise polynomial scalar field in scaled monomial coordinates."""
-
-    degree: int
-    coeffs: np.ndarray
+    coeffs: np.ndarray          # (nc, n_components * pi_degree)
     centers: np.ndarray
     diameters: np.ndarray
 
-    def evaluate(self, c: int, points: np.ndarray) -> np.ndarray:
+    def monomials(self, c: int, points: np.ndarray) -> np.ndarray:
+        """Scaled monomials of degree <= `degree` on cell c at points, (pi, n)."""
         basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.degree)
-        return self.coeffs[c] @ basis.evaluate(points)
+        return basis.evaluate(points)
 
-    def evaluate_gradient(self, c: int, points: np.ndarray) -> np.ndarray:
-        basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.degree)
-        grads = basis.evaluate_gradient(points)
-        return np.einsum("i,ipd->pd", self.coeffs[c], grads)
+    def values(self, c: int, monomials: np.ndarray) -> np.ndarray:
+        """Field on cell c from a monomial table of degree >= `degree`.
+
+        Graded-lex order nests, so the first pi_degree rows of a higher-degree
+        table of the same cell are this field's basis.  Returns (n,) for a
+        scalar field and (n, 2) for a vector field.
+        """
+        m = n_monomials(self.degree)
+        comps = [self.coeffs[c, i:i + m] @ monomials[:m]
+                 for i in range(0, self.coeffs.shape[1], m)]
+        return comps[0] if len(comps) == 1 else np.column_stack(comps)
+
+    def evaluate(self, c: int, points: np.ndarray) -> np.ndarray:
+        """Field on cell c at points (n, 2); shaped as in `values`."""
+        return self.values(c, self.monomials(c, points))
+
+    def centroid_values(self) -> np.ndarray:
+        """Values at every cell centroid, (nc, n_components).
+
+        The centroid is the basis center, where every nonconstant scaled
+        monomial vanishes, so each value is coefficient 0 of its block.
+        """
+        return self.coeffs[:, ::n_monomials(self.degree)]
 
 
 def recover_edge_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
@@ -151,12 +153,12 @@ def recover_gkperp_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
 
 def divergence(element: NcElement, edge_coeffs: np.ndarray,
                grad_moments: np.ndarray, f_scale: float = 0.0,
-               tol: float = 1e-10, noise: float = 0.0) -> tuple:
+               noise: float = 0.0) -> tuple:
     """Coefficients of div u on the cell, checked against Pi0_k f.
 
     int_P (div u) m_gamma = int_bdry (u . n) m_gamma - int_P u . grad m_gamma
     is evaluated from the recovered data and must reproduce the moments of
-    Pi0_k f; a disagreement beyond `tol` (relative) plus `noise` (absolute)
+    Pi0_k f; a disagreement beyond `_DIV_TOL` (relative) plus `noise` (absolute)
     signals a recovery bug and raises RecoveryError.  The identity is tested
     moment by moment, in the metric of the integrals themselves: converting
     to coefficients first would multiply rounding-level noise by the inverse
@@ -183,10 +185,10 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     )
     gap = float(np.abs(rhs - moments).max())
     rel = max(0.0, gap - noise) / scale
-    if rel > tol:
+    if rel > _DIV_TOL:
         raise RecoveryError(
             f"cell {element.cell}: recovered divergence misses the projected "
-            f"source (relative gap {rel:.3e}, tolerance {tol:.1e})"
+            f"source (relative gap {rel:.3e}, tolerance {_DIV_TOL:.1e})"
         )
     factor = cho_factor(element.mass[:nk, :nk])
     return cho_solve(factor, rhs), rel
@@ -233,22 +235,24 @@ def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RecoveredVelocity:
-    """Velocity DOFs plus derived fields and the structural check residuals."""
+    """Velocity DOFs, every cellwise field of one solve, and the check gaps.
+
+    `divergence` (degree k) is div u of the recovered conservative velocity,
+    not of its projection `projected`; `rt` is the Raviart-Thomas-like
+    field, present at k = 0 only.  `pressure` is
+    the L2 projection of the pressure onto P_{k+1} and `grad_pressure` that
+    of its gradient onto (P_k)^2.
+    """
 
     dofs: VelocityDofs
     projected: PiecewisePolyField
+    divergence: PiecewisePolyField
     rt: PiecewisePolyField | None
+    pressure: PiecewisePolyField
+    grad_pressure: PiecewisePolyField
     flux_gap: float
     div_gap: float
     conservation_gap: float
-
-
-def _edge_integral(length: float, coeffs: np.ndarray) -> float:
-    """int_f sum_b c_b m^f_b ds using the closed-form monomial moments."""
-    total = 0.0
-    for b in range(0, len(coeffs), 2):
-        total += length * 0.5 ** b / (b + 1) * coeffs[b]
-    return total
 
 
 def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
@@ -264,7 +268,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     weighting of the same residual vector.  The checks therefore hold the
     pressure to the certified solve (see `linsolve.solve`), whose residual
     sits at the rounding floor; a vector off that solve fails them.
-    Ownership, not averaging, defines the returned flux.
+    Ownership, not averaging, defines the returned flux: each edge takes the
+    copy of `mesh.edge_left`, its incident cell of lowest index.
 
     Only the rounding envelope of the data itself is subtracted before the
     tolerances apply.  Recovered quantities come from the residual
@@ -273,107 +278,106 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     leaves eps * |K| * |p| level noise in every slot.  No floating-point
     implementation can verify the identities beyond this envelope, and it
     sits many orders below any genuine defect.  Reported gaps are deflated
-    accordingly.
+    accordingly.  An unsolved system raises RuntimeError.
     """
     mesh = system.mesh
     k = system.k
-    ne = mesh.num_edges
     nc = mesh.num_cells
     nk = n_monomials(k)
     eps4 = 4.0 * float(np.finfo(float).eps)
-    edge_coeffs = np.zeros((ne, k + 1))
-    edge_noise = np.zeros(ne)
-    seen = np.zeros(ne, dtype=bool)
-    flux_gap_abs = 0.0
-    grad_moments = []
-    gkperp_moments = []
-    div_all = np.zeros((nc, nk))
-    f_all = np.zeros((nc, nk))
-    proj = np.zeros((nc, 2 * nk))
-    rt = np.zeros((nc, 6)) if k == 0 else None
-    centers = np.zeros((nc, 2))
-    diameters = np.zeros(nc)
-    boundary_flux = 0.0
-    boundary_flux_abs = 0.0
-    total_source = 0.0
-    cons_noise = 0.0
-    div_gap = 0.0
     f_scale = max(
         (float(np.abs(el.f_coeffs).max(initial=0.0)) for el in system.elements),
         default=0.0,
     )
-    if system.solution is None:
-        raise RuntimeError("system not solved yet")
+    # Per cell-edge slot (cells in index order, edges in loop order): u . n_P
+    # and the rounding envelope of the slot's k+1 residual entries.
+    slot_flux = []
+    slot_noise = []
+    cell_noise = np.zeros(nc)
+    div_gaps = np.zeros(nc)
+    grad_moments = np.zeros((nc, nk - 1))
+    gkperp_moments = np.zeros((nc, gk_perp_dimension(k)))
+    div = np.zeros((nc, nk))
+    proj = np.zeros((nc, 2 * nk))
+    rt = np.zeros((nc, 6)) if k == 0 else None
+    pressure = np.zeros((nc, n_monomials(k + 1)))
+    grad_pressure = np.zeros((nc, 2 * nk))
+    centers = np.zeros((nc, 2))
+    diameters = np.zeros(nc)
 
-    for c in range(nc):
-        element = system.elements[c]
+    for c, element in enumerate(system.elements):
         p_loc = system.local_pressure(c)
         local = recover_edge_moments(element, p_loc)
         noise_slots = eps4 * (np.abs(element.stiffness) @ np.abs(p_loc)
                               + np.abs(element.load))
-        d1 = monomial_dofs(element)[:, 0]
-        cell_noise = float(np.abs(d1) @ noise_slots)
-        for pos, e in enumerate(element.edge_ids):
-            stored = element.edge_signs[pos] * local[pos]
-            sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
-            slot_noise = float(noise_slots[sl].max()) / element.edge_lengths[pos]
-            if seen[e]:
-                gap_e = float(np.abs(stored - edge_coeffs[e]).max())
-                flux_gap_abs = max(flux_gap_abs,
-                                   gap_e - slot_noise - edge_noise[e])
-            else:
-                edge_coeffs[e] = stored
-                edge_noise[e] = slot_noise
-                seen[e] = True
-            if mesh.edge_right[e] < 0:
-                part = _edge_integral(element.edge_lengths[pos], stored)
-                boundary_flux += part
-                boundary_flux_abs += abs(part)
-        nu = recover_gradient_moments(element, local)
-        kappa = recover_gkperp_moments(element, p_loc)
-        grad_moments.append(nu)
-        gkperp_moments.append(kappa)
-        div_all[c], cell_gap = divergence(element, local, nu, f_scale=f_scale,
-                                          tol=_DIV_TOL, noise=cell_noise)
-        div_gap = max(div_gap, cell_gap)
-        f_all[c] = element.f_coeffs
-        proj[c] = project_velocity(element, local, kappa)
+        cell_noise[c] = np.abs(monomial_dofs(element)[:, 0]) @ noise_slots
+        slot_flux.append(local)
+        slot_noise.append(noise_slots[:local.size])
+        grad_moments[c] = recover_gradient_moments(element, local)
+        gkperp_moments[c] = recover_gkperp_moments(element, p_loc)
+        div[c], div_gaps[c] = divergence(element, local, grad_moments[c],
+                                         f_scale=f_scale, noise=cell_noise[c])
+        proj[c] = project_velocity(element, local, gkperp_moments[c])
         if rt is not None:
             rt[c] = rt0_reconstruct(element, p_loc)
+        pressure[c] = element.p0 @ p_loc
+        grad_pressure[c] = element.grad_proj @ p_loc
         centers[c] = element.basis.center
         diameters[c] = element.basis.diameter
-        total_source += element.f_moments[0]
-        cons_noise += cell_noise
 
+    # Ownership: the slot of edge_left keeps its copy; every other slot is
+    # the right cell's copy of an interior edge and is checked against it.
+    slot_edge = np.concatenate(mesh.cell_edges)
+    slot_cell = np.repeat(np.arange(nc), [len(ids) for ids in mesh.cell_edges])
+    flux = np.concatenate(mesh.cell_edge_signs)[:, None] * np.concatenate(slot_flux)
+    noise = (np.concatenate(slot_noise).reshape(-1, k + 1).max(axis=1)
+             / mesh.edge_lengths[slot_edge])
+    owned = slot_cell == mesh.edge_left[slot_edge]
+    edge_coeffs = np.zeros((mesh.num_edges, k + 1))
+    edge_noise = np.zeros(mesh.num_edges)
+    edge_coeffs[slot_edge[owned]] = flux[owned]
+    edge_noise[slot_edge[owned]] = noise[owned]
+    right = slot_edge[~owned]
+    gaps = (np.abs(flux[~owned] - edge_coeffs[right]).max(axis=1)
+            - noise[~owned] - edge_noise[right])
     flux_scale = max(float(np.abs(edge_coeffs).max()), 1e-300)
-    flux_gap = max(0.0, flux_gap_abs) / flux_scale
+    flux_gap = max(0.0, float(gaps.max(initial=0.0))) / flux_scale
     if flux_gap > _FLUX_TOL:
         raise RecoveryError(
             f"interior edge fluxes disagree between incident cells: relative "
             f"gap {flux_gap:.3e} exceeds {_FLUX_TOL:.1e}"
         )
-    cons_scale = max(abs(total_source), boundary_flux_abs, 1e-300)
+
+    # Boundary outflow: the stored normal of a boundary edge points out of
+    # its only cell, and int_f s^b ds = |f| 0.5^b / (b+1) for even b, 0 odd.
+    b = np.arange(k + 1)
+    weights = np.where(b % 2 == 0, 0.5 ** b / (b + 1), 0.0)
+    bnd = mesh.boundary_mask
+    parts = mesh.edge_lengths[bnd] * (edge_coeffs[bnd] @ weights)
+    boundary_flux = float(parts.sum())
+    total_source = sum(float(el.f_moments[0]) for el in system.elements)
+    cons_scale = max(abs(total_source), float(np.abs(parts).sum()), 1e-300)
     cons_mismatch = boundary_flux - total_source
-    conservation_gap = max(0.0, abs(cons_mismatch) - cons_noise) / cons_scale
+    conservation_gap = max(0.0, abs(cons_mismatch) - float(cell_noise.sum())) / cons_scale
     if conservation_gap > _CONSERVATION_TOL:
         raise RecoveryError(
             f"global conservation violated: boundary outflow {boundary_flux:.12e} "
             f"vs integrated source {total_source:.12e}"
         )
 
-    dofs = VelocityDofs(k=k, edge_coeffs=edge_coeffs,
-                        grad_moments=grad_moments, gkperp_moments=gkperp_moments)
-    projected = PiecewisePolyField(
-        degree=k, coeffs=proj, centers=centers, diameters=diameters,
-        div_degree=k, div_coeffs=div_all,
-    )
-    rt_field = None
-    if rt is not None:
-        rt_field = PiecewisePolyField(
-            degree=1, coeffs=rt, centers=centers, diameters=diameters,
-            div_degree=0, div_coeffs=f_all[:, :1].copy(),
-        )
+    def field(degree, coeffs):
+        return PiecewisePolyField(degree=degree, coeffs=coeffs,
+                                  centers=centers, diameters=diameters)
+
     return RecoveredVelocity(
-        dofs=dofs, projected=projected, rt=rt_field,
-        flux_gap=flux_gap, div_gap=div_gap, conservation_gap=conservation_gap,
+        dofs=VelocityDofs(k=k, edge_coeffs=edge_coeffs,
+                          grad_moments=grad_moments, gkperp_moments=gkperp_moments),
+        projected=field(k, proj),
+        divergence=field(k, div),
+        rt=None if rt is None else field(1, rt),
+        pressure=field(k + 1, pressure),
+        grad_pressure=field(k, grad_pressure),
+        flux_gap=flux_gap,
+        div_gap=float(div_gaps.max(initial=0.0)),
+        conservation_gap=conservation_gap,
     )

@@ -7,6 +7,11 @@ log2 of the error ratio between consecutive levels; rows whose errors sit at
 machine precision relative to the exact solution report "exact" instead of a
 meaningless ratio.  At the lowest order (k = 0) each row also carries the
 error of the Raviart-Thomas-type velocity, from the same solve.
+
+`solve_case` walks no cells itself: `recovery.recover_velocity` fills every
+cellwise field in its one pass, and `error_norms` evaluates all of them on
+a cell from one table of scaled monomials of degree k+1 (graded-lex order
+nests, so the lower-degree fields read its leading rows).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 
 from . import linsolve, ncvem, polymesh, recovery
 from .cases import ManufacturedCase
-from .polybasis import n_monomials, polygon_quadrature
-from .recovery import PiecewisePolyField, RecoveredVelocity, ScalarPolyField
+from .polybasis import polygon_quadrature
+from .recovery import PiecewisePolyField, RecoveredVelocity
 
 EXACT_MARK = "exact"
 _EXACT_REL = 1e-11
@@ -34,8 +39,14 @@ class SolveResult:
     k: int
     system: ncvem.SpdSystem
     velocity: RecoveredVelocity
-    pressure: ScalarPolyField
-    grad_pressure: PiecewisePolyField
+
+    @property
+    def pressure(self) -> PiecewisePolyField:
+        return self.velocity.pressure
+
+    @property
+    def grad_pressure(self) -> PiecewisePolyField:
+        return self.velocity.grad_pressure
 
 
 @dataclass
@@ -86,26 +97,7 @@ def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
                             boundary=case.pressure)
     ncvem.solve_pressure(system)
     velocity = recovery.recover_velocity(system)
-    nc = mesh.num_cells
-    nk1 = n_monomials(k + 1)
-    nk = n_monomials(k)
-    p_coeffs = np.zeros((nc, nk1))
-    g_coeffs = np.zeros((nc, 2 * nk))
-    centers = np.zeros((nc, 2))
-    diameters = np.zeros(nc)
-    for c in range(nc):
-        element = system.elements[c]
-        p_loc = system.local_pressure(c)
-        p_coeffs[c] = element.p0 @ p_loc
-        g_coeffs[c] = element.grad_proj @ p_loc
-        centers[c] = element.basis.center
-        diameters[c] = element.basis.diameter
-    pressure = ScalarPolyField(degree=k + 1, coeffs=p_coeffs,
-                               centers=centers, diameters=diameters)
-    grad_pressure = PiecewisePolyField(degree=k, coeffs=g_coeffs,
-                                       centers=centers, diameters=diameters)
-    return SolveResult(mesh=mesh, k=k, system=system, velocity=velocity,
-                       pressure=pressure, grad_pressure=grad_pressure)
+    return SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
 
 
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
@@ -116,28 +108,27 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     """
     mesh = result.mesh
     k = result.k
-    proj = result.velocity.projected
-    rt = result.velocity.rt
+    vel = result.velocity
     err = np.zeros(5)
     ref = np.zeros(4)
     for c in range(mesh.num_cells):
-        coords = mesh.cell_coords(c)
-        quad = polygon_quadrature(coords, 2 * (k + 3))
+        quad = polygon_quadrature(mesh.cell_coords(c), 2 * (k + 3))
         pts, w = quad.points, quad.weights
         u_ex = case.velocity(pts)
         p_ex = case.pressure(pts)
         gp_ex = case.grad_pressure(pts)
         f_ex = case.forcing(pts)
-        u_h = proj.evaluate(c, pts)
-        p_h = result.pressure.evaluate(c, pts)
-        gp_h = result.grad_pressure.evaluate(c, pts)
-        div_h = proj.evaluate_div(c, pts)
+        table = vel.pressure.monomials(c, pts)   # degree k+1, the highest
+        u_h = vel.projected.values(c, table)
+        p_h = vel.pressure.values(c, table)
+        gp_h = vel.grad_pressure.values(c, table)
+        div_h = vel.divergence.values(c, table)
         err[0] += float(w @ ((u_ex - u_h) ** 2).sum(axis=1))
         err[1] += float(w @ (p_ex - p_h) ** 2)
         err[2] += float(w @ ((gp_ex - gp_h) ** 2).sum(axis=1))
         err[3] += float(w @ (f_ex - div_h) ** 2)
-        if rt is not None:
-            err[4] += float(w @ ((u_ex - rt.evaluate(c, pts)) ** 2).sum(axis=1))
+        if vel.rt is not None:
+            err[4] += float(w @ ((u_ex - vel.rt.values(c, table)) ** 2).sum(axis=1))
         ref[0] += float(w @ (u_ex ** 2).sum(axis=1))
         ref[1] += float(w @ p_ex ** 2)
         ref[2] += float(w @ (gp_ex ** 2).sum(axis=1))
@@ -147,7 +138,7 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     return ConvergenceRow(
         n_elements=mesh.num_cells,
         error_u=err[0], error_p=err[1], error_grad_p=err[2], error_div=err[3],
-        error_rt=None if rt is None else err[4],
+        error_rt=None if vel.rt is None else err[4],
         ref_u=ref[0], ref_p=ref[1], ref_grad_p=ref[2], ref_div=ref[3],
     )
 

@@ -2,12 +2,12 @@
 
 Writes an unstructured grid of polygon cells with cell-data arrays sampled
 at cell centroids: the projected velocity, its divergence, the RT-type
-velocity when available (k = 0), and the projected pressure.
+velocity when available (k = 0), and the projected pressure.  The centroid
+is the center of each cell's scaled monomial basis, so every sample is
+coefficient 0 of its field (see `PiecewisePolyField.centroid_values`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .study import SolveResult
 
@@ -15,17 +15,11 @@ from .study import SolveResult
 def export_vtk(result: SolveResult, path: str) -> None:
     mesh = result.mesh
     nc = mesh.num_cells
-    velocity = np.zeros((nc, 2))
-    div_u = np.zeros(nc)
-    pressure = np.zeros(nc)
-    rt = np.zeros((nc, 2)) if result.velocity.rt is not None else None
-    for c in range(nc):
-        center = result.pressure.centers[c][None, :]
-        velocity[c] = result.velocity.projected.evaluate(c, center)[0]
-        div_u[c] = result.velocity.projected.evaluate_div(c, center)[0]
-        pressure[c] = result.pressure.evaluate(c, center)[0]
-        if rt is not None:
-            rt[c] = result.velocity.rt.evaluate(c, center)[0]
+    vel = result.velocity
+    pressure = vel.pressure.centroid_values()[:, 0]
+    div_u = vel.divergence.centroid_values()[:, 0]
+    velocity = vel.projected.centroid_values()
+    rt = None if vel.rt is None else vel.rt.centroid_values()
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

@@ -52,18 +52,33 @@ def test_vtk_omits_rt_for_higher_order(tmp_path):
     assert "VECTORS velocity double" in text
 
 
+def _vtk_block(lines, header, n):
+    start = lines.index(header) + (2 if header.startswith("SCALARS") else 1)
+    return np.array([[float(v) for v in row.split()] for row in lines[start:start + n]])
+
+
 def test_vtk_pressure_values_round_trip(tmp_path):
-    result = solve_unit_square(1)
-    path = tmp_path / "out.vtk"
-    vtk_export.export_vtk(result, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    start = lines.index("SCALARS pressure double 1") + 2
-    written = np.array([float(v) for v in lines[start:start + 4]])
-    expected = np.array([
-        result.pressure.evaluate(c, result.pressure.centers[c][None, :])[0]
-        for c in range(4)
-    ])
-    assert np.abs(written - expected).max() < 1e-14
+    # every cell-data array holds its field evaluated at the cell centroid
+    for k in [0, 1]:
+        result = solve_unit_square(k)
+        path = tmp_path / f"out{k}.vtk"
+        vtk_export.export_vtk(result, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        vel = result.velocity
+        fields = [("SCALARS pressure double 1", result.pressure.evaluate),
+                  ("SCALARS div_velocity double 1", vel.divergence.evaluate),
+                  ("VECTORS velocity double", vel.projected.evaluate)]
+        if k == 0:
+            fields.append(("VECTORS rt_velocity double", vel.rt.evaluate))
+        for header, evaluate in fields:
+            written = _vtk_block(lines, header, 4)
+            expected = np.array([
+                np.atleast_1d(evaluate(c, result.pressure.centers[c][None, :])[0])
+                for c in range(4)
+            ])
+            assert np.abs(written[:, :expected.shape[1]] - expected).max() < 1e-14, header
+            if header.startswith("VECTORS"):
+                assert np.all(written[:, 2] == 0.0)
 
 
 def gen_mesh(tmp_path, extra=()):
