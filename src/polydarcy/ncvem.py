@@ -7,23 +7,28 @@ local space is "enhanced" so that cell moments of degrees k and k+1 of a
 function equal those of its energy projection, which makes the full L2
 projection onto P_{k+1} computable from the degrees of freedom alone.
 
-Edge moments come from one reference table per order (see
-`polybasis.edge_reference`): a cell's edge tables are built for all its
-edges at once, and the normal traces of the cell monomials are projected
-onto the edge monomials by one fixed matrix, so no edge Gram is solved.
+Element matrices are dense and small, and the same algebra on every cell,
+so cells with one vertex count are built together as a group: the group's
+stacked coordinates (G, n_v, 2) give one quadrature, one monomial table and
+batched Gram solves for all members (`build_element` of an array of
+cells).  Edge moments come from one reference table per order (see
+`polybasis.edge_reference`), and the normal traces of the cell monomials
+are projected onto the edge monomials by one fixed matrix, so no edge Gram
+is solved.
 
-All element matrices are dense and small; the global SPD system is assembled
-from them with Dirichlet data eliminated.  Everything a later velocity
-recovery needs (projection tables, edge moment tables, the residual pieces)
-is kept on the element record.
+The global SPD system is scattered from the groups' stacked stiffness
+blocks in one triplet build, with Dirichlet data eliminated.  Everything a
+later velocity recovery needs (projection tables, edge moment tables, the
+residual pieces) is kept in the group arrays; `SpdSystem.elements[c]` gives
+one cell's record on access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import linsolve
 from .polybasis import (
@@ -99,33 +104,27 @@ class NcDofMap:
     def n_cell_dofs(self) -> int:
         return n_monomials(self.k - 1)
 
+    def global_indices(self, edge_ids: np.ndarray, cells) -> np.ndarray:
+        """Global index per local DOF slot, (..., N); -1 marks boundary-edge slots.
+
+        `edge_ids` (..., n_e) are the cells' edges in loop order and `cells`
+        (...) their indices, so a group's whole table comes from one call.
+        """
+        base = self.edge_offset[edge_ids][..., None]
+        edge_part = np.where(base >= 0, base + np.arange(self.k + 1), -1)
+        edge_part = edge_part.reshape(edge_part.shape[:-2] + (-1,))
+        cell_part = self.cell_offset[cells][..., None] + np.arange(self.n_cell_dofs)
+        return np.concatenate([edge_part, cell_part], axis=-1)
+
     def cell_global(self, c: int) -> np.ndarray:
-        """Global index per local DOF slot; -1 marks boundary-edge slots."""
-        k = self.k
-        edges = self.mesh.cell_edges[c]
-        out = np.empty(cell_dof_count(len(edges), k), dtype=np.int64)
-        for pos, e in enumerate(edges):
-            base = self.edge_offset[e]
-            sl = slice(pos * (k + 1), (pos + 1) * (k + 1))
-            if base < 0:
-                out[sl] = -1
-            else:
-                out[sl] = np.arange(base, base + k + 1)
-        ncell = self.n_cell_dofs
-        if ncell:
-            start = self.cell_offset[c]
-            out[len(edges) * (k + 1):] = np.arange(start, start + ncell)
-        return out
+        """Global index per local DOF slot of cell c; -1 marks boundary-edge slots."""
+        return self.global_indices(self.mesh.cell_edges[c], c)
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
-    ne = mesh.num_edges
-    edge_offset = np.full(ne, -1, dtype=np.int64)
-    pos = 0
-    for e in range(ne):
-        if mesh.edge_right[e] >= 0:
-            edge_offset[e] = pos
-            pos += k + 1
+    interior = mesh.edge_right >= 0
+    edge_offset = np.where(interior, (k + 1) * (np.cumsum(interior) - 1), -1)
+    pos = (k + 1) * int(np.count_nonzero(interior))
     ncell = n_monomials(k - 1)
     cell_offset = np.arange(mesh.num_cells, dtype=np.int64) * ncell + pos
     n_global = pos + ncell * mesh.num_cells
@@ -135,17 +134,21 @@ def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
 
 @dataclass
 class NcElement:
-    """Per-cell discretization record.
+    """Discretization record of one cell, or of a group of cells stacked.
 
     Matrices act on the local DOF vector ordered edge blocks first (cell loop
-    order, moments 0..k per edge) followed by the interior moment block.
+    order, moments 0..k per edge) followed by the interior moment block.  A
+    group of cells with one vertex count (see `build_element`) holds the same
+    fields with a leading axis over its members: `cell` is then the (G,)
+    array of cell indices, the bases carry stacked centers and diameters,
+    and `group[i]` is the record of member i.
     """
 
-    cell: int
+    cell: int | np.ndarray
     k: int
     coords: np.ndarray
     basis: ScaledMonomialBasis         # degree k+1, centroid/diameter scaled
-    area: float
+    area: float | np.ndarray
     edge_ids: np.ndarray
     edge_signs: np.ndarray
     edge_lengths: np.ndarray
@@ -160,145 +163,165 @@ class NcElement:
     f_moments: np.ndarray              # (pi_k,) raw moments of f
     f_coeffs: np.ndarray               # (pi_k,) Pi0_k f coefficients
     k_mean: np.ndarray                 # (2, 2) cell average of K
-    grad_coeff: np.ndarray             # (2 pi_k, pi_{k+1}) exact-gradient table
     gk_perp: GkPerpBasis
     gkperp_rec: np.ndarray             # (dim, N) moment-recovery operator
 
     @property
     def n_dofs(self) -> int:
-        return self.stiffness.shape[0]
+        return self.stiffness.shape[-1]
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_ids)
+        return self.edge_ids.shape[-1]
 
     def cell_slot(self, gamma: int) -> int:
         return self.n_edges * (self.k + 1) + gamma
 
+    @property
+    def grad_coeff(self) -> np.ndarray:
+        """(2 pi_k, pi_{k+1}) exact-gradient table of the cell basis."""
+        return gradient_coefficient_matrix(self.k + 1, self.basis.diameter)
+
+    def __getitem__(self, i: int) -> NcElement:
+        """Record of member i of a group (views into the group's arrays)."""
+        basis = ScaledMonomialBasis(self.basis.center[i], self.basis.diameter[i],
+                                    self.k + 1)
+        gk_perp = GkPerpBasis(
+            basis=ScaledMonomialBasis(basis.center, basis.diameter, self.k),
+            coeffs=self.gk_perp.coeffs[i])
+        members = {f.name: getattr(self, f.name)[i] for f in fields(self)
+                   if f.name not in ("k", "basis", "gk_perp")}
+        return NcElement(k=self.k, basis=basis, gk_perp=gk_perp, **members)
+
 
 def build_element(
     mesh: PolyMesh,
-    c: int,
+    c,
     k: int,
     K=1.0,
     f=None,
     quad_degree: int | None = None,
 ) -> NcElement:
-    """Assemble all local operators of one cell.
+    """Assemble all local operators of cell c, or of the cells c (G,) at once.
 
-    quad_degree defaults to 2(k+2), enough for every Gram and weighted Gram
-    appearing here; raise it for strongly varying coefficients.
+    Cells given as an array must share one vertex count and give their
+    stacked record, a group with members in ascending index order.  Every
+    step is the same small dense algebra on each member, so it runs on the
+    stacked arrays: one quadrature, one monomial table and batched solves
+    for the whole group; one cell is a group of one.  quad_degree defaults
+    to 2(k+2), enough for every Gram and weighted Gram appearing here;
+    raise it for strongly varying coefficients.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
+    groups = mesh.cell_groups(np.atleast_1d(c))
+    if len(groups) != 1:
+        raise ValueError("cells built together must share one vertex count")
+    group = groups[0]
     Kfun = tensor_field(K)
     ffun = scalar_field(f)
-    coords = mesh.cell_coords(c)
+    coords = mesh.vertices[group.loops]           # (G, n_e, 2)
+    n_g, n_e = group.edges.shape
     nk1 = n_monomials(k + 1)
     nk = n_monomials(k)
     nkm1 = n_monomials(k - 1)
-    edge_ids = mesh.cell_edges[c]
-    signs = mesh.cell_edge_signs[c]
-    n_e = len(edge_ids)
-    N = n_e * (k + 1) + nkm1
+    n_edge_slots = n_e * (k + 1)
+    N = n_edge_slots + nkm1
 
     basis = cell_basis(coords, k + 1)
     area = polygon_area(coords)
     if quad_degree is None:
         quad_degree = 2 * (k + 2)
     quad = polygon_quadrature(coords, quad_degree)
-    vals = basis.evaluate(quad.points)            # (pi_{k+1}, nq)
-    w = quad.weights
-    mass = (vals * w) @ vals.T
-    mass_k = mass[:nk, :nk]
-    cho_k = cho_factor(mass_k)
+    vals = basis.evaluate(quad.points)            # (G, pi_{k+1}, nq)
+    w = quad.weights[:, None, :]
+    mass = (vals * w) @ vals.mT
+    mass_k = mass[:, :nk, :nk]
 
-    kvals = Kfun(quad.points)                     # (nq, 2, 2)
-    k_mean = np.einsum("q,qij->ij", w, kvals) / area
-    vk = vals[:nk]
-    mk_w = np.empty((2 * nk, 2 * nk))
-    mk_w[:nk, :nk] = (vk * (w * kvals[:, 0, 0])) @ vk.T
-    mk_w[:nk, nk:] = (vk * (w * kvals[:, 0, 1])) @ vk.T
-    mk_w[nk:, :nk] = (vk * (w * kvals[:, 1, 0])) @ vk.T
-    mk_w[nk:, nk:] = (vk * (w * kvals[:, 1, 1])) @ vk.T
+    # K-weighted vector Gram, one tensor component at a time
+    kvals = Kfun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape + (2, 2))
+    k_mean = np.einsum("gq,gqij->gij", quad.weights, kvals) / area[:, None, None]
+    vk = vals[:, :nk]
+    mk_w = np.empty((n_g, 2 * nk, 2 * nk))
+    for i in range(2):
+        for j in range(2):
+            mk_w[:, i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = (
+                (vk * (w * kvals[:, None, :, i, j])) @ vk.mT)
 
     # Edge tables from the reference segment, all edges at once:
     # edge_cross[e, b, j] = int_f s^b m_j and traces[j, e] = edge-monomial
     # coefficients of m_j restricted to edge e (degree <= k, so exact).
     ref = edge_reference(k, k + 3)
-    pts = _edge_points(mesh, edge_ids, ref.nodes)
-    cv = basis.evaluate(pts.reshape(-1, 2)).reshape(nk1, n_e, -1)
-    lengths = mesh.edge_lengths[edge_ids]
-    edge_cross = lengths[:, None, None] * np.einsum("bq,jeq->ebj", ref.moments, cv)
-    traces = np.einsum("bq,jeq->jeb", ref.projector, cv[:nk])
+    pts = _edge_points(mesh, group.edges, ref.nodes)
+    cv = basis.evaluate(pts.reshape(n_g, -1, 2)).reshape(n_g, nk1, n_e, -1)
+    lengths = mesh.edge_lengths[group.edges]
+    edge_cross = lengths[..., None, None] * np.einsum("bq,gjeq->gebj", ref.moments, cv)
+    traces = np.einsum("bq,gjeq->gjeb", ref.projector, cv[:, :nk])
 
     # b_g[j, i] = integral over P of chi_i . (components of) g_j via parts:
     # boundary moments of the normal traces minus interior moments of div g_j.
-    nrm = signs[:, None] * mesh.edge_normals[edge_ids]
-    n_edge_slots = n_e * (k + 1)
-    b_g = np.empty((2 * nk, N))
-    b_g[:nk, :n_edge_slots] = (traces * (lengths * nrm[:, 0])[:, None]).reshape(nk, -1)
-    b_g[nk:, :n_edge_slots] = (traces * (lengths * nrm[:, 1])[:, None]).reshape(nk, -1)
-    basis_k = ScaledMonomialBasis(basis.center, basis.diameter, k)
-    dxk, dyk = basis_k.gradient_coefficients()
-    b_g[:nk, n_edge_slots:] = -area * dxk[:nkm1].T
-    b_g[nk:, n_edge_slots:] = -area * dyk[:nkm1].T
-    grad_proj = np.empty_like(b_g)
-    grad_proj[:nk] = cho_solve(cho_k, b_g[:nk])
-    grad_proj[nk:] = cho_solve(cho_k, b_g[nk:])
+    nrm = group.signs[..., None] * mesh.edge_normals[group.edges]
+    emat_k = gradient_coefficient_matrix(k, basis.diameter)   # (G, 2 pi_{k-1}, pi_k)
+    b_g = np.empty((n_g, 2 * nk, N))
+    for d in range(2):
+        b_g[:, d * nk:(d + 1) * nk, :n_edge_slots] = (
+            traces * (lengths * nrm[..., d])[:, None, :, None]).reshape(n_g, nk, -1)
+        b_g[:, d * nk:(d + 1) * nk, n_edge_slots:] = (
+            -area[:, None, None] * emat_k[:, d * nkm1:(d + 1) * nkm1].mT)
+    grad_proj = np.linalg.solve(mass_k[:, None], b_g.reshape(n_g, 2, nk, N))
+    grad_proj = grad_proj.reshape(n_g, 2 * nk, N)
 
     # Energy projection onto P_{k+1}: gradient Gram with the zero row traded
     # for the boundary-mean condition.
-    emat = gradient_coefficient_matrix(k + 1, basis.diameter)  # (2 pi_k, pi_{k+1})
-    mvec = vector_mass_matrix(mass_k)
-    h_mat = emat.T @ mvec @ emat
-    c_mat = emat.T @ b_g
-    perimeter = float(np.sum(lengths))
-    h_mat[0, :] = edge_cross[:, 0, :].sum(axis=0) / perimeter
-    c_mat[0, :] = 0.0
-    c_mat[0, :n_edge_slots:k + 1] = lengths / perimeter
-    p_nabla = solve(h_mat, c_mat)
+    emat = gradient_coefficient_matrix(k + 1, basis.diameter)  # (G, 2 pi_k, pi_{k+1})
+    h_mat = emat.mT @ vector_mass_matrix(mass_k) @ emat
+    c_mat = emat.mT @ b_g
+    perimeter = lengths.sum(axis=-1, keepdims=True)
+    h_mat[:, 0, :] = edge_cross[:, :, 0, :].sum(axis=1) / perimeter
+    c_mat[:, 0, :] = 0.0
+    c_mat[:, 0, :n_edge_slots:k + 1] = lengths / perimeter
+    p_nabla = np.linalg.solve(h_mat, c_mat)
 
     # Moment table: low degrees are plain DOFs, degrees k and k+1 come from
     # the energy projection (enhancement), then invert Grams.
-    b0 = np.zeros((nk1, N))
-    for gamma in range(nkm1):
-        b0[gamma, n_edge_slots + gamma] = area
-    b0[nkm1:, :] = (mass @ p_nabla)[nkm1:, :]
-    cho_k1 = cho_factor(mass)
-    p0 = cho_solve(cho_k1, b0)
-    p0k = cho_solve(cho_k, b0[:nk])
+    b0 = np.zeros((n_g, nk1, N))
+    gamma = np.arange(nkm1)
+    b0[:, gamma, n_edge_slots + gamma] = area[:, None]
+    b0[:, nkm1:, :] = (mass @ p_nabla)[:, nkm1:, :]
+    p0 = np.linalg.solve(mass, b0)
+    p0k = np.linalg.solve(mass_k, b0[:, :nk])
 
     # DOF matrix of monomials, for the dofi-dofi stabilization.
     d_mat = _monomial_dof_table(edge_cross, lengths, mass, area, k)
 
-    consistency = grad_proj.T @ mk_w @ grad_proj
-    tau = np.trace(consistency) / N
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"cell {c}: nonpositive stabilization scale")
+    consistency = grad_proj.mT @ mk_w @ grad_proj
+    tau = np.trace(consistency, axis1=-2, axis2=-1) / N
+    bad = ~(np.isfinite(tau) & (tau > 0.0))
+    if bad.any():
+        raise ValueError(f"cell {group.cells[bad][0]}: nonpositive stabilization scale")
     residual = np.eye(N) - d_mat @ p0
-    stiffness = consistency + tau * (residual.T @ residual)
-    stiffness = 0.5 * (stiffness + stiffness.T)
+    stiffness = consistency + tau[:, None, None] * (residual.mT @ residual)
+    stiffness = 0.5 * (stiffness + stiffness.mT)
 
-    fq = ffun(quad.points)
-    f_moments = vk @ (w * fq)
-    f_coeffs = cho_solve(cho_k, f_moments)
-    load = p0k.T @ f_moments
+    fq = ffun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape)
+    f_moments = np.einsum("gjq,gq->gj", vk, quad.weights * fq)
+    f_coeffs = np.linalg.solve(mass_k, f_moments[..., None])[..., 0]
+    load = np.einsum("gjn,gj->gn", p0k, f_moments)
 
     # Gradient-complement machinery: orthonormal basis and the operator that
     # recovers the complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
-    gkp = gk_perp_basis(basis_k, mass_k)
-    gkperp_rec = -(gkp.coeffs.T @ mk_w @ grad_proj) / area
+    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k), mass_k)
+    gkperp_rec = -(gkp.coeffs.mT @ mk_w @ grad_proj) / area[:, None, None]
 
-    return NcElement(
-        cell=c,
+    element = NcElement(
+        cell=group.cells,
         k=k,
         coords=coords,
         basis=basis,
         area=area,
-        edge_ids=np.asarray(edge_ids),
-        edge_signs=np.asarray(signs),
+        edge_ids=group.edges,
+        edge_signs=group.signs,
         edge_lengths=lengths,
         edge_cross=edge_cross,
         mass=mass,
@@ -311,36 +334,38 @@ def build_element(
         f_moments=f_moments,
         f_coeffs=f_coeffs,
         k_mean=k_mean,
-        grad_coeff=emat,
         gk_perp=gkp,
         gkperp_rec=gkperp_rec,
     )
+    return element if np.ndim(c) else element[0]
 
 
 def _edge_points(mesh: PolyMesh, edge_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Points a + t (b - a) at the reference nodes t of each edge, (n_e, n, 2).
+    """Points a + t (b - a) at the reference nodes t of each edge, (..., n, 2).
 
     a and b are the endpoints in stored order, so the nodes carry the edge
     monomials of `polybasis.edge_reference`.
     """
     va = mesh.vertices[mesh.edges[edge_ids, 0]]
     vb = mesh.vertices[mesh.edges[edge_ids, 1]]
-    return va[:, None, :] + nodes[None, :, None] * (vb - va)[:, None, :]
+    return va[..., None, :] + nodes[:, None] * (vb - va)[..., None, :]
 
 
 def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
-    """DOF vectors of the scaled monomials m_beta, as columns (N, pi_{k+1}).
+    """DOF vectors of the scaled monomials m_beta, as columns (..., N, pi_{k+1}).
 
     Edge slots are the scaled edge moments (cross table over |f|), interior
     slots the scaled cell moments of degree <= k-1 (mass rows over |P|).
     """
     nkm1 = n_monomials(k - 1)
-    edge_rows = (edge_cross / edge_lengths[:, None, None]).reshape(-1, mass.shape[0])
-    return np.vstack([edge_rows, mass[:nkm1, :] / area])
+    edge_rows = edge_cross / edge_lengths[..., None, None]
+    edge_rows = edge_rows.reshape(edge_rows.shape[:-3] + (-1, mass.shape[-1]))
+    return np.concatenate([edge_rows, mass[..., :nkm1, :] / area[..., None, None]],
+                          axis=-2)
 
 
 def monomial_dofs(element: NcElement) -> np.ndarray:
-    """DOF vectors of the scaled monomials m_beta, as columns (N, pi_{k+1}).
+    """DOF vectors of the scaled monomials m_beta, as columns (..., N, pi_{k+1}).
 
     Recomputed from the stored edge and mass tables; used by tests, the
     velocity recovery's rounding envelopes and the dense reference solver.
@@ -365,26 +390,57 @@ def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:
 
 
 def _dirichlet_lift(element: NcElement, boundary_values: np.ndarray) -> np.ndarray:
-    """Local DOF vector holding Dirichlet values, zero on free slots.
+    """Local DOF vectors (..., N) holding Dirichlet values, zero on free slots.
 
     Relies on `boundary_edge_values` leaving interior-edge rows at zero.
     """
-    edge_part = boundary_values[element.edge_ids].ravel()
-    return np.concatenate([edge_part, np.zeros(element.n_dofs - edge_part.size)])
+    edge_part = boundary_values[element.edge_ids]
+    out = np.zeros(edge_part.shape[:-2] + (element.n_dofs,))
+    out[..., :edge_part.shape[-2] * edge_part.shape[-1]] = (
+        edge_part.reshape(edge_part.shape[:-2] + (-1,)))
+    return out
+
+
+class CellRecords(Sequence):
+    """Per-cell element records of a system, built on access from its groups."""
+
+    def __init__(self, groups: list):
+        self._groups = groups
+
+    def __len__(self) -> int:
+        return sum(len(group.cell) for group in self._groups)
+
+    def __getitem__(self, c: int) -> NcElement:
+        for group in self._groups:
+            row = int(np.searchsorted(group.cell, c))
+            if row < len(group.cell) and group.cell[row] == c:
+                return group[row]
+        raise IndexError(f"no cell {c}")
 
 
 @dataclass
 class SpdSystem:
-    """Reduced SPD system with everything needed to get local pressures back."""
+    """Reduced SPD system with everything needed to get local pressures back.
+
+    `groups` holds the stacked element records of the mesh's vertex-count
+    groups (see `PolyMesh.cell_groups`) and `group_global` each group's
+    (G, N) table of global DOF indices; `elements[c]` is the record of
+    cell c, built on access.
+    """
 
     matrix: linsolve.SparseSpd
     rhs: np.ndarray
     dofmap: NcDofMap
-    elements: list
+    groups: list
+    group_global: list
     boundary_values: np.ndarray
     mesh: PolyMesh = field(repr=False)
     k: int = 0
     solution: np.ndarray | None = None
+
+    @property
+    def elements(self) -> CellRecords:
+        return CellRecords(self.groups)
 
     def local_boundary(self, c: int) -> np.ndarray:
         """Local DOF vector holding Dirichlet values, zero on free slots."""
@@ -392,10 +448,16 @@ class SpdSystem:
 
     def local_pressure(self, c: int) -> np.ndarray:
         """Full local DOF vector of the solved pressure on cell c."""
+        return self._gather(self.elements[c], self.dofmap.cell_global(c))
+
+    def group_pressure(self, i: int) -> np.ndarray:
+        """Full local DOF vectors (G, N) of the solved pressure on group i."""
+        return self._gather(self.groups[i], self.group_global[i])
+
+    def _gather(self, element: NcElement, glob: np.ndarray) -> np.ndarray:
         if self.solution is None:
             raise RuntimeError("system not solved yet")
-        glob = self.dofmap.cell_global(c)
-        out = self.local_boundary(c)
+        out = _dirichlet_lift(element, self.boundary_values)
         free = glob >= 0
         out[free] = self.solution[glob[free]]
         return out
@@ -411,38 +473,35 @@ def assemble(
     """Assemble the global SPD pressure system with Dirichlet elimination.
 
     `boundary` is the Dirichlet datum (callable, constant, or None for
-    homogeneous data).
+    homogeneous data).  Each vertex-count group is built at once and every
+    free-free stiffness entry goes into one triplet build.
     """
     dofmap = build_dof_map(mesh, k)
     bvals = boundary_edge_values(mesh, k, boundary)
+    groups = [build_element(mesh, g.cells, k, K, f) for g in mesh.cell_groups()]
+    group_global = [dofmap.global_indices(g.edge_ids, g.cell) for g in groups]
     n = dofmap.n_global
     rhs = np.zeros(n)
-    rows, cols, vals = [], [], []
-    elements = []
-    for c in range(mesh.num_cells):
-        element = build_element(mesh, c, k, K, f)
-        elements.append(element)
-        glob = dofmap.cell_global(c)
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0)]
+    for group, glob in zip(groups, group_global):
+        lifted = _dirichlet_lift(group, bvals)
+        local_rhs = group.load - np.einsum("gij,gj->gi", group.stiffness, lifted)
         free = glob >= 0
-        gidx = glob[free]
-        lifted = _dirichlet_lift(element, bvals)
-        local_rhs = element.load - element.stiffness @ lifted
-        np.add.at(rhs, gidx, local_rhs[free])
-        kff = element.stiffness[np.ix_(free, free)]
-        rows.append(np.repeat(gidx, len(gidx)))
-        cols.append(np.tile(gidx, len(gidx)))
-        vals.append(kff.ravel())
+        rhs += np.bincount(glob[free], weights=local_rhs[free], minlength=n)
+        pairs = free[:, :, None] & free[:, None, :]
+        rows.append(np.broadcast_to(glob[:, :, None], pairs.shape)[pairs])
+        cols.append(np.broadcast_to(glob[:, None, :], pairs.shape)[pairs])
+        vals.append(group.stiffness[pairs])
     matrix = linsolve.SparseSpd.from_triplets(
-        n,
-        np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-        np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-        np.concatenate(vals) if vals else np.empty(0),
-    )
+        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     return SpdSystem(
         matrix=matrix,
         rhs=rhs,
         dofmap=dofmap,
-        elements=elements,
+        groups=groups,
+        group_global=group_global,
         boundary_values=bvals,
         mesh=mesh,
         k=k,

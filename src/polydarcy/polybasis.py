@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import roots_jacobi, roots_legendre
 
 from .polymesh import polygon_centroid, polygon_diameter, star_point
@@ -56,10 +56,14 @@ def monomial_index(a: int, b: int) -> int:
 
 @dataclass
 class ScaledMonomialBasis:
-    """Monomials ((x - center)/diameter)^alpha up to a total degree."""
+    """Monomials ((x - center)/diameter)^alpha up to a total degree.
+
+    `center` (..., 2) and `diameter` (...) may carry a leading stack axis,
+    one basis per cell of a group; `evaluate` then takes points (..., n, 2).
+    """
 
     center: np.ndarray
-    diameter: float
+    diameter: float | np.ndarray
     degree: int
 
     def __post_init__(self):
@@ -69,13 +73,20 @@ class ScaledMonomialBasis:
         return n_monomials(self.degree)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values of all members at points (n, 2); returns (n_members, n)."""
+        """Values of all members at points (..., n, 2); returns (..., n_members, n)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts[:, 0] - self.center[0]) / self.diameter
-        eta = (pts[:, 1] - self.center[1]) / self.diameter
-        xpow = np.vstack([xi ** a for a in range(self.degree + 1)])
-        ypow = np.vstack([eta ** b for b in range(self.degree + 1)])
-        return np.array([xpow[a] * ypow[b] for a, b in self.exponents])
+        center = np.asarray(self.center)[..., None, :]
+        scale = np.asarray(self.diameter)[..., None]
+        xi = (pts[..., 0] - center[..., 0]) / scale
+        eta = (pts[..., 1] - center[..., 1]) / scale
+        xpow, ypow = [np.ones_like(xi)], [np.ones_like(eta)]
+        for _ in range(self.degree):
+            xpow.append(xpow[-1] * xi)
+            ypow.append(ypow[-1] * eta)
+        out = np.empty(xi.shape[:-1] + (len(self), xi.shape[-1]))
+        for j, (a, b) in enumerate(self.exponents):
+            np.multiply(xpow[a], ypow[b], out=out[..., j, :])
+        return out
 
     def evaluate_gradient(self, points: np.ndarray) -> np.ndarray:
         """Gradients of all members at points; returns (n_members, n, 2)."""
@@ -90,23 +101,6 @@ class ScaledMonomialBasis:
             if b > 0:
                 grads[j, :, 1] = (b / h) * vals[monomial_index(a, b - 1)]
         return grads
-
-    def gradient_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Dx, Dy) with Dx[i, j] = coefficient of m_i in d(m_j)/dx.
-
-        Both are (n_members, n_members); differentiation lowers the degree,
-        so rows beyond degree-1 members are zero.
-        """
-        m = len(self)
-        dx = np.zeros((m, m))
-        dy = np.zeros((m, m))
-        h = self.diameter
-        for j, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                dx[monomial_index(a - 1, b), j] = a / h
-            if b > 0:
-                dy[monomial_index(a, b - 1), j] = b / h
-        return dx, dy
 
 
 def cell_basis(coords: np.ndarray, k: int) -> ScaledMonomialBasis:
@@ -181,10 +175,14 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     The polygon is fanned into triangles from a star point; each triangle is
     integrated by the collapsed-square map (a, b) -> (a, b(1-a)) whose
     Jacobian (1-a) is absorbed into a Gauss-Jacobi rule, so all weights stay
-    positive on any admissible cell.
+    positive on any admissible cell.  A stack of loops (..., n_v, 2) with one
+    vertex count gives points (..., nq, 2) and weights (..., nq); every
+    member has the same nq = n_v x (nodes per triangle).  A fan triangle of
+    zero area (none arises from a star point strictly inside the kernel)
+    keeps its nodes with weight 0.
     """
     coords = np.asarray(coords, dtype=float)
-    center = star_point(coords)
+    center = star_point(coords)[..., None, :]
     n1 = max(1, (degree + 2 + 1) // 2)  # Jacobi direction carries degree+1
     a, wa = _gauss_jacobi01(n1)
     n2 = max(1, (degree + 1 + 1) // 2)
@@ -194,23 +192,16 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     v = (b[None, :] * (1.0 - a[:, None])).ravel()
     wt = (wa[:, None] * wb[None, :]).ravel()
 
-    nvert = len(coords)
-    pts_all = []
-    w_all = []
-    for i in range(nvert):
-        p1 = coords[i]
-        p2 = coords[(i + 1) % nvert]
-        e1 = p1 - center
-        e2 = p2 - center
-        jac = e1[0] * e2[1] - e1[1] * e2[0]  # 2 * signed triangle area
-        if jac == 0.0:
-            continue
-        pts = center[None, :] + np.outer(u, e1) + np.outer(v, e2)
-        pts_all.append(pts)
-        w_all.append(wt * jac)
-    points = np.vstack(pts_all)
-    weights = np.concatenate(w_all)
-    return PolyQuadrature(points=points, weights=weights, degree=degree)
+    # one fan triangle per edge: (..., n_v, 2) legs from the star point
+    e1 = coords - center
+    e2 = np.roll(coords, -1, axis=-2) - center
+    jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]  # 2 * signed areas
+    pts = (center[..., None, :] + u[:, None] * e1[..., None, :]
+           + v[:, None] * e2[..., None, :])
+    lead = coords.shape[:-2]
+    return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
+                          weights=(jac[..., None] * wt).reshape(lead + (-1,)),
+                          degree=degree)
 
 
 def mass_matrix(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) -> np.ndarray:
@@ -236,17 +227,14 @@ class GkPerpBasis:
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values (dim, n, 2) of all members at the given points."""
+        """Values (..., dim, n, 2) of all members at the points (..., n, 2)."""
         vals = self.basis.evaluate(points)
         nk = len(self.basis)
-        out = np.empty((self.dim, vals.shape[1], 2))
-        for i in range(self.dim):
-            out[i, :, 0] = self.coeffs[:nk, i] @ vals
-            out[i, :, 1] = self.coeffs[nk:, i] @ vals
-        return out
+        return np.stack([self.coeffs[..., :nk, :].mT @ vals,
+                         self.coeffs[..., nk:, :].mT @ vals], axis=-1)
 
 
 def gk_perp_dimension(k: int) -> int:
@@ -255,58 +243,70 @@ def gk_perp_dimension(k: int) -> int:
 
 def vector_mass_matrix(mass_k: np.ndarray) -> np.ndarray:
     """Block-diagonal Gram of the vector monomial basis (x then y block)."""
-    nk = mass_k.shape[0]
-    out = np.zeros((2 * nk, 2 * nk))
-    out[:nk, :nk] = mass_k
-    out[nk:, nk:] = mass_k
+    nk = mass_k.shape[-1]
+    out = np.zeros(mass_k.shape[:-2] + (2 * nk, 2 * nk))
+    out[..., :nk, :nk] = mass_k
+    out[..., nk:, nk:] = mass_k
     return out
 
 
-def gradient_coefficient_matrix(k: int, diameter: float) -> np.ndarray:
-    """E with E[:, j] = coefficients of grad m_j in the vector basis of P_{k-1}...
-
-    Columns run over the degree-k cell monomials (pi_k of them); rows are the
-    2 pi_{k-1} vector monomials.  Used with k+1-degree bases to express exact
-    gradients of the pressure space.
-    """
+@lru_cache(maxsize=None)
+def _exponent_gradients(k: int) -> np.ndarray:
+    """`gradient_coefficient_matrix` at diameter 1: the exponents a and b."""
     cols = monomial_exponents(k)
     nk = n_monomials(k - 1)
     e = np.zeros((2 * nk, len(cols)))
     for j, (a, b) in enumerate(cols):
         if a > 0:
-            e[monomial_index(a - 1, b), j] = a / diameter
+            e[monomial_index(a - 1, b), j] = a
         if b > 0:
-            e[nk + monomial_index(a, b - 1), j] = b / diameter
+            e[nk + monomial_index(a, b - 1), j] = b
+    e.setflags(write=False)  # shared through the cache
     return e
 
 
+def gradient_coefficient_matrix(k: int, diameter) -> np.ndarray:
+    """E with E[:, j] = coefficients of grad m_j in the vector basis of P_{k-1}...
+
+    Columns run over the degree-k cell monomials (pi_k of them); rows are the
+    2 pi_{k-1} vector monomials.  Used with k+1-degree bases to express exact
+    gradients of the pressure space.  A stack of diameters (...) gives a
+    stack of tables (..., 2 pi_{k-1}, pi_k).
+    """
+    return _exponent_gradients(k) / np.asarray(diameter, dtype=float)[..., None, None]
+
+
 def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray) -> GkPerpBasis:
-    """Construct the orthonormal complement basis on one polygon.
+    """Construct the orthonormal complement basis on one polygon or a stack.
 
     `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
-    Gram matrix on the cell.  The complement is the kernel of the pairing of
-    (P_k)^2 against exact gradients of P_{k+1}; an SVD nullspace is
-    orthonormalized in the L2(P) inner product by a Cholesky factor of its
-    small Gram matrix.  Raises if the numerical rank disagrees with
-    2 pi_k - pi_{k+1} + 1.
+    Gram matrix on the cell, both stacked for a group.  The complement is the
+    kernel of the pairing of (P_k)^2 against exact gradients of P_{k+1}; an
+    SVD nullspace is orthonormalized in the L2(P) inner product by a Cholesky
+    factor of its small Gram matrix.  The basis is unique up to an orthogonal
+    change within the complement (a sign at k = 1).  Raises if the numerical
+    rank of any member disagrees with 2 pi_k - pi_{k+1} + 1.
     """
     expected = gk_perp_dimension(basis.degree)
-    if expected == 0:
-        return GkPerpBasis(basis=basis, coeffs=np.zeros((2 * len(basis), 0)))
     mvec = vector_mass_matrix(mass_k)
+    if expected == 0:
+        return GkPerpBasis(basis=basis, coeffs=mvec[..., :0])
     # drop the constant, whose gradient is zero
-    e = gradient_coefficient_matrix(basis.degree + 1, basis.diameter)[:, 1:]
-    constraints = e.T @ mvec
-    nullsp = null_space(constraints)
-    if nullsp.shape[1] != expected:
+    e = gradient_coefficient_matrix(basis.degree + 1, basis.diameter)[..., 1:]
+    constraints = e.mT @ mvec
+    _, sigma, vh = np.linalg.svd(constraints)
+    # numerical rank as in scipy.linalg.null_space
+    tol = max(constraints.shape[-2:]) * np.finfo(float).eps * sigma.max(axis=-1)
+    nullity = constraints.shape[-1] - np.sum(sigma > tol[..., None], axis=-1)
+    if np.any(nullity != expected):
         raise ValueError(
-            f"gradient-complement rank {nullsp.shape[1]} != expected {expected}; "
+            f"gradient-complement rank {np.min(nullity)} != expected {expected}; "
             "degenerate cell geometry or broken quadrature"
         )
-    gram = nullsp.T @ mvec @ nullsp
-    c, low = cho_factor(gram, lower=False)
-    r_inv = np.linalg.inv(np.triu(c))
-    coeffs = nullsp @ r_inv
+    nullsp = vh[..., -expected:, :].mT
+    gram = nullsp.mT @ mvec @ nullsp
+    # coeffs = nullsp R^{-1} with gram = R^T R = L L^T: coeffs^T = L^{-1} nullsp^T
+    coeffs = np.linalg.solve(np.linalg.cholesky(gram), nullsp.mT).mT
     return GkPerpBasis(basis=basis, coeffs=coeffs)
 
 

@@ -37,32 +37,36 @@ class MeshFormatError(MeshError):
         super().__init__(f"{path}:{lineno}: {message}")
 
 
-def polygon_area(coords: np.ndarray) -> float:
-    """Signed area of a polygon given as an (n, 2) vertex loop."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def polygon_area(coords: np.ndarray):
+    """Signed area of a polygon given as an (n, 2) vertex loop.
+
+    A stack of loops (..., n, 2) with one vertex count gives the areas (...).
+    """
+    x = coords[..., 0]
+    y = coords[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                        axis=-1)
 
 
 def polygon_centroid(coords: np.ndarray) -> np.ndarray:
-    """Area centroid of a simple polygon (CCW or CW)."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    """Area centroid of a simple polygon (CCW or CW); (..., 2) for a stack."""
+    x = coords[..., 0]
+    y = coords[..., 1]
+    xn = np.roll(x, -1, axis=-1)
+    yn = np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    if abs(area) < 1e-300:
+    area = 0.5 * np.sum(cross, axis=-1)
+    if np.any(np.abs(area) < 1e-300):
         raise MeshError("degenerate polygon: zero area")
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return np.array([cx, cy])
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return np.stack([cx, cy], axis=-1)
 
 
-def polygon_diameter(coords: np.ndarray) -> float:
-    """Largest pairwise vertex distance."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+def polygon_diameter(coords: np.ndarray):
+    """Largest pairwise vertex distance; (...) for a stack of loops."""
+    diff = coords[..., :, None, :] - coords[..., None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(-2, -1))
 
 
 def _segments_conflict(p0, p1, q0, q1, adjacent: bool, eps: float) -> bool:
@@ -207,19 +211,21 @@ def star_point(coords: np.ndarray) -> np.ndarray:
 
     The kernel is the intersection of the inner half-planes of the edges, so
     the centroid is returned when it lies strictly on the inner side of every
-    edge; otherwise the Chebyshev center of the kernel.  Raises MeshError if
-    the polygon is not star-shaped.
+    edge; otherwise the Chebyshev center of the kernel.  A stack of loops
+    (..., n, 2) is tested at once and only the loops whose centroid fails go
+    to the linear program.  Raises MeshError if a polygon is not star-shaped.
     """
-    c = polygon_centroid(coords)
     pts = np.asarray(coords)
-    d = np.roll(pts, -1, axis=0) - pts
-    rel = c - pts
-    if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0):
-        return c
-    center, radius = _chebyshev_center(coords)
-    if radius <= 0.0:
-        raise MeshError("cell is not star-shaped with respect to any point")
-    return center
+    c = polygon_centroid(pts)
+    d = np.roll(pts, -1, axis=-2) - pts
+    rel = c[..., None, :] - pts
+    inside = np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1)
+    for idx in map(tuple, np.argwhere(~inside)):
+        center, radius = _chebyshev_center(pts[idx])
+        if radius <= 0.0:
+            raise MeshError("cell is not star-shaped with respect to any point")
+        c[idx] = center
+    return c
 
 
 @dataclass
@@ -274,6 +280,34 @@ class PolyMesh:
 
     def cell_coords(self, c: int) -> np.ndarray:
         return self.vertices[self.cells[c]]
+
+    def cell_groups(self, cells=None) -> list[CellGroup]:
+        """The given cells (default all) grouped by vertex count.
+
+        Groups come in ascending vertex count, each with its cells in index
+        order and their loops, edges and edge signs stacked row by row.
+        """
+        cells = np.arange(self.num_cells) if cells is None else np.asarray(cells)
+        counts = np.array([len(self.cells[c]) for c in cells.tolist()], dtype=np.int64)
+        groups = []
+        for n in np.unique(counts):
+            members = np.sort(cells[counts == n])
+            rows = members.tolist()
+            loops, edges, signs = (
+                np.concatenate([per_cell[c] for c in rows]).reshape(-1, n)
+                for per_cell in (self.cells, self.cell_edges, self.cell_edge_signs))
+            groups.append(CellGroup(cells=members, loops=loops, edges=edges, signs=signs))
+        return groups
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """Cells of one vertex count, stacked: row i describes cell `cells[i]`."""
+
+    cells: np.ndarray   # (G,) cell indices, ascending
+    loops: np.ndarray   # (G, n) vertex loops
+    edges: np.ndarray   # (G, n) edge ids in loop order
+    signs: np.ndarray   # (G, n) +1 where the loop runs along the stored edge
 
 
 def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:

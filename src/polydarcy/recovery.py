@@ -13,10 +13,13 @@ Those three families determine the L2 projection of u onto cellwise (P_k)^2
 and, at lowest order, a Raviart-Thomas-like field whose divergence is exactly
 the cell-averaged source.
 
-`recover_velocity` is the one walk over the solved cells: it gathers each
-cell's local pressure once and fills every cellwise field of the
-post-processing (velocity DOFs, projected velocity, its divergence, the RT
-field, the projected pressure and its gradient) as a `PiecewisePolyField`.
+`recover_velocity` is the one walk over the solved cells, taken a
+vertex-count group at a time: it gathers each group's local pressures once
+and fills every cellwise field of the post-processing (velocity DOFs,
+projected velocity, its divergence, the RT field, the projected pressure and
+its gradient) as a `PiecewisePolyField`.  The per-cell helpers below take
+one cell's record or a group's stacked record alike, broadcasting over the
+leading cell axis.
 Every interior-edge flux is recovered from both incident cells; the left
 cell's copy is kept, and a velocity whose two copies disagree, whose
 divergence is not the projected source, or that violates global
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
 
 from .ncvem import NcElement, SpdSystem, monomial_dofs
 from .polybasis import (ScaledMonomialBasis, gk_perp_dimension, n_monomials,
@@ -78,24 +80,29 @@ class PiecewisePolyField:
     centers: np.ndarray
     diameters: np.ndarray
 
-    def monomials(self, c: int, points: np.ndarray) -> np.ndarray:
-        """Scaled monomials of degree <= `degree` on cell c at points, (pi, n)."""
+    def monomials(self, c, points: np.ndarray) -> np.ndarray:
+        """Scaled monomials of degree <= `degree` on cell c at points, (pi, n).
+
+        An array of cells (G,) with points (G, n, 2) gives (G, pi, n).
+        """
         basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.degree)
         return basis.evaluate(points)
 
-    def values(self, c: int, monomials: np.ndarray) -> np.ndarray:
+    def values(self, c, monomials: np.ndarray) -> np.ndarray:
         """Field on cell c from a monomial table of degree >= `degree`.
 
         Graded-lex order nests, so the first pi_degree rows of a higher-degree
         table of the same cell are this field's basis.  Returns (n,) for a
-        scalar field and (n, 2) for a vector field.
+        scalar field and (n, 2) for a vector field, with a leading (G,) axis
+        for an array of cells.
         """
         m = n_monomials(self.degree)
-        comps = [self.coeffs[c, i:i + m] @ monomials[:m]
+        coeffs = self.coeffs[c]
+        comps = [(coeffs[..., None, i:i + m] @ monomials[..., :m, :])[..., 0, :]
                  for i in range(0, self.coeffs.shape[1], m)]
-        return comps[0] if len(comps) == 1 else np.column_stack(comps)
+        return comps[0] if len(comps) == 1 else np.stack(comps, axis=-1)
 
-    def evaluate(self, c: int, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, c, points: np.ndarray) -> np.ndarray:
         """Field on cell c at points (n, 2); shaped as in `values`."""
         return self.values(c, self.monomials(c, points))
 
@@ -118,8 +125,9 @@ def recover_edge_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     edge sign to express the flux against the globally stored edge normal.
     """
     n_e, k = element.n_edges, element.k
-    residual = element.load - element.stiffness @ p_loc
-    return residual[:n_e * (k + 1)].reshape(n_e, k + 1) / element.edge_lengths[:, None]
+    residual = element.load - np.einsum("...ij,...j->...i", element.stiffness, p_loc)
+    edge_part = residual[..., :n_e * (k + 1)].reshape(residual.shape[:-1] + (n_e, k + 1))
+    return edge_part / element.edge_lengths[..., None]
 
 
 def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
@@ -131,9 +139,9 @@ def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
     """
     nk = n_monomials(element.k)
     nd = n_monomials(degree)
-    boundary = np.einsum("eb,ebj->j", edge_coeffs, element.edge_cross[:, :, :nd])
-    interior = element.f_coeffs @ element.mass[:nk, :nd]
-    return (boundary - interior)[1:] / element.area
+    boundary = np.einsum("...eb,...ebj->...j", edge_coeffs, element.edge_cross[..., :nd])
+    interior = np.einsum("...i,...ij->...j", element.f_coeffs, element.mass[..., :nk, :nd])
+    return (boundary - interior)[..., 1:] / element.area[..., None]
 
 
 def recover_gradient_moments(element: NcElement, edge_coeffs: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def recover_gradient_moments(element: NcElement, edge_coeffs: np.ndarray) -> np.
 
 def recover_gkperp_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     """Scaled moments of u against the orthonormal complement basis."""
-    return element.gkperp_rec @ p_loc
+    return np.einsum("...ij,...j->...i", element.gkperp_rec, p_loc)
 
 
 def divergence(element: NcElement, edge_coeffs: np.ndarray,
@@ -168,30 +176,34 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     scale; `noise` carries the rounding envelope of the residual evaluation
     that produced the data (see recover_velocity).
 
-    Returns (coefficients of div u, noise-deflated relative gap).
+    Returns (coefficients of div u, noise-deflated relative gap), with a
+    leading cell axis on both for a group.
     """
     nk = n_monomials(element.k)
-    cross = element.edge_cross[:, :, :nk]
-    rhs = np.einsum("eb,ebj->j", edge_coeffs, cross)
-    babs = np.einsum("eb,ebj->j", np.abs(edge_coeffs), np.abs(cross))
-    rhs[1:] -= element.area * grad_moments[:nk - 1]
-    moments = element.f_moments[:nk]
-    scale = max(
-        f_scale * element.area,
-        float(babs.max(initial=0.0)),
-        element.area * float(np.abs(grad_moments[:nk - 1]).max(initial=0.0)),
-        float(np.abs(moments).max(initial=0.0)),
-        1e-300,
-    )
-    gap = float(np.abs(rhs - moments).max())
-    rel = max(0.0, gap - noise) / scale
-    if rel > _DIV_TOL:
+    area = element.area
+    cross = element.edge_cross[..., :nk]
+    rhs = np.einsum("...eb,...ebj->...j", edge_coeffs, cross)
+    babs = np.einsum("...eb,...ebj->...j", np.abs(edge_coeffs), np.abs(cross))
+    rhs[..., 1:] -= area[..., None] * grad_moments[..., :nk - 1]
+    moments = element.f_moments[..., :nk]
+    scale = np.maximum.reduce([
+        f_scale * area,
+        babs.max(axis=-1, initial=0.0),
+        area * np.abs(grad_moments[..., :nk - 1]).max(axis=-1, initial=0.0),
+        np.abs(moments).max(axis=-1, initial=0.0),
+        np.full_like(area, 1e-300),
+    ])
+    gap = np.abs(rhs - moments).max(axis=-1)
+    rel = np.maximum(0.0, gap - noise) / scale
+    if np.any(rel > _DIV_TOL):
+        worst = np.argmax(rel)
         raise RecoveryError(
-            f"cell {element.cell}: recovered divergence misses the projected "
-            f"source (relative gap {rel:.3e}, tolerance {_DIV_TOL:.1e})"
+            f"cell {np.ravel(element.cell)[worst]}: recovered divergence misses "
+            f"the projected source (relative gap {np.ravel(rel)[worst]:.3e}, "
+            f"tolerance {_DIV_TOL:.1e})"
         )
-    factor = cho_factor(element.mass[:nk, :nk])
-    return cho_solve(factor, rhs), rel
+    coeffs = np.linalg.solve(element.mass[..., :nk, :nk], rhs[..., None])[..., 0]
+    return coeffs, rel
 
 
 def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
@@ -205,11 +217,11 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
     """
     nk = n_monomials(element.k)
     nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
-    mvec = vector_mass_matrix(element.mass[:nk, :nk])
-    rows = np.vstack([element.grad_coeff[:, 1:].T @ mvec,
-                      element.gk_perp.coeffs.T @ mvec])
-    rhs = element.area * np.concatenate([nu, gkperp_moments])
-    return solve(rows, rhs)
+    mvec = vector_mass_matrix(element.mass[..., :nk, :nk])
+    rows = np.concatenate([element.grad_coeff[..., :, 1:].mT @ mvec,
+                           element.gk_perp.coeffs.mT @ mvec], axis=-2)
+    rhs = element.area[..., None] * np.concatenate([nu, gkperp_moments], axis=-1)
+    return np.linalg.solve(rows, rhs[..., None])[..., 0]
 
 
 def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
@@ -221,15 +233,15 @@ def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     """
     if element.k != 0:
         raise ValueError("RT-like reconstruction is defined for order k = 0")
-    gradp = element.grad_proj @ p_loc
-    const = -element.k_mean @ gradp
-    f_mean = element.f_moments[0] / element.area
+    gradp = np.einsum("...ij,...j->...i", element.grad_proj, p_loc)
+    const = -np.einsum("...ij,...j->...i", element.k_mean, gradp)
+    f_mean = element.f_moments[..., 0] / element.area
     h = element.basis.diameter
-    out = np.zeros(6)
-    out[0] = const[0]
-    out[1] = 0.5 * f_mean * h
-    out[3] = const[1]
-    out[5] = 0.5 * f_mean * h
+    out = np.zeros(np.shape(h) + (6,))
+    out[..., 0] = const[..., 0]
+    out[..., 1] = 0.5 * f_mean * h
+    out[..., 3] = const[..., 1]
+    out[..., 5] = 0.5 * f_mean * h
     return out
 
 
@@ -285,14 +297,12 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     nc = mesh.num_cells
     nk = n_monomials(k)
     eps4 = 4.0 * float(np.finfo(float).eps)
-    f_scale = max(
-        (float(np.abs(el.f_coeffs).max(initial=0.0)) for el in system.elements),
-        default=0.0,
-    )
-    # Per cell-edge slot (cells in index order, edges in loop order): u . n_P
-    # and the rounding envelope of the slot's k+1 residual entries.
-    slot_flux = []
-    slot_noise = []
+    f_scale = max((float(np.abs(g.f_coeffs).max(initial=0.0)) for g in system.groups),
+                  default=0.0)
+    # Per cell-edge slot (groups in turn, then cells, then edges in loop
+    # order): u . n_P and the rounding envelope of the slot's k+1 residual
+    # entries.
+    slot_edge, slot_cell, slot_flux, slot_noise = [], [], [], []
     cell_noise = np.zeros(nc)
     div_gaps = np.zeros(nc)
     grad_moments = np.zeros((nc, nk - 1))
@@ -305,33 +315,36 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     centers = np.zeros((nc, 2))
     diameters = np.zeros(nc)
 
-    for c, element in enumerate(system.elements):
-        p_loc = system.local_pressure(c)
-        local = recover_edge_moments(element, p_loc)
-        noise_slots = eps4 * (np.abs(element.stiffness) @ np.abs(p_loc)
-                              + np.abs(element.load))
-        cell_noise[c] = np.abs(monomial_dofs(element)[:, 0]) @ noise_slots
-        slot_flux.append(local)
-        slot_noise.append(noise_slots[:local.size])
-        grad_moments[c] = recover_gradient_moments(element, local)
-        gkperp_moments[c] = recover_gkperp_moments(element, p_loc)
-        div[c], div_gaps[c] = divergence(element, local, grad_moments[c],
-                                         f_scale=f_scale, noise=cell_noise[c])
-        proj[c] = project_velocity(element, local, gkperp_moments[c])
+    for i, group in enumerate(system.groups):
+        cells = group.cell
+        p_loc = system.group_pressure(i)
+        local = recover_edge_moments(group, p_loc)
+        noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(group.stiffness), np.abs(p_loc))
+                              + np.abs(group.load))
+        cell_noise[cells] = np.einsum("gi,gi->g", np.abs(monomial_dofs(group)[..., 0]),
+                                      noise_slots)
+        slot_edge.append(group.edge_ids.ravel())
+        slot_cell.append(np.repeat(cells, group.n_edges))
+        slot_flux.append((group.edge_signs[..., None] * local).reshape(-1, k + 1))
+        slot_noise.append(noise_slots[:, :local[0].size].reshape(-1, k + 1))
+        grad_moments[cells] = recover_gradient_moments(group, local)
+        gkperp_moments[cells] = recover_gkperp_moments(group, p_loc)
+        div[cells], div_gaps[cells] = divergence(group, local, grad_moments[cells],
+                                                 f_scale=f_scale, noise=cell_noise[cells])
+        proj[cells] = project_velocity(group, local, gkperp_moments[cells])
         if rt is not None:
-            rt[c] = rt0_reconstruct(element, p_loc)
-        pressure[c] = element.p0 @ p_loc
-        grad_pressure[c] = element.grad_proj @ p_loc
-        centers[c] = element.basis.center
-        diameters[c] = element.basis.diameter
+            rt[cells] = rt0_reconstruct(group, p_loc)
+        pressure[cells] = np.einsum("gij,gj->gi", group.p0, p_loc)
+        grad_pressure[cells] = np.einsum("gij,gj->gi", group.grad_proj, p_loc)
+        centers[cells] = group.basis.center
+        diameters[cells] = group.basis.diameter
 
     # Ownership: the slot of edge_left keeps its copy; every other slot is
     # the right cell's copy of an interior edge and is checked against it.
-    slot_edge = np.concatenate(mesh.cell_edges)
-    slot_cell = np.repeat(np.arange(nc), [len(ids) for ids in mesh.cell_edges])
-    flux = np.concatenate(mesh.cell_edge_signs)[:, None] * np.concatenate(slot_flux)
-    noise = (np.concatenate(slot_noise).reshape(-1, k + 1).max(axis=1)
-             / mesh.edge_lengths[slot_edge])
+    slot_edge = np.concatenate(slot_edge)
+    slot_cell = np.concatenate(slot_cell)
+    flux = np.concatenate(slot_flux)
+    noise = np.concatenate(slot_noise).max(axis=1) / mesh.edge_lengths[slot_edge]
     owned = slot_cell == mesh.edge_left[slot_edge]
     edge_coeffs = np.zeros((mesh.num_edges, k + 1))
     edge_noise = np.zeros(mesh.num_edges)
@@ -355,7 +368,7 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     bnd = mesh.boundary_mask
     parts = mesh.edge_lengths[bnd] * (edge_coeffs[bnd] @ weights)
     boundary_flux = float(parts.sum())
-    total_source = sum(float(el.f_moments[0]) for el in system.elements)
+    total_source = sum(float(g.f_moments[:, 0].sum()) for g in system.groups)
     cons_scale = max(abs(total_source), float(np.abs(parts).sum()), 1e-300)
     cons_mismatch = boundary_flux - total_source
     conservation_gap = max(0.0, abs(cons_mismatch) - float(cell_noise.sum())) / cons_scale

@@ -9,9 +9,11 @@ meaningless ratio.  At the lowest order (k = 0) each row also carries the
 error of the Raviart-Thomas-type velocity, from the same solve.
 
 `solve_case` walks no cells itself: `recovery.recover_velocity` fills every
-cellwise field in its one pass, and `error_norms` evaluates all of them on
-a cell from one table of scaled monomials of degree k+1 (graded-lex order
-nests, so the lower-degree fields read its leading rows).
+cellwise field in its one pass, and `error_norms` integrates a vertex-count
+group of cells at a time, evaluating the exact solution once per group and
+every discrete field from one stacked table of scaled monomials of degree
+k+1 (graded-lex order nests, so the lower-degree fields read its leading
+rows).
 """
 
 from __future__ import annotations
@@ -111,28 +113,31 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     vel = result.velocity
     err = np.zeros(5)
     ref = np.zeros(4)
-    for c in range(mesh.num_cells):
-        quad = polygon_quadrature(mesh.cell_coords(c), 2 * (k + 3))
-        pts, w = quad.points, quad.weights
-        u_ex = case.velocity(pts)
-        p_ex = case.pressure(pts)
-        gp_ex = case.grad_pressure(pts)
-        f_ex = case.forcing(pts)
-        table = vel.pressure.monomials(c, pts)   # degree k+1, the highest
-        u_h = vel.projected.values(c, table)
-        p_h = vel.pressure.values(c, table)
-        gp_h = vel.grad_pressure.values(c, table)
-        div_h = vel.divergence.values(c, table)
-        err[0] += float(w @ ((u_ex - u_h) ** 2).sum(axis=1))
-        err[1] += float(w @ (p_ex - p_h) ** 2)
-        err[2] += float(w @ ((gp_ex - gp_h) ** 2).sum(axis=1))
-        err[3] += float(w @ (f_ex - div_h) ** 2)
+    for group in result.system.groups:
+        quad = polygon_quadrature(group.coords, 2 * (k + 3))
+        w = quad.weights                          # (G, nq)
+        pts = quad.points.reshape(-1, 2)
+        u_ex = case.velocity(pts).reshape(w.shape + (2,))
+        p_ex = case.pressure(pts).reshape(w.shape)
+        gp_ex = case.grad_pressure(pts).reshape(w.shape + (2,))
+        f_ex = case.forcing(pts).reshape(w.shape)
+        cells = group.cell
+        table = vel.pressure.monomials(cells, quad.points)  # degree k+1, the highest
+        u_h = vel.projected.values(cells, table)
+        p_h = vel.pressure.values(cells, table)
+        gp_h = vel.grad_pressure.values(cells, table)
+        div_h = vel.divergence.values(cells, table)
+        err[0] += float(np.sum(w * ((u_ex - u_h) ** 2).sum(axis=-1)))
+        err[1] += float(np.sum(w * (p_ex - p_h) ** 2))
+        err[2] += float(np.sum(w * ((gp_ex - gp_h) ** 2).sum(axis=-1)))
+        err[3] += float(np.sum(w * (f_ex - div_h) ** 2))
         if vel.rt is not None:
-            err[4] += float(w @ ((u_ex - vel.rt.values(c, table)) ** 2).sum(axis=1))
-        ref[0] += float(w @ (u_ex ** 2).sum(axis=1))
-        ref[1] += float(w @ p_ex ** 2)
-        ref[2] += float(w @ (gp_ex ** 2).sum(axis=1))
-        ref[3] += float(w @ f_ex ** 2)
+            rt_h = vel.rt.values(cells, table)
+            err[4] += float(np.sum(w * ((u_ex - rt_h) ** 2).sum(axis=-1)))
+        ref[0] += float(np.sum(w * (u_ex ** 2).sum(axis=-1)))
+        ref[1] += float(np.sum(w * p_ex ** 2))
+        ref[2] += float(np.sum(w * (gp_ex ** 2).sum(axis=-1)))
+        ref[3] += float(np.sum(w * f_ex ** 2))
     err = np.sqrt(np.maximum(err, 0.0))
     ref = np.sqrt(np.maximum(ref, 0.0))
     return ConvergenceRow(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from polydarcy import polymesh
@@ -44,6 +45,11 @@ def test_global_dof_counts():
 def test_dofmap_partition(k):
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=3, distortion=0.2)
     dofmap = build_dof_map(mesh, k)
+    # interior edges are numbered in edge order, k+1 slots each
+    expected = np.full(mesh.num_edges, -1)
+    interior = np.flatnonzero(mesh.edge_right >= 0)
+    expected[interior] = (k + 1) * np.arange(len(interior))
+    assert np.array_equal(dofmap.edge_offset, expected)
     counts = np.zeros(dofmap.n_global, dtype=int)
     for c in range(mesh.num_cells):
         glob = dofmap.cell_global(c)
@@ -218,3 +224,43 @@ def test_patch_exactness_small(k):
         exact = oracles.exact_local_dofs(mesh, element, case.pressure)
         got = system.local_pressure(c)
         assert np.abs(got - exact).max() < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_grouped_build_keeps_cell_identity(k):
+    # 69 4-gons, 53 5-gons, 21 6-gons and one 7-gon: every record read back
+    # from a group is that cell's own, and the stacked scatter is the
+    # per-cell scatter
+    case = polynomial_case(k, seed=3)
+    mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
+    system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
+    fields = ("coords", "area", "edge_ids", "edge_signs", "edge_lengths", "edge_cross",
+              "mass", "p_nabla", "p0", "p0k", "grad_proj", "stiffness", "load",
+              "f_moments", "f_coeffs", "k_mean", "grad_coeff", "gkperp_rec")
+    n = system.dofmap.n_global
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for c in range(mesh.num_cells):
+        got = system.elements[c]
+        ref = build_element(mesh, c, k, kvar, case.forcing)
+        assert got.cell == c
+        pairs = [(getattr(got, name), getattr(ref, name)) for name in fields]
+        pairs += [(got.basis.center, ref.basis.center),
+                  (got.basis.diameter, ref.basis.diameter),
+                  (got.gk_perp.coeffs, ref.gk_perp.coeffs)]
+        for name, (a, b) in zip(fields + ("center", "diameter", "gk_perp"), pairs):
+            assert np.shape(a) == np.shape(b), (c, name)
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
+        glob = system.dofmap.cell_global(c)
+        free = glob >= 0
+        lifted = system.local_boundary(c)
+        np.add.at(rhs, glob[free], (ref.load - ref.stiffness @ lifted)[free])
+        rows.append(np.repeat(glob[free], free.sum()))
+        cols.append(np.tile(glob[free], free.sum()))
+        vals.append(ref.stiffness[np.ix_(free, free)].ravel())
+    scatter = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n)).tocsr()
+    gap = abs(system.matrix.csr - scatter).max()
+    assert gap <= 1e-13 * abs(scatter).max()
+    assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()

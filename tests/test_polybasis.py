@@ -102,22 +102,36 @@ def test_quadrature_integrates_xy_on_unit_square():
     assert val == pytest.approx(0.25, abs=1e-14)
 
 
+# Hexagons stacked as one group; the centroid (0.339, 0.339) of the thin L
+# lies outside its kernel [0, 0.25]^2, so its star point comes from the
+# linear program inside the stack.
+HEXAGON_STACK = np.array([
+    [[0.0, 0.0], [1.0, -0.2], [1.8, 0.4], [1.7, 1.3], [0.8, 1.6], [-0.1, 0.9]],
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 0.25], [0.25, 0.25], [0.25, 1.0], [0.0, 1.0]],
+    [[0.5, 0.5], [1.0, 0.5], [1.2, 0.8], [1.0, 1.1], [0.5, 1.1], [0.3, 0.8]],
+])
+
+
 @pytest.mark.parametrize("coords", [
     UNIT_SQUARE,
     PENTAGON,
     np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]),
+    HEXAGON_STACK,
 ])
 @pytest.mark.parametrize("degree", [1, 3, 6])
 def test_quadrature_exactness_against_closed_form(coords, degree):
     quad = polygon_quadrature(coords, degree)
     assert np.all(quad.weights > 0.0)
-    area = abs(polymesh.polygon_area(coords))
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            num = float(quad.weights
-                        @ (quad.points[:, 0] ** a * quad.points[:, 1] ** b))
-            ref = oracles.polygon_monomial_integral(coords, a, b)
-            assert abs(num - ref) < 1e-13 * max(area, 1.0), (a, b)
+    members = zip(coords.reshape((-1,) + coords.shape[-2:]),
+                  quad.points.reshape((-1,) + quad.points.shape[-2:]),
+                  quad.weights.reshape(-1, quad.weights.shape[-1]))
+    for polygon, points, weights in members:
+        area = abs(polymesh.polygon_area(polygon))
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                num = float(weights @ (points[:, 0] ** a * points[:, 1] ** b))
+                ref = oracles.polygon_monomial_integral(polygon, a, b)
+                assert abs(num - ref) < 1e-13 * max(area, 1.0), (a, b)
 
 
 def test_mass_matrix_k0_is_area():
