@@ -13,6 +13,17 @@ Conventions fixed here and relied on by the discretization modules:
   cell, the incident cell with the smallest index;
 * the stored unit normal is the stored direction rotated by -90 degrees,
   i.e. (dy, -dx)/length, which points out of the left cell.
+
+One validity routine, `_loop_defects`, decides whether loops are admissible
+cells, for a whole stack of loops with one vertex count at a time: positive
+signed area, then the pairwise edge test for simplicity, then
+star-shapedness (the centroid half-plane test of `star_point`, with the
+Chebyshev-center linear program only for loops whose centroid fails it).
+`build_topology` runs it per vertex-count group and builds the edge table
+from the sorted vertex pairs.  The distorted-mesh generator runs it on
+blocks of speculatively placed vertices and rewinds its random stream at a
+rejected candidate, so it returns the meshes of placing one vertex at a
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class MeshError(ValueError):
@@ -66,100 +76,51 @@ def polygon_centroid(coords: np.ndarray) -> np.ndarray:
 def polygon_diameter(coords: np.ndarray):
     """Largest pairwise vertex distance; (...) for a stack of loops."""
     diff = coords[..., :, None, :] - coords[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(-2, -1))
+    return np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=(-2, -1)))
 
 
-def _segments_conflict(p0, p1, q0, q1, adjacent: bool, eps: float) -> bool:
-    """True if two polygon edges violate simplicity.
+def _is_simple(coords: np.ndarray) -> np.ndarray:
+    """(G,) True where a loop of the (G, n, 2) stack has no self-contact.
 
-    Adjacent edges (sharing one endpoint) conflict only if they fold back
-    onto each other; non-adjacent edges conflict on any contact.
+    Every pair of edges is tested.  Adjacent edges (sharing one endpoint)
+    conflict only if they fold back onto each other; non-adjacent edges
+    conflict on any contact, within eps = 1e-12 * diameter^2 for the cross
+    products and 1e-12 for the segment parameters.
     """
-    d0 = p1 - p0
-    d1 = q1 - q0
-    if adjacent:
-        # Loop order guarantees the shared endpoint is p1 == q0.
-        cross = d0[0] * d1[1] - d0[1] * d1[0]
-        if abs(cross) <= eps and np.dot(d0, d1) < 0.0:
-            return True
-        return False
-    denom = d0[0] * d1[1] - d0[1] * d1[0]
+    n = coords.shape[-2]
+    scale = polygon_diameter(coords)
+    eps = (1e-12 * scale * scale)[:, None]
+    ends = np.roll(coords, -1, axis=-2)
+    d = ends - coords
+    # edge k and edge k + 1 share vertex k + 1
+    dn = np.roll(d, -1, axis=-2)
+    cross = d[..., 0] * dn[..., 1] - d[..., 1] * dn[..., 0]
+    dot = d[..., 0] * dn[..., 0] + d[..., 1] * dn[..., 1]
+    folded = (np.abs(cross) <= eps) & (dot < 0.0)
+
+    i, j = np.triu_indices(n, 2)
+    nonadjacent = (i > 0) | (j < n - 1)
+    i, j = i[nonadjacent], j[nonadjacent]
+    p0, p1, q0, q1 = coords[:, i], ends[:, i], coords[:, j], ends[:, j]
+    d0, d1 = d[:, i], d[:, j]
     r = q0 - p0
-    if abs(denom) > eps:
-        t = (r[0] * d1[1] - r[1] * d1[0]) / denom
-        s = (r[0] * d0[1] - r[1] * d0[0]) / denom
-        return -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= s <= 1 + 1e-12
-    # Parallel: conflict only if collinear with overlapping extents.
-    if abs(r[0] * d0[1] - r[1] * d0[0]) > eps:
-        return False
-    axis = 0 if abs(d0[0]) >= abs(d0[1]) else 1
-    lo0, hi0 = sorted((p0[axis], p1[axis]))
-    lo1, hi1 = sorted((q0[axis], q1[axis]))
-    return hi0 >= lo1 - eps and hi1 >= lo0 - eps
-
-
-def is_simple_polygon(coords: np.ndarray) -> bool:
-    """Check that a vertex loop bounds a simple polygon (no self-contact)."""
-    n = len(coords)
-    if n < 3:
-        return False
-    scale = polygon_diameter(coords)
-    if scale == 0.0:
-        return False
-    eps = 1e-12 * scale * scale
-    for i in range(n):
-        p0, p1 = coords[i], coords[(i + 1) % n]
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            q0, q1 = coords[j], coords[(j + 1) % n]
-            if adjacent:
-                # Orient so the shared endpoint sits between the two.
-                if j == i + 1:
-                    a0, a1, b0, b1 = p0, p1, q0, q1
-                else:
-                    a0, a1, b0, b1 = q0, q1, p0, p1
-                if _segments_conflict(a0, a1, b0, b1, True, eps):
-                    return False
-            elif _segments_conflict(p0, p1, q0, q1, False, eps):
-                return False
-    return True
-
-
-def polygon_kernel(coords: np.ndarray) -> np.ndarray | None:
-    """Kernel of a simple CCW polygon (points seeing every vertex).
-
-    Clips the polygon by the half-plane left of each edge; returns the kernel
-    as a vertex loop, or None if it is empty (the polygon is not star-shaped).
-    """
-    kernel = [np.asarray(v, dtype=float) for v in coords]
-    n = len(coords)
-    scale = polygon_diameter(coords)
-    eps = 1e-14 * scale
-    for i in range(n):
-        a = coords[i]
-        b = coords[(i + 1) % n]
-        d = b - a
-        # signed distance > 0 on the interior side
-        out = []
-        m = len(kernel)
-        if m == 0:
-            return None
-        dist = [d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0]) for p in kernel]
-        for j in range(m):
-            p, q = kernel[j], kernel[(j + 1) % m]
-            dp, dq = dist[j], dist[(j + 1) % m]
-            if dp >= -eps:
-                out.append(p)
-            if (dp > eps and dq < -eps) or (dp < -eps and dq > eps):
-                t = dp / (dp - dq)
-                out.append(p + t * (q - p))
-        kernel = out
-    if len(kernel) < 3:
-        return None
-    arr = np.array(kernel)
-    if abs(polygon_area(arr)) < (1e-12 * scale) ** 2:
-        return None
-    return arr
+    denom = d0[..., 0] * d1[..., 1] - d0[..., 1] * d1[..., 0]
+    r_d1 = r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]
+    r_d0 = r[..., 0] * d0[..., 1] - r[..., 1] * d0[..., 0]
+    crossing = np.abs(denom) > eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = r_d1 / denom
+        s = r_d0 / denom
+    lo, hi = -1e-12, 1 + 1e-12
+    meet = crossing & (lo <= t) & (t <= hi) & (lo <= s) & (s <= hi)
+    # Parallel: a conflict only if collinear with overlapping extents along
+    # the dominant axis of the first edge.
+    along_x = np.abs(d0[..., 0]) >= np.abs(d0[..., 1])
+    a0, a1, b0, b1 = (np.where(along_x, pt[..., 0], pt[..., 1]) for pt in (p0, p1, q0, q1))
+    overlap = (~crossing & (np.abs(r_d0) <= eps)
+               & (np.maximum(a0, a1) >= np.minimum(b0, b1) - eps)
+               & (np.maximum(b0, b1) >= np.minimum(a0, a1) - eps))
+    return ~(folded.any(axis=-1) | (meet | overlap).any(axis=-1))
 
 
 def _chebyshev_center(coords: np.ndarray) -> tuple:
@@ -171,6 +132,10 @@ def _chebyshev_center(coords: np.ndarray) -> tuple:
     n_i . x + r <= n_i . a_i, so the linear program maximizes r under those
     rows.  Returns (None, 0.0) when the program fails (empty kernel).
     """
+    # Deferred: only loops whose centroid test fails get here, and
+    # scipy.optimize takes a noticeable share of the package import.
+    from scipy.optimize import linprog
+
     n = len(coords)
     a_rows = np.empty((n, 3))
     b_rows = np.empty(n)
@@ -206,26 +171,61 @@ def kernel_inradius(coords: np.ndarray) -> float:
     return _chebyshev_center(coords)[1]
 
 
-def star_point(coords: np.ndarray) -> np.ndarray:
-    """A point from which every vertex of the CCW polygon is visible.
+def _star_centers(pts: np.ndarray) -> tuple:
+    """Star points of a stack of CCW loops (..., n, 2) and where they exist.
 
     The kernel is the intersection of the inner half-planes of the edges, so
-    the centroid is returned when it lies strictly on the inner side of every
-    edge; otherwise the Chebyshev center of the kernel.  A stack of loops
-    (..., n, 2) is tested at once and only the loops whose centroid fails go
-    to the linear program.  Raises MeshError if a polygon is not star-shaped.
+    the centroid serves when it lies strictly on the inner side of every
+    edge; only the loops whose centroid fails go to the `_chebyshev_center`
+    linear program.  Returns the points (..., 2) and the mask (...) of loops
+    with a nonempty kernel (star-shaped); the other points are centroids.
     """
-    pts = np.asarray(coords)
     c = polygon_centroid(pts)
     d = np.roll(pts, -1, axis=-2) - pts
     rel = c[..., None, :] - pts
     inside = np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1)
+    star = np.array(inside)
     for idx in map(tuple, np.argwhere(~inside)):
         center, radius = _chebyshev_center(pts[idx])
-        if radius <= 0.0:
-            raise MeshError("cell is not star-shaped with respect to any point")
-        c[idx] = center
+        if radius > 0.0:
+            c[idx] = center
+            star[idx] = True
+    return c, star
+
+
+def star_point(coords: np.ndarray) -> np.ndarray:
+    """A point from which every vertex of the CCW polygon is visible.
+
+    The centroid when it sees every edge, otherwise the Chebyshev center of
+    the kernel (see `_star_centers`); (..., 2) for a stack of loops.  Raises
+    MeshError if a polygon is not star-shaped.
+    """
+    c, star = _star_centers(np.asarray(coords))
+    if not np.all(star):
+        raise MeshError("cell is not star-shaped with respect to any point")
     return c
+
+
+# Why a loop is not admissible as a cell; `_loop_defects` returns code i + 1
+# for _LOOP_DEFECTS[i].
+_LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate",
+                 "self-intersecting polygon", "polygon is not star-shaped")
+
+
+def _loop_defects(coords: np.ndarray) -> np.ndarray:
+    """The one cell-validity routine, over a (G, n, 2) stack of loops.
+
+    A loop is admissible when its signed area is positive, it is simple
+    (`_is_simple`) and it is star-shaped (`_star_centers`).  Returns (G,)
+    codes: 0 for an admissible loop, else 1, 2 or 3 for the first test it
+    fails, in that order.  Each test runs only on the loops that passed the
+    ones before it.
+    """
+    defects = np.where(polygon_area(coords) > 0.0, 0, 1)
+    for code, test in ((2, _is_simple), (3, lambda xy: _star_centers(xy)[1])):
+        rows = np.flatnonzero(defects == 0)
+        defects[rows[~test(coords[rows])]] = code
+    return defects
 
 
 @dataclass
@@ -310,68 +310,98 @@ class CellGroup:
     signs: np.ndarray   # (G, n) +1 where the loop runs along the stored edge
 
 
+# Why a cell is rejected before its geometry is tested.
+_INDEX_DEFECTS = ("needs at least 3 vertices", "vertex index out of range",
+                  "repeated vertex in loop")
+
+
+def _check_loops(vertices: np.ndarray, loops: list) -> np.ndarray:
+    """Vertex counts of the loops; MeshError names the first inadmissible one.
+
+    Index checks run per vertex-count group, and `_loop_defects` on the
+    loops that pass them; a cell is reported for the first check it fails.
+    """
+    sizes = np.array([loop.size if loop.ndim == 1 else 0 for loop in loops], dtype=np.int64)
+    defects = np.where(sizes < 3, 1, 0)
+    for n in np.unique(sizes[sizes >= 3]).tolist():
+        members = np.flatnonzero(sizes == n)
+        stack = np.stack([loops[c] for c in members.tolist()])
+        found = np.where((stack.min(axis=1) < 0) | (stack.max(axis=1) >= len(vertices)), 2, 0)
+        ordered = np.sort(stack, axis=1)
+        found[(found == 0) & np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = 3
+        rows = np.flatnonzero(found == 0)
+        geometry = _loop_defects(vertices[stack[rows]])
+        found[rows] = np.where(geometry > 0, geometry + len(_INDEX_DEFECTS), 0)
+        defects[members] = found
+    if np.any(defects):
+        c = int(np.argmax(defects > 0))
+        message = (*_INDEX_DEFECTS, *_LOOP_DEFECTS)[defects[c] - 1]
+        raise MeshError(f"cell {c}: {message}")
+    return sizes
+
+
+def _edge_table(num_vertices: int, flat: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Global edge table of the cell loops `flat`, given back to back.
+
+    Cell c owns `sizes[c]` entries of `flat`, in cell order.  A use is one
+    loop edge tail -> head, numbered like `flat`.  Edges are the distinct
+    (min, max) vertex pairs in lexicographic order, each stored in the
+    direction of its first use, whose cell is the smallest incident one (the
+    left cell); a second use must run the other way (the right cell).
+    Returns (edges, edge_left, edge_right, use_edge, use_sign), where
+    use_sign is +1 for a use along the stored direction.  Raises MeshError
+    for an edge that two cells traverse in the same direction; a third use
+    always does.
+    """
+    ends = np.cumsum(sizes)
+    head = np.roll(flat, -1)
+    head[ends - 1] = flat[ends - sizes]
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    forward = flat < head
+    key = np.minimum(flat, head) * num_vertices + np.maximum(flat, head)
+    order = np.argsort(key, kind="stable")  # by edge, then in use order
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    again = np.flatnonzero(~first)
+    clash = again[~first[again - 1] | (forward[order[again]] == forward[order[again - 1]])]
+    if len(clash):
+        q = clash[np.argmin(order[clash])]  # the first clash in use order
+        u = order[q]
+        earlier = order[np.searchsorted(key[order], key[u]):q]
+        w = earlier[forward[earlier] == forward[u]][0]
+        raise MeshError(
+            f"edge ({min(flat[u], head[u])}, {max(flat[u], head[u])}): cells {cell[w]} "
+            f"and {cell[u]} traverse it in the same direction (overlapping or flipped cell)"
+        )
+    edge_of = np.cumsum(first) - 1
+    leading = order[first]
+    edges = np.column_stack([flat[leading], head[leading]])
+    edge_right = np.full(len(leading), -1, dtype=np.int64)
+    edge_right[edge_of[again]] = cell[order[again]]
+    use_edge = np.empty_like(order)
+    use_edge[order] = edge_of
+    use_sign = np.empty_like(order)
+    use_sign[order] = np.where(first, 1, -1)
+    return edges, cell[leading], edge_right, use_edge, use_sign
+
+
 def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     """Assemble a PolyMesh from vertex coordinates and CCW cell loops.
 
-    Validates each loop (at least 3 distinct vertices, positive signed area,
-    simple) and global conformity (an edge belongs to at most two cells, with
-    opposite traversal directions when shared).
+    Validates each loop (at least 3 distinct vertices, then `_loop_defects`:
+    positive signed area, simple, star-shaped) by vertex-count group, and
+    global conformity (an edge belongs to at most two cells, with opposite
+    traversal directions when shared).  A MeshError names the first cell
+    that fails.  The edge table is built from sorted vertex pairs
+    (`_edge_table`).
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
-    nv = len(vertices)
-    loops: list[np.ndarray] = []
-    for c, cell in enumerate(cells):
-        loop = np.asarray(cell, dtype=np.int64)
-        if loop.ndim != 1 or len(loop) < 3:
-            raise MeshError(f"cell {c}: needs at least 3 vertices")
-        if loop.min() < 0 or loop.max() >= nv:
-            raise MeshError(f"cell {c}: vertex index out of range")
-        if len(np.unique(loop)) != len(loop):
-            raise MeshError(f"cell {c}: repeated vertex in loop")
-        coords = vertices[loop]
-        if polygon_area(coords) <= 0.0:
-            raise MeshError(f"cell {c}: loop is not counterclockwise or is degenerate")
-        if not is_simple_polygon(coords):
-            raise MeshError(f"cell {c}: self-intersecting polygon")
-        loops.append(loop)
-
-    # Collect directed edge uses keyed by the unordered vertex pair.
-    uses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for c, loop in enumerate(loops):
-        n = len(loop)
-        for i in range(n):
-            a, b = int(loop[i]), int(loop[(i + 1) % n])
-            key = (a, b) if a < b else (b, a)
-            forward = a < b
-            for other_cell, other_forward in uses.get(key, ()):  # conformity
-                if other_cell == c:
-                    raise MeshError(f"cell {c}: edge {key} traversed twice")
-                if other_forward == forward:
-                    raise MeshError(
-                        f"edge {key}: cells {other_cell} and {c} traverse it in "
-                        "the same direction (overlapping or flipped cell)"
-                    )
-            uses.setdefault(key, []).append((c, forward))
-    for key, inc in uses.items():
-        if len(inc) > 2:
-            raise MeshError(f"edge {key}: shared by more than two cells")
-
-    keys = sorted(uses)
-    ne = len(keys)
-    edges = np.empty((ne, 2), dtype=np.int64)
-    edge_left = np.empty(ne, dtype=np.int64)
-    edge_right = np.full(ne, -1, dtype=np.int64)
-    index_of = {}
-    for e, key in enumerate(keys):
-        inc = sorted(uses[key])  # smallest incident cell first
-        left_cell, left_forward = inc[0]
-        edges[e] = key if left_forward else (key[1], key[0])
-        edge_left[e] = left_cell
-        if len(inc) == 2:
-            edge_right[e] = inc[1][0]
-        index_of[key] = e
+    loops = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    sizes = _check_loops(vertices, loops)
+    flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
+    edges, edge_left, edge_right, use_edge, use_sign = _edge_table(len(vertices), flat, sizes)
 
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(vec[:, 0], vec[:, 1])
@@ -380,31 +410,18 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     tangents = vec / edge_lengths[:, None]
     edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
-    cell_edges = []
-    cell_edge_signs = []
-    for c, loop in enumerate(loops):
-        n = len(loop)
-        ids = np.empty(n, dtype=np.int64)
-        signs = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            a, b = int(loop[i]), int(loop[(i + 1) % n])
-            key = (a, b) if a < b else (b, a)
-            e = index_of[key]
-            ids[i] = e
-            signs[i] = 1 if (edges[e, 0] == a and edges[e, 1] == b) else -1
-        cell_edges.append(ids)
-        cell_edge_signs.append(signs)
-
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
     return PolyMesh(
         vertices=vertices,
-        cells=loops,
+        cells=[flat[a:b] for a, b in bounds],
         edges=edges,
         edge_left=edge_left,
         edge_right=edge_right,
         edge_normals=edge_normals,
         edge_lengths=edge_lengths,
-        cell_edges=cell_edges,
-        cell_edge_signs=cell_edge_signs,
+        cell_edges=[use_edge[a:b] for a, b in bounds],
+        cell_edge_signs=[use_sign[a:b] for a, b in bounds],
     )
 
 
@@ -416,19 +433,15 @@ def euler_check(mesh: PolyMesh) -> bool:
 
 
 def _quad_grid(nx: int, ny: int) -> tuple:
-    """Vertices of the uniform nx-by-ny grid and its CCW quad loops."""
+    """Vertices of the uniform nx-by-ny grid and its (nx*ny, 4) CCW quad loops."""
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be positive")
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     xv, yv = np.meshgrid(xs, ys)
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
-    loops = []
-    for j in range(ny):
-        for i in range(nx):
-            v0 = j * (nx + 1) + i
-            loops.append([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
-    return vertices, loops
+    v0 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return vertices, np.column_stack([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
 
 
 def generate_uniform_quads(nx: int, ny: int) -> PolyMesh:
@@ -440,12 +453,62 @@ def generate_uniform_quads(nx: int, ny: int) -> PolyMesh:
 _SPLIT_FRACTION = 0.15
 
 
-def _loop_valid(coords: np.ndarray) -> bool:
-    return (
-        polygon_area(coords) > 0.0
-        and is_simple_polygon(coords)
-        and polygon_kernel(coords) is not None
-    )
+def _place_vertices(rng, coords: np.ndarray, ids: np.ndarray, half: float,
+                    trials: dict) -> list:
+    """Move vertices ids[0], ids[1], ... off their anchors, one after another.
+
+    Vertex ids[k] starts at its anchor coords[ids[k]] and takes the first
+    of up to 100 candidates anchor + rng.uniform(-half, half, size=2) that
+    keeps every trial loop of k admissible (`_loop_defects`), with
+    ids[:k] at their placed and ids[k+1:] at their anchor positions.
+    `trials` maps a vertex count n to (owner (T,), loops (T, n)), sorted by
+    owner: the loops that vertex ids[owner] must keep admissible.
+
+    The candidates are drawn as one block for all vertices still to place
+    and validated in one stacked call per vertex count, assuming each is
+    accepted.  At the first rejected candidate the generator is rewound, the
+    accepted prefix redrawn, that vertex retried alone and the block resumed
+    after it, so the draws and the result are those of placing one vertex at
+    a time.  Returns the ids left at their anchor after 100 rejections.
+    """
+    rank = np.full(len(coords), -1)
+    rank[ids] = np.arange(len(ids))
+
+    def rejected(start: int, points: np.ndarray) -> np.ndarray:
+        # vertex ids[start + k] at points[k], with points[:k] placed before it
+        bad = np.zeros(len(points), dtype=bool)
+        for owner, loops in trials.values():
+            lo, hi = np.searchsorted(owner, [start, start + len(points)])
+            owner, loops = owner[lo:hi], loops[lo:hi]
+            order = rank[loops]
+            moved = (order >= start) & (order <= owner[:, None])
+            xy = coords[loops]
+            xy[moved] = points[order[moved] - start]
+            bad[owner[_loop_defects(xy) > 0] - start] = True
+        return bad
+
+    failed = []
+    start = 0
+    while start < len(ids):
+        state = rng.bit_generator.state
+        points = coords[ids[start:]] + rng.uniform(-half, half, size=(len(ids) - start, 2))
+        bad = rejected(start, points)
+        k = int(np.argmax(bad)) if bad.any() else len(bad)
+        coords[ids[start:start + k]] = points[:k]
+        if k == len(bad):
+            break
+        rng.bit_generator.state = state
+        rng.uniform(-half, half, size=(k, 2))  # the accepted prefix again
+        v = start + k
+        for _ in range(100):
+            point = coords[ids[v]] + rng.uniform(-half, half, size=2)
+            if not rejected(v, point[None])[0]:
+                coords[ids[v]] = point
+                break
+        else:
+            failed.append(int(ids[v]))
+        start = v + 1
+    return failed
 
 
 def generate_distorted_polygonal(
@@ -456,84 +519,65 @@ def generate_distorted_polygonal(
 ) -> PolyMesh:
     """Randomly perturbed quad mesh with a fraction of edges midside-split.
 
-    Interior vertices of the uniform nx-by-ny grid are jittered by offsets
-    drawn uniformly from [-distortion*h, distortion*h]^2 with h the smaller
-    grid spacing; each offset is retried (up to 100 draws) until every cell
-    touching the vertex stays simple, CCW and star-shaped, and a MeshError is
-    raised if no admissible offset is found.  A fixed share (15%) of the
-    interior edges then receives a jittered midside vertex, turning some quads
-    into pentagons and hexagons.  Fully deterministic for fixed arguments.
+    Interior vertices of the uniform nx-by-ny grid are jittered, in
+    row-major order, by offsets drawn uniformly from
+    [-distortion*h, distortion*h]^2 with h the smaller grid spacing; each
+    offset is retried (up to 100 draws) until every cell touching the vertex
+    passes the one validity routine `_loop_defects` (CCW, simple,
+    star-shaped), and a MeshError is raised if no admissible offset is
+    found.  A fixed share (15%) of the interior edges then receives a
+    midside vertex jittered by half as much, retried the same way against
+    its two trial loops and left at the exact midpoint if none is found;
+    this turns some quads into pentagons and hexagons.
+
+    Both phases place vertices through `_place_vertices`: a block of
+    candidate offsets drawn at once and validated in stacked calls,
+    rewound at a rejection, so the random stream, and hence the mesh, is
+    that of placing one vertex at a time.  Fully deterministic for fixed
+    arguments.
     """
     if not 0.0 <= distortion < 0.5:
         raise MeshError("distortion must lie in [0, 0.5)")
     if distortion == 0.0:
         return generate_uniform_quads(nx, ny)
 
-    vertices, loops = _quad_grid(nx, ny)
+    vertices, quads = _quad_grid(nx, ny)
     rng = np.random.default_rng([seed, nx, ny, int(round(distortion * 1e9))])
-
-    vertex_cells: dict[int, list[int]] = {}
-    for c, loop in enumerate(loops):
-        for v in loop:
-            vertex_cells.setdefault(v, []).append(c)
-
     amp = distortion * min(1.0 / nx, 1.0 / ny)
-    for j in range(1, ny):
-        for i in range(1, nx):
-            v = j * (nx + 1) + i
-            base = vertices[v].copy()
-            placed = False
-            for _ in range(100):
-                candidate = base + rng.uniform(-amp, amp, size=2)
-                vertices[v] = candidate
-                if all(
-                    _loop_valid(vertices[np.asarray(loops[c])])
-                    for c in vertex_cells[v]
-                ):
-                    placed = True
-                    break
-            if not placed:
-                raise MeshError(
-                    f"no admissible offset for interior vertex {v} "
-                    f"after 100 attempts (distortion={distortion})"
-                )
+
+    # Interior vertices row by row; the trial loops of each are its 4 quads.
+    j, i = (axis.ravel() for axis in np.mgrid[1:ny, 1:nx])
+    inner = j * (nx + 1) + i
+    around = np.column_stack([(j - 1) * nx + i - 1, (j - 1) * nx + i,
+                              j * nx + i - 1, j * nx + i])
+    owner = np.repeat(np.arange(len(inner)), 4)
+    failed = _place_vertices(rng, vertices, inner, amp, {4: (owner, quads[around.ravel()])})
+    if failed:
+        raise MeshError(
+            f"no admissible offset for interior vertex {failed[0]} "
+            f"after 100 attempts (distortion={distortion})"
+        )
 
     # Split a deterministic subset of interior edges at a jittered midpoint.
-    edge_cells: dict[tuple[int, int], list[int]] = {}
-    for c, loop in enumerate(loops):
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            key = (a, b) if a < b else (b, a)
-            edge_cells.setdefault(key, []).append(c)
-    interior = sorted(k for k, inc in edge_cells.items() if len(inc) == 2)
-    pick = rng.random(len(interior)) < _SPLIT_FRACTION
-
-    # One preallocated slot per split; only the two trial loops are tested.
-    coords = np.empty((len(vertices) + int(np.count_nonzero(pick)), 2))
-    coords[:len(vertices)] = vertices
-    new_id = len(vertices)
-    for key, chosen in zip(interior, pick):
-        if not chosen:
-            continue
-        a, b = key
-        mid = 0.5 * (coords[a] + coords[b])
-        c0, c1 = edge_cells[key]
-        trial0 = _insert_after_edge(loops[c0], a, b, new_id)
-        trial1 = _insert_after_edge(loops[c1], a, b, new_id)
-        idx0, idx1 = np.asarray(trial0), np.asarray(trial1)
-        placed = False
-        for _ in range(100):
-            coords[new_id] = mid + rng.uniform(-0.5 * amp, 0.5 * amp, size=2)
-            if _loop_valid(coords[idx0]) and _loop_valid(coords[idx1]):
-                placed = True
-                break
-        if not placed:
-            coords[new_id] = mid  # exact midpoint is always admissible
-        loops[c0] = trial0
-        loops[c1] = trial1
-        new_id += 1
-
+    # Which loops each split rewrites does not depend on where its vertex
+    # lands, so all trial loops are known before any split vertex is placed.
+    nv = len(vertices)
+    edges, left, right = _edge_table(nv, quads.ravel(), np.full(len(quads), 4))[:3]
+    interior = np.flatnonzero(right >= 0)
+    chosen = interior[rng.random(len(interior)) < _SPLIT_FRACTION]
+    ends = np.sort(edges[chosen], axis=1)
+    coords = np.concatenate([vertices, 0.5 * (vertices[ends[:, 0]] + vertices[ends[:, 1]])])
+    loops = quads.tolist()
+    trials: dict[int, tuple] = {}
+    for s, (a, b) in enumerate(ends.tolist()):
+        for c in (int(left[chosen[s]]), int(right[chosen[s]])):
+            loops[c] = _insert_after_edge(loops[c], a, b, nv + s)
+            owners, stack = trials.setdefault(len(loops[c]), ([], []))
+            owners.append(s)
+            stack.append(loops[c])
+    trials = {n: (np.array(owners), np.array(stack)) for n, (owners, stack) in trials.items()}
+    # a split vertex without an admissible offset stays at the exact midpoint
+    _place_vertices(rng, coords, nv + np.arange(len(chosen)), 0.5 * amp, trials)
     return build_topology(coords, loops)
 
 

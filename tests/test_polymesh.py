@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +107,34 @@ def test_edge_with_three_cells_rejected():
         build_topology(verts, loops)
 
 
+def roofed_row():
+    """Six unit cells in a row: quads 0, 2, 4 and roofed pentagons 1, 3, 5."""
+    bottom = [(float(i), 0.0) for i in range(7)]
+    top = [(float(i), 1.0) for i in range(7)]
+    roofs = [(i + 0.5, 1.3) for i in range(6)]
+    loops = [[i, i + 1, 8 + i, 7 + i] if i % 2 == 0 else
+             [i, i + 1, 8 + i, 14 + i, 7 + i] for i in range(6)]
+    return np.array(bottom + top + roofs), loops
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ({5: [5, 6, 13, 12, 19]}, "cell 5: self-intersecting"),   # bowtie
+    ({4: [4, 11, 12, 5]}, "cell 4: loop is not counterclockwise"),
+    ({3: [3, 4, 11, 17, 11]}, "cell 3: repeated vertex"),
+    # cell 4 overlaps cell 3 and runs along its bottom edge 3 -> 4
+    ({4: [3, 4, 11, 10]}, "cells 3 and 4 traverse it in the same direction"),
+    # the smaller index wins across vertex-count groups
+    ({4: [4, 11, 12, 5], 3: [3, 4, 11, 10, 17]}, "cell 3: self-intersecting"),
+], ids=["bowtie", "clockwise", "repeated-vertex", "same-direction", "two-groups"])
+def test_invalid_loop_error_names_its_cell(bad, expected):
+    vertices, loops = roofed_row()
+    build_topology(vertices, loops)  # the unedited row is valid
+    for c, loop in bad.items():
+        loops[c] = loop
+    with pytest.raises(MeshError, match=expected):
+        build_topology(vertices, loops)
+
+
 def test_distortion_zero_equals_uniform():
     a = generate_distorted_polygonal(4, 4, seed=9, distortion=0.0)
     b = generate_uniform_quads(4, 4)
@@ -141,6 +172,18 @@ PINNED_MESHES = [
     (8, 11, 0.25, "15e5b22ef4e1e42eac029d30288126144f86e67b74a32b168c0bb8ec86d34688"),
     (12, 601, 0.2, "306c46a050c56c849963f7b09e9edce48cd45cb380bc1d95de6ff31896362a5d"),
     (24, 2028, 0.2, "e8149f7be1df4bc2d864afe8c883aca2a3a29a6d7cdcee421b25176a35517256"),
+    # Recorded with the one-vertex-at-a-time generator; at distortion 0.45
+    # split candidates get rejected, which no pin above reaches.
+    # (6, 11): two pentagon and one hexagon rejection, and one valid
+    # pentagon whose centroid sees not every edge (linear-program test).
+    (6, 11, 0.45, "cac33a8a44a6d2e16d7dffa6286ae80c1781c631e48175bcc432dc644db75104"),
+    # (8, 39): four rejections in 6- and 7-gons, two split vertices each
+    # rejected twice in a row (the retry loop), and four valid loops that
+    # need the linear program.
+    (8, 39, 0.45, "b6f179047e52383c6ccb344095d8bafdc97ca5bcec3b74aa48b591a2f6fcb4f4"),
+    # (4, 37): one rejection, at the second split vertex, after a one-vertex
+    # accepted prefix.
+    (4, 37, 0.45, "8ae910d2d6997d8ebb8f1ddc8356240e4096d4af5ff3e0e735a947f58d0cea6d"),
 ]
 
 
@@ -216,6 +259,17 @@ def test_star_point_rejects_u_shape():
                         [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
     with pytest.raises(MeshError):
         star_point(u_shape)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the star test imports its linear program on first use only
+    package_root = str(Path(polymesh.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import polydarcy; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_mesh_file_roundtrip(tmp_path):
