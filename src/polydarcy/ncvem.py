@@ -311,7 +311,8 @@ def build_element(
     # Gradient-complement machinery: orthonormal basis and the operator that
     # recovers the complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
-    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k), mass_k)
+    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k), mass_k,
+                        group.cells)
     gkperp_rec = -(gkp.coeffs.mT @ mk_w @ grad_proj) / area[:, None, None]
 
     element = NcElement(

@@ -16,6 +16,8 @@ projector of all edges.
 Quadrature on a polygon fans it into triangles around a star point and maps
 a Gauss-Jacobi x Gauss-Legendre tensor rule through the collapsed-square
 transform, giving positive weights and exactness up to the requested degree.
+Both one-dimensional rules are computed with numpy: Gauss-Legendre by
+`leggauss`, Gauss-Jacobi by Golub-Welsch.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import roots_jacobi, roots_legendre
 
 from .polymesh import polygon_centroid, polygon_diameter, star_point
 
@@ -114,15 +114,34 @@ def cell_basis(coords: np.ndarray, k: int) -> ScaledMonomialBasis:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 @lru_cache(maxsize=None)
 def _gauss_jacobi01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # weight (1 - x) on [0, 1]: from Jacobi weight (1 - t)^1 (1 + t)^0 on [-1, 1]
-    x, w = roots_jacobi(n, 1.0, 0.0)
-    return (x + 1.0) / 2.0, w / 4.0
+    """Gauss rule for the weight (1 - x) on [0, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the weight
+    (1 - t)^1 (1 + t)^0 on [-1, 1]; the weights are the Christoffel numbers
+    1 / sum_j p_j(t)^2 of its orthonormal polynomials, run by their
+    three-term recurrence from p_0 = 1/sqrt(2) (the weight has mass 2).
+    """
+    # recurrence coefficients a_j, b_j at alpha = 1, beta = 0; s = 2j + 1
+    j = np.arange(n, dtype=float)
+    s = 2.0 * j + 1.0
+    a = -1.0 / (s * (s + 2.0))
+    m, t = j[1:], s[1:]
+    b = np.sqrt(np.concatenate([[0.0], 4.0 * m ** 2 * (m + 1.0) ** 2
+                                / (t ** 2 * (t + 1.0) * (t - 1.0))]))
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+    # b_{i+1} p_{i+1} = (x - a_i) p_i - b_i p_{i-1}, with b_0 = 0
+    p_prev, p = np.zeros(n), np.full(n, 1.0 / np.sqrt(2.0))
+    total = p * p
+    for i in range(n - 1):
+        p_prev, p = p, ((x - a[i]) * p - b[i] * p_prev) / b[i + 1]
+        total += p * p
+    return (x + 1.0) / 2.0, 1.0 / (4.0 * total)
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,7 @@ def edge_reference(k: int, npoints: int) -> EdgeReference:
     moments = np.vstack([s ** b for b in range(k + 1)]) * w
     p = np.add.outer(np.arange(k + 1), np.arange(k + 1))
     gram = np.where(p % 2 == 0, 0.5 ** p / (p + 1), 0.0)
-    projector = cho_solve(cho_factor(gram), moments)
+    projector = np.linalg.solve(gram, moments)
     for table in (t, moments, projector):  # shared through the caches
         table.setflags(write=False)
     return EdgeReference(nodes=t, moments=moments, projector=projector)
@@ -196,8 +215,13 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     e1 = coords - center
     e2 = np.roll(coords, -1, axis=-2) - center
     jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]  # 2 * signed areas
-    pts = (center[..., None, :] + u[:, None] * e1[..., None, :]
-           + v[:, None] * e2[..., None, :])
+    # (center + u e1) + v e2, accumulated in place one coordinate at a time
+    pts = np.empty(e1.shape[:-1] + (len(u), 2))
+    for d in range(2):
+        x = pts[..., d]
+        np.multiply(e1[..., d, None], u, out=x)
+        x += center[..., d, None]
+        x += e2[..., d, None] * v
     lead = coords.shape[:-2]
     return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
                           weights=(jac[..., None] * wt).reshape(lead + (-1,)),
@@ -276,38 +300,65 @@ def gradient_coefficient_matrix(k: int, diameter) -> np.ndarray:
     return _exponent_gradients(k) / np.asarray(diameter, dtype=float)[..., None, None]
 
 
-def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray) -> GkPerpBasis:
+@lru_cache(maxsize=None)
+def _gradient_annihilator(k: int) -> np.ndarray:
+    """Orthonormal null space Z (2 pi_k, dim) of E^T, for E the exact-gradient
+    table of P_{k+1} at diameter 1 without its constant column.
+
+    A cell's diameter only scales E, so one Z serves every cell.
+    """
+    e = _exponent_gradients(k + 1)[:, 1:]
+    z = np.linalg.svd(e)[0][:, e.shape[1]:]
+    z.setflags(write=False)  # shared through the cache
+    return z
+
+
+def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray,
+                  cells=None) -> GkPerpBasis:
     """Construct the orthonormal complement basis on one polygon or a stack.
 
     `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
     Gram matrix on the cell, both stacked for a group.  The complement is the
-    kernel of the pairing of (P_k)^2 against exact gradients of P_{k+1}; an
-    SVD nullspace is orthonormalized in the L2(P) inner product by a Cholesky
-    factor of its small Gram matrix.  The basis is unique up to an orthogonal
-    change within the complement (a sign at k = 1).  Raises if the numerical
-    rank of any member disagrees with 2 pi_k - pi_{k+1} + 1.
+    kernel of the pairing of (P_k)^2 against exact gradients of P_{k+1}, so
+    it is M_vec^{-1} Z with Z the fixed null space of the transposed gradient
+    table; M_vec^{-1} Z is orthonormalized in the L2(P) inner product by the
+    Cholesky factor of its small Gram Z^T M_vec^{-1} Z.  The basis is unique
+    up to an orthogonal change within the complement (a sign at k = 1).
+    Raises ValueError naming the first member (by `cells`, default its
+    position in the stack) whose small Gram is not positive definite or not
+    finite.
     """
-    expected = gk_perp_dimension(basis.degree)
-    mvec = vector_mass_matrix(mass_k)
-    if expected == 0:
-        return GkPerpBasis(basis=basis, coeffs=mvec[..., :0])
-    # drop the constant, whose gradient is zero
-    e = gradient_coefficient_matrix(basis.degree + 1, basis.diameter)[..., 1:]
-    constraints = e.mT @ mvec
-    _, sigma, vh = np.linalg.svd(constraints)
-    # numerical rank as in scipy.linalg.null_space
-    tol = max(constraints.shape[-2:]) * np.finfo(float).eps * sigma.max(axis=-1)
-    nullity = constraints.shape[-1] - np.sum(sigma > tol[..., None], axis=-1)
-    if np.any(nullity != expected):
+    k = basis.degree
+    nk = n_monomials(k)
+    z = _gradient_annihilator(k)
+    if z.shape[1] == 0:
+        return GkPerpBasis(basis=basis, coeffs=np.zeros(mass_k.shape[:-2] + z.shape))
+    # M_vec^{-1} Z one diagonal block (x, then y) at a time
+    mz = np.linalg.solve(mass_k[..., None, :, :], z.reshape(2, nk, -1))
+    mz = mz.reshape(mz.shape[:-3] + z.shape)
+    gram = z.T @ mz
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lower = None
+    if lower is None or not np.isfinite(lower).all():
+        flat = gram.reshape((-1,) + gram.shape[-2:])
+        bad = next((i for i, g in enumerate(flat) if not _cholesky_ok(g)), 0)
+        name = bad if cells is None else np.ravel(cells)[bad]
         raise ValueError(
-            f"gradient-complement rank {np.min(nullity)} != expected {expected}; "
-            "degenerate cell geometry or broken quadrature"
+            f"cell {name}: gradient-complement Gram is not positive definite "
+            "or not finite; degenerate cell geometry or broken quadrature"
         )
-    nullsp = vh[..., -expected:, :].mT
-    gram = nullsp.mT @ mvec @ nullsp
-    # coeffs = nullsp R^{-1} with gram = R^T R = L L^T: coeffs^T = L^{-1} nullsp^T
-    coeffs = np.linalg.solve(np.linalg.cholesky(gram), nullsp.mT).mT
+    # coeffs = mz R^{-1} with gram = R^T R = L L^T: coeffs^T = L^{-1} mz^T
+    coeffs = np.linalg.solve(lower, mz.mT).mT
     return GkPerpBasis(basis=basis, coeffs=coeffs)
+
+
+def _cholesky_ok(matrix: np.ndarray) -> bool:
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(matrix)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def l2_project_function(
@@ -325,5 +376,4 @@ def l2_project_function(
     fvals = np.asarray(func(quad.points), dtype=float)
     rhs = vals @ (quad.weights * fvals)
     mk = (vals * quad.weights) @ vals.T
-    c, low = cho_factor(mk)
-    return cho_solve((c, low), rhs)
+    return np.linalg.solve(mk, rhs)

@@ -10,10 +10,12 @@ error of the Raviart-Thomas-type velocity, from the same solve.
 
 `solve_case` walks no cells itself: `recovery.recover_velocity` fills every
 cellwise field in its one pass, and `error_norms` integrates a vertex-count
-group of cells at a time, evaluating the exact solution once per group and
-every discrete field from one stacked table of scaled monomials of degree
-k+1 (graded-lex order nests, so the lower-degree fields read its leading
-rows).
+group of cells at a time.  The coefficient blocks of all discrete fields
+are stacked as rows of one (cells, F, pi_{k+1}) table, the lower-degree ones
+zero-padded (graded-lex order nests), so one batched product with the
+group's degree-(k+1) monomial table evaluates every field.  The exact
+fields go into the same (G, F, nq) layout, and one weighted contraction per
+group gives every reference integral, another every squared error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import linsolve, ncvem, polymesh, recovery
 from .cases import ManufacturedCase
-from .polybasis import polygon_quadrature
+from .polybasis import n_monomials, polygon_quadrature
 from .recovery import PiecewisePolyField, RecoveredVelocity
 
 EXACT_MARK = "exact"
@@ -102,6 +104,13 @@ def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
     return SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
 
 
+# Rows of the stacked field table and the norm each adds to: velocity (x, y),
+# pressure, pressure gradient (x, y), divergence, then at k = 0 the RT field
+# (x, y), whose exact counterpart is the velocity again.
+_NORM_OF_ROW = np.array([0, 0, 1, 2, 2, 3, 4, 4])
+_EXACT_ROWS = 6
+
+
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     """Broken L2 errors of velocity, pressure, gradient and divergence.
 
@@ -111,41 +120,62 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     mesh = result.mesh
     k = result.k
     vel = result.velocity
-    err = np.zeros(5)
-    ref = np.zeros(4)
+    fields = [vel.projected, vel.pressure, vel.grad_pressure, vel.divergence]
+    if vel.rt is not None:
+        fields.append(vel.rt)
+    coeffs = _stacked_coeffs(fields, k + 1)
+    n_rows = coeffs.shape[1]
+    err = np.zeros(n_rows)
+    ref = np.zeros(_EXACT_ROWS)
     for group in result.system.groups:
         quad = polygon_quadrature(group.coords, 2 * (k + 3))
         w = quad.weights                          # (G, nq)
-        pts = quad.points.reshape(-1, 2)
-        u_ex = case.velocity(pts).reshape(w.shape + (2,))
-        p_ex = case.pressure(pts).reshape(w.shape)
-        gp_ex = case.grad_pressure(pts).reshape(w.shape + (2,))
-        f_ex = case.forcing(pts).reshape(w.shape)
-        cells = group.cell
-        table = vel.pressure.monomials(cells, quad.points)  # degree k+1, the highest
-        u_h = vel.projected.values(cells, table)
-        p_h = vel.pressure.values(cells, table)
-        gp_h = vel.grad_pressure.values(cells, table)
-        div_h = vel.divergence.values(cells, table)
-        err[0] += float(np.sum(w * ((u_ex - u_h) ** 2).sum(axis=-1)))
-        err[1] += float(np.sum(w * (p_ex - p_h) ** 2))
-        err[2] += float(np.sum(w * ((gp_ex - gp_h) ** 2).sum(axis=-1)))
-        err[3] += float(np.sum(w * (f_ex - div_h) ** 2))
-        if vel.rt is not None:
-            rt_h = vel.rt.values(cells, table)
-            err[4] += float(np.sum(w * ((u_ex - rt_h) ** 2).sum(axis=-1)))
-        ref[0] += float(np.sum(w * (u_ex ** 2).sum(axis=-1)))
-        ref[1] += float(np.sum(w * p_ex ** 2))
-        ref[2] += float(np.sum(w * (gp_ex ** 2).sum(axis=-1)))
-        ref[3] += float(np.sum(w * f_ex ** 2))
-    err = np.sqrt(np.maximum(err, 0.0))
-    ref = np.sqrt(np.maximum(ref, 0.0))
+        diff = _exact_table(case, quad.points, n_rows)
+        ref += np.einsum("gq,gfq,gfq->f", w, diff[:, :_EXACT_ROWS],
+                         diff[:, :_EXACT_ROWS])
+        # the pressure's monomials have degree k+1, the highest of any field
+        diff -= coeffs[group.cell] @ vel.pressure.monomials(group.cell, quad.points)
+        err += np.einsum("gq,gfq,gfq->f", w, diff, diff)
+    rows = _NORM_OF_ROW[:n_rows]
+    err = np.sqrt(np.maximum(np.bincount(rows, weights=err), 0.0))
+    ref = np.sqrt(np.maximum(np.bincount(rows[:_EXACT_ROWS], weights=ref), 0.0))
     return ConvergenceRow(
         n_elements=mesh.num_cells,
         error_u=err[0], error_p=err[1], error_grad_p=err[2], error_div=err[3],
         error_rt=None if vel.rt is None else err[4],
         ref_u=ref[0], ref_p=ref[1], ref_grad_p=ref[2], ref_div=ref[3],
     )
+
+
+def _stacked_coeffs(fields: list, degree: int) -> np.ndarray:
+    """Coefficients of every component of `fields`, (nc, F, pi_degree).
+
+    One row per scalar component, in field order; a field of lower degree
+    fills the leading columns of its rows, which graded-lex order makes its
+    coefficients against a degree-`degree` monomial table.
+    """
+    nc = len(fields[0].coeffs)
+    blocks = [f.coeffs.reshape(nc, -1, n_monomials(f.degree)) for f in fields]
+    out = np.zeros((nc, sum(b.shape[1] for b in blocks), n_monomials(degree)))
+    row = 0
+    for block in blocks:
+        out[:, row:row + block.shape[1], :block.shape[2]] = block
+        row += block.shape[1]
+    return out
+
+
+def _exact_table(case: ManufacturedCase, points: np.ndarray, n_rows: int) -> np.ndarray:
+    """Exact fields at points (G, nq, 2) in the rows of the field table, (G, n_rows, nq)."""
+    g, nq = points.shape[:2]
+    pts = points.reshape(-1, 2)
+    out = np.empty((g, n_rows, nq))
+    out[:, 0:2] = case.velocity(pts).reshape(g, nq, 2).mT
+    out[:, 2] = case.pressure(pts).reshape(g, nq)
+    out[:, 3:5] = case.grad_pressure(pts).reshape(g, nq, 2).mT
+    out[:, 5] = case.forcing(pts).reshape(g, nq)
+    if n_rows > _EXACT_ROWS:
+        out[:, _EXACT_ROWS:] = out[:, 0:2]
+    return out
 
 
 def _order(e_prev: float, e_cur: float, ref: float):

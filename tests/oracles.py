@@ -5,9 +5,10 @@ triangle integrals come from the closed form a! b! / (a + b + 2)! instead of
 the fan quadrature, nonpolynomial integrals from a plain tensor-Gauss rule
 with an explicit collapse factor, the kernel inradius from a dense grid
 search, linear solves from a dense factorization, edge monomials from
-their definition (t - 1/2)^b on the segment a + t (b - a), and the coupled
+their definition (t - 1/2)^b on the segment a + t (b - a), the coupled
 first-order system from one dense square solve instead of the sequential
-solve-then-recover pipeline.
+solve-then-recover pipeline, and the VTK file from one formatted write per
+line.
 """
 
 import math
@@ -324,3 +325,48 @@ def monolithic_solve(system: SpdSystem, K):
                       for c in range(nc)]
     pressure = x[p_off:]
     return edge_coeffs, grad_moments, gkperp_moments, pressure
+
+
+def export_vtk_reference(result, path: str) -> None:
+    """Line-by-line legacy VTK writer: the reference for `export_vtk`'s bytes.
+
+    One formatted write per output line, with the specifiers the package's
+    writer must reproduce (`%.16e` for reals, plain integers in CELLS).
+    """
+    mesh = result.mesh
+    nc = mesh.num_cells
+    vel = result.velocity
+    pressure = vel.pressure.centroid_values()[:, 0]
+    div_u = vel.divergence.centroid_values()[:, 0]
+    velocity = vel.projected.centroid_values()
+    rt = None if vel.rt is None else vel.rt.centroid_values()
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("polydarcy fields\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.num_vertices} double\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{x:.16e} {y:.16e} 0.0\n")
+        total = sum(len(loop) + 1 for loop in mesh.cells)
+        fh.write(f"CELLS {nc} {total}\n")
+        for loop in mesh.cells:
+            fh.write(f"{len(loop)} " + " ".join(str(int(v)) for v in loop) + "\n")
+        fh.write(f"CELL_TYPES {nc}\n")
+        for _ in range(nc):
+            fh.write("7\n")  # VTK_POLYGON
+        fh.write(f"CELL_DATA {nc}\n")
+        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        for v in pressure:
+            fh.write(f"{v:.16e}\n")
+        fh.write("SCALARS div_velocity double 1\nLOOKUP_TABLE default\n")
+        for v in div_u:
+            fh.write(f"{v:.16e}\n")
+        fh.write("VECTORS velocity double\n")
+        for vx, vy in velocity:
+            fh.write(f"{vx:.16e} {vy:.16e} 0.0\n")
+        if rt is not None:
+            fh.write("VECTORS rt_velocity double\n")
+            for vx, vy in rt:
+                fh.write(f"{vx:.16e} {vy:.16e} 0.0\n")

@@ -9,6 +9,8 @@ import oracles
 from polydarcy import polymesh
 from polydarcy.polybasis import (
     GkPerpBasis,
+    _gauss_jacobi01,
+    _gauss_legendre01,
     cell_basis,
     edge_reference,
     gk_perp_basis,
@@ -67,6 +69,18 @@ def arclength_param(start, end, pts):
     d = end - start
     length = math.hypot(d[0], d[1])
     return (pts - 0.5 * (start + end)) @ (d / length) / length
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gauss_rules_exact_to_degree_2n_minus_1(n):
+    # Gauss-Jacobi with weight (1 - t) and Gauss-Legendre on [0, 1]
+    tj, wj = _gauss_jacobi01(n)
+    tl, wl = _gauss_legendre01(n)
+    for j in range(2 * n):
+        jacobi = float(wj @ tj ** j)
+        legendre = float(wl @ tl ** j)
+        assert jacobi == pytest.approx(1.0 / ((j + 1) * (j + 2)), rel=1e-14, abs=0.0)
+        assert legendre == pytest.approx(1.0 / (j + 1), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -171,21 +185,45 @@ def test_gk_perp_k1_spans_rotation_on_square():
     assert np.abs(ratios - ratios[0, 0]).max() < 1e-12
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
-    gkp = gk_perp_basis(cell_basis(PENTAGON, k), mass_matrix(PENTAGON, k))
+def _check_gk_perp(gkp, coords, k):
     assert gkp.dim == gk_perp_dimension(k)
-    quad = polygon_quadrature(PENTAGON, 2 * k + 2)
+    quad = polygon_quadrature(coords, 2 * k + 2)
     gvals = gkp.evaluate(quad.points)
-    basis = cell_basis(PENTAGON, k + 1)
+    basis = cell_basis(coords, k + 1)
     mgrads = basis.evaluate_gradient(quad.points)
-    area = abs(polymesh.polygon_area(PENTAGON))
+    area = abs(polymesh.polygon_area(coords))
     for i in range(gkp.dim):
         for j in range(1, len(basis)):
             pair = float(quad.weights @ (gvals[i] * mgrads[j]).sum(axis=1))
             assert abs(pair) < 1e-10 * area
     gram = np.einsum("q,iqd,jqd->ij", quad.weights, gvals, gvals)
     assert np.abs(gram - np.eye(gkp.dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
+    gkp = gk_perp_basis(cell_basis(PENTAGON, k), mass_matrix(PENTAGON, k))
+    _check_gk_perp(gkp, PENTAGON, k)
+    # one stacked input, every member checked: the 5-gon group of a mesh
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    group = next(g for g in mesh.cell_groups() if g.loops.shape[1] == 5)
+    stack = mesh.vertices[group.loops]
+    quad = polygon_quadrature(stack, 2 * k)
+    vals = cell_basis(stack, k).evaluate(quad.points)
+    mass = (vals * quad.weights[:, None, :]) @ vals.mT
+    stacked = gk_perp_basis(cell_basis(stack, k), mass)
+    assert stacked.coeffs.shape == (len(stack), 2 * n_monomials(k), gk_perp_dimension(k))
+    for coords, coeffs in zip(stack, stacked.coeffs):
+        _check_gk_perp(GkPerpBasis(cell_basis(coords, k), coeffs), coords, k)
+
+
+@pytest.mark.parametrize("defect", ["negated", "nan"])
+def test_gk_perp_names_first_member_with_bad_gram(defect):
+    stack = np.stack([PENTAGON, PENTAGON + 1.0, PENTAGON - 2.0])
+    mass = np.stack([mass_matrix(coords, 1) for coords in stack])
+    mass[1] = -mass[1] if defect == "negated" else np.nan
+    with pytest.raises(ValueError, match="^cell 12: gradient-complement Gram"):
+        gk_perp_basis(cell_basis(stack, 1), mass, cells=np.array([4, 12, 30]))
 
 
 def test_gradient_coefficient_matrix_is_exact():

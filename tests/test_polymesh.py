@@ -262,14 +262,15 @@ def test_star_point_rejects_u_shape():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the star test imports its linear program on first use only
+    # the star test imports its linear program on first use only, and the
+    # Gauss rules come from numpy
     package_root = str(Path(polymesh.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import polydarcy; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
     proc = subprocess.run([sys.executable, "-c", code, package_root],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_mesh_file_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from polydarcy import linsolve, ncvem, polymesh, study
 from polydarcy.cases import get_case, polynomial_case
-from polydarcy.polybasis import n_monomials
+from polydarcy.polybasis import n_monomials, polygon_quadrature
 from polydarcy.study import ConvergenceRow
 
 
@@ -34,6 +34,40 @@ def test_error_norms_vanish_on_polynomial_patch():
     assert row.error_p <= 1e-9 * max(row.ref_p, 1.0)
     assert row.error_grad_p <= 1e-9 * max(row.ref_grad_p, 1.0)
     assert row.error_div <= 1e-9 * max(row.ref_div, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_error_norms_match_cellwise_oracle(k):
+    # every norm integrated cell by cell, each field evaluated on its own
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    result = study.solve_case(mesh, case, k)
+    vel = result.velocity
+    err = dict.fromkeys(["u", "p", "grad_p", "div", "rt"], 0.0)
+    ref = dict.fromkeys(["u", "p", "grad_p", "div"], 0.0)
+    for c in range(mesh.num_cells):
+        quad = polygon_quadrature(mesh.cell_coords(c), 2 * (k + 3))
+        pts, w = quad.points, quad.weights
+        exact = {"u": case.velocity(pts), "p": case.pressure(pts),
+                 "grad_p": case.grad_pressure(pts), "div": case.forcing(pts)}
+        discrete = {"u": vel.projected, "p": vel.pressure,
+                    "grad_p": vel.grad_pressure, "div": vel.divergence}
+        for name, field in discrete.items():
+            diff = exact[name] - field.evaluate(c, pts)
+            err[name] += float(w @ (diff ** 2).reshape(len(w), -1).sum(axis=1))
+            ref[name] += float(w @ (exact[name] ** 2).reshape(len(w), -1).sum(axis=1))
+        if k == 0:
+            diff = exact["u"] - vel.rt.evaluate(c, pts)
+            err["rt"] += float(w @ (diff ** 2).sum(axis=1))
+    row = study.error_norms(result, case)
+    assert (row.error_rt is None) == (k > 0)
+    for name in list(ref) + (["rt"] if k == 0 else []):
+        want = np.sqrt(err[name])
+        scale = np.sqrt(ref["u" if name == "rt" else name])
+        got = getattr(row, f"error_{name}")
+        assert abs(got - want) <= 1e-12 * want + 1e-14 * scale, (name, got, want)
+        if name != "rt":
+            assert abs(getattr(row, f"ref_{name}") - scale) <= 1e-14 * scale, name
 
 
 def _row(n, e, **fields):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import polydarcy
 from polydarcy import cli, linsolve, ncvem, polymesh, study, vtk_export
 from polydarcy.cases import get_case
@@ -79,6 +80,19 @@ def test_vtk_pressure_values_round_trip(tmp_path):
             assert np.abs(written[:, :expected.shape[1]] - expected).max() < 1e-14, header
             if header.startswith("VECTORS"):
                 assert np.all(written[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_vtk_bytes_match_reference_writer(tmp_path, k):
+    # 4-, 5-, 6- and 7-gons in one CELLS block; k = 0 adds the RT section
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=10, distortion=0.2)
+    assert sorted({len(loop) for loop in mesh.cells}) == [4, 5, 6, 7]
+    result = study.solve_case(mesh, get_case("bubble-sine"), k)
+    got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+    vtk_export.export_vtk(result, str(got))
+    oracles.export_vtk_reference(result, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert (b"rt_velocity" in got.read_bytes()) == (k == 0)
 
 
 def gen_mesh(tmp_path, extra=()):

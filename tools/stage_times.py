@@ -1,0 +1,90 @@
+"""Print the stage table of ROADMAP.md ("Where the time goes"): wall time per
+pipeline stage and peak RSS, one cold run per row.
+
+Rows: 4096 cells (64 x 64) at k = 0, 1 and 3, and 9216 cells (96 x 96) at
+k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
+``bubble-sine`` case.  Stages: mesh generation, ``ncvem.assemble``,
+``ncvem.solve_pressure``, ``recovery.recover_velocity``,
+``study.error_norms`` and ``vtk_export.export_vtk`` (to a temporary file).
+
+Each row runs in a fresh interpreter with BLAS pinned to one thread before
+numpy loads, so the peak RSS it reports (``ru_maxrss`` of that interpreter,
+import included) is its own.  The largest row peaks at about 1 GB.
+
+Usage: PYTHONPATH=src python tools/stage_times.py   (takes no options)
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROWS = ((64, 0), (64, 1), (64, 3), (96, 3))
+SEED = 2026
+DISTORTION = 0.2
+CASE = "bubble-sine"
+BLAS_ONE_THREAD = {var: "1" for var in
+                   ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import stage_times; "
+         "stage_times.row(int(sys.argv[2]), int(sys.argv[3]))")
+
+
+def row(n: int, k: int) -> None:
+    """Run one row in this interpreter and print its record as JSON."""
+    import resource
+    import tempfile
+    import time
+
+    from polydarcy import ncvem, polymesh, recovery, study, vtk_export
+    from polydarcy.cases import get_case
+
+    case = get_case(CASE)
+    seconds = {}
+
+    def timed(stage, func, *args):
+        t0 = time.perf_counter()
+        out = func(*args)
+        seconds[stage] = time.perf_counter() - t0
+        return out
+
+    mesh = timed("mesh", polymesh.generate_distorted_polygonal, n, n, SEED, DISTORTION)
+    system = timed("assemble", ncvem.assemble, mesh, case.permeability, case.forcing,
+                   k, case.pressure)
+    timed("solve", ncvem.solve_pressure, system)
+    velocity = timed("recover", recovery.recover_velocity, system)
+    result = study.SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
+    timed("error_norms", study.error_norms, result, case)
+    with tempfile.TemporaryDirectory() as tmp:
+        timed("vtk", vtk_export.export_vtk, result, str(Path(tmp) / "fields.vtk"))
+    print(json.dumps({
+        "cells": mesh.num_cells, "k": k, "ndof": system.matrix.shape[0],
+        "seconds": seconds,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }))
+
+
+def _ndof(n: int) -> str:
+    return f"{n / 1000:.1f}k" if n < 100_000 else f"{n / 1000:.0f}k"
+
+
+def main() -> int:
+    env = dict(os.environ, **BLAS_ONE_THREAD)
+    here = str(Path(__file__).resolve().parent)
+    stages = ("mesh", "assemble", "solve", "recover", "error_norms", "vtk")
+    print("| cells | k | ndof | " + " | ".join(stages) + " | peak RSS |")
+    print("|" + "------|" * (len(stages) + 4))
+    for n, k in ROWS:
+        out = subprocess.run([sys.executable, "-c", CHILD, here, str(n), str(k)],
+                             env=env, check=True, capture_output=True, text=True)
+        rec = json.loads(out.stdout.strip().splitlines()[-1])
+        times = " | ".join(f"{rec['seconds'][s]:.2f} s" for s in stages)
+        print(f"| {rec['cells']} | {rec['k']} | {_ndof(rec['ndof'])} | {times} "
+              f"| {rec['peak_rss_mb']:.0f} MB |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
