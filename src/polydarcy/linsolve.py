@@ -71,6 +71,21 @@ def _dense_solve(matrix: SparseSpd, b: np.ndarray) -> np.ndarray:
     return cho_solve(factor, b)
 
 
+def _scaled_csc(matrix: SparseSpd, scale: np.ndarray) -> sp.csc_matrix:
+    """D A D (D = diag(scale)) in CSC form, scaled in place of a product.
+
+    A is exactly symmetric (every element stiffness is symmetrized before
+    the scatter), so its CSR arrays read as CSC are A itself.  Each entry
+    is multiplied by its row's scale, then its column's, the order in which
+    diag(s) @ A @ diag(s) rounds it, so the result is bit-identical to that
+    product.
+    """
+    csr = matrix.csr
+    data = csr.data * scale[csr.indices]
+    data *= np.repeat(scale, np.diff(csr.indptr))
+    return sp.csc_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+
+
 def _factor(matrix: SparseSpd,
             scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Factor D A D (D = diag(scale)) once and certify it SPD.
@@ -86,9 +101,8 @@ def _factor(matrix: SparseSpd,
     working precision, and a solve would return a vector blown up by
     rounding.  Returns the solve of the unscaled system, r -> A^{-1} r.
     """
-    dmat = sp.diags(scale)
     try:
-        lu = spla.splu((dmat @ matrix.csr @ dmat).tocsc(),
+        lu = spla.splu(_scaled_csc(matrix, scale),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:

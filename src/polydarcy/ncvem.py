@@ -11,7 +11,12 @@ Element matrices are dense and small, and the same algebra on every cell,
 so cells with one vertex count are built together as a group: the group's
 stacked coordinates (G, n_v, 2) give one quadrature, one monomial table and
 batched Gram solves for all members (`build_element` of an array of
-cells).  Edge moments come from one reference table per order (see
+cells).  Every Gram solve uses a batched Cholesky factor applied as two
+triangular products (`polybasis.inverse_cholesky`): the degree-(k+1)
+monomial Gram's factor serves all L2 projections, since graded-lex order
+makes its leading block the factor of the degree-k Gram, and the gradient
+Gram of the nonconstant monomials gives the energy projection.  Edge
+moments come from one reference table per order (see
 `polybasis.edge_reference`), and the normal traces of the cell monomials
 are projected onto the edge monomials by one fixed matrix, so no edge Gram
 is solved.
@@ -36,13 +41,15 @@ from .polybasis import (
     ScaledMonomialBasis,
     cell_basis,
     edge_reference,
+    factor_solve,
     gk_perp_basis,
     gradient_coefficient_matrix,
+    gradient_gram,
+    inverse_cholesky,
     n_monomials,
     polygon_quadrature,
-    vector_mass_matrix,
 )
-from .polymesh import PolyMesh, polygon_area
+from .polymesh import CellGroup, PolyMesh, polygon_area
 
 
 def tensor_field(K):
@@ -63,17 +70,36 @@ def tensor_field(K):
             return out
 
         return wrapped
-    mat = np.asarray(K, dtype=float)
-    if mat.ndim == 0:
-        mat = mat * np.eye(2)
-    if mat.shape != (2, 2):
-        raise ValueError("constant permeability must be scalar or 2x2")
+    mat = _constant_tensor(K)
 
     def const(pts):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(mat, (len(pts), 2, 2))
 
     return const
+
+
+def _constant_tensor(K) -> np.ndarray:
+    mat = np.asarray(K, dtype=float)
+    if mat.ndim == 0:
+        mat = mat * np.eye(2)
+    if mat.shape != (2, 2):
+        raise ValueError("constant permeability must be scalar or 2x2")
+    return mat
+
+
+def apply_permeability(K, pts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """K(x) v at points (n, 2) for vectors v (n, 2), K any `tensor_field` spec.
+
+    An isotropic callable scales the vectors directly, without building the
+    (n, 2, 2) tensors.
+    """
+    if callable(K):
+        vals = np.asarray(K(np.atleast_2d(pts)), dtype=float)
+        if vals.ndim == 1:
+            return vals[:, None] * vectors
+        return np.einsum("nij,nj->ni", vals, vectors)
+    return vectors @ _constant_tensor(K).T
 
 
 def scalar_field(f):
@@ -205,19 +231,29 @@ def build_element(
     """Assemble all local operators of cell c, or of the cells c (G,) at once.
 
     Cells given as an array must share one vertex count and give their
-    stacked record, a group with members in ascending index order.  Every
-    step is the same small dense algebra on each member, so it runs on the
-    stacked arrays: one quadrature, one monomial table and batched solves
-    for the whole group; one cell is a group of one.  quad_degree defaults
-    to 2(k+2), enough for every Gram and weighted Gram appearing here;
-    raise it for strongly varying coefficients.
+    stacked record, a group with members in ascending index order; a
+    `CellGroup` from `mesh.cell_groups` is taken as it is, without grouping
+    its cells again.  Every step is the same small dense algebra on each
+    member, so it runs on the stacked arrays: one quadrature, one monomial
+    table and batched products for the whole group; one cell is a group of
+    one.  Every Gram solve goes through a Cholesky factor (see
+    `polybasis.inverse_cholesky`): one factor of the degree-(k+1) monomial
+    Gram serves the L2 projections, the gradient projection, the source
+    coefficients and the gradient complement, and one factor of the
+    gradient Gram gives the energy projection.  A Gram that is not positive
+    definite raises ValueError naming the first such cell.  quad_degree
+    defaults to 2(k+2), enough for every Gram and weighted Gram appearing
+    here; raise it for strongly varying coefficients.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
-    groups = mesh.cell_groups(np.atleast_1d(c))
-    if len(groups) != 1:
-        raise ValueError("cells built together must share one vertex count")
-    group = groups[0]
+    if isinstance(c, CellGroup):
+        group = c
+    else:
+        groups = mesh.cell_groups(np.atleast_1d(c))
+        if len(groups) != 1:
+            raise ValueError("cells built together must share one vertex count")
+        group = groups[0]
     Kfun = tensor_field(K)
     ffun = scalar_field(f)
     coords = mesh.vertices[group.loops]           # (G, n_e, 2)
@@ -237,6 +273,10 @@ def build_element(
     w = quad.weights[:, None, :]
     mass = (vals * w) @ vals.mT
     mass_k = mass[:, :nk, :nk]
+    # Graded-lex order nests the degrees, so the leading pi_k block of the
+    # Gram's inverse factor is the inverse factor of mass_k.
+    inv_mass = inverse_cholesky(mass, group.cells, "monomial Gram")
+    inv_mass_k = inv_mass[:, :nk, :nk]
 
     # K-weighted vector Gram, one tensor component at a time
     kvals = Kfun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape + (2, 2))
@@ -268,28 +308,34 @@ def build_element(
             traces * (lengths * nrm[..., d])[:, None, :, None]).reshape(n_g, nk, -1)
         b_g[:, d * nk:(d + 1) * nk, n_edge_slots:] = (
             -area[:, None, None] * emat_k[:, d * nkm1:(d + 1) * nkm1].mT)
-    grad_proj = np.linalg.solve(mass_k[:, None], b_g.reshape(n_g, 2, nk, N))
+    grad_proj = factor_solve(inv_mass_k[:, None], b_g.reshape(n_g, 2, nk, N))
     grad_proj = grad_proj.reshape(n_g, 2 * nk, N)
 
-    # Energy projection onto P_{k+1}: gradient Gram with the zero row traded
-    # for the boundary-mean condition.
+    # Energy projection onto P_{k+1}: the gradient Gram H' of the nonconstant
+    # monomials gives their coefficients, then the boundary-mean condition
+    # (1/|dP|) int_dP (Pi p - p) = 0 gives the constant one.
     emat = gradient_coefficient_matrix(k + 1, basis.diameter)  # (G, 2 pi_k, pi_{k+1})
-    h_mat = emat.mT @ vector_mass_matrix(mass_k) @ emat
-    c_mat = emat.mT @ b_g
+    inv_h = inverse_cholesky(gradient_gram(mass_k, emat), group.cells, "gradient Gram")
+    p_nabla = np.empty((n_g, nk1, N))
+    p_nabla[:, 1:] = factor_solve(inv_h, emat[:, :, 1:].mT @ b_g)
     perimeter = lengths.sum(axis=-1, keepdims=True)
-    h_mat[:, 0, :] = edge_cross[:, :, 0, :].sum(axis=1) / perimeter
-    c_mat[:, 0, :] = 0.0
-    c_mat[:, 0, :n_edge_slots:k + 1] = lengths / perimeter
-    p_nabla = np.linalg.solve(h_mat, c_mat)
+    means = edge_cross[:, :, 0, :].sum(axis=1) / perimeter    # boundary means of m_j
+    p_nabla[:, 0] = -np.einsum("gj,gjn->gn", means[:, 1:], p_nabla[:, 1:])
+    p_nabla[:, 0, :n_edge_slots:k + 1] += lengths / perimeter
+    p_nabla[:, 0] /= means[:, :1]
 
     # Moment table: low degrees are plain DOFs, degrees k and k+1 come from
-    # the energy projection (enhancement), then invert Grams.
+    # the energy projection (enhancement), then invert Grams.  So Pi0 and
+    # Pi_nabla differ only in the low-degree moments, and p0 is p_nabla plus
+    # the Gram solve of that defect: M p_nabla never round-trips through the
+    # Gram's conditioning.
     b0 = np.zeros((n_g, nk1, N))
     gamma = np.arange(nkm1)
     b0[:, gamma, n_edge_slots + gamma] = area[:, None]
-    b0[:, nkm1:, :] = (mass @ p_nabla)[:, nkm1:, :]
-    p0 = np.linalg.solve(mass, b0)
-    p0k = np.linalg.solve(mass_k, b0[:, :nk])
+    m_nabla = mass @ p_nabla
+    b0[:, nkm1:, :] = m_nabla[:, nkm1:, :]
+    p0 = p_nabla + factor_solve(inv_mass, b0 - m_nabla)
+    p0k = factor_solve(inv_mass_k, b0[:, :nk])
 
     # DOF matrix of monomials, for the dofi-dofi stabilization.
     d_mat = _monomial_dof_table(edge_cross, lengths, mass, area, k)
@@ -305,14 +351,14 @@ def build_element(
 
     fq = ffun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape)
     f_moments = np.einsum("gjq,gq->gj", vk, quad.weights * fq)
-    f_coeffs = np.linalg.solve(mass_k, f_moments[..., None])[..., 0]
+    f_coeffs = factor_solve(inv_mass_k, f_moments[..., None])[..., 0]
     load = np.einsum("gjn,gj->gn", p0k, f_moments)
 
     # Gradient-complement machinery: orthonormal basis and the operator that
     # recovers the complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
     gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k), mass_k,
-                        group.cells)
+                        group.cells, inv_factor=inv_mass_k)
     gkperp_rec = -(gkp.coeffs.mT @ mk_w @ grad_proj) / area[:, None, None]
 
     element = NcElement(
@@ -338,7 +384,7 @@ def build_element(
         gk_perp=gkp,
         gkperp_rec=gkperp_rec,
     )
-    return element if np.ndim(c) else element[0]
+    return element if isinstance(c, CellGroup) or np.ndim(c) else element[0]
 
 
 def _edge_points(mesh: PolyMesh, edge_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -479,7 +525,7 @@ def assemble(
     """
     dofmap = build_dof_map(mesh, k)
     bvals = boundary_edge_values(mesh, k, boundary)
-    groups = [build_element(mesh, g.cells, k, K, f) for g in mesh.cell_groups()]
+    groups = [build_element(mesh, g, k, K, f) for g in mesh.cell_groups()]
     group_global = [dofmap.global_indices(g.edge_ids, g.cell) for g in groups]
     n = dofmap.n_global
     rhs = np.zeros(n)

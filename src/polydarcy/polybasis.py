@@ -18,6 +18,9 @@ a Gauss-Jacobi x Gauss-Legendre tensor rule through the collapsed-square
 transform, giving positive weights and exactness up to the requested degree.
 Both one-dimensional rules are computed with numpy: Gauss-Legendre by
 `leggauss`, Gauss-Jacobi by Golub-Welsch.
+
+Cell Grams are symmetric positive definite, so every solve with one runs
+through its batched Cholesky factor (`inverse_cholesky`, `factor_solve`).
 """
 
 from __future__ import annotations
@@ -265,15 +268,6 @@ def gk_perp_dimension(k: int) -> int:
     return 2 * n_monomials(k) - n_monomials(k + 1) + 1
 
 
-def vector_mass_matrix(mass_k: np.ndarray) -> np.ndarray:
-    """Block-diagonal Gram of the vector monomial basis (x then y block)."""
-    nk = mass_k.shape[-1]
-    out = np.zeros(mass_k.shape[:-2] + (2 * nk, 2 * nk))
-    out[..., :nk, :nk] = mass_k
-    out[..., nk:, nk:] = mass_k
-    return out
-
-
 @lru_cache(maxsize=None)
 def _exponent_gradients(k: int) -> np.ndarray:
     """`gradient_coefficient_matrix` at diameter 1: the exponents a and b."""
@@ -313,45 +307,48 @@ def _gradient_annihilator(k: int) -> np.ndarray:
     return z
 
 
-def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray,
-                  cells=None) -> GkPerpBasis:
-    """Construct the orthonormal complement basis on one polygon or a stack.
+def inverse_cholesky(gram: np.ndarray, cells=None, what: str = "Gram") -> np.ndarray:
+    """L^{-1} for the Cholesky factor gram = L L^T of one SPD matrix or a stack.
 
-    `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
-    Gram matrix on the cell, both stacked for a group.  The complement is the
-    kernel of the pairing of (P_k)^2 against exact gradients of P_{k+1}, so
-    it is M_vec^{-1} Z with Z the fixed null space of the transposed gradient
-    table; M_vec^{-1} Z is orthonormalized in the L2(P) inner product by the
-    Cholesky factor of its small Gram Z^T M_vec^{-1} Z.  The basis is unique
-    up to an orthogonal change within the complement (a sign at k = 1).
-    Raises ValueError naming the first member (by `cells`, default its
-    position in the stack) whose small Gram is not positive definite or not
-    finite.
+    numpy has no batched triangular solve, so the inverse is built by row
+    substitution vectorized over the stack, one step per row; each column is
+    the forward substitution of a unit vector.  Apply it with `factor_solve`.
+    The leading n x n block of L^{-1} is the inverse factor of the leading
+    n x n block of `gram`.  Raises ValueError naming the first member (by
+    `cells`, default its position in the stack) whose factorization fails
+    or is not finite, with `what` naming the matrix.
     """
-    k = basis.degree
-    nk = n_monomials(k)
-    z = _gradient_annihilator(k)
-    if z.shape[1] == 0:
-        return GkPerpBasis(basis=basis, coeffs=np.zeros(mass_k.shape[:-2] + z.shape))
-    # M_vec^{-1} Z one diagonal block (x, then y) at a time
-    mz = np.linalg.solve(mass_k[..., None, :, :], z.reshape(2, nk, -1))
-    mz = mz.reshape(mz.shape[:-3] + z.shape)
-    gram = z.T @ mz
+    flat = gram.reshape((-1,) + gram.shape[-2:])
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = np.linalg.cholesky(flat)
     except np.linalg.LinAlgError:
         lower = None
-    if lower is None or not np.isfinite(lower).all():
-        flat = gram.reshape((-1,) + gram.shape[-2:])
-        bad = next((i for i, g in enumerate(flat) if not _cholesky_ok(g)), 0)
+        ok = np.array([_cholesky_ok(g) for g in flat])
+    else:
+        inv = np.zeros_like(lower)
+        for i in range(lower.shape[-1]):
+            # row i of L X = I, over its nonzero columns 0..i
+            row = -(lower[:, i, None, :i] @ inv[:, :i, :i + 1])[:, 0]
+            row[:, i] += 1.0
+            inv[:, i, :i + 1] = row / lower[:, i, i, None]
+        ok = np.isfinite(lower).all(axis=(1, 2)) & np.isfinite(inv).all(axis=(1, 2))
+    if lower is None or not ok.all():
+        bad = int(np.argmin(ok))
         name = bad if cells is None else np.ravel(cells)[bad]
         raise ValueError(
-            f"cell {name}: gradient-complement Gram is not positive definite "
-            "or not finite; degenerate cell geometry or broken quadrature"
+            f"cell {name}: {what} is not positive definite or not finite; "
+            "degenerate cell geometry or broken quadrature"
         )
-    # coeffs = mz R^{-1} with gram = R^T R = L L^T: coeffs^T = L^{-1} mz^T
-    coeffs = np.linalg.solve(lower, mz.mT).mT
-    return GkPerpBasis(basis=basis, coeffs=coeffs)
+    return inv.reshape(gram.shape)
+
+
+def factor_solve(inv_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^{-1} rhs as the two triangular products L^{-T} (L^{-1} rhs).
+
+    `inv_lower` is `inverse_cholesky(gram)`; gram^{-1} itself is never
+    formed, which would cost accuracy at the rounding floor.
+    """
+    return inv_lower.mT @ (inv_lower @ rhs)
 
 
 def _cholesky_ok(matrix: np.ndarray) -> bool:
@@ -359,6 +356,51 @@ def _cholesky_ok(matrix: np.ndarray) -> bool:
         return bool(np.isfinite(np.linalg.cholesky(matrix)).all())
     except np.linalg.LinAlgError:
         return False
+
+
+def gradient_gram(mass_k: np.ndarray, emat: np.ndarray) -> np.ndarray:
+    """H' = E'^T M_vec E', the L2(P) Gram of the gradients of the
+    nonconstant degree-(k+1) scaled monomials.
+
+    `mass_k` is the degree-k Gram and `emat` the degree-(k+1)
+    `gradient_coefficient_matrix`, both possibly stacked; E' drops the
+    table's zero constant column, so H' is SPD, (..., pi_{k+1}-1, pi_{k+1}-1).
+    """
+    nk = mass_k.shape[-1]
+    ex, ey = emat[..., :nk, 1:], emat[..., nk:, 1:]
+    return ex.mT @ mass_k @ ex + ey.mT @ mass_k @ ey
+
+
+def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray,
+                  cells=None, inv_factor: np.ndarray | None = None) -> GkPerpBasis:
+    """Construct the orthonormal complement basis on one polygon or a stack.
+
+    `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
+    Gram matrix on the cell, both stacked for a group; `inv_factor` is
+    `inverse_cholesky(mass_k)` when the caller already has it.  The
+    complement is the kernel of the pairing of (P_k)^2 against exact
+    gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the fixed null space
+    of the transposed gradient table; M_vec^{-1} Z is orthonormalized in the
+    L2(P) inner product as M_vec^{-1} Z L^{-T}, with L the Cholesky factor
+    of its small Gram Z^T M_vec^{-1} Z.  The basis is unique up to an
+    orthogonal change within the complement (a sign at k = 1).  Raises
+    ValueError naming the first member (by `cells`, default its position in
+    the stack) whose small Gram, or `mass_k` when factored here, is not
+    positive definite or not finite.
+    """
+    k = basis.degree
+    nk = n_monomials(k)
+    z = _gradient_annihilator(k)
+    if z.shape[1] == 0:
+        return GkPerpBasis(basis=basis, coeffs=np.zeros(mass_k.shape[:-2] + z.shape))
+    if inv_factor is None:
+        inv_factor = inverse_cholesky(mass_k, cells,
+                                      "gradient-complement Gram (monomial block)")
+    # M_vec^{-1} Z one diagonal block (x, then y) at a time
+    mz = factor_solve(inv_factor[..., None, :, :], z.reshape(2, nk, -1))
+    mz = mz.reshape(mz.shape[:-3] + z.shape)
+    inv_small = inverse_cholesky(z.T @ mz, cells, "gradient-complement Gram")
+    return GkPerpBasis(basis=basis, coeffs=mz @ inv_small.mT)
 
 
 def l2_project_function(
@@ -376,4 +418,4 @@ def l2_project_function(
     fvals = np.asarray(func(quad.points), dtype=float)
     rhs = vals @ (quad.weights * fvals)
     mk = (vals * quad.weights) @ vals.T
-    return np.linalg.solve(mk, rhs)
+    return factor_solve(inverse_cholesky(mk, what="monomial Gram"), rhs)

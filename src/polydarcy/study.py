@@ -165,13 +165,19 @@ def _stacked_coeffs(fields: list, degree: int) -> np.ndarray:
 
 
 def _exact_table(case: ManufacturedCase, points: np.ndarray, n_rows: int) -> np.ndarray:
-    """Exact fields at points (G, nq, 2) in the rows of the field table, (G, n_rows, nq)."""
+    """Exact fields at points (G, nq, 2) in the rows of the field table, (G, n_rows, nq).
+
+    The velocity is formed as -K grad p from the one evaluation of the
+    exact gradient, as the cases define it.
+    """
     g, nq = points.shape[:2]
     pts = points.reshape(-1, 2)
+    grad = case.grad_pressure(pts)
     out = np.empty((g, n_rows, nq))
-    out[:, 0:2] = case.velocity(pts).reshape(g, nq, 2).mT
+    out[:, 0:2] = (-ncvem.apply_permeability(case.permeability, pts, grad)
+                   ).reshape(g, nq, 2).mT
     out[:, 2] = case.pressure(pts).reshape(g, nq)
-    out[:, 3:5] = case.grad_pressure(pts).reshape(g, nq, 2).mT
+    out[:, 3:5] = grad.reshape(g, nq, 2).mT
     out[:, 5] = case.forcing(pts).reshape(g, nq)
     if n_rows > _EXACT_ROWS:
         out[:, _EXACT_ROWS:] = out[:, 0:2]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from polydarcy import linsolve, ncvem, polymesh
@@ -177,3 +178,21 @@ def test_high_order_solve_is_forward_accurate():
     x = linsolve.solve(system.matrix, system.rhs)
     ref = oracles.cholesky_solve_longdouble(system.matrix.dense(), system.rhs)
     assert np.abs(x - ref).max() / np.abs(ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_scaled_csc_is_the_diagonal_product(k):
+    # the factorization's input reads the symmetric CSR arrays as CSC and
+    # scales them in place; every entry must round exactly as in
+    # diag(s) @ A @ diag(s)
+    mesh = polymesh.generate_distorted_polygonal(8, 8, seed=3, distortion=0.2)
+    case = get_case("bubble-sine")
+    system = ncvem.assemble(mesh, case.permeability, case.forcing, k,
+                            boundary=case.pressure)
+    scale = 1.0 / np.sqrt(system.matrix.diagonal())
+    got = linsolve._scaled_csc(system.matrix, scale)
+    ref = (sp.diags(scale) @ system.matrix.csr @ sp.diags(scale)).tocsc()
+    ref.sort_indices()
+    assert got.format == "csc" and got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from polydarcy import polymesh
+from polydarcy import ncvem, polymesh
 from polydarcy.cases import polynomial_case
 from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map,
                              build_element, cell_dof_count, monomial_dofs,
@@ -76,6 +76,70 @@ def test_projectors_reproduce_polynomials(k):
     assert np.abs(element.p0 @ d - np.eye(nk1)).max() < 1e-11
     assert np.abs(element.p0k @ d[:, :nk] - np.eye(nk)).max() < 1e-11
     assert np.abs(element.grad_proj @ d - element.grad_coeff).max() < 1e-11
+
+
+def _five_gon_group():
+    # 8 five-gons of a distorted mesh, built as one stacked record
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    return mesh, next(g for g in mesh.cell_groups() if g.loops.shape[1] == 5)
+
+
+def _source(pts):
+    return np.sin(pts[:, 0] + 0.3 * pts[:, 1])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, pytest.param(3, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="monomial-basis conditioning: p0 and grad_proj reproduce to "
+           "1e-11..5e-11 on every distorted 5-gon group at k = 3"))])
+def test_grouped_projectors_reproduce_polynomials(k):
+    # every member of one stacked build, at the single-cell bound
+    mesh, group = _five_gon_group()
+    stacked = build_element(mesh, group.cells, k, kvar, _source)
+    nk1 = n_monomials(k + 1)
+    nk = n_monomials(k)
+    for i in range(len(group.cells)):
+        element = stacked[i]
+        d = monomial_dofs(element)
+        assert np.abs(element.p_nabla @ d - np.eye(nk1)).max() < 1e-11, i
+        assert np.abs(element.p0 @ d - np.eye(nk1)).max() < 1e-11, i
+        assert np.abs(element.p0k @ d[:, :nk] - np.eye(nk)).max() < 1e-11, i
+        assert np.abs(element.grad_proj @ d - element.grad_coeff).max() < 1e-11, i
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_grouped_source_coefficients_match_lu_oracle(k):
+    mesh, group = _five_gon_group()
+    stacked = build_element(mesh, group.cells, k, kvar, _source)
+    nk = n_monomials(k)
+    ref = np.linalg.solve(stacked.mass[:, :nk, :nk], stacked.f_moments[..., None])[..., 0]
+    assert np.abs(stacked.f_coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_build_takes_a_cell_group_as_it_is():
+    # assemble hands over the mesh's groups without grouping them again
+    mesh, group = _five_gon_group()
+    given = build_element(mesh, group, 2, kvar, _source)
+    regrouped = build_element(mesh, group.cells, 2, kvar, _source)
+    assert np.array_equal(given.cell, group.cells)
+    for name in ("stiffness", "load", "p0", "gkperp_rec"):
+        assert np.array_equal(getattr(given, name), getattr(regrouped, name)), name
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_build_names_member_with_broken_quadrature(monkeypatch, k):
+    # negated weights make that member's Grams negative definite
+    mesh, group = _five_gon_group()
+    real = ncvem.polygon_quadrature
+
+    def broken(coords, degree):
+        quad = real(coords, degree)
+        quad.weights[2] *= -1.0
+        return quad
+
+    monkeypatch.setattr(ncvem, "polygon_quadrature", broken)
+    with pytest.raises(ValueError, match=f"^cell {group.cells[2]}: "):
+        build_element(mesh, group.cells, k, kvar, _source)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -13,16 +13,18 @@ from polydarcy.polybasis import (
     _gauss_legendre01,
     cell_basis,
     edge_reference,
+    factor_solve,
     gk_perp_basis,
     gk_perp_dimension,
     gradient_coefficient_matrix,
+    gradient_gram,
+    inverse_cholesky,
     l2_project_function,
     mass_matrix,
     monomial_exponents,
     monomial_index,
     n_monomials,
     polygon_quadrature,
-    vector_mass_matrix,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -240,13 +242,35 @@ def test_gradient_coefficient_matrix_is_exact():
         assert np.abs(np.column_stack([gx, gy]) - grads[j]).max() < 1e-13
 
 
-def test_vector_mass_matrix_blocks():
-    gram = mass_matrix(PENTAGON, 1)
-    vec = vector_mass_matrix(gram)
-    n = gram.shape[0]
-    assert np.array_equal(vec[:n, :n], gram)
-    assert np.array_equal(vec[n:, n:], gram)
-    assert np.all(vec[:n, n:] == 0.0)
+@pytest.mark.parametrize("k", [0, 2])
+def test_gradient_gram_pairs_monomial_gradients(k):
+    # H'[i, j] = int_P grad m_i . grad m_j over the nonconstant monomials
+    # of degree <= k+1, from the degree-k Gram and the gradient table
+    basis = cell_basis(PENTAGON, k + 1)
+    got = gradient_gram(mass_matrix(PENTAGON, k),
+                        gradient_coefficient_matrix(k + 1, basis.diameter))
+    pts, w = oracles.polygon_gauss(PENTAGON, n=10)
+    grads = basis.evaluate_gradient(pts)[1:]
+    ref = np.einsum("n,ina,jna->ij", w, grads, grads)
+    assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_inverse_cholesky_solves_stacked_grams():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 6, 6))
+    grams = a @ a.mT + 0.1 * np.eye(6)
+    inv = inverse_cholesky(grams)
+    assert np.abs(inv @ np.linalg.cholesky(grams) - np.eye(6)).max() < 1e-12
+    assert np.all(np.triu(inv, 1) == 0.0)
+    rhs = rng.standard_normal((4, 6, 3))
+    ref = oracles.cholesky_solve(grams[2], rhs[2])
+    assert np.abs(factor_solve(inv, rhs)[2] - ref).max() < 1e-10 * np.abs(ref).max()
+    # the leading block of the inverse factor is that of the leading Gram
+    lead = inverse_cholesky(grams[:, :3, :3])
+    assert np.abs(inv[:, :3, :3] - lead).max() < 1e-13 * np.abs(lead).max()
+    grams[1, 4, 4] = -1.0
+    with pytest.raises(ValueError, match="^cell 9: test Gram is not positive definite"):
+        inverse_cholesky(grams, cells=np.array([3, 9, 12, 20]), what="test Gram")
 
 
 def test_l2_projection_reproduces_polynomials():

@@ -70,6 +70,24 @@ def test_error_norms_match_cellwise_oracle(k):
             assert abs(getattr(row, f"ref_{name}") - scale) <= 1e-14 * scale, name
 
 
+def test_solve_path_uses_no_dense_solver(monkeypatch):
+    # every Gram solve goes through a Cholesky factor; numpy's LU-based
+    # solve and inv must not be reached from assembly, solve or recovery
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    for k in range(4):  # fills the cached reference tables first
+        study.solve_case(mesh, case, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense LU solver called on the solve path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for k in range(4):
+        result = study.solve_case(mesh, case, k)
+        assert result.system.solution is not None
+
+
 def _row(n, e, **fields):
     return ConvergenceRow(n_elements=n, error_u=e, error_p=e,
                           error_grad_p=e, error_div=e,

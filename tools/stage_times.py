@@ -6,6 +6,9 @@ k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
 ``bubble-sine`` case.  Stages: mesh generation, ``ncvem.assemble``,
 ``ncvem.solve_pressure``, ``recovery.recover_velocity``,
 ``study.error_norms`` and ``vtk_export.export_vtk`` (to a temporary file).
+``assemble`` is also split into ``build``, the time inside its
+``ncvem.build_element`` calls, and ``scatter``, the rest: the global DOF
+tables, the triplet scatter and the sparse matrix build.
 
 Each row runs in a fresh interpreter with BLAS pinned to one thread before
 numpy loads, so the peak RSS it reports (``ru_maxrss`` of that interpreter,
@@ -50,9 +53,23 @@ def row(n: int, k: int) -> None:
         seconds[stage] = time.perf_counter() - t0
         return out
 
+    def build_element(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return real_build(*args, **kwargs)
+        finally:
+            seconds["build"] += time.perf_counter() - t0
+
     mesh = timed("mesh", polymesh.generate_distorted_polygonal, n, n, SEED, DISTORTION)
-    system = timed("assemble", ncvem.assemble, mesh, case.permeability, case.forcing,
-                   k, case.pressure)
+    # assemble reaches the element build through the module attribute
+    real_build, ncvem.build_element = ncvem.build_element, build_element
+    seconds["build"] = 0.0
+    try:
+        system = timed("assemble", ncvem.assemble, mesh, case.permeability, case.forcing,
+                       k, case.pressure)
+    finally:
+        ncvem.build_element = real_build
+    seconds["scatter"] = seconds["assemble"] - seconds["build"]
     timed("solve", ncvem.solve_pressure, system)
     velocity = timed("recover", recovery.recover_velocity, system)
     result = study.SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
@@ -73,7 +90,8 @@ def _ndof(n: int) -> str:
 def main() -> int:
     env = dict(os.environ, **BLAS_ONE_THREAD)
     here = str(Path(__file__).resolve().parent)
-    stages = ("mesh", "assemble", "solve", "recover", "error_norms", "vtk")
+    stages = ("mesh", "assemble", "build", "scatter", "solve", "recover", "error_norms",
+              "vtk")
     print("| cells | k | ndof | " + " | ".join(stages) + " | peak RSS |")
     print("|" + "------|" * (len(stages) + 4))
     for n, k in ROWS:
