@@ -70,36 +70,17 @@ def tensor_field(K):
             return out
 
         return wrapped
-    mat = _constant_tensor(K)
+    mat = np.asarray(K, dtype=float)
+    if mat.ndim == 0:
+        mat = mat * np.eye(2)
+    if mat.shape != (2, 2):
+        raise ValueError("constant permeability must be scalar or 2x2")
 
     def const(pts):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(mat, (len(pts), 2, 2))
 
     return const
-
-
-def _constant_tensor(K) -> np.ndarray:
-    mat = np.asarray(K, dtype=float)
-    if mat.ndim == 0:
-        mat = mat * np.eye(2)
-    if mat.shape != (2, 2):
-        raise ValueError("constant permeability must be scalar or 2x2")
-    return mat
-
-
-def apply_permeability(K, pts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """K(x) v at points (n, 2) for vectors v (n, 2), K any `tensor_field` spec.
-
-    An isotropic callable scales the vectors directly, without building the
-    (n, 2, 2) tensors.
-    """
-    if callable(K):
-        vals = np.asarray(K(np.atleast_2d(pts)), dtype=float)
-        if vals.ndim == 1:
-            return vals[:, None] * vectors
-        return np.einsum("nij,nj->ni", vals, vectors)
-    return vectors @ _constant_tensor(K).T
 
 
 def scalar_field(f):

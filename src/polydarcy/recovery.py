@@ -161,7 +161,7 @@ def recover_gkperp_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
 
 def divergence(element: NcElement, edge_coeffs: np.ndarray,
                grad_moments: np.ndarray, f_scale: float = 0.0,
-               noise: float = 0.0, inv_mass_k: np.ndarray | None = None) -> tuple:
+               noise: float = 0.0) -> tuple:
     """Coefficients of div u on the cell, checked against Pi0_k f.
 
     int_P (div u) m_gamma = int_bdry (u . n) m_gamma - int_P u . grad m_gamma
@@ -175,9 +175,8 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     interior term magnitudes with an optional caller-provided global f
     scale; `noise` carries the rounding envelope of the residual evaluation
     that produced the data (see recover_velocity).  The moments become
-    coefficients through the Cholesky factor of the degree-k Gram:
-    `inv_mass_k` is its `polybasis.inverse_cholesky` when the caller has
-    it; otherwise it is factored here from the stored `mass`.
+    coefficients through the Cholesky factor of the degree-k Gram, factored
+    here from the stored `mass` (`polybasis.inverse_cholesky`).
 
     Returns (coefficients of div u, noise-deflated relative gap), with a
     leading cell axis on both for a group.
@@ -205,16 +204,14 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
             f"the projected source (relative gap {np.ravel(rel)[worst]:.3e}, "
             f"tolerance {_DIV_TOL:.1e})"
         )
-    if inv_mass_k is None:
-        inv_mass_k = inverse_cholesky(element.mass[..., :nk, :nk], element.cell,
-                                      "monomial Gram")
+    inv_mass_k = inverse_cholesky(element.mass[..., :nk, :nk], element.cell,
+                                  "monomial Gram")
     coeffs = factor_solve(inv_mass_k, rhs[..., None])[..., 0]
     return coeffs, rel
 
 
 def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
-                     gkperp_moments: np.ndarray,
-                     inv_h: np.ndarray | None = None) -> np.ndarray:
+                     gkperp_moments: np.ndarray) -> np.ndarray:
     """Coefficients of the L2 projection of u onto (P_k)^2 on one cell.
 
     The projection is pinned down by its moments against gradients of the
@@ -228,16 +225,13 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
 
     with E' the gradient table of the nonconstant monomials and
     H' = E'^T M_vec E' their gradient Gram (`polybasis.gradient_gram`),
-    applied through its Cholesky factor: `inv_h` is its
-    `polybasis.inverse_cholesky` when the caller has it; otherwise H' is
-    formed from the stored `mass` and factored here.
+    formed from the stored `mass` and applied through its Cholesky factor.
     """
     nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
     nk = n_monomials(element.k)
     emat = element.grad_coeff
-    if inv_h is None:
-        inv_h = inverse_cholesky(gradient_gram(element.mass[..., :nk, :nk], emat),
-                                 element.cell, "gradient Gram")
+    inv_h = inverse_cholesky(gradient_gram(element.mass[..., :nk, :nk], emat),
+                             element.cell, "gradient Gram")
     area = element.area[..., None]
     grad_part = emat[..., 1:] @ factor_solve(inv_h, (area * nu)[..., None])
     gkperp_part = element.gk_perp.coeffs @ (area * gkperp_moments)[..., None]
@@ -335,20 +329,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     centers = np.zeros((nc, 2))
     diameters = np.zeros(nc)
 
-    # The Grams have one size on the whole mesh, so every cell's two factors
-    # come from one batched call each, refactored from the stored `mass`;
-    # each group takes its rows.
-    groups = system.groups
-    mass_k = np.concatenate([g.mass[:, :nk, :nk] for g in groups])
-    all_cells = np.concatenate([g.cell for g in groups])
-    inv_mass_k = inverse_cholesky(mass_k, all_cells, "monomial Gram")
-    emat = np.concatenate([g.grad_coeff for g in groups])
-    inv_h = inverse_cholesky(gradient_gram(mass_k, emat), all_cells, "gradient Gram")
-    first = np.cumsum([0] + [len(g.cell) for g in groups])
-
-    for i, group in enumerate(groups):
+    for i, group in enumerate(system.groups):
         cells = group.cell
-        rows = slice(first[i], first[i + 1])
         p_loc = system.group_pressure(i)
         local = recover_edge_moments(group, p_loc)
         noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(group.stiffness), np.abs(p_loc))
@@ -362,9 +344,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         grad_moments[cells] = recover_gradient_moments(group, local)
         gkperp_moments[cells] = recover_gkperp_moments(group, p_loc)
         div[cells], div_gaps[cells] = divergence(group, local, grad_moments[cells],
-                                                 f_scale=f_scale, noise=cell_noise[cells],
-                                                 inv_mass_k=inv_mass_k[rows])
-        proj[cells] = project_velocity(group, local, gkperp_moments[cells], inv_h[rows])
+                                                 f_scale=f_scale, noise=cell_noise[cells])
+        proj[cells] = project_velocity(group, local, gkperp_moments[cells])
         if rt is not None:
             rt[cells] = rt0_reconstruct(group, p_loc)
         pressure[cells] = np.einsum("gij,gj->gi", group.p0, p_loc)

@@ -174,8 +174,8 @@ def _exact_table(case: ManufacturedCase, points: np.ndarray, n_rows: int) -> np.
     pts = points.reshape(-1, 2)
     grad = case.grad_pressure(pts)
     out = np.empty((g, n_rows, nq))
-    out[:, 0:2] = (-ncvem.apply_permeability(case.permeability, pts, grad)
-                   ).reshape(g, nq, 2).mT
+    kvals = ncvem.tensor_field(case.permeability)(pts)
+    out[:, 0:2] = -np.einsum("nij,nj->ni", kvals, grad).reshape(g, nq, 2).mT
     out[:, 2] = case.pressure(pts).reshape(g, nq)
     out[:, 3:5] = grad.reshape(g, nq, 2).mT
     out[:, 5] = case.forcing(pts).reshape(g, nq)
