@@ -1,15 +1,15 @@
 """Manufactured solutions for -div(K grad p) = f on the unit square.
 
-Each case carries pointwise-evaluable exact pressure, velocity u = -K grad p,
-coefficient K and forcing f.  A finite-difference consistency check guards
-against transcription slips in hand-derived forcings; polynomial cases are
-generated from a small dense-coefficient polynomial helper so that p, u and
-f stay exactly consistent by construction.
+Each case carries pointwise-evaluable exact pressure, its gradient, velocity
+u = -K grad p, coefficient K and forcing f.  A finite-difference consistency
+check guards against transcription slips in hand-derived forcings;
+polynomial cases are generated from a small dense-coefficient polynomial
+helper so that p, u and f stay exactly consistent by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
@@ -60,7 +60,7 @@ class ManufacturedCase:
     velocity: callable          # (n, 2) values of -K grad p
     permeability: object        # scalar, 2x2, or callable
     forcing: callable
-    grad_pressure: callable = field(default=None)
+    grad_pressure: callable     # (n, 2) values of grad p
 
 
 def verify_consistency(case: ManufacturedCase, n: int = 100, seed: int = 7,

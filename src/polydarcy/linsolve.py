@@ -55,19 +55,11 @@ class SparseSpd:
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
-    def dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def symmetry_gap(self) -> float:
-        """Largest absolute entry of A - A^T; zero for exact symmetry."""
-        gap = self.csr - self.csr.T
-        return float(np.abs(gap.data).max()) if gap.nnz else 0.0
-
 
 def _dense_solve(matrix: SparseSpd, b: np.ndarray) -> np.ndarray:
     # Not called by the solver.  Kept because the stage benchmark's traced
     # run wraps this name and fails when it is missing.
-    factor = cho_factor(matrix.dense())
+    factor = cho_factor(matrix.csr.toarray())
     return cho_solve(factor, b)
 
 
@@ -116,8 +108,7 @@ def _factor(matrix: SparseSpd,
 
 
 def _refine_floor(matrix: SparseSpd, b: np.ndarray, x: np.ndarray,
-                  correct: Callable[[np.ndarray], np.ndarray] | None = None,
-                  ) -> np.ndarray:
+                  correct: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Polish a solution by mixed-precision iterative refinement.
 
     A backward-stable solve reaches the rounding floor of the residual, but
@@ -125,15 +116,12 @@ def _refine_floor(matrix: SparseSpd, b: np.ndarray, x: np.ndarray,
     the best representable solution when the conditioning is poor.  No
     double-precision residual can see past that, so the residual is
     re-evaluated in extended precision and the correction solved with
-    `correct`, the factored solve from `_factor` (computed here when not
-    given).  Each pass contracts the forward error by roughly the correction
-    solve's accuracy, so one or two passes reach the extended-precision
-    floor; at most three are made.  On platforms where long double is plain
-    double this degrades to classical fixed precision refinement, which
-    still cannot make the solution worse.
+    `correct`, the factored solve from `_factor`.  Each pass contracts the
+    forward error by roughly the correction solve's accuracy, so one or two
+    passes reach the extended-precision floor; at most three are made.  On
+    platforms where long double is plain double this degrades to classical
+    fixed precision refinement, which still cannot make the solution worse.
     """
-    if correct is None:
-        correct = _factor(matrix, 1.0 / np.sqrt(matrix.diagonal()))
     xl = np.asarray(x, dtype=np.longdouble)
     al = matrix.csr.astype(np.longdouble)
     bl = np.asarray(b, dtype=np.longdouble)

@@ -10,28 +10,26 @@ projection onto P_{k+1} computable from the degrees of freedom alone.
 Element matrices are dense and small, and the same algebra on every cell,
 so cells with one vertex count are built together as a group: the group's
 stacked coordinates (G, n_v, 2) give one quadrature, one monomial table and
-batched Gram solves for all members (`build_element` of an array of
-cells).  Every Gram solve uses a batched Cholesky factor applied as two
-triangular products (`polybasis.inverse_cholesky`): the degree-(k+1)
-monomial Gram's factor serves all L2 projections, since graded-lex order
-makes its leading block the factor of the degree-k Gram, and the gradient
-Gram of the nonconstant monomials gives the energy projection.  Edge
-moments come from one reference table per order (see
-`polybasis.edge_reference`), and the normal traces of the cell monomials
-are projected onto the edge monomials by one fixed matrix, so no edge Gram
-is solved.
+batched Gram solves for all members (`build_element` of a `CellGroup`).
+Every Gram solve uses a batched Cholesky factor applied as two triangular
+products (`polybasis.inverse_cholesky`): the degree-(k+1) monomial Gram's
+factor serves all L2 projections, since graded-lex order makes its leading
+block the factor of the degree-k Gram, and the gradient Gram of the
+nonconstant monomials gives the energy projection.  Edge moments come from
+one reference table per order (see `polybasis.edge_reference`), and the
+normal traces of the cell monomials are projected onto the edge monomials
+by one fixed matrix, so no edge Gram is solved.
 
 The global SPD system is scattered from the groups' stacked stiffness
 blocks in one triplet build, with Dirichlet data eliminated.  Everything a
 later velocity recovery needs (projection tables, edge moment tables, the
-residual pieces) is kept in the group arrays; `SpdSystem.elements[c]` gives
-one cell's record on access.
+residual pieces) is kept in the group arrays, which are the only element
+record: cell `group.cell[i]` is row i of every stacked field.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,7 +103,6 @@ class NcDofMap:
     n_global: int
     edge_offset: np.ndarray  # (ne,) start of the edge's DOF block, -1 on boundary
     cell_offset: np.ndarray  # (nc,)
-    mesh: PolyMesh = field(repr=False)
 
     @property
     def n_cell_dofs(self) -> int:
@@ -123,10 +120,6 @@ class NcDofMap:
         cell_part = self.cell_offset[cells][..., None] + np.arange(self.n_cell_dofs)
         return np.concatenate([edge_part, cell_part], axis=-1)
 
-    def cell_global(self, c: int) -> np.ndarray:
-        """Global index per local DOF slot of cell c; -1 marks boundary-edge slots."""
-        return self.global_indices(self.mesh.cell_edges[c], c)
-
 
 def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
     interior = mesh.edge_right >= 0
@@ -136,26 +129,25 @@ def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
     cell_offset = np.arange(mesh.num_cells, dtype=np.int64) * ncell + pos
     n_global = pos + ncell * mesh.num_cells
     return NcDofMap(k=k, n_global=n_global, edge_offset=edge_offset,
-                    cell_offset=cell_offset, mesh=mesh)
+                    cell_offset=cell_offset)
 
 
 @dataclass
 class NcElement:
-    """Discretization record of one cell, or of a group of cells stacked.
+    """Discretization record of a group of cells with one vertex count, stacked.
 
+    Every array field has a leading axis over the members (see
+    `build_element`): row i describes cell `cell[i]`, and the bases carry
+    stacked centers and diameters.  The shapes below are per member.
     Matrices act on the local DOF vector ordered edge blocks first (cell loop
-    order, moments 0..k per edge) followed by the interior moment block.  A
-    group of cells with one vertex count (see `build_element`) holds the same
-    fields with a leading axis over its members: `cell` is then the (G,)
-    array of cell indices, the bases carry stacked centers and diameters,
-    and `group[i]` is the record of member i.
+    order, moments 0..k per edge) followed by the interior moment block.
     """
 
-    cell: int | np.ndarray
+    cell: np.ndarray                   # cell index of each member, ascending
     k: int
     coords: np.ndarray
     basis: ScaledMonomialBasis         # degree k+1, centroid/diameter scaled
-    area: float | np.ndarray
+    area: np.ndarray
     edge_ids: np.ndarray
     edge_signs: np.ndarray
     edge_lengths: np.ndarray
@@ -181,60 +173,37 @@ class NcElement:
     def n_edges(self) -> int:
         return self.edge_ids.shape[-1]
 
-    def cell_slot(self, gamma: int) -> int:
-        return self.n_edges * (self.k + 1) + gamma
-
     @property
     def grad_coeff(self) -> np.ndarray:
         """(2 pi_k, pi_{k+1}) exact-gradient table of the cell basis."""
         return gradient_coefficient_matrix(self.k + 1, self.basis.diameter)
 
-    def __getitem__(self, i: int) -> NcElement:
-        """Record of member i of a group (views into the group's arrays)."""
-        basis = ScaledMonomialBasis(self.basis.center[i], self.basis.diameter[i],
-                                    self.k + 1)
-        gk_perp = GkPerpBasis(
-            basis=ScaledMonomialBasis(basis.center, basis.diameter, self.k),
-            coeffs=self.gk_perp.coeffs[i])
-        members = {f.name: getattr(self, f.name)[i] for f in fields(self)
-                   if f.name not in ("k", "basis", "gk_perp")}
-        return NcElement(k=self.k, basis=basis, gk_perp=gk_perp, **members)
-
 
 def build_element(
     mesh: PolyMesh,
-    c,
+    group: CellGroup,
     k: int,
     K=1.0,
     f=None,
     quad_degree: int | None = None,
 ) -> NcElement:
-    """Assemble all local operators of cell c, or of the cells c (G,) at once.
+    """Assemble all local operators of a `CellGroup` from `mesh.cell_groups`.
 
-    Cells given as an array must share one vertex count and give their
-    stacked record, a group with members in ascending index order; a
-    `CellGroup` from `mesh.cell_groups` is taken as it is, without grouping
-    its cells again.  Every step is the same small dense algebra on each
-    member, so it runs on the stacked arrays: one quadrature, one monomial
-    table and batched products for the whole group; one cell is a group of
-    one.  Every Gram solve goes through a Cholesky factor (see
-    `polybasis.inverse_cholesky`): one factor of the degree-(k+1) monomial
-    Gram serves the L2 projections, the gradient projection, the source
-    coefficients and the gradient complement, and one factor of the
-    gradient Gram gives the energy projection.  A Gram that is not positive
-    definite raises ValueError naming the first such cell.  quad_degree
-    defaults to 2(k+2), enough for every Gram and weighted Gram appearing
-    here; raise it for strongly varying coefficients.
+    Every step is the same small dense algebra on each member, so it runs
+    on the stacked arrays: one quadrature, one monomial table and batched
+    products for the whole group, whose stacked record is returned (one
+    cell is `mesh.cell_groups([c])[0]`, a group of one).  Every Gram solve
+    goes through a Cholesky factor (see `polybasis.inverse_cholesky`): one
+    factor of the degree-(k+1) monomial Gram serves the L2 projections, the
+    gradient projection, the source coefficients and the gradient
+    complement, and one factor of the gradient Gram gives the energy
+    projection.  A Gram that is not positive definite raises ValueError
+    naming the first such cell.  quad_degree defaults to 2(k+2), enough for
+    every Gram and weighted Gram appearing here; raise it for strongly
+    varying coefficients.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
-    if isinstance(c, CellGroup):
-        group = c
-    else:
-        groups = mesh.cell_groups(np.atleast_1d(c))
-        if len(groups) != 1:
-            raise ValueError("cells built together must share one vertex count")
-        group = groups[0]
     Kfun = tensor_field(K)
     ffun = scalar_field(f)
     coords = mesh.vertices[group.loops]           # (G, n_e, 2)
@@ -338,11 +307,11 @@ def build_element(
     # Gradient-complement machinery: orthonormal basis and the operator that
     # recovers the complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
-    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k), mass_k,
-                        group.cells, inv_factor=inv_mass_k)
+    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k),
+                        inv_mass_k, group.cells)
     gkperp_rec = -(gkp.coeffs.mT @ mk_w @ grad_proj) / area[:, None, None]
 
-    element = NcElement(
+    return NcElement(
         cell=group.cells,
         k=k,
         coords=coords,
@@ -365,7 +334,6 @@ def build_element(
         gk_perp=gkp,
         gkperp_rec=gkperp_rec,
     )
-    return element if isinstance(c, CellGroup) or np.ndim(c) else element[0]
 
 
 def _edge_points(mesh: PolyMesh, edge_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -429,31 +397,13 @@ def _dirichlet_lift(element: NcElement, boundary_values: np.ndarray) -> np.ndarr
     return out
 
 
-class CellRecords(Sequence):
-    """Per-cell element records of a system, built on access from its groups."""
-
-    def __init__(self, groups: list):
-        self._groups = groups
-
-    def __len__(self) -> int:
-        return sum(len(group.cell) for group in self._groups)
-
-    def __getitem__(self, c: int) -> NcElement:
-        for group in self._groups:
-            row = int(np.searchsorted(group.cell, c))
-            if row < len(group.cell) and group.cell[row] == c:
-                return group[row]
-        raise IndexError(f"no cell {c}")
-
-
 @dataclass
 class SpdSystem:
     """Reduced SPD system with everything needed to get local pressures back.
 
     `groups` holds the stacked element records of the mesh's vertex-count
     groups (see `PolyMesh.cell_groups`) and `group_global` each group's
-    (G, N) table of global DOF indices; `elements[c]` is the record of
-    cell c, built on access.
+    (G, N) table of global DOF indices, -1 on boundary-edge slots.
     """
 
     matrix: linsolve.SparseSpd
@@ -466,26 +416,12 @@ class SpdSystem:
     k: int = 0
     solution: np.ndarray | None = None
 
-    @property
-    def elements(self) -> CellRecords:
-        return CellRecords(self.groups)
-
-    def local_boundary(self, c: int) -> np.ndarray:
-        """Local DOF vector holding Dirichlet values, zero on free slots."""
-        return _dirichlet_lift(self.elements[c], self.boundary_values)
-
-    def local_pressure(self, c: int) -> np.ndarray:
-        """Full local DOF vector of the solved pressure on cell c."""
-        return self._gather(self.elements[c], self.dofmap.cell_global(c))
-
     def group_pressure(self, i: int) -> np.ndarray:
         """Full local DOF vectors (G, N) of the solved pressure on group i."""
-        return self._gather(self.groups[i], self.group_global[i])
-
-    def _gather(self, element: NcElement, glob: np.ndarray) -> np.ndarray:
         if self.solution is None:
             raise RuntimeError("system not solved yet")
-        out = _dirichlet_lift(element, self.boundary_values)
+        out = _dirichlet_lift(self.groups[i], self.boundary_values)
+        glob = self.group_global[i]
         free = glob >= 0
         out[free] = self.solution[glob[free]]
         return out

@@ -371,31 +371,27 @@ def gradient_gram(mass_k: np.ndarray, emat: np.ndarray) -> np.ndarray:
     return ex.mT @ mass_k @ ex + ey.mT @ mass_k @ ey
 
 
-def gk_perp_basis(basis: ScaledMonomialBasis, mass_k: np.ndarray,
-                  cells=None, inv_factor: np.ndarray | None = None) -> GkPerpBasis:
+def gk_perp_basis(basis: ScaledMonomialBasis, inv_factor: np.ndarray,
+                  cells=None) -> GkPerpBasis:
     """Construct the orthonormal complement basis on one polygon or a stack.
 
-    `basis` is the cell's degree-k scaled monomial basis and `mass_k` its
-    Gram matrix on the cell, both stacked for a group; `inv_factor` is
-    `inverse_cholesky(mass_k)` when the caller already has it.  The
-    complement is the kernel of the pairing of (P_k)^2 against exact
-    gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the fixed null space
-    of the transposed gradient table; M_vec^{-1} Z is orthonormalized in the
-    L2(P) inner product as M_vec^{-1} Z L^{-T}, with L the Cholesky factor
-    of its small Gram Z^T M_vec^{-1} Z.  The basis is unique up to an
-    orthogonal change within the complement (a sign at k = 1).  Raises
-    ValueError naming the first member (by `cells`, default its position in
-    the stack) whose small Gram, or `mass_k` when factored here, is not
-    positive definite or not finite.
+    `basis` is the cell's degree-k scaled monomial basis and `inv_factor`
+    `inverse_cholesky(mass_k)` of its Gram matrix on the cell, both stacked
+    for a group.  The complement is the kernel of the pairing of (P_k)^2
+    against exact gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the
+    fixed null space of the transposed gradient table; M_vec^{-1} Z is
+    orthonormalized in the L2(P) inner product as M_vec^{-1} Z L^{-T}, with
+    L the Cholesky factor of its small Gram Z^T M_vec^{-1} Z.  The basis is
+    unique up to an orthogonal change within the complement (a sign at
+    k = 1).  Raises ValueError naming the first member (by `cells`, default
+    its position in the stack) whose small Gram is not positive definite or
+    not finite.
     """
     k = basis.degree
     nk = n_monomials(k)
     z = _gradient_annihilator(k)
     if z.shape[1] == 0:
-        return GkPerpBasis(basis=basis, coeffs=np.zeros(mass_k.shape[:-2] + z.shape))
-    if inv_factor is None:
-        inv_factor = inverse_cholesky(mass_k, cells,
-                                      "gradient-complement Gram (monomial block)")
+        return GkPerpBasis(basis=basis, coeffs=np.zeros(inv_factor.shape[:-2] + z.shape))
     # M_vec^{-1} Z one diagonal block (x, then y) at a time
     mz = factor_solve(inv_factor[..., None, :, :], z.reshape(2, nk, -1))
     mz = mz.reshape(mz.shape[:-3] + z.shape)

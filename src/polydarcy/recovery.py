@@ -17,9 +17,8 @@ the cell-averaged source.
 vertex-count group at a time: it gathers each group's local pressures once
 and fills every cellwise field of the post-processing (velocity DOFs,
 projected velocity, its divergence, the RT field, the projected pressure and
-its gradient) as a `PiecewisePolyField`.  The per-cell helpers below take
-one cell's record or a group's stacked record alike, broadcasting over the
-leading cell axis.
+its gradient) as a `PiecewisePolyField`.  The helpers below take a group's
+stacked element record and broadcast over its leading cell axis.
 Every interior-edge flux is recovered from both incident cells; the left
 cell's copy is kept, and a velocity whose two copies disagree, whose
 divergence is not the projected source, or that violates global
@@ -212,7 +211,7 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
 
 def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
                      gkperp_moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection of u onto (P_k)^2 on one cell.
+    """Coefficients of the L2 projection of u onto (P_k)^2 on each cell.
 
     The projection is pinned down by its moments against gradients of the
     nonconstant monomials up to degree k+1 (the k+1 layer computed by the
@@ -239,7 +238,7 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
 
 
 def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
-    """Lowest-order Raviart-Thomas-like velocity on one cell.
+    """Lowest-order Raviart-Thomas-like velocity on each cell.
 
     u_rt = -K_mean Pi0_0(grad p_h) + (f_mean / 2)(x - x_c) with x_c the cell
     centroid; its divergence is exactly the cell mean of f.  Returns the six

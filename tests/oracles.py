@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from polydarcy.ncvem import SpdSystem, tensor_field
-from polydarcy.polybasis import n_monomials
+from polydarcy.polybasis import GkPerpBasis, cell_basis, n_monomials
+from polydarcy.polymesh import polygon_area
 
 
 def triangle_monomial_integral(v0, v1, v2, a: int, b: int) -> float:
@@ -124,29 +125,38 @@ def edge_monomials(t, k: int) -> np.ndarray:
     return np.vstack([(t - 0.5) ** b for b in range(k + 1)])
 
 
-def exact_local_dofs(mesh, element, p) -> np.ndarray:
-    """Edge and interior scaled moments of an exact pressure, by quadrature.
+def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
+    """Edge and interior scaled moments of an exact pressure on cell c.
 
     Uses the package's cell-basis definition (that fixes the DOF meaning) but
     integrates with plain Gauss rules.
     """
-    k = element.k
-    out = np.zeros(element.n_dofs)
+    edge_ids = mesh.cell_edges[c]
+    nkm1 = n_monomials(k - 1)
+    out = np.zeros(len(edge_ids) * (k + 1) + nkm1)
     gx, gw = np.polynomial.legendre.leggauss(k + 6)
     t = 0.5 * (gx + 1.0)
-    for pos in range(element.n_edges):
-        e = element.edge_ids[pos]
+    for pos, e in enumerate(edge_ids):
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
         vals = edge_monomials(t, k)
         out[pos * (k + 1):(pos + 1) * (k + 1)] = vals @ (0.5 * gw * p(pts))
-    nkm1 = n_monomials(k - 1)
     if nkm1:
-        pts, w = polygon_gauss(element.coords, 12)
-        vals = element.basis.evaluate(pts)[:nkm1]
-        out[element.n_edges * (k + 1):] = (vals @ (w * p(pts))) / element.area
+        coords = mesh.cell_coords(c)
+        pts, w = polygon_gauss(coords, 12)
+        vals = cell_basis(coords, k - 1).evaluate(pts)
+        out[len(edge_ids) * (k + 1):] = (vals @ (w * p(pts))) / polygon_area(coords)
     return out
+
+
+def dirichlet_lift(system: SpdSystem, c: int) -> np.ndarray:
+    """Local DOF vector of cell c holding its Dirichlet edge values, zero elsewhere.
+
+    Interior-edge rows of `system.boundary_values` are zero.
+    """
+    edge_part = system.boundary_values[system.mesh.cell_edges[c]].ravel()
+    return np.concatenate([edge_part, np.zeros(n_monomials(system.k - 1))])
 
 
 def exact_velocity_dofs(system: SpdSystem, velocity):
@@ -172,20 +182,20 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
         un = velocity(pts) @ mesh.edge_normals[e]
         edge[e] = np.linalg.solve((vals * (0.5 * gw)) @ vals.T,
                                   vals @ (0.5 * gw * un))
-    grad, perp = [], []
-    for c in range(mesh.num_cells):
-        el = system.elements[c]
-        pts, w = polygon_gauss(el.coords, 12)
-        u = velocity(pts)
-        gm = el.basis.evaluate_gradient(pts)[1:nk]
-        grad.append((gm[:, :, 0] @ (w * u[:, 0])
-                     + gm[:, :, 1] @ (w * u[:, 1])) / el.area)
-        if el.gk_perp.dim:
-            gv = el.gk_perp.evaluate(pts)
-            perp.append((gv[:, :, 0] @ (w * u[:, 0])
-                         + gv[:, :, 1] @ (w * u[:, 1])) / el.area)
-        else:
-            perp.append(np.zeros(0))
+    grad = [None] * mesh.num_cells
+    perp = [None] * mesh.num_cells
+    for group in system.groups:
+        for row, c in enumerate(group.cell):
+            coords = group.coords[row]
+            pts, w = polygon_gauss(coords, 12)
+            u = velocity(pts)
+            basis = cell_basis(coords, k)
+            gm = basis.evaluate_gradient(pts)[1:nk]
+            grad[c] = (gm[:, :, 0] @ (w * u[:, 0])
+                       + gm[:, :, 1] @ (w * u[:, 1])) / group.area[row]
+            gv = GkPerpBasis(basis, group.gk_perp.coeffs[row]).evaluate(pts)
+            perp[c] = (gv[:, :, 0] @ (w * u[:, 0])
+                       + gv[:, :, 1] @ (w * u[:, 1])) / group.area[row]
     return edge, grad, perp
 
 
@@ -235,7 +245,7 @@ def monolithic_solve(system: SpdSystem, K):
     ne = mesh.num_edges
     nc = mesh.num_cells
     n_grad = nk - 1
-    gdim = system.elements[0].gk_perp.dim if nc else 0
+    gdim = system.groups[0].gk_perp.dim if nc else 0
     kfun = tensor_field(K)
     c_off = 0
     nu_off = c_off + (k + 1) * ne
@@ -243,7 +253,7 @@ def monolithic_solve(system: SpdSystem, K):
     p_off = kp_off + gdim * nc
     n_total = p_off + system.dofmap.n_global
 
-    rows_a = sum(el.n_dofs - 1 for el in system.elements)
+    rows_a = sum(len(g.cell) * (g.n_dofs - 1) for g in system.groups)
     rows_b = gdim * nc
     rows_c = nk * nc
     if rows_a + rows_b + rows_c != n_total:
@@ -252,70 +262,73 @@ def monolithic_solve(system: SpdSystem, K):
     amat = np.zeros((n_total, n_total))
     rhs = np.zeros(n_total)
     row = 0
-    for c in range(nc):
-        el = system.elements[c]
-        glob = system.dofmap.cell_global(c)
-        free = glob >= 0
-        lifted = system.local_boundary(c)
+    for g in system.groups:
+        for m, c in enumerate(g.cell):
+            n_edges, n_dofs, area = g.n_edges, g.n_dofs, g.area[m]
+            edge_ids, edge_signs = g.edge_ids[m], g.edge_signs[m]
+            glob = system.dofmap.global_indices(edge_ids, c)
+            free = glob >= 0
+            lifted = dirichlet_lift(system, c)
 
-        def add_pressure(r, weights):
-            amat[r, p_off + glob[free]] += weights[free]
-            rhs[r] -= float(weights @ lifted)
+            def add_pressure(r, weights):
+                amat[r, p_off + glob[free]] += weights[free]
+                rhs[r] -= float(weights @ lifted)
 
-        # r_gamma(u), the divergence moments, as sparse row templates over
-        # the edge-flux and gradient-moment unknowns
-        div_cols = []
-        for gamma in range(nk):
-            cols = {}
-            for pos in range(el.n_edges):
-                e = el.edge_ids[pos]
-                sgn = el.edge_signs[pos]
-                cross = el.edge_cross[pos][:, gamma]
-                for beta in range(k + 1):
-                    key = c_off + (k + 1) * e + beta
-                    cols[key] = cols.get(key, 0.0) + sgn * cross[beta]
-            if gamma >= 1:
-                cols[nu_off + n_grad * c + gamma - 1] = -el.area
-            div_cols.append(cols)
-
-        for i in range(el.n_dofs):
-            if i == 0:
-                continue  # the dropped, linearly dependent test slot
-            if i < el.n_edges * (k + 1):
-                pos, alpha = divmod(i, k + 1)
-                e = el.edge_ids[pos]
-                amat[row, c_off + (k + 1) * e + alpha] += (
-                    el.edge_signs[pos] * el.edge_lengths[pos])
-            proj_i = el.p0k[:, i]
+            # r_gamma(u), the divergence moments, as sparse row templates over
+            # the edge-flux and gradient-moment unknowns
+            div_cols = []
             for gamma in range(nk):
-                w = proj_i[gamma]
-                if w == 0.0:
-                    continue
-                for col, val in div_cols[gamma].items():
-                    amat[row, col] -= w * val
-            add_pressure(row, el.stiffness[i])
-            row += 1
+                cols = {}
+                for pos in range(n_edges):
+                    e = edge_ids[pos]
+                    sgn = edge_signs[pos]
+                    cross = g.edge_cross[m, pos, :, gamma]
+                    for beta in range(k + 1):
+                        key = c_off + (k + 1) * e + beta
+                        cols[key] = cols.get(key, 0.0) + sgn * cross[beta]
+                if gamma >= 1:
+                    cols[nu_off + n_grad * c + gamma - 1] = -area
+                div_cols.append(cols)
 
-        if gdim:
-            # weighted Gram of the vector monomials against the complement
-            # members, by the independent tensor-Gauss rule
-            pts, w = polygon_gauss(el.coords, n=12)
-            kv = kfun(pts)
-            mv = el.basis.evaluate(pts)[:nk]
-            gv = el.gk_perp.evaluate(pts)
-            for j in range(gdim):
-                kg_x = kv[:, 0, 0] * gv[j, :, 0] + kv[:, 1, 0] * gv[j, :, 1]
-                kg_y = kv[:, 0, 1] * gv[j, :, 0] + kv[:, 1, 1] * gv[j, :, 1]
-                wg = np.concatenate([mv @ (w * kg_x), mv @ (w * kg_y)])
-                amat[row, kp_off + gdim * c + j] = el.area
-                add_pressure(row, wg @ el.grad_proj)
+            for i in range(n_dofs):
+                if i == 0:
+                    continue  # the dropped, linearly dependent test slot
+                if i < n_edges * (k + 1):
+                    pos, alpha = divmod(i, k + 1)
+                    e = edge_ids[pos]
+                    amat[row, c_off + (k + 1) * e + alpha] += (
+                        edge_signs[pos] * g.edge_lengths[m, pos])
+                proj_i = g.p0k[m, :, i]
+                for gamma in range(nk):
+                    w = proj_i[gamma]
+                    if w == 0.0:
+                        continue
+                    for col, val in div_cols[gamma].items():
+                        amat[row, col] -= w * val
+                add_pressure(row, g.stiffness[m, i])
                 row += 1
 
-        for gamma in range(nk):
-            for col, val in div_cols[gamma].items():
-                amat[row, col] += val
-            rhs[row] = el.f_moments[gamma]
-            row += 1
+            if gdim:
+                # weighted Gram of the vector monomials against the complement
+                # members, by the independent tensor-Gauss rule
+                pts, w = polygon_gauss(g.coords[m], n=12)
+                kv = kfun(pts)
+                basis = cell_basis(g.coords[m], k)
+                mv = basis.evaluate(pts)
+                gv = GkPerpBasis(basis, g.gk_perp.coeffs[m]).evaluate(pts)
+                for j in range(gdim):
+                    kg_x = kv[:, 0, 0] * gv[j, :, 0] + kv[:, 1, 0] * gv[j, :, 1]
+                    kg_y = kv[:, 0, 1] * gv[j, :, 0] + kv[:, 1, 1] * gv[j, :, 1]
+                    wg = np.concatenate([mv @ (w * kg_x), mv @ (w * kg_y)])
+                    amat[row, kp_off + gdim * c + j] = area
+                    add_pressure(row, wg @ g.grad_proj[m])
+                    row += 1
+
+            for gamma in range(nk):
+                for col, val in div_cols[gamma].items():
+                    amat[row, col] += val
+                rhs[row] = g.f_moments[m, gamma]
+                row += 1
 
     x = np.linalg.solve(amat, rhs)
     edge_coeffs = x[c_off:nu_off].reshape(ne, k + 1)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from polydarcy.cases import (CASES, Poly2, get_case, polynomial_case,
-                             verify_consistency)
+from polydarcy.cases import (CASES, ManufacturedCase, Poly2, get_case,
+                             polynomial_case, verify_consistency)
 
 
 def test_known_case_names():
@@ -92,3 +92,12 @@ def test_poly2_derivatives():
     assert p.dy()(pts)[0] == 4.0
     assert p.scaled(2.0)(pts)[0] == 24.0
     assert p.plus(p)(pts)[0] == 24.0
+
+
+def test_case_without_pressure_gradient_refused():
+    # error_norms reads grad_pressure, so a case must carry it when built
+    case = get_case("bubble-unit")
+    with pytest.raises(TypeError, match="grad_pressure"):
+        ManufacturedCase(name="no-gradient", pressure=case.pressure,
+                         velocity=case.velocity, permeability=case.permeability,
+                         forcing=case.forcing)

@@ -10,7 +10,7 @@ from polydarcy.cases import polynomial_case
 from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map,
                              build_element, cell_dof_count, monomial_dofs,
                              solve_pressure)
-from polydarcy.polybasis import n_monomials
+from polydarcy.polybasis import cell_basis, n_monomials
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
 
@@ -25,8 +25,13 @@ def kvar(pts):
 
 
 def build_pentagon(k, K=1.0, f=None, quad_degree=None):
-    return build_element(one_cell_mesh(PENTAGON), 0, k, K, f,
-                         quad_degree=quad_degree)
+    mesh = one_cell_mesh(PENTAGON)
+    return build_element(mesh, mesh.cell_groups()[0], k, K, f, quad_degree=quad_degree)
+
+
+def unit_square_group(k):
+    mesh = polymesh.generate_uniform_quads(1, 1)
+    return build_element(mesh, mesh.cell_groups()[0], k)
 
 
 def test_cell_dof_count():
@@ -52,7 +57,7 @@ def test_dofmap_partition(k):
     assert np.array_equal(dofmap.edge_offset, expected)
     counts = np.zeros(dofmap.n_global, dtype=int)
     for c in range(mesh.num_cells):
-        glob = dofmap.cell_global(c)
+        glob = dofmap.global_indices(mesh.cell_edges[c], c)
         np.add.at(counts, glob[glob >= 0], 1)
     # interior-edge DOFs are seen by exactly two cells, moment DOFs by one
     for e in range(mesh.num_edges):
@@ -82,31 +87,21 @@ def test_projectors_reproduce_polynomials(k):
     # bound; at k = 3 the monomial basis holds the group only to 1e-11..5e-11
     # (ROADMAP item 3), so there it is left out
     mesh, group = _five_gon_group()
-    stacked = build_element(mesh, group.cells, k, kvar, _source)
+    stacked = build_element(mesh, group, k, kvar, _source)
     elements = [build_pentagon(k, K=kvar)]
     if k < 3:
-        elements += [stacked[i] for i in range(len(group.cells))]
+        elements.append(stacked)
     nk1 = n_monomials(k + 1)
     nk = n_monomials(k)
     for i, element in enumerate(elements):
         d = monomial_dofs(element)
         assert np.abs(element.p_nabla @ d - np.eye(nk1)).max() < 1e-11, i
         assert np.abs(element.p0 @ d - np.eye(nk1)).max() < 1e-11, i
-        assert np.abs(element.p0k @ d[:, :nk] - np.eye(nk)).max() < 1e-11, i
+        assert np.abs(element.p0k @ d[..., :nk] - np.eye(nk)).max() < 1e-11, i
         assert np.abs(element.grad_proj @ d - element.grad_coeff).max() < 1e-11, i
     # source coefficients against an LU oracle on the stored Gram
     ref = np.linalg.solve(stacked.mass[:, :nk, :nk], stacked.f_moments[..., None])[..., 0]
     assert np.abs(stacked.f_coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_build_takes_a_cell_group_as_it_is():
-    # assemble hands over the mesh's groups without grouping them again
-    mesh, group = _five_gon_group()
-    given = build_element(mesh, group, 2, kvar, _source)
-    regrouped = build_element(mesh, group.cells, 2, kvar, _source)
-    assert np.array_equal(given.cell, group.cells)
-    for name in ("stiffness", "load", "p0", "gkperp_rec"):
-        assert np.array_equal(getattr(given, name), getattr(regrouped, name)), name
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -122,17 +117,18 @@ def test_build_names_member_with_broken_quadrature(monkeypatch, k):
 
     monkeypatch.setattr(ncvem, "polygon_quadrature", broken)
     with pytest.raises(ValueError, match=f"^cell {group.cells[2]}: "):
-        build_element(mesh, group.cells, k, kvar, _source)
+        build_element(mesh, group, k, kvar, _source)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_constants_span_stiffness_kernel(k):
     element = build_pentagon(k, K=kvar)
-    d = monomial_dofs(element)
-    scale = np.abs(element.stiffness).max()
-    assert np.abs(element.stiffness @ d[:, 0]).max() < 1e-12 * scale
-    assert np.array_equal(element.stiffness, element.stiffness.T)
-    eigs = np.linalg.eigvalsh(element.stiffness)
+    d = monomial_dofs(element)[0]
+    stiffness = element.stiffness[0]
+    scale = np.abs(stiffness).max()
+    assert np.abs(stiffness @ d[:, 0]).max() < 1e-12 * scale
+    assert np.array_equal(stiffness, stiffness.T)
+    eigs = np.linalg.eigvalsh(stiffness)
     assert eigs[0] > -1e-12 * eigs[-1]
     assert abs(eigs[0]) < 1e-11 * eigs[-1]
     # exactly one kernel direction: the next eigenvalue is genuinely positive
@@ -145,18 +141,18 @@ def test_energy_exact_on_polynomials(k):
     # gradient Gram: the stabilizer vanishes there, and with the coefficient
     # resolved far beyond its default degree both quadratures see the same K
     element = build_pentagon(k, K=kvar, quad_degree=40)
-    d = monomial_dofs(element)
+    d = monomial_dofs(element)[0]
     pts, w = oracles.polygon_gauss(PENTAGON, 20)
-    grads = element.basis.evaluate_gradient(pts)
+    grads = cell_basis(PENTAGON, k + 1).evaluate_gradient(pts)
     target = np.einsum("n,ina,jna->ij", w * kvar(pts), grads, grads)
-    got = d.T @ element.stiffness @ d
+    got = d.T @ element.stiffness[0] @ d
     assert np.abs(got - target).max() < 1e-11 * max(1.0, np.abs(target).max())
 
 
 def test_unit_square_energy_closed_form():
-    element = build_element(polymesh.generate_uniform_quads(1, 1), 0, 0)
-    d = monomial_dofs(element)
-    s = d.T @ element.stiffness @ d
+    element = unit_square_group(0)
+    d = monomial_dofs(element)[0]
+    s = d.T @ element.stiffness[0] @ d
     # grad m_(1,0) = (1/h, 0) with h = sqrt(2): energy |P|/h^2 = 1/2
     assert abs(s[1, 1] - 0.5) < 1e-13
     assert abs(s[2, 2] - 0.5) < 1e-13
@@ -164,40 +160,42 @@ def test_unit_square_energy_closed_form():
 
 
 def test_unit_square_k0_gradient_projection():
-    element = build_element(polymesh.generate_uniform_quads(1, 1), 0, 0)
+    element = unit_square_group(0)
     # edge means of p = x in loop order bottom, right, top, left
     chi = np.array([0.5, 1.0, 0.5, 0.0])
-    assert np.abs(element.grad_proj @ chi - np.array([1.0, 0.0])).max() < 1e-13
+    assert np.abs(element.grad_proj[0] @ chi - np.array([1.0, 0.0])).max() < 1e-13
 
 
 def test_stability_positive_off_kernel():
     element = build_pentagon(2, K=kvar)
-    d = monomial_dofs(element)
+    d = monomial_dofs(element)[0]
     kern = d[:, 0] / np.linalg.norm(d[:, 0])
     rng = np.random.default_rng(5)
     v = rng.standard_normal((200, element.n_dofs))
     v -= np.outer(v @ kern, kern)
-    energies = np.einsum("ni,ij,nj->n", v, element.stiffness, v)
+    energies = np.einsum("ni,ij,nj->n", v, element.stiffness[0], v)
     assert energies.min() > 0.0
 
 
 def test_zero_load_without_source():
     element = build_pentagon(2)
-    assert np.array_equal(element.load, np.zeros(element.n_dofs))
+    assert np.array_equal(element.load, np.zeros((1, element.n_dofs)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_constant_load_hits_mean_slot(k):
     # int_P Pi0_k(c) chi = c |P| * (zeroth interior moment of chi)
     element = build_pentagon(k, f=2.5)
+    area = element.area[0]
     expected = np.zeros(element.n_dofs)
-    expected[element.cell_slot(0)] = 2.5 * element.area
-    assert np.abs(element.load - expected).max() < 1e-12 * element.area
+    expected[element.n_edges * (k + 1)] = 2.5 * area
+    assert np.abs(element.load[0] - expected).max() < 1e-12 * area
 
 
 def test_k0_load_is_projected_mean():
     element = build_pentagon(0, f=2.5)
-    assert np.abs(element.load - 2.5 * element.area * element.p0k[0]).max() < 1e-12
+    expected = 2.5 * element.area[0] * element.p0k[0, 0]
+    assert np.abs(element.load[0] - expected).max() < 1e-12
 
 
 def test_forcing_projection_matches_dense_oracle():
@@ -206,10 +204,10 @@ def test_forcing_projection_matches_dense_oracle():
 
     element = build_pentagon(2, f=f, quad_degree=16)
     pts, w = oracles.polygon_gauss(PENTAGON, 20)
-    vals = element.basis.evaluate(pts)[:n_monomials(2)]
+    vals = cell_basis(PENTAGON, 2).evaluate(pts)
     gram = (vals * w) @ vals.T
     ref = np.linalg.solve(gram, vals @ (w * f(pts)))
-    assert np.abs(element.f_coeffs - ref).max() < 1e-10
+    assert np.abs(element.f_coeffs[0] - ref).max() < 1e-10
 
 
 def test_boundary_edge_values_match_direct_integrals():
@@ -236,14 +234,15 @@ def test_boundary_edge_values_match_direct_integrals():
 def test_negative_order_rejected():
     mesh = polymesh.generate_uniform_quads(1, 1)
     with pytest.raises(ValueError):
-        build_element(mesh, 0, -1)
+        build_element(mesh, mesh.cell_groups()[0], -1)
 
 
 def test_assembled_system_spd():
     mesh = polymesh.generate_distorted_polygonal(3, 3, seed=4, distortion=0.2)
     system = assemble(mesh, kvar, 1.0, 1, boundary=0.0)
-    assert system.matrix.symmetry_gap() == 0.0
-    eigs = np.linalg.eigvalsh(system.matrix.dense())
+    csr = system.matrix.csr
+    assert abs(csr - csr.T).max() == 0
+    eigs = np.linalg.eigvalsh(csr.toarray())
     assert eigs[0] > 0.0
     x = solve_pressure(system)
     assert system.solution is not None
@@ -266,18 +265,18 @@ def test_patch_exactness_small(k):
     system = assemble(mesh, case.permeability, case.forcing, k,
                       boundary=case.pressure)
     solve_pressure(system)
-    for c in range(mesh.num_cells):
-        element = system.elements[c]
-        exact = oracles.exact_local_dofs(mesh, element, case.pressure)
-        got = system.local_pressure(c)
-        assert np.abs(got - exact).max() < 1e-9
+    for i, group in enumerate(system.groups):
+        got = system.group_pressure(i)
+        for row, c in enumerate(group.cell):
+            exact = oracles.exact_local_dofs(mesh, c, k, case.pressure)
+            assert np.abs(got[row] - exact).max() < 1e-9
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_grouped_build_keeps_cell_identity(k):
-    # 69 4-gons, 53 5-gons, 21 6-gons and one 7-gon: every record read back
-    # from a group is that cell's own, and the stacked scatter is the
-    # per-cell scatter
+    # 69 4-gons, 53 5-gons, 21 6-gons and one 7-gon: every row of a group is
+    # that cell's own record, built as a group of one, and the stacked
+    # scatter is the per-cell scatter
     case = polynomial_case(k, seed=3)
     mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
     system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
@@ -287,24 +286,26 @@ def test_grouped_build_keeps_cell_identity(k):
     n = system.dofmap.n_global
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for c in range(mesh.num_cells):
-        got = system.elements[c]
-        ref = build_element(mesh, c, k, kvar, case.forcing)
-        assert got.cell == c
-        pairs = [(getattr(got, name), getattr(ref, name)) for name in fields]
-        pairs += [(got.basis.center, ref.basis.center),
-                  (got.basis.diameter, ref.basis.diameter),
-                  (got.gk_perp.coeffs, ref.gk_perp.coeffs)]
-        for name, (a, b) in zip(fields + ("center", "diameter", "gk_perp"), pairs):
-            assert np.shape(a) == np.shape(b), (c, name)
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
-        glob = system.dofmap.cell_global(c)
-        free = glob >= 0
-        lifted = system.local_boundary(c)
-        np.add.at(rhs, glob[free], (ref.load - ref.stiffness @ lifted)[free])
-        rows.append(np.repeat(glob[free], free.sum()))
-        cols.append(np.tile(glob[free], free.sum()))
-        vals.append(ref.stiffness[np.ix_(free, free)].ravel())
+    for group in system.groups:
+        for row, c in enumerate(group.cell):
+            ref = build_element(mesh, mesh.cell_groups([c])[0], k, kvar, case.forcing)
+            assert ref.cell.tolist() == [c]
+            pairs = [(getattr(group, name)[row], getattr(ref, name)[0])
+                     for name in fields]
+            pairs += [(group.basis.center[row], ref.basis.center[0]),
+                      (group.basis.diameter[row], ref.basis.diameter[0]),
+                      (group.gk_perp.coeffs[row], ref.gk_perp.coeffs[0])]
+            for name, (a, b) in zip(fields + ("center", "diameter", "gk_perp"), pairs):
+                assert np.shape(a) == np.shape(b), (c, name)
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
+            glob = system.dofmap.global_indices(mesh.cell_edges[c], c)
+            free = glob >= 0
+            lifted = oracles.dirichlet_lift(system, c)
+            stiffness = ref.stiffness[0]
+            np.add.at(rhs, glob[free], (ref.load[0] - stiffness @ lifted)[free])
+            rows.append(np.repeat(glob[free], free.sum()))
+            cols.append(np.tile(glob[free], free.sum()))
+            vals.append(stiffness[np.ix_(free, free)].ravel())
     scatter = sp.coo_matrix((np.concatenate(vals),
                              (np.concatenate(rows), np.concatenate(cols))),
                             shape=(n, n)).tocsr()

@@ -172,13 +172,14 @@ def test_gk_perp_dimensions():
 
 
 def test_gk_perp_k0_is_empty():
-    gkp = gk_perp_basis(cell_basis(UNIT_SQUARE, 0), mass_matrix(UNIT_SQUARE, 0))
+    gkp = gk_perp_basis(cell_basis(UNIT_SQUARE, 0),
+                        inverse_cholesky(mass_matrix(UNIT_SQUARE, 0)))
     assert gkp.dim == 0
 
 
 def test_gk_perp_k1_spans_rotation_on_square():
     square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    gkp = gk_perp_basis(cell_basis(square, 1), mass_matrix(square, 1))
+    gkp = gk_perp_basis(cell_basis(square, 1), inverse_cholesky(mass_matrix(square, 1)))
     assert gkp.dim == 1
     pts = np.array([[0.1, 0.2], [-0.3, 0.25], [0.4, -0.1]])
     vals = gkp.evaluate(pts)[0]
@@ -204,7 +205,8 @@ def _check_gk_perp(gkp, coords, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
-    gkp = gk_perp_basis(cell_basis(PENTAGON, k), mass_matrix(PENTAGON, k))
+    gkp = gk_perp_basis(cell_basis(PENTAGON, k),
+                        inverse_cholesky(mass_matrix(PENTAGON, k)))
     _check_gk_perp(gkp, PENTAGON, k)
     # one stacked input, every member checked: the 5-gon group of a mesh
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
@@ -213,7 +215,7 @@ def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
     quad = polygon_quadrature(stack, 2 * k)
     vals = cell_basis(stack, k).evaluate(quad.points)
     mass = (vals * quad.weights[:, None, :]) @ vals.mT
-    stacked = gk_perp_basis(cell_basis(stack, k), mass)
+    stacked = gk_perp_basis(cell_basis(stack, k), inverse_cholesky(mass))
     assert stacked.coeffs.shape == (len(stack), 2 * n_monomials(k), gk_perp_dimension(k))
     for coords, coeffs in zip(stack, stacked.coeffs):
         _check_gk_perp(GkPerpBasis(cell_basis(coords, k), coeffs), coords, k)
@@ -221,11 +223,20 @@ def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
 
 @pytest.mark.parametrize("defect", ["negated", "nan"])
 def test_gk_perp_names_first_member_with_bad_gram(defect):
+    # a negated Gram fails the caller's factor of mass_k, a NaN factor the
+    # complement's own small Gram; either error names the member's cell
     stack = np.stack([PENTAGON, PENTAGON + 1.0, PENTAGON - 2.0])
+    cells = np.array([4, 12, 30])
     mass = np.stack([mass_matrix(coords, 1) for coords in stack])
-    mass[1] = -mass[1] if defect == "negated" else np.nan
-    with pytest.raises(ValueError, match="^cell 12: gradient-complement Gram"):
-        gk_perp_basis(cell_basis(stack, 1), mass, cells=np.array([4, 12, 30]))
+    if defect == "negated":
+        mass[1] = -mass[1]
+        with pytest.raises(ValueError, match="^cell 12: monomial Gram"):
+            inverse_cholesky(mass, cells, "monomial Gram")
+    else:
+        inv_factor = inverse_cholesky(mass, cells, "monomial Gram")
+        inv_factor[1] = np.nan
+        with pytest.raises(ValueError, match="^cell 12: gradient-complement Gram"):
+            gk_perp_basis(cell_basis(stack, 1), inv_factor, cells)
 
 
 def test_gradient_coefficient_matrix_is_exact():
