@@ -1,10 +1,11 @@
 """Manufactured solutions for -div(K grad p) = f on the unit square.
 
-Each case carries pointwise-evaluable exact pressure, its gradient, velocity
-u = -K grad p, coefficient K and forcing f.  A finite-difference consistency
-check guards against transcription slips in hand-derived forcings;
-polynomial cases are generated from a small dense-coefficient polynomial
-helper so that p, u and f stay exactly consistent by construction.
+Each case carries pointwise-evaluable exact pressure, its gradient,
+coefficient K and forcing f; the velocity u = -K grad p is derived from
+them by Darcy's law.  A finite-difference consistency check guards against
+transcription slips in hand-derived gradients and forcings.  Polynomial
+cases differentiate dense coefficient arrays of p, so that grad p and f
+stay exactly consistent with p by construction.
 """
 
 from __future__ import annotations
@@ -12,81 +13,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyder, polyval2d
 
-
-@dataclass
-class Poly2:
-    """Dense bivariate polynomial sum c[i, j] x^i y^j."""
-
-    coeffs: np.ndarray
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return polyval2d(pts[:, 0], pts[:, 1], self.coeffs)
-
-    def dx(self) -> "Poly2":
-        c = self.coeffs
-        if c.shape[0] == 1:
-            return Poly2(np.zeros((1, 1)))
-        out = c[1:, :] * np.arange(1, c.shape[0])[:, None]
-        return Poly2(out)
-
-    def dy(self) -> "Poly2":
-        c = self.coeffs
-        if c.shape[1] == 1:
-            return Poly2(np.zeros((1, 1)))
-        out = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-        return Poly2(out)
-
-    def scaled(self, a: float) -> "Poly2":
-        return Poly2(a * self.coeffs)
-
-    def plus(self, other: "Poly2") -> "Poly2":
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        m = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = np.zeros((n, m))
-        out[:self.coeffs.shape[0], :self.coeffs.shape[1]] += self.coeffs
-        out[:other.coeffs.shape[0], :other.coeffs.shape[1]] += other.coeffs
-        return Poly2(out)
+from .ncvem import tensor_field
 
 
 @dataclass
 class ManufacturedCase:
-    """Named exact solution bundle; all callables take (n, 2) point arrays."""
+    """Exact p, grad p, K and f of one named case; u = -K grad p is derived.
+
+    All callables take (n, 2) point arrays.
+    """
 
     name: str
     pressure: callable
-    velocity: callable          # (n, 2) values of -K grad p
     permeability: object        # scalar, 2x2, or callable
     forcing: callable
     grad_pressure: callable     # (n, 2) values of grad p
 
+    def velocity(self, pts: np.ndarray) -> np.ndarray:
+        """(n, 2) values of the Darcy velocity u = -K grad p."""
+        pts = np.atleast_2d(pts)
+        kvals = tensor_field(self.permeability)(pts)
+        return -np.einsum("nij,nj->ni", kvals, self.grad_pressure(pts))
+
 
 def verify_consistency(case: ManufacturedCase, n: int = 100, seed: int = 7,
                        tol: float = 1e-6) -> float:
-    """Check f = div(-K grad p) = div u at random points by central differences.
+    """Check grad p and f = div(-K grad p) at random points by central differences.
 
-    Returns the worst absolute deviation, raising if it exceeds tol times the
-    local forcing scale.
+    Returns the worst absolute deviation, raising if either check exceeds tol
+    times the scale of the value it checks.
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, 0.95, size=(n, 2))
     h = 1e-5
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    div_u = (
-        (case.velocity(pts + ex)[:, 0] - case.velocity(pts - ex)[:, 0])
-        + (case.velocity(pts + ey)[:, 1] - case.velocity(pts - ey)[:, 1])
-    ) / (2 * h)
-    fvals = case.forcing(pts)
-    scale = max(float(np.abs(fvals).max()), 1.0)
-    worst = float(np.abs(div_u - fvals).max())
-    if worst > tol * scale:
-        raise ValueError(
-            f"case '{case.name}': forcing inconsistent with -div(K grad p) "
-            f"(worst deviation {worst:.3e}, scale {scale:.3e})"
-        )
+    steps = h * np.eye(2)
+    grad_p = np.column_stack([case.pressure(pts + e) - case.pressure(pts - e)
+                              for e in steps]) / (2 * h)
+    div_u = sum(case.velocity(pts + e)[:, i] - case.velocity(pts - e)[:, i]
+                for i, e in enumerate(steps)) / (2 * h)
+    checks = {
+        "grad_pressure inconsistent with grad p": (grad_p, case.grad_pressure(pts)),
+        "forcing inconsistent with -div(K grad p)": (div_u, case.forcing(pts)),
+    }
+    worst = 0.0
+    for what, (approx, given) in checks.items():
+        scale = max(float(np.abs(given).max()), 1.0)
+        deviation = float(np.abs(approx - given).max())
+        if deviation > tol * scale:
+            raise ValueError(f"case '{case.name}': {what} (worst deviation "
+                             f"{deviation:.3e}, scale {scale:.3e})")
+        worst = max(worst, deviation)
     return worst
 
 
@@ -109,9 +87,6 @@ def _bubble_case(name: str, sine_coefficient: bool) -> ManufacturedCase:
             pts = np.atleast_2d(pts)
             return 1.0 + 0.5 * np.sin(pts[:, 0])
 
-        def u(pts):
-            return -kappa(pts)[:, None] * grad_p(pts)
-
         def f(pts):
             pts = np.atleast_2d(pts)
             x, y = pts[:, 0], pts[:, 1]
@@ -121,17 +96,34 @@ def _bubble_case(name: str, sine_coefficient: bool) -> ManufacturedCase:
 
         perm = kappa
     else:
-        def u(pts):
-            return -grad_p(pts)
-
         def f(pts):
             pts = np.atleast_2d(pts)
             x, y = pts[:, 0], pts[:, 1]
             return 2.0 * (y * (1 - y) + x * (1 - x))
 
         perm = 1.0
-    return ManufacturedCase(name=name, pressure=p, velocity=u,
-                            permeability=perm, forcing=f, grad_pressure=grad_p)
+    return ManufacturedCase(name=name, pressure=p, permeability=perm,
+                            forcing=f, grad_pressure=grad_p)
+
+
+def _polynomial(coeffs: np.ndarray):
+    """Evaluator of sum coeffs[i, j] x^i y^j at (n, 2) points.
+
+    A trailing axis of length m in coeffs stacks m polynomials, whose values
+    come out as (n, m).
+    """
+
+    def evaluate(pts):
+        pts = np.atleast_2d(pts)
+        return polyval2d(pts[:, 0], pts[:, 1], coeffs).T
+
+    return evaluate
+
+
+def _derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx (axis 0) or d/dy (axis 1) coefficients, zero-padded to coeffs' shape."""
+    d = polyder(coeffs, axis=axis)
+    return np.pad(d, [(0, n - m) for n, m in zip(coeffs.shape, d.shape)])
 
 
 def polynomial_case(k: int, seed: int = 0,
@@ -149,34 +141,23 @@ def polynomial_case(k: int, seed: int = 0,
     # keep every top-degree layer populated so the test has full content
     coeffs[k + 1, 0] = max(1.0, abs(coeffs[k + 1, 0]))
     coeffs[0, k + 1] = max(1.0, abs(coeffs[0, k + 1]))
-    p = Poly2(coeffs)
     if K is None:
         kmat = np.array([[2.0, 0.5], [0.5, 1.5]])
     else:
         kmat = np.asarray(K, dtype=float)
         if kmat.ndim == 0:
             kmat = float(kmat) * np.eye(2)
-    px, py = p.dx(), p.dy()
-    ux = px.scaled(-kmat[0, 0]).plus(py.scaled(-kmat[0, 1]))
-    uy = px.scaled(-kmat[1, 0]).plus(py.scaled(-kmat[1, 1]))
+    px, py = _derivative(coeffs, 0), _derivative(coeffs, 1)
+    ux = -kmat[0, 0] * px + -kmat[0, 1] * py
+    uy = -kmat[1, 0] * px + -kmat[1, 1] * py
     # f = -div(K grad p) = div u
-    f_poly = ux.dx().plus(uy.dy())
-
-    def velocity(pts):
-        pts = np.atleast_2d(pts)
-        return np.column_stack([ux(pts), uy(pts)])
-
-    def grad_p(pts):
-        pts = np.atleast_2d(pts)
-        return np.column_stack([px(pts), py(pts)])
-
+    f_coeffs = _derivative(ux, 0) + _derivative(uy, 1)
     return ManufacturedCase(
         name=f"poly-{k + 1}",
-        pressure=p,
-        velocity=velocity,
+        pressure=_polynomial(coeffs),
         permeability=kmat,
-        forcing=f_poly,
-        grad_pressure=grad_p,
+        forcing=_polynomial(f_coeffs),
+        grad_pressure=_polynomial(np.stack([px, py], axis=-1)),
     )
 
 

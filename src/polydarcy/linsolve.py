@@ -35,10 +35,9 @@ class SparseSpd:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSpd":
+        # tocsr() sums duplicates and sorts the indices of each row
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        mat.sum_duplicates()
         mat.eliminate_zeros()
-        mat.sort_indices()
         return cls(csr=mat)
 
     @property

@@ -62,7 +62,8 @@ class ScaledMonomialBasis:
     """Monomials ((x - center)/diameter)^alpha up to a total degree.
 
     `center` (..., 2) and `diameter` (...) may carry a leading stack axis,
-    one basis per cell of a group; `evaluate` then takes points (..., n, 2).
+    one basis per cell of a group; `evaluate` and `evaluate_gradient` then
+    take points (..., n, 2).
     """
 
     center: np.ndarray
@@ -92,17 +93,15 @@ class ScaledMonomialBasis:
         return out
 
     def evaluate_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Gradients of all members at points; returns (n_members, n, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.evaluate(pts)
-        n = vals.shape[1]
-        grads = np.zeros((len(self), n, 2))
-        h = self.diameter
+        """Gradients of all members at points (..., n, 2): (..., n_members, n, 2)."""
+        vals = self.evaluate(points)
+        grads = np.zeros(vals.shape + (2,))
+        h = np.asarray(self.diameter)[..., None]
         for j, (a, b) in enumerate(self.exponents):
             if a > 0:
-                grads[j, :, 0] = (a / h) * vals[monomial_index(a - 1, b)]
+                grads[..., j, :, 0] = (a / h) * vals[..., monomial_index(a - 1, b), :]
             if b > 0:
-                grads[j, :, 1] = (b / h) * vals[monomial_index(a, b - 1)]
+                grads[..., j, :, 1] = (b / h) * vals[..., monomial_index(a, b - 1), :]
         return grads
 
 

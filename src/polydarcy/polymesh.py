@@ -1,10 +1,10 @@
 """Conforming polygonal meshes of 2D domains.
 
-Cells are simple polygons stored as counterclockwise vertex loops.  The
-topology builder derives a global edge table in which every edge is the
-unordered pair of its endpoints; two cells sharing an edge therefore agree on
-its identity, which is what makes edge-based degrees of freedom single-valued
-across the mesh.
+Cells are star-shaped simple polygons stored as counterclockwise vertex
+loops.  The topology builder derives a global edge table in which every edge
+is the unordered pair of its endpoints; two cells sharing an edge therefore
+agree on its identity, which is what makes edge-based degrees of freedom
+single-valued across the mesh.
 
 Conventions fixed here and relied on by the discretization modules:
 
@@ -17,8 +17,9 @@ Conventions fixed here and relied on by the discretization modules:
 One validity routine, `_loop_defects`, decides whether loops are admissible
 cells, for a whole stack of loops with one vertex count at a time: positive
 signed area, then the pairwise edge test for simplicity, then
-star-shapedness (the centroid half-plane test of `star_point`, with the
-Chebyshev-center linear program only for loops whose centroid fails it).
+star-shapedness (the centroid half-plane test of `_star_centers`, with
+the Chebyshev-center linear program only for loops whose centroid fails
+it).
 `build_topology` runs it per vertex-count group and builds the edge table
 from the sorted vertex pairs.  The distorted-mesh generator runs it on
 blocks of speculatively placed vertices and rewinds its random stream at a

@@ -64,7 +64,6 @@ def _scaled_case(case: ManufacturedCase, s: float) -> ManufacturedCase:
     return ManufacturedCase(
         name=case.name,
         pressure=lambda pts, c=case: s * c.pressure(pts),
-        velocity=lambda pts, c=case: s * c.velocity(pts),
         permeability=case.permeability,
         forcing=lambda pts, c=case: s * c.forcing(pts),
         grad_pressure=lambda pts, c=case: s * c.grad_pressure(pts),

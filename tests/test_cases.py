@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from polydarcy.cases import (CASES, ManufacturedCase, Poly2, get_case,
-                             polynomial_case, verify_consistency)
+from polydarcy.cases import (CASES, ManufacturedCase, get_case, polynomial_case,
+                             verify_consistency)
 
 
 def test_known_case_names():
@@ -44,13 +44,27 @@ def test_inconsistent_case_rejected():
     broken = type(case)(
         name="broken",
         pressure=case.pressure,
-        velocity=case.velocity,
         permeability=case.permeability,
         forcing=lambda pts: case.forcing(pts) + 1.0,
         grad_pressure=case.grad_pressure,
     )
     with pytest.raises(ValueError):
         verify_consistency(broken)
+
+
+def test_shifted_pressure_gradient_rejected():
+    # with K constant, div(-K(grad p + c)) = div(-K grad p): only a check of
+    # grad_pressure against p itself sees the shift that error_norms would read
+    case = get_case("bubble-unit")
+    shifted = ManufacturedCase(
+        name="shifted-gradient",
+        pressure=case.pressure,
+        permeability=case.permeability,
+        forcing=case.forcing,
+        grad_pressure=lambda pts: case.grad_pressure(pts) + np.array([1.0, 0.0]),
+    )
+    with pytest.raises(ValueError, match="grad_pressure inconsistent"):
+        verify_consistency(shifted)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -81,23 +95,9 @@ def test_polynomial_case_deterministic():
     assert np.array_equal(np.asarray(a.permeability), np.asarray(b.permeability))
 
 
-def test_poly2_derivatives():
-    # d/dx (x^2 y) = 2 x y, d/dy (x^2 y) = x^2
-    c = np.zeros((3, 2))
-    c[2, 1] = 1.0
-    p = Poly2(c)
-    pts = np.array([[2.0, 3.0]])
-    assert p(pts)[0] == 12.0
-    assert p.dx()(pts)[0] == 12.0
-    assert p.dy()(pts)[0] == 4.0
-    assert p.scaled(2.0)(pts)[0] == 24.0
-    assert p.plus(p)(pts)[0] == 24.0
-
-
 def test_case_without_pressure_gradient_refused():
     # error_norms reads grad_pressure, so a case must carry it when built
     case = get_case("bubble-unit")
     with pytest.raises(TypeError, match="grad_pressure"):
         ManufacturedCase(name="no-gradient", pressure=case.pressure,
-                         velocity=case.velocity, permeability=case.permeability,
-                         forcing=case.forcing)
+                         permeability=case.permeability, forcing=case.forcing)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from polydarcy import polymesh
+from polydarcy.ncvem import build_element
 from polydarcy.polybasis import (
     GkPerpBasis,
     _gauss_jacobi01,
@@ -57,6 +58,24 @@ def test_cell_basis_gradients_match_differences():
     for d, step in enumerate([np.array([h, 0.0]), np.array([0.0, h])]):
         fd = (basis.evaluate(pts + step) - basis.evaluate(pts - step)) / (2 * h)
         assert np.abs(grads[:, :, d] - fd).max() < 1e-8
+
+
+@pytest.mark.parametrize("mesh, cells", [
+    (polymesh.generate_distorted_polygonal(3, 3, seed=1, distortion=0.2), [0]),
+    (polymesh.generate_uniform_quads(3, 3), None),
+])
+def test_stacked_basis_gradients_match_differences(mesh, cells):
+    # an element's basis is stacked, one member per cell of its group
+    (group,) = mesh.cell_groups(cells)
+    basis = build_element(mesh, group, 1).basis
+    offsets = np.array([[0.02, -0.03], [-0.04, 0.01], [0.0, 0.05]])
+    pts = basis.center[:, None, :] + offsets
+    h = 1e-6
+    grads = basis.evaluate_gradient(pts)
+    assert grads.shape == (len(group.cells), len(basis), len(offsets), 2)
+    for d, step in enumerate([np.array([h, 0.0]), np.array([0.0, h])]):
+        fd = (basis.evaluate(pts + step) - basis.evaluate(pts - step)) / (2 * h)
+        assert np.abs(grads[..., d] - fd).max() < 1e-8
 
 
 SKEWED_EDGE = (np.array([0.2, -0.1]), np.array([0.9, 0.6]))
