@@ -18,8 +18,8 @@ One validity routine, `_loop_defects`, decides whether loops are admissible
 cells, for a whole stack of loops with one vertex count at a time: positive
 signed area, then the pairwise edge test for simplicity, then
 star-shapedness (the centroid half-plane test of `_star_centers`, with
-the Chebyshev-center linear program only for loops whose centroid fails
-it).
+the exact Chebyshev disk of the kernel, `_chebyshev_disks`, only for the
+loops whose centroid fails it).
 `build_topology` runs it per vertex-count group and builds the edge table
 from the sorted vertex pairs.  The distorted-mesh generator runs it on
 blocks of speculatively placed vertices and rewinds its random stream at a
@@ -29,6 +29,7 @@ time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -124,52 +125,57 @@ def _is_simple(coords: np.ndarray) -> np.ndarray:
     return ~(folded.any(axis=-1) | (meet | overlap).any(axis=-1))
 
 
-def _chebyshev_center(coords: np.ndarray) -> tuple:
-    """Center and radius of the largest disk inside the polygon's kernel.
+def _chebyshev_disks(coords: np.ndarray) -> tuple:
+    """Largest disks inside the kernels of a stack of CCW loops (..., n, 2).
 
-    The kernel is the intersection of the half-planes left of each edge of
-    the CCW loop.  With n_i the unit outward normal of edge i's line through
-    a_i, the disk of center x and radius r lies in all of them exactly when
-    n_i . x + r <= n_i . a_i, so the linear program maximizes r under those
-    rows.  Returns (None, 0.0) when the program fails (empty kernel).
+    The kernel is the intersection of the half-planes left of each edge.
+    With n_i the unit outward normal of edge i and b_i = n_i . a_i for its
+    tail a_i, the disk of center x and radius r lies in all of them exactly
+    when n_i . x + r <= b_i; the largest such r is reached where three rows
+    are tight.  So every triple of edge lines is solved in closed form (r
+    eliminated by differences of rows, then Cramer's rule), and a candidate
+    center x scores its true inscribed radius min_i (b_i - n_i . x).  That
+    score is r where the candidate satisfies every row and less where it
+    does not, so the best score is the optimum and no feasibility tolerance
+    is needed.  A triple in which two lines face the same way has no unique
+    solution and is masked.  Returns the centers (..., 2) and radii (...); a radius <= 0
+    means an empty kernel (or one without interior).  Raises MeshError for a
+    zero-length edge.
     """
-    # Deferred: only loops whose centroid test fails get here, and
-    # scipy.optimize takes a noticeable share of the package import.
-    from scipy.optimize import linprog
-
-    n = len(coords)
-    a_rows = np.empty((n, 3))
-    b_rows = np.empty(n)
-    for i in range(n):
-        a = coords[i]
-        b = coords[(i + 1) % n]
-        d = b - a
-        length = math.hypot(d[0], d[1])
-        if length == 0.0:
-            raise MeshError("degenerate polygon: zero-length edge")
-        # interior lies where cross(d, x - a) >= 0; outward normal of the line
-        nx, ny = d[1] / length, -d[0] / length
-        a_rows[i] = (nx, ny, 1.0)
-        b_rows[i] = nx * a[0] + ny * a[1]
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_rows,
-        b_ub=b_rows,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        return None, 0.0
-    return res.x[:2].copy(), float(res.x[2])
+    n = coords.shape[-2]
+    origin = coords.mean(axis=-2, keepdims=True)  # rows at the loop's own scale
+    a = coords - origin
+    d = np.roll(a, -1, axis=-2) - a
+    length = np.hypot(d[..., 0], d[..., 1])
+    if np.any(length == 0.0):
+        raise MeshError("degenerate polygon: zero-length edge")
+    nx, ny = d[..., 1] / length, -d[..., 0] / length
+    b = nx * a[..., 0] + ny * a[..., 1]
+    i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
+    ux, uy, ub = nx[..., j] - nx[..., i], ny[..., j] - ny[..., i], b[..., j] - b[..., i]
+    vx, vy, vb = nx[..., k] - nx[..., i], ny[..., k] - ny[..., i], b[..., k] - b[..., i]
+    det = ux * vy - uy * vx
+    singular = det == 0.0
+    det[singular] = 1.0
+    x = (ub * vy - uy * vb) / det
+    y = (ux * vb - ub * vx) / det
+    # one edge row at a time, so the transient stays (..., triples)
+    score = np.where(singular, -np.inf, np.inf)
+    for m in range(n):
+        np.minimum(score, b[..., m, None] - nx[..., m, None] * x - ny[..., m, None] * y,
+                   out=score)
+    best = np.argmax(score, axis=-1)[..., None, None]
+    center = np.take_along_axis(np.stack([x, y], axis=-1), best, -2)[..., 0, :]
+    return center + origin[..., 0, :], score.max(axis=-1)
 
 
-def kernel_inradius(coords: np.ndarray) -> float:
+def kernel_inradius(coords: np.ndarray):
     """Radius of the largest disk inside the kernel of a CCW polygon.
 
-    Solved as a Chebyshev-center linear program over the edge half-planes
-    (see `_chebyshev_center`).  Returns 0.0 for an empty kernel.
+    Solved exactly over the triples of edge lines (see `_chebyshev_disks`);
+    0.0 for an empty kernel, and (...) radii for a stack (..., n, 2).
     """
-    return _chebyshev_center(coords)[1]
+    return np.maximum(_chebyshev_disks(np.asarray(coords, dtype=float))[1], 0.0)
 
 
 def _star_centers(pts: np.ndarray) -> tuple:
@@ -177,28 +183,30 @@ def _star_centers(pts: np.ndarray) -> tuple:
 
     The kernel is the intersection of the inner half-planes of the edges, so
     the centroid serves when it lies strictly on the inner side of every
-    edge; only the loops whose centroid fails go to the `_chebyshev_center`
-    linear program.  Returns the points (..., 2) and the mask (...) of loops
-    with a nonempty kernel (star-shaped); the other points are centroids.
+    edge; only the loops whose centroid fails go, as one stack, to the exact
+    Chebyshev disk of the kernel (`_chebyshev_disks`), whose center serves
+    when its radius is positive.  Returns the points (..., 2) and the mask
+    (...) of loops with a nonempty kernel (star-shaped); the other points
+    are centroids.
     """
     c = polygon_centroid(pts)
     d = np.roll(pts, -1, axis=-2) - pts
     rel = c[..., None, :] - pts
-    inside = np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1)
-    star = np.array(inside)
-    for idx in map(tuple, np.argwhere(~inside)):
-        center, radius = _chebyshev_center(pts[idx])
-        if radius > 0.0:
-            c[idx] = center
-            star[idx] = True
+    star = np.array(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1))
+    if not np.all(star):
+        fails = ~star
+        center, radius = _chebyshev_disks(pts[fails])
+        c[fails] = np.where(radius[:, None] > 0.0, center, c[fails])
+        star[fails] = radius > 0.0
     return c, star
 
 
 def star_point(coords: np.ndarray) -> np.ndarray:
     """A point from which every vertex of the CCW polygon is visible.
 
-    The centroid when it sees every edge, otherwise the Chebyshev center of
-    the kernel (see `_star_centers`); (..., 2) for a stack of loops.  Raises
+    The centroid when it sees every edge, otherwise the center of the
+    largest disk in the kernel, computed exactly by `_chebyshev_disks` (see
+    `_star_centers`); (..., 2) for a stack of loops.  Raises
     MeshError if a polygon is not star-shaped.
     """
     c, star = _star_centers(np.asarray(coords))
@@ -217,7 +225,9 @@ def _loop_defects(coords: np.ndarray) -> np.ndarray:
     """The one cell-validity routine, over a (G, n, 2) stack of loops.
 
     A loop is admissible when its signed area is positive, it is simple
-    (`_is_simple`) and it is star-shaped (`_star_centers`).  Returns (G,)
+    (`_is_simple`) and it is star-shaped (`_star_centers`: the centroid
+    test, then one stacked `_chebyshev_disks` call for the loops whose
+    centroid fails it, a kernel radius > 0 deciding).  Returns (G,)
     codes: 0 for an admissible loop, else 1, 2 or 3 for the first test it
     fails, in that order.  Each test runs only on the loops that passed the
     ones before it.
@@ -592,18 +602,16 @@ def _insert_after_edge(loop: list, a: int, b: int, new_id: int) -> list:
 
 
 def mesh_quality(mesh: PolyMesh) -> MeshQualityReport:
-    """Shape-regularity report over all cells."""
-    min_edge_ratio = math.inf
-    min_kernel_ratio = math.inf
+    """Shape-regularity report over all cells, one stacked pass per group."""
+    min_edge_ratio = min_kernel_ratio = math.inf
     max_h = 0.0
-    for c in range(mesh.num_cells):
-        coords = mesh.cell_coords(c)
+    for group in mesh.cell_groups():
+        coords = mesh.vertices[group.loops]
         h = polygon_diameter(coords)
-        max_h = max(max_h, h)
-        lengths = mesh.edge_lengths[mesh.cell_edges[c]]
-        min_edge_ratio = min(min_edge_ratio, float(lengths.min()) / h)
-        rho = kernel_inradius(coords)
-        min_kernel_ratio = min(min_kernel_ratio, rho / h)
+        lengths = mesh.edge_lengths[group.edges]
+        min_edge_ratio = min(min_edge_ratio, float((lengths.min(axis=1) / h).min()))
+        min_kernel_ratio = min(min_kernel_ratio, float((kernel_inradius(coords) / h).min()))
+        max_h = max(max_h, float(h.max()))
     return MeshQualityReport(
         min_edge_to_cell_ratio=min_edge_ratio,
         min_kernel_radius_ratio=min_kernel_ratio,

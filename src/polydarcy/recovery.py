@@ -177,6 +177,13 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     coefficients through the Cholesky factor of the degree-k Gram, factored
     here from the stored `mass` (`polybasis.inverse_cholesky`).
 
+    What the check can detect: only the gamma = 0 moment tests the
+    recovery, as local conservation (the edge fluxes sum to int_P f).  For
+    gamma >= 1 the grad_moments come from `recover_gradient_moments`, whose
+    interior term is (M f_coeffs), so rhs reduces to (M f_coeffs)[gamma] by
+    construction and the gap there is the Gram residual of f_coeffs
+    against f_moments, whatever the fluxes.
+
     Returns (coefficients of div u, noise-deflated relative gap), with a
     leading cell axis on both for a group.
     """

@@ -138,8 +138,8 @@ def test_quadrature_integrates_xy_on_unit_square():
 
 
 # Hexagons stacked as one group; the centroid (0.339, 0.339) of the thin L
-# lies outside its kernel [0, 0.25]^2, so its star point comes from the
-# linear program inside the stack.
+# lies outside its kernel [0, 0.25]^2, so its star point is the center of
+# the kernel's largest disk, solved exactly inside the stack.
 HEXAGON_STACK = np.array([
     [[0.0, 0.0], [1.0, -0.2], [1.8, 0.4], [1.7, 1.3], [0.8, 1.6], [-0.1, 0.9]],
     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.25], [0.25, 0.25], [0.25, 1.0], [0.0, 1.0]],

@@ -175,11 +175,11 @@ PINNED_MESHES = [
     # Recorded with the one-vertex-at-a-time generator; at distortion 0.45
     # split candidates get rejected, which no pin above reaches.
     # (6, 11): two pentagon and one hexagon rejection, and one valid
-    # pentagon whose centroid sees not every edge (linear-program test).
+    # pentagon whose centroid sees not every edge (kernel-disk test).
     (6, 11, 0.45, "cac33a8a44a6d2e16d7dffa6286ae80c1781c631e48175bcc432dc644db75104"),
     # (8, 39): four rejections in 6- and 7-gons, two split vertices each
-    # rejected twice in a row (the retry loop), and four valid loops that
-    # need the linear program.
+    # rejected twice in a row (the retry loop), and four valid loops whose
+    # centroid fails, so their star test needs the kernel's Chebyshev disk.
     (8, 39, 0.45, "b6f179047e52383c6ccb344095d8bafdc97ca5bcec3b74aa48b591a2f6fcb4f4"),
     # (4, 37): one rejection, at the second split vertex, after a one-vertex
     # accepted prefix.
@@ -225,7 +225,7 @@ def test_kernel_inradius_against_grid_search():
         grid = oracles.kernel_inradius_grid(coords, n=400)
         spacing = float((coords.max(axis=0) - coords.min(axis=0)).max()) / 399
         assert abs(exact - grid) <= 2.0 * spacing
-        assert exact >= grid - 1e-12  # the LP optimum dominates any sample
+        assert exact >= grid - 1e-12  # the exact optimum dominates any sample
 
 
 def test_star_point_sees_all_edges():
@@ -261,16 +261,64 @@ def test_star_point_rejects_u_shape():
         star_point(u_shape)
 
 
+THIN_L = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0]])
+L_SHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
+U_SHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
+                    [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coords, radius, center", [
+    (THIN_L, 0.5, (0.5, 0.5)),   # both L kernels are [0, 1]^2
+    (L_SHAPE, 0.5, (0.5, 0.5)),
+    (U_SHAPE, 0.0, None),        # the kernel needs x >= 2 and x <= 1
+    # the bottom edge split at its exact midpoint: two identical edge lines,
+    # so some triples are singular
+    (np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 0.5, (0.5, 0.5)),
+])
+def test_kernel_disk_closed_forms(coords, radius, center):
+    assert abs(kernel_inradius(coords) - radius) <= 1e-15
+    if center is not None:
+        assert np.abs(polymesh._chebyshev_disks(coords)[0] - center).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_kernel_calls_equal_per_loop_calls():
+    # the (6, 11) pin has a valid pentagon whose centroid fails the star test
+    mesh = generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
+    for group in mesh.cell_groups():
+        stack = mesh.vertices[group.loops]
+        assert np.array_equal(kernel_inradius(stack), [kernel_inradius(xy) for xy in stack])
+        assert np.array_equal(star_point(stack), [star_point(xy) for xy in stack])
+    hexagons = np.stack([THIN_L, L_SHAPE])  # only the thin L's centroid fails
+    assert np.array_equal(kernel_inradius(hexagons), [kernel_inradius(xy) for xy in hexagons])
+    assert np.array_equal(star_point(hexagons), [star_point(xy) for xy in hexagons])
+
+
+def test_kernel_inradius_rejects_zero_length_edge():
+    # build_topology rejects this loop as self-intersecting; a direct call
+    # still gets the input check
+    with pytest.raises(MeshError, match="zero-length edge"):
+        kernel_inradius(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    # the star test imports its linear program on first use only, and the
-    # Gauss rules come from numpy
+    # the Gauss rules come from numpy and the star test solves its kernel
+    # disks in closed form, so neither importing the package nor meshing at
+    # distortion 0.45 (the (8, 39) pin has simple loops that fail the star
+    # test) nor the quality report loads scipy.optimize or scipy.special
     package_root = str(Path(polymesh.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import polydarcy; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
+            "from polydarcy import polymesh; "
+            "loaded = lambda: [m in sys.modules for m in ('scipy.optimize', 'scipy.special')]; "
+            "print(loaded()); "
+            "polymesh.mesh_quality(polymesh.generate_distorted_polygonal(8, 8, seed=39, "
+            "distortion=0.45)); "
+            "print(loaded())")
     proc = subprocess.run([sys.executable, "-c", code, package_root],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.splitlines() == ["[False, False]", "[False, False]"]
 
 
 def test_mesh_file_roundtrip(tmp_path):
