@@ -13,11 +13,13 @@ segment that parameter is t - 1/2 for every edge, so one cached table per
 order and rule (`edge_reference`) gives the edge moments and the L2 edge
 projector of all edges.
 
-Quadrature on a polygon fans it into triangles around a star point and maps
-a Gauss-Jacobi x Gauss-Legendre tensor rule through the collapsed-square
-transform, giving positive weights and exactness up to the requested degree.
-Both one-dimensional rules are computed with numpy: Gauss-Legendre by
-`leggauss`, Gauss-Jacobi by Golub-Welsch.
+Quadrature on a simple polygon cuts it into its n - 2 ears, the first ear
+in loop order at each step (a closed form on strictly convex loops), so it
+needs no star point and no triangle has zero area.  A Gauss-Jacobi x
+Gauss-Legendre tensor rule is mapped onto each ear through the
+collapsed-square transform, giving positive weights and exactness up to the
+requested degree.  Both one-dimensional rules are computed with numpy:
+Gauss-Legendre by `leggauss`, Gauss-Jacobi by Golub-Welsch.
 
 Cell Grams are symmetric positive definite, so every solve with one runs
 through its batched Cholesky factor (`inverse_cholesky`, `factor_solve`).
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymesh import polygon_centroid, polygon_diameter, star_point
+from .polymesh import MeshError, polygon_centroid, polygon_diameter
 
 
 def n_monomials(k: int) -> int:
@@ -190,20 +192,116 @@ class PolyQuadrature:
     degree: int
 
 
-def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
-    """Quadrature on a star-shaped polygon, exact to the requested degree.
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a): twice the signed area of the triangles (a, b, c)."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
-    The polygon is fanned into triangles from a star point; each triangle is
-    integrated by the collapsed-square map (a, b) -> (a, b(1-a)) whose
-    Jacobian (1-a) is absorbed into a Gauss-Jacobi rule, so all weights stay
-    positive on any admissible cell.  A stack of loops (..., n_v, 2) with one
-    vertex count gives points (..., nq, 2) and weights (..., nq); every
-    member has the same nq = n_v x (nodes per triangle).  A fan triangle of
-    zero area (none arises from a star point strictly inside the kernel)
-    keeps its nodes with weight 0.
+
+@lru_cache(maxsize=None)
+def _convex_ears(n: int) -> np.ndarray:
+    """The (n-2, 3) triangles that first-ear clipping cuts from a strictly
+    convex n-gon: (n-1, i, i+1) for i = 0..n-4, then (n-3, n-2, n-1).
+
+    Every vertex of such a loop is an ear, so the first one in loop order,
+    vertex 0 after each clip, is cut each time.
+    """
+    i = np.arange(n - 3)
+    ears = np.vstack([np.column_stack([np.full(n - 3, n - 1), i, i + 1]),
+                      [n - 3, n - 2, n - 1]])
+    ears.setflags(write=False)  # shared through the cache
+    return ears
+
+
+def _clip_ears(coords: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """First-ear clipping of a stack of CCW loops (G, n, 2): (G, n-2, 3) indices.
+
+    An ear is a vertex whose turn (prev, tip, next) is strictly convex and
+    whose triangle holds no other remaining vertex, inside or on its
+    boundary.  Each step cuts the first ear in the current loop order as
+    (prev, tip, next), one stacked step for all loops; the last three
+    vertices are emitted in loop order.  Every simple polygon has an ear
+    (Meisters, "Polygons have ears", 1975); a loop that has none, clockwise
+    or self-intersecting, raises MeshError naming it by `names` (G,).  All
+    orientation tests are read from one (G, n, n, n) table, so memory grows
+    as n^3 per loop, as in the kernel test's triples of edge lines.
+    """
+    g, n = coords.shape[:2]
+    row = np.arange(g)
+    rows = row[:, None]
+    # turn[a, b, c] = _orient(P_a, P_b, P_c), from (dx, dy)[a, b] = P_b - P_a
+    dx, dy = (coords[:, None, :, i] - coords[:, :, None, i] for i in range(2))
+    turn = dx[..., None] * dy[:, :, None, :] - dy[..., None] * dx[:, :, None, :]
+    convex = turn > 0.0
+    # covers[a, b, q]: q is on or left of the line a -> b, and neither end
+    covers = turn >= 0.0
+    idx = np.arange(n)
+    covers[:, idx, :, idx] = covers[:, :, idx, idx] = False
+    # the remaining loop as a linked list over the original indices
+    prev, nxt = np.empty((2, g, n), dtype=np.intp)
+    prev[:], nxt[:] = (idx - 1) % n, (idx + 1) % n
+    alive = np.ones((g, n), dtype=bool)
+    ears = np.empty((g, n - 2, 3), dtype=np.intp)
+    for step in range(n - 2):
+        # tip j (axis 1) against vertex q (axis 2)
+        inside = covers[rows, prev, idx] & covers[rows, idx, nxt] & covers[rows, nxt, prev]
+        ear = alive & convex[rows, prev, idx, nxt] & ~inside.any(axis=2)
+        tip = np.argmax(ear, axis=1)  # the first ear; vertex 0 if there is none
+        if not ear[row, tip].all():
+            bad = names[np.argmin(ear[row, tip])]
+            raise MeshError(f"loop {bad} has no ear: not a simple counterclockwise polygon")
+        if step == n - 3:
+            ears[:, step] = np.nonzero(alive)[1].reshape(g, 3)
+            break
+        p, q = prev[row, tip], nxt[row, tip]
+        ears[:, step, 0], ears[:, step, 1], ears[:, step, 2] = p, tip, q
+        nxt[row, p], prev[row, q] = q, p
+        alive[row, tip] = False
+        covers[row, :, :, tip] = False  # a cut vertex blocks no later ear
+    return ears
+
+
+def ear_triangles(coords: np.ndarray) -> np.ndarray:
+    """(..., n-2, 3) vertex indices of the first-ear triangulation of a stack
+    of simple CCW loops (..., n, 2) with one vertex count.
+
+    Strictly convex loops, whose every turn is strictly left and whose
+    exterior angles add up to one turn, take the closed form
+    `_convex_ears`; only the others run `_clip_ears`, which gives the same
+    triangles on convex loops.  (A loop that turns left at every vertex but
+    winds twice, a pentagram, has no ear.)  MeshError names a loop without
+    an ear by its position in the flattened stack.
+    """
+    n = coords.shape[-2]
+    flat = coords.reshape(-1, n, 2)
+    ring = np.arange(n)
+    prev, nxt = flat[:, ring - 1], flat[:, (ring + 1) % n]
+    turn = _orient(prev, flat, nxt)
+    d_in, d_out = flat - prev, nxt - flat
+    exterior = np.arctan2(turn, d_in[..., 0] * d_out[..., 0] + d_in[..., 1] * d_out[..., 1])
+    # the exterior angles of a closed loop add up to a whole number of turns
+    convex = np.all(turn > 0.0, axis=1) & (exterior.sum(axis=1) < 3.0 * np.pi)
+    ears = np.empty((len(flat), n - 2, 3), dtype=np.intp)
+    ears[convex] = _convex_ears(n)
+    others = np.flatnonzero(~convex)
+    if len(others):
+        ears[others] = _clip_ears(flat[others], others)
+    return ears.reshape(coords.shape[:-2] + (n - 2, 3))
+
+
+def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
+    """Quadrature on a simple CCW polygon, exact to the requested degree.
+
+    The polygon is cut into its n - 2 ears (`ear_triangles`), so no
+    triangle has zero area; each ear (p, t, q) is integrated by the
+    collapsed-square map x = p + a (t - p) + b (1 - a) (q - p), whose
+    Jacobian (1 - a) is absorbed into a Gauss-Jacobi rule, so all weights
+    stay positive.  A stack of loops (..., n, 2) with one vertex count
+    gives points (..., nq, 2) and weights (..., nq); every member has the
+    same nq = (n - 2) x (nodes per triangle).  A loop without an ear
+    (clockwise or self-intersecting) raises MeshError.
     """
     coords = np.asarray(coords, dtype=float)
-    center = star_point(coords)[..., None, :]
     n1 = max(1, (degree + 2 + 1) // 2)  # Jacobi direction carries degree+1
     a, wa = _gauss_jacobi01(n1)
     n2 = max(1, (degree + 1 + 1) // 2)
@@ -213,18 +311,21 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     v = (b[None, :] * (1.0 - a[:, None])).ravel()
     wt = (wa[:, None] * wb[None, :]).ravel()
 
-    # one fan triangle per edge: (..., n_v, 2) legs from the star point
-    e1 = coords - center
-    e2 = np.roll(coords, -1, axis=-2) - center
-    jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]  # 2 * signed areas
-    # (center + u e1) + v e2, accumulated in place one coordinate at a time
+    # corners (G, n-2, 3, 2) of the ears, legs from their first corner
+    lead, n = coords.shape[:-2], coords.shape[-2]
+    flat = coords.reshape(-1, n, 2)
+    corners = flat[np.arange(len(flat))[:, None, None], ear_triangles(flat)]
+    origin = corners[..., 0, :]
+    e1 = corners[..., 1, :] - origin
+    e2 = corners[..., 2, :] - origin
+    jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]  # 2 * areas
+    # (origin + u e1) + v e2, accumulated in place one coordinate at a time
     pts = np.empty(e1.shape[:-1] + (len(u), 2))
     for d in range(2):
         x = pts[..., d]
         np.multiply(e1[..., d, None], u, out=x)
-        x += center[..., d, None]
+        x += origin[..., d, None]
         x += e2[..., d, None] * v
-    lead = coords.shape[:-2]
     return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
                           weights=(jac[..., None] * wt).reshape(lead + (-1,)),
                           degree=degree)

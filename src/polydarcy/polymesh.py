@@ -201,20 +201,6 @@ def _star_centers(pts: np.ndarray) -> tuple:
     return c, star
 
 
-def star_point(coords: np.ndarray) -> np.ndarray:
-    """A point from which every vertex of the CCW polygon is visible.
-
-    The centroid when it sees every edge, otherwise the center of the
-    largest disk in the kernel, computed exactly by `_chebyshev_disks` (see
-    `_star_centers`); (..., 2) for a stack of loops.  Raises
-    MeshError if a polygon is not star-shaped.
-    """
-    c, star = _star_centers(np.asarray(coords))
-    if not np.all(star):
-        raise MeshError("cell is not star-shaped with respect to any point")
-    return c
-
-
 # Why a loop is not admissible as a cell; `_loop_defects` returns code i + 1
 # for _LOOP_DEFECTS[i].
 _LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate",

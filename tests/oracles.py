@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own numerical paths:
 triangle integrals come from the closed form a! b! / (a + b + 2)! instead of
-the fan quadrature, nonpolynomial integrals from a plain tensor-Gauss rule
-with an explicit collapse factor, the kernel inradius from a dense grid
+the ear-clipped quadrature, nonpolynomial integrals from a plain tensor-Gauss
+rule with an explicit collapse factor, the ear triangulation from clipping
+one vertex of a Python list at a time, the kernel inradius from a dense grid
 search, linear solves from a dense factorization, edge monomials from
 their definition (t - 1/2)^b on the segment a + t (b - a), the coupled
 first-order system from one dense square solve instead of the sequential
@@ -59,6 +60,37 @@ def polygon_monomial_integral(coords, a: int, b: int) -> float:
         total += triangle_monomial_integral(coords[0], coords[i],
                                             coords[i + 1], a, b)
     return total
+
+
+def first_ear_triangles(coords) -> np.ndarray:
+    """First-ear clipping of one CCW loop in plain Python: (n-2, 3) indices.
+
+    An ear tip turns strictly left, (t - p) x (q - p) > 0, and no other
+    remaining vertex lies inside or on its triangle; the first ear in loop
+    order is cut as (prev, tip, next), and the last three vertices are
+    emitted in loop order.  Raises ValueError for a loop without an ear.
+    """
+    pts = [(float(x), float(y)) for x, y in coords]
+
+    def orient(a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    loop = list(range(len(pts)))
+    out = []
+    while len(loop) > 3:
+        for j, t in enumerate(loop):
+            p, q = loop[j - 1], loop[(j + 1) % len(loop)]
+            if orient(p, t, q) > 0.0 and not any(
+                    orient(p, t, r) >= 0.0 and orient(t, q, r) >= 0.0
+                    and orient(q, p, r) >= 0.0 for r in loop if r not in (p, t, q)):
+                break
+        else:
+            raise ValueError("loop has no ear")
+        out.append((p, t, q))
+        loop.remove(t)
+    out.append(tuple(loop))
+    return np.array(out)
 
 
 def polygon_gauss(coords, n: int = 12):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from polydarcy import polymesh
+from polydarcy import polybasis, polymesh
 from polydarcy.ncvem import build_element
 from polydarcy.polybasis import (
     GkPerpBasis,
     _gauss_jacobi01,
     _gauss_legendre01,
     cell_basis,
+    ear_triangles,
     edge_reference,
     factor_solve,
     gk_perp_basis,
@@ -27,6 +28,7 @@ from polydarcy.polybasis import (
     n_monomials,
     polygon_quadrature,
 )
+from polydarcy.polymesh import MeshError
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
@@ -137,14 +139,29 @@ def test_quadrature_integrates_xy_on_unit_square():
     assert val == pytest.approx(0.25, abs=1e-14)
 
 
-# Hexagons stacked as one group; the centroid (0.339, 0.339) of the thin L
-# lies outside its kernel [0, 0.25]^2, so its star point is the center of
-# the kernel's largest disk, solved exactly inside the stack.
+# Hexagons stacked as one group; the thin L (its centroid (0.339, 0.339)
+# lies outside its kernel [0, 0.25]^2) is not convex, so it is ear-clipped
+# inside a stack whose other members take the convex closed form.
 HEXAGON_STACK = np.array([
     [[0.0, 0.0], [1.0, -0.2], [1.8, 0.4], [1.7, 1.3], [0.8, 1.6], [-0.1, 0.9]],
     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.25], [0.25, 0.25], [0.25, 1.0], [0.0, 1.0]],
     [[0.5, 0.5], [1.0, 0.5], [1.2, 0.8], [1.0, 1.1], [0.5, 1.1], [0.3, 0.8]],
 ])
+# Simple loops with an empty kernel, which no star point can fan.
+U_LOOP = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.75, 1.0],
+                   [0.75, 0.25], [0.25, 0.25], [0.25, 1.0], [0.0, 1.0]])
+COMB_LOOP = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.875, 1.0], [0.875, 0.25],
+                      [0.625, 0.25], [0.625, 1.0], [0.375, 1.0], [0.375, 0.25],
+                      [0.125, 0.25], [0.125, 1.0], [0.0, 1.0]])
+# Every edge split at its exact midpoint: four vertices with a straight angle.
+SPLIT_SQUARE = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
+                         [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]])
+# The notch (0.5, 0) lies on the diagonal of the convex vertex 0, so vertex 0
+# is no ear: cutting it would leave a loop that touches itself.
+NOTCHED = np.array([[0.5, -0.5], [1.0, 0.0], [1.0, 1.0], [0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
+# Vertices 0, 2, 4, 1, 3 of a regular pentagon: left turns only, two windings.
+_FIFTHS = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+PENTAGRAM = np.column_stack([np.cos(_FIFTHS), np.sin(_FIFTHS)])
 
 
 @pytest.mark.parametrize("coords", [
@@ -152,6 +169,10 @@ HEXAGON_STACK = np.array([
     PENTAGON,
     np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]),
     HEXAGON_STACK,
+    U_LOOP,
+    COMB_LOOP,
+    SPLIT_SQUARE,
+    NOTCHED,
 ])
 @pytest.mark.parametrize("degree", [1, 3, 6])
 def test_quadrature_exactness_against_closed_form(coords, degree):
@@ -167,6 +188,69 @@ def test_quadrature_exactness_against_closed_form(coords, degree):
                 num = float(weights @ (points[:, 0] ** a * points[:, 1] ** b))
                 ref = oracles.polygon_monomial_integral(polygon, a, b)
                 assert abs(num - ref) < 1e-13 * max(area, 1.0), (a, b)
+
+
+def test_stacked_quadrature_equals_per_loop_calls():
+    # the (6, 11) pin at distortion 0.45 has convex and clipped loops in
+    # one group
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
+    stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
+    for stack in stacks + [HEXAGON_STACK]:
+        quad = polygon_quadrature(stack, 6)
+        for row, coords in enumerate(stack):
+            one = polygon_quadrature(coords, 6)
+            assert np.array_equal(quad.points[row], one.points)
+            assert np.array_equal(quad.weights[row], one.weights)
+
+
+@pytest.mark.parametrize("n, seed, distortion", [
+    (12, 2026, 0.0), (12, 2026, 0.2), (12, 2026, 0.45), (6, 11, 0.45),
+])
+def test_ear_triangles_are_first_ear_clipping(n, seed, distortion):
+    # the stacked clipping matches one-at-a-time clipping, and the convex
+    # closed form matches the clipping on every strictly convex loop
+    mesh = polymesh.generate_distorted_polygonal(n, n, seed=seed, distortion=distortion)
+    stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
+    convex_rows = 0
+    for stack in stacks + [U_LOOP[None], COMB_LOOP[None], SPLIT_SQUARE[None], NOTCHED[None]]:
+        size = stack.shape[1]
+        clipped = polybasis._clip_ears(stack, np.arange(len(stack)))
+        assert np.array_equal(clipped, [oracles.first_ear_triangles(xy) for xy in stack])
+        assert np.array_equal(ear_triangles(stack), clipped)
+        turn = polybasis._orient(np.roll(stack, 1, axis=1), stack, np.roll(stack, -1, axis=1))
+        convex = np.all(turn > 0.0, axis=1)
+        assert np.array_equal(clipped[convex],
+                              np.broadcast_to(polybasis._convex_ears(size),
+                                              (convex.sum(), size - 2, 3)))
+        convex_rows += convex.sum()
+    assert convex_rows == mesh.num_cells if distortion == 0.0 else 0 < convex_rows < mesh.num_cells
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 6, 10])
+def test_quadrature_uses_n_minus_2_triangles(degree):
+    per_triangle = ((degree + 3) // 2) * ((degree + 2) // 2)  # Gauss-Jacobi x Gauss-Legendre
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
+    stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
+    for stack in stacks + [HEXAGON_STACK, U_LOOP[None], COMB_LOOP[None], PENTAGON[None]]:
+        quad = polygon_quadrature(stack, degree)
+        assert quad.weights.shape == (len(stack), (stack.shape[1] - 2) * per_triangle)
+        assert quad.points.shape == quad.weights.shape + (2,)
+
+
+@pytest.mark.parametrize("coords", [
+    UNIT_SQUARE[::-1],                                          # clockwise
+    np.array([[0.0, 0.0], [0.3, 0.9], [1.0, 0.0]]),             # clockwise triangle
+    np.array([[1.0, 3.0], [2.0, 0.0], [3.0, 2.0], [3.0, 0.0]]),  # crossed, area +0.5
+    PENTAGRAM,                                                  # turns left, winds twice
+])
+def test_loop_without_ear_is_refused(coords):
+    with pytest.raises(MeshError, match="loop 0 has no ear"):
+        polygon_quadrature(coords, 2)
+    # named by its position in a stack, after a regular polygon
+    angle = 2.0 * np.pi * np.arange(len(coords)) / len(coords)
+    stack = np.stack([np.column_stack([np.cos(angle), np.sin(angle)]), coords])
+    with pytest.raises(MeshError, match="loop 1 has no ear"):
+        polygon_quadrature(stack, 2)
 
 
 def test_mass_matrix_k0_is_area():

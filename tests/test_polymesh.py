@@ -22,7 +22,6 @@ from polydarcy.polymesh import (
     mesh_quality,
     polygon_area,
     read_mesh,
-    star_point,
     write_mesh,
 )
 
@@ -228,43 +227,43 @@ def test_kernel_inradius_against_grid_search():
         assert exact >= grid - 1e-12  # the exact optimum dominates any sample
 
 
-def test_star_point_sees_all_edges():
-    mesh = generate_distorted_polygonal(5, 5, seed=6, distortion=0.3)
-    for c in range(mesh.num_cells):
-        coords = mesh.cell_coords(c)
-        p = star_point(coords)
-        for i in range(len(coords)):
-            a = coords[i]
-            d = coords[(i + 1) % len(coords)] - a
-            cross = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
-            assert cross >= -1e-12
-
-
 def sees_every_edge(coords, p) -> bool:
-    d = np.roll(coords, -1, axis=0) - coords
-    rel = p - coords
-    return bool(np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] > 0.0))
+    d = np.roll(coords, -1, axis=-2) - coords
+    rel = p[..., None, :] - coords
+    return bool(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0))
 
 
-def test_star_point_outside_kernel_centroid():
-    # the centroid (1.357, 1.357) of this thin L lies outside its kernel [0, 1]^2
-    thin_l = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0],
-                       [1.0, 4.0], [0.0, 4.0]])
-    assert not sees_every_edge(thin_l, polymesh.polygon_centroid(thin_l))
-    assert sees_every_edge(thin_l, star_point(thin_l))
-
-
-def test_star_point_rejects_u_shape():
-    u_shape = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
-                        [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
-    with pytest.raises(MeshError):
-        star_point(u_shape)
+def test_star_test_centers_see_all_edges():
+    # the generator and build_topology accept a loop only when the star
+    # test finds a point strictly inside its kernel
+    mesh = generate_distorted_polygonal(5, 5, seed=6, distortion=0.3)
+    for group in mesh.cell_groups():
+        stack = mesh.vertices[group.loops]
+        centers, star = polymesh._star_centers(stack)
+        assert star.all()
+        assert sees_every_edge(stack, centers)
 
 
 THIN_L = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0]])
 L_SHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
 U_SHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
                     [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+
+
+def test_build_topology_accepts_thin_l_with_centroid_outside_kernel():
+    # the centroid (1.357, 1.357) of the thin L lies outside its kernel
+    # [0, 1]^2; the star test falls back to the kernel's largest disk
+    assert not sees_every_edge(THIN_L, polymesh.polygon_centroid(THIN_L))
+    mesh = build_topology(THIN_L, [np.arange(6)])
+    assert mesh.num_cells == 1
+    centers, star = polymesh._star_centers(THIN_L[None])
+    assert star.all() and sees_every_edge(THIN_L, centers[0])
+
+
+def test_build_topology_rejects_u_shape():
+    # simple, counterclockwise, but with an empty kernel
+    with pytest.raises(MeshError, match="cell 0: polygon is not star-shaped"):
+        build_topology(U_SHAPE, [np.arange(8)])
 
 
 @pytest.mark.filterwarnings("error")
@@ -289,10 +288,8 @@ def test_stacked_kernel_calls_equal_per_loop_calls():
     for group in mesh.cell_groups():
         stack = mesh.vertices[group.loops]
         assert np.array_equal(kernel_inradius(stack), [kernel_inradius(xy) for xy in stack])
-        assert np.array_equal(star_point(stack), [star_point(xy) for xy in stack])
     hexagons = np.stack([THIN_L, L_SHAPE])  # only the thin L's centroid fails
     assert np.array_equal(kernel_inradius(hexagons), [kernel_inradius(xy) for xy in hexagons])
-    assert np.array_equal(star_point(hexagons), [star_point(xy) for xy in hexagons])
 
 
 def test_kernel_inradius_rejects_zero_length_edge():

@@ -8,7 +8,8 @@ k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
 ``study.error_norms`` and ``vtk_export.export_vtk`` (to a temporary file).
 ``assemble`` is also split into ``build``, the time inside its
 ``ncvem.build_element`` calls, and ``scatter``, the rest: the global DOF
-tables, the triplet scatter and the sparse matrix build.
+tables, the triplet scatter and the sparse matrix build.  ``points`` counts
+the quadrature points of the build's cell rule over the whole mesh.
 
 Each row runs in a fresh interpreter with BLAS pinned to one thread before
 numpy loads, so the peak RSS it reports (``ru_maxrss`` of that interpreter,
@@ -60,15 +61,24 @@ def row(n: int, k: int) -> None:
         finally:
             seconds["build"] += time.perf_counter() - t0
 
+    def polygon_quadrature(*args, **kwargs):
+        quad = real_quadrature(*args, **kwargs)
+        points.append(quad.weights.size)
+        return quad
+
     mesh = timed("mesh", polymesh.generate_distorted_polygonal, n, n, SEED, DISTORTION)
-    # assemble reaches the element build through the module attribute
+    # assemble reaches the element build, and the build its cell rule,
+    # through the module attributes
     real_build, ncvem.build_element = ncvem.build_element, build_element
+    real_quadrature, ncvem.polygon_quadrature = ncvem.polygon_quadrature, polygon_quadrature
     seconds["build"] = 0.0
+    points = []
     try:
         system = timed("assemble", ncvem.assemble, mesh, case.permeability, case.forcing,
                        k, case.pressure)
     finally:
         ncvem.build_element = real_build
+        ncvem.polygon_quadrature = real_quadrature
     seconds["scatter"] = seconds["assemble"] - seconds["build"]
     timed("solve", ncvem.solve_pressure, system)
     velocity = timed("recover", recovery.recover_velocity, system)
@@ -78,12 +88,13 @@ def row(n: int, k: int) -> None:
         timed("vtk", vtk_export.export_vtk, result, str(Path(tmp) / "fields.vtk"))
     print(json.dumps({
         "cells": mesh.num_cells, "k": k, "ndof": system.matrix.shape[0],
+        "points": sum(points),
         "seconds": seconds,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
 
 
-def _ndof(n: int) -> str:
+def _thousands(n: int) -> str:
     return f"{n / 1000:.1f}k" if n < 100_000 else f"{n / 1000:.0f}k"
 
 
@@ -92,14 +103,15 @@ def main() -> int:
     here = str(Path(__file__).resolve().parent)
     stages = ("mesh", "assemble", "build", "scatter", "solve", "recover", "error_norms",
               "vtk")
-    print("| cells | k | ndof | " + " | ".join(stages) + " | peak RSS |")
-    print("|" + "------|" * (len(stages) + 4))
+    print("| cells | k | ndof | points | " + " | ".join(stages) + " | peak RSS |")
+    print("|" + "------|" * (len(stages) + 5))
     for n, k in ROWS:
         out = subprocess.run([sys.executable, "-c", CHILD, here, str(n), str(k)],
                              env=env, check=True, capture_output=True, text=True)
         rec = json.loads(out.stdout.strip().splitlines()[-1])
         times = " | ".join(f"{rec['seconds'][s]:.2f} s" for s in stages)
-        print(f"| {rec['cells']} | {rec['k']} | {_ndof(rec['ndof'])} | {times} "
+        print(f"| {rec['cells']} | {rec['k']} | {_thousands(rec['ndof'])} "
+              f"| {_thousands(rec['points'])} | {times} "
               f"| {rec['peak_rss_mb']:.0f} MB |", flush=True)
     return 0
 
