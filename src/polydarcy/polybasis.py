@@ -14,12 +14,12 @@ order and rule (`edge_reference`) gives the edge moments and the L2 edge
 projector of all edges.
 
 Quadrature on a simple polygon cuts it into its n - 2 ears, the first ear
-in loop order at each step (a closed form on strictly convex loops), so it
-needs no star point and no triangle has zero area.  A Gauss-Jacobi x
-Gauss-Legendre tensor rule is mapped onto each ear through the
-collapsed-square transform, giving positive weights and exactness up to the
-requested degree.  Both one-dimensional rules are computed with numpy:
-Gauss-Legendre by `leggauss`, Gauss-Jacobi by Golub-Welsch.
+in loop order at each step, so it needs no star point and no triangle has
+zero area.  A Gauss-Jacobi x Gauss-Legendre tensor rule is mapped onto each
+ear through the collapsed-square transform, giving positive weights and
+exactness up to the requested degree.  Both one-dimensional rules are
+computed with numpy: Gauss-Legendre by `leggauss`, Gauss-Jacobi by
+Golub-Welsch.
 
 Cell Grams are symmetric positive definite, so every solve with one runs
 through its batched Cholesky factor (`inverse_cholesky`, `factor_solve`).
@@ -192,29 +192,9 @@ class PolyQuadrature:
     degree: int
 
 
-def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(b - a) x (c - a): twice the signed area of the triangles (a, b, c)."""
-    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
-
-
-@lru_cache(maxsize=None)
-def _convex_ears(n: int) -> np.ndarray:
-    """The (n-2, 3) triangles that first-ear clipping cuts from a strictly
-    convex n-gon: (n-1, i, i+1) for i = 0..n-4, then (n-3, n-2, n-1).
-
-    Every vertex of such a loop is an ear, so the first one in loop order,
-    vertex 0 after each clip, is cut each time.
-    """
-    i = np.arange(n - 3)
-    ears = np.vstack([np.column_stack([np.full(n - 3, n - 1), i, i + 1]),
-                      [n - 3, n - 2, n - 1]])
-    ears.setflags(write=False)  # shared through the cache
-    return ears
-
-
-def _clip_ears(coords: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """First-ear clipping of a stack of CCW loops (G, n, 2): (G, n-2, 3) indices.
+def ear_triangles(coords: np.ndarray) -> np.ndarray:
+    """(..., n-2, 3) vertex indices of the first-ear triangulation of a stack
+    of simple CCW loops (..., n, 2) with one vertex count.
 
     An ear is a vertex whose turn (prev, tip, next) is strictly convex and
     whose triangle holds no other remaining vertex, inside or on its
@@ -222,71 +202,49 @@ def _clip_ears(coords: np.ndarray, names: np.ndarray) -> np.ndarray:
     (prev, tip, next), one stacked step for all loops; the last three
     vertices are emitted in loop order.  Every simple polygon has an ear
     (Meisters, "Polygons have ears", 1975); a loop that has none, clockwise
-    or self-intersecting, raises MeshError naming it by `names` (G,).  All
-    orientation tests are read from one (G, n, n, n) table, so memory grows
-    as n^3 per loop, as in the kernel test's triples of edge lines.
-    """
-    g, n = coords.shape[:2]
-    row = np.arange(g)
-    rows = row[:, None]
-    # turn[a, b, c] = _orient(P_a, P_b, P_c), from (dx, dy)[a, b] = P_b - P_a
-    dx, dy = (coords[:, None, :, i] - coords[:, :, None, i] for i in range(2))
-    turn = dx[..., None] * dy[:, :, None, :] - dy[..., None] * dx[:, :, None, :]
-    convex = turn > 0.0
-    # covers[a, b, q]: q is on or left of the line a -> b, and neither end
-    covers = turn >= 0.0
-    idx = np.arange(n)
-    covers[:, idx, :, idx] = covers[:, :, idx, idx] = False
-    # the remaining loop as a linked list over the original indices
-    prev, nxt = np.empty((2, g, n), dtype=np.intp)
-    prev[:], nxt[:] = (idx - 1) % n, (idx + 1) % n
-    alive = np.ones((g, n), dtype=bool)
-    ears = np.empty((g, n - 2, 3), dtype=np.intp)
-    for step in range(n - 2):
-        # tip j (axis 1) against vertex q (axis 2)
-        inside = covers[rows, prev, idx] & covers[rows, idx, nxt] & covers[rows, nxt, prev]
-        ear = alive & convex[rows, prev, idx, nxt] & ~inside.any(axis=2)
-        tip = np.argmax(ear, axis=1)  # the first ear; vertex 0 if there is none
-        if not ear[row, tip].all():
-            bad = names[np.argmin(ear[row, tip])]
-            raise MeshError(f"loop {bad} has no ear: not a simple counterclockwise polygon")
-        if step == n - 3:
-            ears[:, step] = np.nonzero(alive)[1].reshape(g, 3)
-            break
-        p, q = prev[row, tip], nxt[row, tip]
-        ears[:, step, 0], ears[:, step, 1], ears[:, step, 2] = p, tip, q
-        nxt[row, p], prev[row, q] = q, p
-        alive[row, tip] = False
-        covers[row, :, :, tip] = False  # a cut vertex blocks no later ear
-    return ears
-
-
-def ear_triangles(coords: np.ndarray) -> np.ndarray:
-    """(..., n-2, 3) vertex indices of the first-ear triangulation of a stack
-    of simple CCW loops (..., n, 2) with one vertex count.
-
-    Strictly convex loops, whose every turn is strictly left and whose
-    exterior angles add up to one turn, take the closed form
-    `_convex_ears`; only the others run `_clip_ears`, which gives the same
-    triangles on convex loops.  (A loop that turns left at every vertex but
-    winds twice, a pentagram, has no ear.)  MeshError names a loop without
-    an ear by its position in the flattened stack.
+    or self-intersecting, raises MeshError naming its position in the
+    flattened stack.  Each step tests every tip's three sides against every
+    vertex, so memory grows as n^2 per loop.
     """
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
-    ring = np.arange(n)
-    prev, nxt = flat[:, ring - 1], flat[:, (ring + 1) % n]
-    turn = _orient(prev, flat, nxt)
-    d_in, d_out = flat - prev, nxt - flat
-    exterior = np.arctan2(turn, d_in[..., 0] * d_out[..., 0] + d_in[..., 1] * d_out[..., 1])
-    # the exterior angles of a closed loop add up to a whole number of turns
-    convex = np.all(turn > 0.0, axis=1) & (exterior.sum(axis=1) < 3.0 * np.pi)
-    ears = np.empty((len(flat), n - 2, 3), dtype=np.intp)
-    ears[convex] = _convex_ears(n)
-    others = np.flatnonzero(~convex)
-    if len(others):
-        ears[others] = _clip_ears(flat[others], others)
-    return ears.reshape(coords.shape[:-2] + (n - 2, 3))
+    g = len(flat)
+    loop = np.arange(g)
+    # vertex-major (n, G), so that the stacked arithmetic runs along the loops
+    x, y = flat[..., 0].T.copy(), flat[..., 1].T.copy()
+    alive = np.ones((n, g), dtype=bool)
+    # the remaining loops as linked lists of positions vertex * G + loop:
+    # link[:, j] = (prev, j, next, prev) of vertex j
+    vert = np.arange(n)[:, None]
+    link = np.stack([vert - 1, vert, vert + 1, vert - 1]) % n * g + loop
+    ears = np.empty((n - 2, 3, g), dtype=np.intp)
+    for step in range(n - 2):
+        # the sides a -> b (p -> t, t -> q, q -> p) of every tip's triangle
+        # against every vertex r: turn[side, tip, r] = (b - a) x (r - a)
+        cx, cy = x.take(link), y.take(link)
+        turn = y - cy[:3, :, None]
+        turn *= (cx[1:] - cx[:3])[:, :, None]
+        cross = x - cx[:3, :, None]
+        cross *= (cy[1:] - cy[:3])[:, :, None]
+        turn -= cross
+        # r covers a tip: on or left of all three sides, remaining, no corner
+        covers = turn.min(axis=0) >= 0.0
+        covers &= alive
+        covers.reshape(n, -1)[vert, link[:3]] = False
+        convex = turn[0].reshape(n, -1)[vert, link[2]] > 0.0
+        ear = alive & convex & ~covers.any(axis=1)
+        tip = ear.argmax(axis=0)  # the first ear; vertex 0 if there is none
+        if not ear[tip, loop].all():
+            bad = np.argmin(ear[tip, loop])
+            raise MeshError(f"loop {bad} has no ear: not a simple counterclockwise polygon")
+        if step == n - 3:
+            ears[step] = np.nonzero(alive.T)[1].reshape(g, 3).T * g + loop
+            break
+        ears[step] = cut = link[:3, tip, loop]
+        link.reshape(4, -1)[2, cut[0]] = cut[2]
+        link.reshape(4, -1)[::3, cut[2]] = cut[0]
+        alive.reshape(-1)[cut[1]] = False
+    return (ears // g).transpose(2, 0, 1).reshape(coords.shape[:-2] + (n - 2, 3))
 
 
 def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from polydarcy import polybasis, polymesh
+from polydarcy import polymesh
 from polydarcy.ncvem import build_element
 from polydarcy.polybasis import (
     GkPerpBasis,
@@ -140,8 +140,7 @@ def test_quadrature_integrates_xy_on_unit_square():
 
 
 # Hexagons stacked as one group; the thin L (its centroid (0.339, 0.339)
-# lies outside its kernel [0, 0.25]^2) is not convex, so it is ear-clipped
-# inside a stack whose other members take the convex closed form.
+# lies outside its kernel [0, 0.25]^2) is the one member that is not convex.
 HEXAGON_STACK = np.array([
     [[0.0, 0.0], [1.0, -0.2], [1.8, 0.4], [1.7, 1.3], [0.8, 1.6], [-0.1, 0.9]],
     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.25], [0.25, 0.25], [0.25, 1.0], [0.0, 1.0]],
@@ -153,15 +152,21 @@ U_LOOP = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.75, 1.0],
 COMB_LOOP = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.875, 1.0], [0.875, 0.25],
                       [0.625, 0.25], [0.625, 1.0], [0.375, 1.0], [0.375, 0.25],
                       [0.125, 0.25], [0.125, 1.0], [0.0, 1.0]])
-# Every edge split at its exact midpoint: four vertices with a straight angle.
+# Every edge split at its exact midpoint: four vertices with a straight angle,
+# which are no ears.  The second loop starts at one of them.
 SPLIT_SQUARE = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
                          [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]])
+SPLIT_SQUARE = np.stack([SPLIT_SQUARE, np.roll(SPLIT_SQUARE, -1, axis=0)])
 # The notch (0.5, 0) lies on the diagonal of the convex vertex 0, so vertex 0
 # is no ear: cutting it would leave a loop that touches itself.
 NOTCHED = np.array([[0.5, -0.5], [1.0, 0.0], [1.0, 1.0], [0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
 # Vertices 0, 2, 4, 1, 3 of a regular pentagon: left turns only, two windings.
 _FIFTHS = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
 PENTAGRAM = np.column_stack([np.cos(_FIFTHS), np.sin(_FIFTHS)])
+# A 40-vertex star (radii 0.6 and 1 in turn) and a regular 40-gon.
+_FORTIETHS = 2.0 * np.pi * np.arange(40) / 40
+MANY_VERTICES = np.stack([radius[:, None] * np.column_stack([np.cos(_FORTIETHS), np.sin(_FORTIETHS)])
+                          for radius in (np.where(np.arange(40) % 2, 1.0, 0.6), np.ones(40))])
 
 
 @pytest.mark.parametrize("coords", [
@@ -191,8 +196,8 @@ def test_quadrature_exactness_against_closed_form(coords, degree):
 
 
 def test_stacked_quadrature_equals_per_loop_calls():
-    # the (6, 11) pin at distortion 0.45 has convex and clipped loops in
-    # one group
+    # the (6, 11) pin at distortion 0.45 has strictly convex and other
+    # loops in one group
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
     stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
     for stack in stacks + [HEXAGON_STACK]:
@@ -207,23 +212,26 @@ def test_stacked_quadrature_equals_per_loop_calls():
     (12, 2026, 0.0), (12, 2026, 0.2), (12, 2026, 0.45), (6, 11, 0.45),
 ])
 def test_ear_triangles_are_first_ear_clipping(n, seed, distortion):
-    # the stacked clipping matches one-at-a-time clipping, and the convex
-    # closed form matches the clipping on every strictly convex loop
+    # the stacked clipping matches one-at-a-time clipping, and on every
+    # strictly convex loop it gives (n-1, i, i+1) for i = 0..n-4, then
+    # (n-3, n-2, n-1)
     mesh = polymesh.generate_distorted_polygonal(n, n, seed=seed, distortion=distortion)
     stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
-    convex_rows = 0
-    for stack in stacks + [U_LOOP[None], COMB_LOOP[None], SPLIT_SQUARE[None], NOTCHED[None]]:
+    convex_rows = []
+    extra = [U_LOOP[None], COMB_LOOP[None], SPLIT_SQUARE, NOTCHED[None], MANY_VERTICES]
+    for stack in stacks + extra:
         size = stack.shape[1]
-        clipped = polybasis._clip_ears(stack, np.arange(len(stack)))
-        assert np.array_equal(clipped, [oracles.first_ear_triangles(xy) for xy in stack])
-        assert np.array_equal(ear_triangles(stack), clipped)
-        turn = polybasis._orient(np.roll(stack, 1, axis=1), stack, np.roll(stack, -1, axis=1))
-        convex = np.all(turn > 0.0, axis=1)
-        assert np.array_equal(clipped[convex],
-                              np.broadcast_to(polybasis._convex_ears(size),
-                                              (convex.sum(), size - 2, 3)))
-        convex_rows += convex.sum()
-    assert convex_rows == mesh.num_cells if distortion == 0.0 else 0 < convex_rows < mesh.num_cells
+        ears = ear_triangles(stack)
+        assert np.array_equal(ears, [oracles.first_ear_triangles(xy) for xy in stack])
+        d_in = stack - np.roll(stack, 1, axis=1)
+        d_out = np.roll(stack, -1, axis=1) - stack
+        convex = np.all(d_in[..., 0] * d_out[..., 1] - d_in[..., 1] * d_out[..., 0] > 0.0, axis=1)
+        fan = [(size - 1, i, i + 1) for i in range(size - 3)] + [(size - 3, size - 2, size - 1)]
+        assert np.array_equal(ears[convex], np.broadcast_to(fan, (convex.sum(), size - 2, 3)))
+        convex_rows.append(convex.sum())
+    on_mesh = sum(convex_rows[:len(stacks)])
+    assert on_mesh == mesh.num_cells if distortion == 0.0 else 0 < on_mesh < mesh.num_cells
+    assert convex_rows[len(stacks):] == [0, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("degree", [0, 1, 4, 6, 10])
