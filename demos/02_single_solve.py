@@ -29,7 +29,7 @@ def main():
 
     v = result.velocity
     print(f"checks  interior flux agreement {v.flux_gap:.1e}   "
-          f"divergence match {v.div_gap:.1e}   "
+          f"local conservation gap {v.div_gap:.1e}   "
           f"global conservation {v.conservation_gap:.1e}")
 
     path = os.path.join(OUT, "bubble_sine_k1.vtk")

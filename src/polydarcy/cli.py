@@ -79,8 +79,8 @@ def _cmd_solve(args) -> int:
     print(f"errors: u {row.error_u:.5e}  p {row.error_p:.5e}  "
           f"grad p {row.error_grad_p:.5e}  div {row.error_div:.5e}")
     print(f"checks: flux gap {result.velocity.flux_gap:.2e}, "
-          f"div gap {result.velocity.div_gap:.2e}, "
-          f"conservation gap {result.velocity.conservation_gap:.2e}")
+          f"local conservation gap {result.velocity.div_gap:.2e}, "
+          f"global conservation gap {result.velocity.conservation_gap:.2e}")
     print(f"wrote {vtk_path} and {csv_path}")
     return 0
 

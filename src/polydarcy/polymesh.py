@@ -628,7 +628,7 @@ def read_mesh(path: str) -> PolyMesh:
             lines.append((i, stripped))
     pos = 0
 
-    def take(expect: str | None = None):
+    def take():
         nonlocal pos
         if pos >= len(lines):
             lineno = lines[-1][0] if lines else 0

@@ -11,7 +11,9 @@ theorem together with div u = Pi0_k f, and the moments against the gradient
 complement come from a precomputed operator applied to the local pressure.
 Those three families determine the L2 projection of u onto cellwise (P_k)^2
 and, at lowest order, a Raviart-Thomas-like field whose divergence is exactly
-the cell-averaged source.
+the cell-averaged source.  The divergence of u itself is Pi0_k f by
+construction; what the fluxes must show is local conservation, their sum
+over a cell's boundary matching int_P f.
 
 `recover_velocity` is the one walk over the solved cells, taken a
 vertex-count group at a time: it gathers each group's local pressures once
@@ -20,9 +22,8 @@ projected velocity, its divergence, the RT field, the projected pressure and
 its gradient) as a `PiecewisePolyField`.  The helpers below take a group's
 stacked element record and broadcast over its leading cell axis.
 Every interior-edge flux is recovered from both incident cells; the left
-cell's copy is kept, and a velocity whose two copies disagree, whose
-divergence is not the projected source, or that violates global
-conservation is refused.
+cell's copy is kept, and a velocity whose two copies disagree, or that
+violates local conservation on a cell or global conservation, is refused.
 """
 
 from __future__ import annotations
@@ -159,61 +160,43 @@ def recover_gkperp_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
 
 
 def divergence(element: NcElement, edge_coeffs: np.ndarray,
-               grad_moments: np.ndarray, f_scale: float = 0.0,
-               noise: float = 0.0) -> tuple:
-    """Coefficients of div u on the cell, checked against Pi0_k f.
+               f_scale: float = 0.0, noise: float = 0.0) -> tuple:
+    """Coefficients of div u on the cell, after checking local conservation.
 
-    int_P (div u) m_gamma = int_bdry (u . n) m_gamma - int_P u . grad m_gamma
-    is evaluated from the recovered data and must reproduce the moments of
-    Pi0_k f; a disagreement beyond `_DIV_TOL` (relative) plus `noise` (absolute)
-    signals a recovery bug and raises RecoveryError.  The identity is tested
-    moment by moment, in the metric of the integrals themselves: converting
-    to coefficients first would multiply rounding-level noise by the inverse
-    mass conditioning and report a gap that is an artifact of the basis, not
-    of the recovery.  The comparison scale combines the boundary and
-    interior term magnitudes with an optional caller-provided global f
-    scale; `noise` carries the rounding envelope of the residual evaluation
-    that produced the data (see recover_velocity).  The moments become
-    coefficients through the Cholesky factor of the degree-k Gram, factored
-    here from the stored `mass` (`polybasis.inverse_cholesky`).
-
-    What the check can detect: only the gamma = 0 moment tests the
-    recovery, as local conservation (the edge fluxes sum to int_P f).  For
-    gamma >= 1 the grad_moments come from `recover_gradient_moments`, whose
-    interior term is (M f_coeffs), so rhs reduces to (M f_coeffs)[gamma] by
-    construction and the gap there is the Gram residual of f_coeffs
-    against f_moments, whatever the fluxes.
+    div u = Pi0_k f holds by construction, so the coefficients returned are
+    the stored `f_coeffs`.  What the recovery can get wrong is the edge
+    fluxes, and the one moment of div u they determine alone is the
+    constant one: local conservation, sum over edges of int_f u . n_P = int_P f.
+    Its gap beyond `noise` (absolute; the rounding envelope of the residual
+    evaluation that produced the fluxes, see recover_velocity), relative to
+    the larger of the boundary terms, int_P f and an optional caller-provided
+    global f scale times |P|, must stay within `_DIV_TOL`, or RecoveryError
+    is raised.  The higher moments are not compared: with the gradient
+    moments built from the same fluxes they reduce to (M f_coeffs) whatever
+    the fluxes are.
 
     Returns (coefficients of div u, noise-deflated relative gap), with a
     leading cell axis on both for a group.
     """
-    nk = n_monomials(element.k)
     area = element.area
-    cross = element.edge_cross[..., :nk]
-    rhs = np.einsum("...eb,...ebj->...j", edge_coeffs, cross)
-    babs = np.einsum("...eb,...ebj->...j", np.abs(edge_coeffs), np.abs(cross))
-    rhs[..., 1:] -= area[..., None] * grad_moments[..., :nk - 1]
-    moments = element.f_moments[..., :nk]
+    cross = element.edge_cross[..., 0]
+    outflow = np.einsum("...eb,...eb->...", edge_coeffs, cross)
+    source = element.f_moments[..., 0]
     scale = np.maximum.reduce([
         f_scale * area,
-        babs.max(axis=-1, initial=0.0),
-        area * np.abs(grad_moments[..., :nk - 1]).max(axis=-1, initial=0.0),
-        np.abs(moments).max(axis=-1, initial=0.0),
+        np.einsum("...eb,...eb->...", np.abs(edge_coeffs), np.abs(cross)),
+        np.abs(source),
         np.full_like(area, 1e-300),
     ])
-    gap = np.abs(rhs - moments).max(axis=-1)
-    rel = np.maximum(0.0, gap - noise) / scale
+    rel = np.maximum(0.0, np.abs(outflow - source) - noise) / scale
     if np.any(rel > _DIV_TOL):
         worst = np.argmax(rel)
         raise RecoveryError(
-            f"cell {np.ravel(element.cell)[worst]}: recovered divergence misses "
-            f"the projected source (relative gap {np.ravel(rel)[worst]:.3e}, "
+            f"cell {np.ravel(element.cell)[worst]}: recovered fluxes violate "
+            f"local conservation (relative gap {np.ravel(rel)[worst]:.3e}, "
             f"tolerance {_DIV_TOL:.1e})"
         )
-    inv_mass_k = inverse_cholesky(element.mass[..., :nk, :nk], element.cell,
-                                  "monomial Gram")
-    coeffs = factor_solve(inv_mass_k, rhs[..., None])[..., 0]
-    return coeffs, rel
+    return element.f_coeffs, rel
 
 
 def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
@@ -270,7 +253,9 @@ class RecoveredVelocity:
     """Velocity DOFs, every cellwise field of one solve, and the check gaps.
 
     `divergence` (degree k) is div u of the recovered conservative velocity,
-    not of its projection `projected`; `rt` is the Raviart-Thomas-like
+    Pi0_k f by construction, not that of its projection `projected`;
+    `div_gap` is the largest local-conservation gap of a cell (see
+    `divergence`).  `rt` is the Raviart-Thomas-like
     field, present at k = 0 only.  `pressure` is
     the L2 projection of the pressure onto P_{k+1} and `grad_pressure` that
     of its gradient onto (P_k)^2.
@@ -291,9 +276,9 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     """Recover the velocity on the whole mesh and verify its structure.
 
     Raises RecoveryError if interior-edge fluxes from the two incident cells
-    disagree (relative to the largest flux coefficient), if any cellwise
-    divergence misses the projected source, or if the total boundary outflow
-    does not balance the integrated source.
+    disagree (relative to the largest flux coefficient), if any cell's
+    boundary outflow misses its integrated source (local conservation), or
+    if the total boundary outflow does not balance the integrated source.
 
     The left and right recoveries of an interior-edge flux differ by exactly
     (global residual row) / |f|, and the global conservation mismatch is a
@@ -349,8 +334,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         slot_noise.append(noise_slots[:, :local[0].size].reshape(-1, k + 1))
         grad_moments[cells] = recover_gradient_moments(group, local)
         gkperp_moments[cells] = recover_gkperp_moments(group, p_loc)
-        div[cells], div_gaps[cells] = divergence(group, local, grad_moments[cells],
-                                                 f_scale=f_scale, noise=cell_noise[cells])
+        div[cells], div_gaps[cells] = divergence(group, local, f_scale=f_scale,
+                                                 noise=cell_noise[cells])
         proj[cells] = project_velocity(group, local, gkperp_moments[cells])
         if rt is not None:
             rt[cells] = rt0_reconstruct(group, p_loc)

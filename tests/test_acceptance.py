@@ -133,7 +133,7 @@ def test_criterion_4_monolithic_equivalence(capsys):
 
 
 def test_criterion_5_structural_identities(capsys):
-    # edge-count identity, cellwise divergence match, interior flux
+    # edge-count identity, local conservation on every cell, interior flux
     # agreement and global conservation on a matrix of runs
     worst = {"div": 0.0, "flux": 0.0, "cons": 0.0}
     euler_ok = True
@@ -154,8 +154,8 @@ def test_criterion_5_structural_identities(capsys):
     ok = (euler_ok and worst["div"] <= 1e-10 and worst["flux"] <= 1e-9
           and worst["cons"] <= 1e-9)
     detail = (f"{runs} runs: euler {'exact' if euler_ok else 'BROKEN'}, "
-              f"div {worst['div']:.1e}, flux {worst['flux']:.1e}, "
-              f"conservation {worst['cons']:.1e}")
+              f"local conservation {worst['div']:.1e}, flux {worst['flux']:.1e}, "
+              f"global conservation {worst['cons']:.1e}")
     _report(capsys, 5, "structural identities", ok, detail)
     assert ok, detail
 

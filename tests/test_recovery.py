@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from polydarcy import polymesh, recovery
+from polydarcy import polymesh, recovery, study
 from polydarcy.cases import get_case, polynomial_case
 from polydarcy.ncvem import assemble, build_element, solve_pressure
 from polydarcy.polybasis import l2_project_function, n_monomials
@@ -76,8 +76,7 @@ def test_divergence_zero_source():
     mesh, element = unit_cell(1)
     p_loc = oracles.exact_local_dofs(mesh, 0, element.k, pressure_x)
     local = recover_edge_moments(element, p_loc)
-    nu = recover_gradient_moments(element, local)
-    coeffs, gap = divergence(element, local, nu)
+    coeffs, gap = divergence(element, local)
     assert np.abs(coeffs).max() < 1e-12
     assert gap[0] < 1e-12
 
@@ -86,10 +85,9 @@ def test_divergence_detects_corrupted_flux():
     mesh, element = unit_cell(1)
     p_loc = oracles.exact_local_dofs(mesh, 0, element.k, pressure_x)
     local = recover_edge_moments(element, p_loc)
-    nu = recover_gradient_moments(element, local)
     local[0, 0, 0] += 1.0
     with pytest.raises(RecoveryError):
-        divergence(element, local, nu)
+        divergence(element, local)
 
 
 def test_rt_closed_forms():
@@ -140,7 +138,7 @@ def test_divergence_is_projected_sine_source():
         assert np.abs(vel.divergence.coeffs[c] - ref).max() < 1e-8
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_structural_gaps_on_manufactured_case(k):
     case = get_case("bubble-sine")
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=9, distortion=0.2)
@@ -153,6 +151,39 @@ def test_structural_gaps_on_manufactured_case(k):
     assert vel.conservation_gap <= 1e-9
     assert vel.dofs.edge_coeffs.shape == (mesh.num_edges, k + 1)
     assert len(vel.dofs.grad_moments) == mesh.num_cells
+    # div u = Pi0_k f by construction: the stored projected source itself
+    for group in system.groups:
+        assert np.array_equal(vel.divergence.coeffs[group.cell], group.f_coeffs)
+
+
+def test_divergence_converges_at_high_order():
+    # the divergence is Pi0_k f itself, so it keeps order k + 1 at k = 4 and
+    # reaches the rounding floor at k = 5, where the pressure does neither
+    case = get_case("bubble-sine")
+    rows = study.convergence_study(case, 4, levels=4)
+    orders = [r.order_div for r in rows[1:]]
+    assert all(order >= 4.7 for order in orders), orders
+    errors = [r.error_div for r in study.convergence_study(case, 5, levels=4)]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] <= 1e-12, errors
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_local_conservation_violation_rejected(k):
+    # int_P f moved by 1e-6 of the largest source moment on one cell leaves
+    # that cell's fluxes unbalanced; the full pass must name the cell
+    case = get_case("bubble-sine")
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=9, distortion=0.2)
+    system = assemble(mesh, case.permeability, case.forcing, k,
+                      boundary=case.pressure)
+    solve_pressure(system)
+    recover_velocity(system)
+    group = system.groups[-1]
+    row = group.cell.size // 2
+    scale = max(np.abs(g.f_moments[:, 0]).max() for g in system.groups)
+    group.f_moments[row, 0] += 1e-6 * scale
+    with pytest.raises(RecoveryError, match=f"cell {group.cell[row]}: .*local conservation"):
+        recover_velocity(system)
 
 
 def test_edge_flux_owned_by_left_cell():
