@@ -23,8 +23,10 @@ by one fixed matrix, so no edge Gram is solved.
 The global SPD system is scattered from the groups' stacked stiffness
 blocks in one triplet build, with Dirichlet data eliminated.  Everything a
 later velocity recovery needs (projection tables, edge moment tables, the
-residual pieces) is kept in the group arrays, which are the only element
-record: cell `group.cell[i]` is row i of every stacked field.
+residual pieces, the gradient Gram's inverse factor and the DOFs of the
+constant function) is kept in the group arrays, which are the only element
+record: cell `group.cell[i]` is row i of every stacked field.  Every cell
+Gram is formed and factored here, once; nothing after assembly factors one.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ class NcElement:
     k_mean: np.ndarray                 # (2, 2) cell average of K
     gk_perp: GkPerpBasis
     gkperp_rec: np.ndarray             # (dim, N) moment-recovery operator
+    inv_grad_gram: np.ndarray          # (pi_{k+1}-1,)*2 inverse factor of gradient Gram H'
+    const_dofs: np.ndarray             # (N,) DOF vector of the constant function 1
 
     @property
     def n_dofs(self) -> int:
@@ -197,10 +201,11 @@ def build_element(
     factor of the degree-(k+1) monomial Gram serves the L2 projections, the
     gradient projection, the source coefficients and the gradient
     complement, and one factor of the gradient Gram gives the energy
-    projection.  A Gram that is not positive definite raises ValueError
-    naming the first such cell.  quad_degree defaults to 2(k+2), enough for
-    every Gram and weighted Gram appearing here; raise it for strongly
-    varying coefficients.
+    projection and is stored for the recovery's velocity projection.  A
+    Gram that is not positive definite raises ValueError naming the first
+    such cell.  quad_degree defaults to 2(k+2), enough for every Gram and
+    weighted Gram appearing here; raise it for strongly varying
+    coefficients.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
@@ -333,6 +338,8 @@ def build_element(
         k_mean=k_mean,
         gk_perp=gkp,
         gkperp_rec=gkperp_rec,
+        inv_grad_gram=inv_h,
+        const_dofs=d_mat[..., 0].copy(),
     )
 
 
@@ -363,8 +370,9 @@ def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
 def monomial_dofs(element: NcElement) -> np.ndarray:
     """DOF vectors of the scaled monomials m_beta, as columns (..., N, pi_{k+1}).
 
-    Recomputed from the stored edge and mass tables; used by tests, the
-    velocity recovery's rounding envelopes and the dense reference solver.
+    Recomputed from the stored edge and mass tables; used by tests.  The
+    velocity recovery needs only column 0, which the build stores as
+    `const_dofs`, so it does not call this.
     """
     return _monomial_dof_table(element.edge_cross, element.edge_lengths,
                                element.mass, element.area, element.k)

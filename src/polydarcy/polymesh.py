@@ -17,7 +17,7 @@ Conventions fixed here and relied on by the discretization modules:
 One validity routine, `_loop_defects`, decides whether loops are admissible
 cells, for a whole stack of loops with one vertex count at a time: positive
 signed area, then the pairwise edge test for simplicity, then
-star-shapedness (the centroid half-plane test of `_star_centers`, with
+star-shapedness (the centroid half-plane test of `_is_star`, with
 the exact Chebyshev disk of the kernel, `_chebyshev_disks`, only for the
 loops whose centroid fails it).
 `build_topology` runs it per vertex-count group and builds the edge table
@@ -178,27 +178,22 @@ def kernel_inradius(coords: np.ndarray):
     return np.maximum(_chebyshev_disks(np.asarray(coords, dtype=float))[1], 0.0)
 
 
-def _star_centers(pts: np.ndarray) -> tuple:
-    """Star points of a stack of CCW loops (..., n, 2) and where they exist.
+def _is_star(pts: np.ndarray) -> np.ndarray:
+    """Mask (...) of the CCW loops (..., n, 2) that are star-shaped.
 
     The kernel is the intersection of the inner half-planes of the edges, so
-    the centroid serves when it lies strictly on the inner side of every
-    edge; only the loops whose centroid fails go, as one stack, to the exact
-    Chebyshev disk of the kernel (`_chebyshev_disks`), whose center serves
-    when its radius is positive.  Returns the points (..., 2) and the mask
-    (...) of loops with a nonempty kernel (star-shaped); the other points
-    are centroids.
+    a loop is star-shaped when its centroid lies strictly on the inner side
+    of every edge; only the loops whose centroid fails go, as one stack, to
+    the exact Chebyshev disk of the kernel (`_chebyshev_disks`), and are
+    star-shaped when its radius is positive.
     """
     c = polygon_centroid(pts)
     d = np.roll(pts, -1, axis=-2) - pts
     rel = c[..., None, :] - pts
     star = np.array(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1))
     if not np.all(star):
-        fails = ~star
-        center, radius = _chebyshev_disks(pts[fails])
-        c[fails] = np.where(radius[:, None] > 0.0, center, c[fails])
-        star[fails] = radius > 0.0
-    return c, star
+        star[~star] = _chebyshev_disks(pts[~star])[1] > 0.0
+    return star
 
 
 # Why a loop is not admissible as a cell; `_loop_defects` returns code i + 1
@@ -211,7 +206,7 @@ def _loop_defects(coords: np.ndarray) -> np.ndarray:
     """The one cell-validity routine, over a (G, n, 2) stack of loops.
 
     A loop is admissible when its signed area is positive, it is simple
-    (`_is_simple`) and it is star-shaped (`_star_centers`: the centroid
+    (`_is_simple`) and it is star-shaped (`_is_star`: the centroid
     test, then one stacked `_chebyshev_disks` call for the loops whose
     centroid fails it, a kernel radius > 0 deciding).  Returns (G,)
     codes: 0 for an admissible loop, else 1, 2 or 3 for the first test it
@@ -219,7 +214,7 @@ def _loop_defects(coords: np.ndarray) -> np.ndarray:
     ones before it.
     """
     defects = np.where(polygon_area(coords) > 0.0, 0, 1)
-    for code, test in ((2, _is_simple), (3, lambda xy: _star_centers(xy)[1])):
+    for code, test in ((2, _is_simple), (3, _is_star)):
         rows = np.flatnonzero(defects == 0)
         defects[rows[~test(coords[rows])]] = code
     return defects

@@ -11,9 +11,11 @@ theorem together with div u = Pi0_k f, and the moments against the gradient
 complement come from a precomputed operator applied to the local pressure.
 Those three families determine the L2 projection of u onto cellwise (P_k)^2
 and, at lowest order, a Raviart-Thomas-like field whose divergence is exactly
-the cell-averaged source.  The divergence of u itself is Pi0_k f by
-construction; what the fluxes must show is local conservation, their sum
-over a cell's boundary matching int_P f.
+the cell-averaged source.  The projection applies the gradient Gram H'
+through the inverse Cholesky factor that the element build formed for its
+energy projection, so no Gram is formed or factored after assembly.  The
+divergence of u itself is Pi0_k f by construction; what the fluxes must show
+is local conservation, their sum over a cell's boundary matching int_P f.
 
 `recover_velocity` is the one walk over the solved cells, taken a
 vertex-count group at a time: it gathers each group's local pressures once
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ncvem import NcElement, SpdSystem, monomial_dofs
-from .polybasis import (ScaledMonomialBasis, factor_solve, gk_perp_dimension,
-                         gradient_gram, inverse_cholesky, n_monomials)
+from .ncvem import NcElement, SpdSystem
+from .polybasis import ScaledMonomialBasis, factor_solve, gk_perp_dimension, n_monomials
 
 
 # Relative tolerances of the structural checks, applied after the rounding
@@ -213,16 +214,14 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
         x = E' H'^{-1} (|P| nu) + C (|P| m),
 
     with E' the gradient table of the nonconstant monomials and
-    H' = E'^T M_vec E' their gradient Gram (`polybasis.gradient_gram`),
-    formed from the stored `mass` and applied through its Cholesky factor.
+    H' = E'^T M_vec E' their gradient Gram, applied through the inverse
+    Cholesky factor `inv_grad_gram` that the build formed for the energy
+    projection; no Gram is formed or factored here.
     """
     nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
-    nk = n_monomials(element.k)
-    emat = element.grad_coeff
-    inv_h = inverse_cholesky(gradient_gram(element.mass[..., :nk, :nk], emat),
-                             element.cell, "gradient Gram")
     area = element.area[..., None]
-    grad_part = emat[..., 1:] @ factor_solve(inv_h, (area * nu)[..., None])
+    grad_part = element.grad_coeff[..., 1:] @ factor_solve(element.inv_grad_gram,
+                                                           (area * nu)[..., None])
     gkperp_part = element.gk_perp.coeffs @ (area * gkperp_moments)[..., None]
     return (grad_part + gkperp_part)[..., 0]
 
@@ -286,7 +285,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     pressure to the certified solve (see `linsolve.solve`), whose residual
     sits at the rounding floor; a vector off that solve fails them.
     Ownership, not averaging, defines the returned flux: each edge takes the
-    copy of `mesh.edge_left`, its incident cell of lowest index.
+    copy of `mesh.edge_left`, its incident cell of lowest index, which is the
+    cell whose loop runs along the stored edge direction (edge sign +1).
 
     Only the rounding envelope of the data itself is subtracted before the
     tolerances apply.  Recovered quantities come from the residual
@@ -305,9 +305,9 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     f_scale = max((float(np.abs(g.f_coeffs).max(initial=0.0)) for g in system.groups),
                   default=0.0)
     # Per cell-edge slot (groups in turn, then cells, then edges in loop
-    # order): u . n_P and the rounding envelope of the slot's k+1 residual
-    # entries.
-    slot_edge, slot_cell, slot_flux, slot_noise = [], [], [], []
+    # order): the edge, its sign, u . n_e and the rounding envelope of the
+    # slot's k+1 residual entries.
+    slot_edge, slot_sign, slot_flux, slot_noise = [], [], [], []
     cell_noise = np.zeros(nc)
     div_gaps = np.zeros(nc)
     grad_moments = np.zeros((nc, nk - 1))
@@ -326,10 +326,9 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         local = recover_edge_moments(group, p_loc)
         noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(group.stiffness), np.abs(p_loc))
                               + np.abs(group.load))
-        cell_noise[cells] = np.einsum("gi,gi->g", np.abs(monomial_dofs(group)[..., 0]),
-                                      noise_slots)
+        cell_noise[cells] = np.einsum("gi,gi->g", np.abs(group.const_dofs), noise_slots)
         slot_edge.append(group.edge_ids.ravel())
-        slot_cell.append(np.repeat(cells, group.n_edges))
+        slot_sign.append(group.edge_signs.ravel())
         slot_flux.append((group.edge_signs[..., None] * local).reshape(-1, k + 1))
         slot_noise.append(noise_slots[:, :local[0].size].reshape(-1, k + 1))
         grad_moments[cells] = recover_gradient_moments(group, local)
@@ -344,13 +343,13 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         centers[cells] = group.basis.center
         diameters[cells] = group.basis.diameter
 
-    # Ownership: the slot of edge_left keeps its copy; every other slot is
+    # Ownership: an edge is stored in its left cell's direction, so the slot
+    # of sign +1 is the left cell's copy and keeps it; every other slot is
     # the right cell's copy of an interior edge and is checked against it.
     slot_edge = np.concatenate(slot_edge)
-    slot_cell = np.concatenate(slot_cell)
     flux = np.concatenate(slot_flux)
     noise = np.concatenate(slot_noise).max(axis=1) / mesh.edge_lengths[slot_edge]
-    owned = slot_cell == mesh.edge_left[slot_edge]
+    owned = np.concatenate(slot_sign) > 0
     edge_coeffs = np.zeros((mesh.num_edges, k + 1))
     edge_noise = np.zeros(mesh.num_edges)
     edge_coeffs[slot_edge[owned]] = flux[owned]

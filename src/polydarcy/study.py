@@ -185,9 +185,16 @@ def _exact_table(case: ManufacturedCase, points: np.ndarray, n_rows: int) -> np.
 
 
 def _order(e_prev: float, e_cur: float, ref: float):
-    if e_cur <= _EXACT_REL * max(ref, 1e-300) or e_prev <= _EXACT_REL * max(ref, 1e-300):
+    """log2(e_prev / e_cur), or `EXACT_MARK` when both errors sit at the floor.
+
+    The floor is `_EXACT_REL` times the exact solution's norm `ref`.  One
+    error at the floor still gives a rate: a zero error gives +inf or -inf.
+    """
+    floor = _EXACT_REL * max(ref, 1e-300)
+    if e_prev <= floor and e_cur <= floor:
         return EXACT_MARK
-    return math.log2(e_prev / e_cur)
+    ratio = e_prev / e_cur if e_cur > 0.0 else math.inf
+    return math.log2(ratio) if ratio > 0.0 else -math.inf
 
 
 def compute_orders(rows: list) -> None:

@@ -10,7 +10,7 @@ from polydarcy.cases import polynomial_case
 from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map,
                              build_element, cell_dof_count, monomial_dofs,
                              solve_pressure)
-from polydarcy.polybasis import cell_basis, n_monomials
+from polydarcy.polybasis import cell_basis, gradient_gram, inverse_cholesky, n_monomials
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
 
@@ -102,6 +102,19 @@ def test_projectors_reproduce_polynomials(k):
     # source coefficients against an LU oracle on the stored Gram
     ref = np.linalg.solve(stacked.mass[:, :nk, :nk], stacked.f_moments[..., None])[..., 0]
     assert np.abs(stacked.f_coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_stored_recovery_tables_are_their_definitions(k):
+    # the recovery reads the build's gradient-Gram factor and the DOFs of the
+    # constant function instead of recomputing them; both are the recomputed
+    # values bit for bit
+    mesh, group = _five_gon_group()
+    element = build_element(mesh, group, k, kvar, _source)
+    nk = n_monomials(k)
+    assert np.array_equal(element.const_dofs, monomial_dofs(element)[..., 0])
+    gram = gradient_gram(element.mass[..., :nk, :nk], element.grad_coeff)
+    assert np.array_equal(element.inv_grad_gram, inverse_cholesky(gram, element.cell))
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -282,7 +295,8 @@ def test_grouped_build_keeps_cell_identity(k):
     system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
     fields = ("coords", "area", "edge_ids", "edge_signs", "edge_lengths", "edge_cross",
               "mass", "p_nabla", "p0", "p0k", "grad_proj", "stiffness", "load",
-              "f_moments", "f_coeffs", "k_mean", "grad_coeff", "gkperp_rec")
+              "f_moments", "f_coeffs", "k_mean", "grad_coeff", "gkperp_rec",
+              "inv_grad_gram", "const_dofs")
     n = system.dofmap.n_global
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)

@@ -1,11 +1,12 @@
 """Convergence harness: error norms, rate tables, CSV output."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from polydarcy import linsolve, ncvem, polymesh, study
+from polydarcy import linsolve, ncvem, polymesh, recovery, study, vtk_export
 from polydarcy.cases import get_case, polynomial_case
 from polydarcy.polybasis import n_monomials, polygon_quadrature
 from polydarcy.study import ConvergenceRow
@@ -88,6 +89,30 @@ def test_solve_path_uses_no_dense_solver(monkeypatch):
         assert result.system.solution is not None
 
 
+def test_no_gram_is_factored_after_the_solve(monkeypatch, tmp_path):
+    # every cell Gram is factored once, in the element build: recovery,
+    # error norms and export read the stored factors and never reach a
+    # Cholesky factorization
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    systems = []
+    for k in range(4):
+        system = ncvem.assemble(mesh, case.permeability, case.forcing, k,
+                                boundary=case.pressure)
+        ncvem.solve_pressure(system)
+        systems.append(system)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky factorization after the solve")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for k, system in enumerate(systems):
+        velocity = recovery.recover_velocity(system)
+        result = study.SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
+        assert np.isfinite(study.error_norms(result, case).error_u)
+        vtk_export.export_vtk(result, str(tmp_path / f"k{k}.vtk"))
+
+
 def _row(n, e, **fields):
     return ConvergenceRow(n_elements=n, error_u=e, error_p=e,
                           error_grad_p=e, error_div=e,
@@ -108,6 +133,18 @@ def test_orders_at_machine_precision_report_exact():
     rows = [_row(16, 1e-13), _row(64, 2e-13)]
     study.compute_orders(rows)
     assert rows[1].order_u == study.EXACT_MARK
+
+
+def test_orders_show_a_rate_unless_both_errors_are_exact():
+    # one error at the floor is still a rate: a fast drop onto the floor, a
+    # jump off it, and a zero error on either side
+    rows = [_row(16, 1.89954e-10), _row(64, 3.28275e-12), _row(256, 1e-3),
+            _row(1024, 0.0), _row(4096, 1e-3)]
+    study.compute_orders(rows)
+    assert rows[1].order_u == pytest.approx(5.8546, abs=1e-4)
+    assert rows[2].order_u < 0.0
+    assert rows[3].order_u == math.inf
+    assert rows[4].order_u == -math.inf
 
 
 def test_convergence_study_needs_three_levels():
