@@ -126,9 +126,8 @@ def _derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return np.pad(d, [(0, n - m) for n, m in zip(coeffs.shape, d.shape)])
 
 
-def polynomial_case(k: int, seed: int = 0,
-                    K: np.ndarray | float = None) -> ManufacturedCase:
-    """Exact solution with p in P_{k+1} and constant symmetric K.
+def polynomial_case(k: int, seed: int = 0) -> ManufacturedCase:
+    """Exact solution with p in P_{k+1} and K = [[2, 0.5], [0.5, 1.5]].
 
     Deterministic small-integer coefficients; used by patch tests, where the
     scheme must reproduce p, u and all recovered data to machine precision.
@@ -141,12 +140,7 @@ def polynomial_case(k: int, seed: int = 0,
     # keep every top-degree layer populated so the test has full content
     coeffs[k + 1, 0] = max(1.0, abs(coeffs[k + 1, 0]))
     coeffs[0, k + 1] = max(1.0, abs(coeffs[0, k + 1]))
-    if K is None:
-        kmat = np.array([[2.0, 0.5], [0.5, 1.5]])
-    else:
-        kmat = np.asarray(K, dtype=float)
-        if kmat.ndim == 0:
-            kmat = float(kmat) * np.eye(2)
+    kmat = np.array([[2.0, 0.5], [0.5, 1.5]])
     px, py = _derivative(coeffs, 0), _derivative(coeffs, 1)
     ux = -kmat[0, 0] * px + -kmat[0, 1] * py
     uy = -kmat[1, 0] * px + -kmat[1, 1] * py

@@ -25,6 +25,11 @@ from the sorted vertex pairs.  The distorted-mesh generator runs it on
 blocks of speculatively placed vertices and rewinds its random stream at a
 rejected candidate, so it returns the meshes of placing one vertex at a
 time.
+
+`build_topology` is also the only validator of a mesh file's cells:
+`read_mesh` checks the file's syntax alone and passes the loops on, and a
+`MeshError` that names a cell (`MeshError.cell`) comes back from it as a
+`MeshFormatError` at that cell's line.
 """
 
 from __future__ import annotations
@@ -37,16 +42,28 @@ import numpy as np
 
 
 class MeshError(ValueError):
-    """Topologically or geometrically invalid mesh input."""
+    """Topologically or geometrically invalid mesh input.
+
+    `cell` is the index of the cell the error names, or None for an error
+    of the mesh as a whole (bad vertex array, generator arguments).
+    """
+
+    def __init__(self, message: str, cell: int | None = None):
+        self.cell = cell
+        super().__init__(message)
 
 
 class MeshFormatError(MeshError):
-    """Unparseable mesh file; carries the file path and 1-based line number."""
+    """Invalid mesh file; carries the file path and 1-based line number.
 
-    def __init__(self, path: str, lineno: int, message: str):
+    Raised for a syntax error at its line, and for a `build_topology` error
+    at the line of the cell it names (line 0 when it names none).
+    """
+
+    def __init__(self, path: str, lineno: int, message: str, cell: int | None = None):
         self.path = path
         self.lineno = lineno
-        super().__init__(f"{path}:{lineno}: {message}")
+        super().__init__(f"{path}:{lineno}: {message}", cell)
 
 
 def polygon_area(coords: np.ndarray):
@@ -328,7 +345,7 @@ def _check_loops(vertices: np.ndarray, loops: list) -> np.ndarray:
     if np.any(defects):
         c = int(np.argmax(defects > 0))
         message = (*_INDEX_DEFECTS, *_LOOP_DEFECTS)[defects[c] - 1]
-        raise MeshError(f"cell {c}: {message}")
+        raise MeshError(f"cell {c}: {message}", c)
     return sizes
 
 
@@ -342,8 +359,8 @@ def _edge_table(num_vertices: int, flat: np.ndarray, sizes: np.ndarray) -> tuple
     left cell); a second use must run the other way (the right cell).
     Returns (edges, edge_left, edge_right, use_edge, use_sign), where
     use_sign is +1 for a use along the stored direction.  Raises MeshError
-    for an edge that two cells traverse in the same direction; a third use
-    always does.
+    for an edge that two cells traverse in the same direction, naming the
+    later of the two; a third use always does.
     """
     ends = np.cumsum(sizes)
     head = np.roll(flat, -1)
@@ -363,7 +380,8 @@ def _edge_table(num_vertices: int, flat: np.ndarray, sizes: np.ndarray) -> tuple
         w = earlier[forward[earlier] == forward[u]][0]
         raise MeshError(
             f"edge ({min(flat[u], head[u])}, {max(flat[u], head[u])}): cells {cell[w]} "
-            f"and {cell[u]} traverse it in the same direction (overlapping or flipped cell)"
+            f"and {cell[u]} traverse it in the same direction (overlapping or flipped cell)",
+            int(cell[u]),
         )
     edge_of = np.cumsum(first) - 1
     leading = order[first]
@@ -377,28 +395,41 @@ def _edge_table(num_vertices: int, flat: np.ndarray, sizes: np.ndarray) -> tuple
     return edges, cell[leading], edge_right, use_edge, use_sign
 
 
+def _as_loop(cell) -> np.ndarray:
+    """A cell's vertex indices as int64; an index beyond int64 becomes -1.
+
+    Such an index is out of range for any vertex array, and -1 makes
+    `_check_loops` report it so, in cell order, instead of an OverflowError.
+    """
+    try:
+        return np.asarray(cell, dtype=np.int64)
+    except OverflowError:
+        return np.full(np.shape(cell), -1, dtype=np.int64)
+
+
 def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     """Assemble a PolyMesh from vertex coordinates and CCW cell loops.
 
-    Validates each loop (at least 3 distinct vertices, then `_loop_defects`:
-    positive signed area, simple, star-shaped) by vertex-count group, and
+    This is the one validator of cell loops, for generated meshes and mesh
+    files alike.  Each loop is checked by vertex-count group (at least 3
+    vertices, every index in range, no repeated vertex, then
+    `_loop_defects`: positive signed area, simple, star-shaped), and then
     global conformity (an edge belongs to at most two cells, with opposite
-    traversal directions when shared).  A MeshError names the first cell
-    that fails.  The edge table is built from sorted vertex pairs
+    traversal directions when shared).  The MeshError names the first cell
+    that fails, in its message and as `cell`; an edge clash names the later
+    of the two cells.  The edge table is built from sorted vertex pairs
     (`_edge_table`).
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
-    loops = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    loops = [_as_loop(cell) for cell in cells]
     sizes = _check_loops(vertices, loops)
     flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
     edges, edge_left, edge_right, use_edge, use_sign = _edge_table(len(vertices), flat, sizes)
 
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    edge_lengths = np.hypot(vec[:, 0], vec[:, 1])
-    if np.any(edge_lengths <= 0.0):
-        raise MeshError("zero-length edge")
+    edge_lengths = np.hypot(vec[:, 0], vec[:, 1])  # > 0: `_is_simple` saw every edge
     tangents = vec / edge_lengths[:, None]
     edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
@@ -613,79 +644,71 @@ def write_mesh(mesh: PolyMesh, path: str) -> None:
 
 
 def read_mesh(path: str) -> PolyMesh:
-    """Parse the plain-text mesh format; errors carry the offending line."""
+    """Parse the plain-text mesh format that `write_mesh` writes.
+
+    The file holds a `polymesh 2d` line, a `vertices N` line and N `x y`
+    lines, then a `cells M` line and M lines `n v_1 ... v_n`; `#` starts a
+    comment and blank lines are skipped.  Only this syntax is checked here,
+    with a MeshFormatError at the offending line.  The cells are validated
+    by `build_topology` alone, and its MeshError comes back as a
+    MeshFormatError at the line of the cell it names (line 0 when it names
+    none).
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = []  # (lineno, content without comments)
-    for i, line in enumerate(raw, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((i, stripped))
-    pos = 0
+        lines = [(i, content) for i, line in enumerate(fh, start=1)
+                 if (content := line.split("#", 1)[0].strip())]
+    rows = iter(lines)
 
     def take():
-        nonlocal pos
-        if pos >= len(lines):
-            lineno = lines[-1][0] if lines else 0
-            raise MeshFormatError(path, lineno, "unexpected end of file")
-        lineno, content = lines[pos]
-        pos += 1
-        return lineno, content
+        row = next(rows, None)
+        if row is None:
+            raise MeshFormatError(path, lines[-1][0] if lines else 0, "unexpected end of file")
+        return row
+
+    def count(keyword: str, symbol: str, noun: str) -> int:
+        lineno, line = take()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise MeshFormatError(path, lineno, f"expected '{keyword} {symbol}'")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise MeshFormatError(path, lineno, f"bad {noun} count '{parts[1]}'") from None
+        if n < 0:
+            raise MeshFormatError(path, lineno, f"{noun} count must be nonnegative")
+        return n
 
     lineno, header = take()
     if header != "polymesh 2d":
         raise MeshFormatError(path, lineno, f"expected 'polymesh 2d', got '{header}'")
-    lineno, vline = take()
-    parts = vline.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise MeshFormatError(path, lineno, "expected 'vertices N'")
-    try:
-        nv = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(path, lineno, f"bad vertex count '{parts[1]}'") from None
-    if nv < 0:
-        raise MeshFormatError(path, lineno, "vertex count must be nonnegative")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
+    vertices = []
+    for _ in range(count("vertices", "N", "vertex")):
         lineno, line = take()
         parts = line.split()
         if len(parts) != 2:
             raise MeshFormatError(path, lineno, "expected 'x y'")
         try:
-            vertices[i] = (float(parts[0]), float(parts[1]))
+            vertices.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise MeshFormatError(path, lineno, f"bad coordinate in '{line}'") from None
-    lineno, cline = take()
-    parts = cline.split()
-    if len(parts) != 2 or parts[0] != "cells":
-        raise MeshFormatError(path, lineno, "expected 'cells M'")
-    try:
-        nc = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(path, lineno, f"bad cell count '{parts[1]}'") from None
-    cells = []
-    for _ in range(nc):
+    cells, cell_lines = [], []
+    for _ in range(count("cells", "M", "cell")):
         lineno, line = take()
         parts = line.split()
         try:
-            count = int(parts[0])
-            ids = [int(p) for p in parts[1:]]
+            declared, ids = int(parts[0]), [int(p) for p in parts[1:]]
         except ValueError:
             raise MeshFormatError(path, lineno, f"bad cell line '{line}'") from None
-        if len(ids) != count:
+        if len(ids) != declared:
             raise MeshFormatError(
-                path, lineno, f"cell declares {count} vertices but lists {len(ids)}"
-            )
-        bad = [v for v in ids if v < 0 or v >= nv]
-        if bad:
-            raise MeshFormatError(
-                path, lineno, f"cell references missing vertex {bad[0]} (have {nv})"
-            )
+                path, lineno, f"cell declares {declared} vertices but lists {len(ids)}")
         cells.append(ids)
-    if pos != len(lines):
-        lineno, line = lines[pos]
-        raise MeshFormatError(path, lineno, f"trailing content '{line}'")
+        cell_lines.append(lineno)
+    trailing = next(rows, None)
+    if trailing is not None:
+        raise MeshFormatError(path, trailing[0], f"trailing content '{trailing[1]}'")
     try:
-        return build_topology(vertices, cells)
+        return build_topology(np.array(vertices, dtype=float).reshape(-1, 2), cells)
     except MeshError as exc:
-        raise MeshFormatError(path, 0, str(exc)) from exc
+        lineno = 0 if exc.cell is None else cell_lines[exc.cell]
+        raise MeshFormatError(path, lineno, str(exc), exc.cell) from exc

@@ -304,10 +304,13 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     eps4 = 4.0 * float(np.finfo(float).eps)
     f_scale = max((float(np.abs(g.f_coeffs).max(initial=0.0)) for g in system.groups),
                   default=0.0)
-    # Per cell-edge slot (groups in turn, then cells, then edges in loop
-    # order): the edge, its sign, u . n_e and the rounding envelope of the
-    # slot's k+1 residual entries.
-    slot_edge, slot_sign, slot_flux, slot_noise = [], [], [], []
+    # Both copies of every edge's u . n_e and their rounding envelopes (the
+    # largest of the slot's k+1 residual envelopes over |f|), written by edge
+    # sign.  An edge is stored in its left cell's direction, so copy 0 (sign
+    # +1) is the left cell's and is kept; copy 1 (sign -1) is the right
+    # cell's, present on interior edges only, and is checked against it.
+    copies = np.zeros((2, mesh.num_edges, k + 1))
+    envelope = np.zeros((2, mesh.num_edges))
     cell_noise = np.zeros(nc)
     div_gaps = np.zeros(nc)
     grad_moments = np.zeros((nc, nk - 1))
@@ -327,10 +330,10 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(group.stiffness), np.abs(p_loc))
                               + np.abs(group.load))
         cell_noise[cells] = np.einsum("gi,gi->g", np.abs(group.const_dofs), noise_slots)
-        slot_edge.append(group.edge_ids.ravel())
-        slot_sign.append(group.edge_signs.ravel())
-        slot_flux.append((group.edge_signs[..., None] * local).reshape(-1, k + 1))
-        slot_noise.append(noise_slots[:, :local[0].size].reshape(-1, k + 1))
+        side = (1 - group.edge_signs) // 2
+        copies[side, group.edge_ids] = group.edge_signs[..., None] * local
+        envelope[side, group.edge_ids] = (noise_slots[:, :local[0].size].reshape(local.shape)
+                                          .max(axis=-1) / mesh.edge_lengths[group.edge_ids])
         grad_moments[cells] = recover_gradient_moments(group, local)
         gkperp_moments[cells] = recover_gkperp_moments(group, p_loc)
         div[cells], div_gaps[cells] = divergence(group, local, f_scale=f_scale,
@@ -343,20 +346,10 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         centers[cells] = group.basis.center
         diameters[cells] = group.basis.diameter
 
-    # Ownership: an edge is stored in its left cell's direction, so the slot
-    # of sign +1 is the left cell's copy and keeps it; every other slot is
-    # the right cell's copy of an interior edge and is checked against it.
-    slot_edge = np.concatenate(slot_edge)
-    flux = np.concatenate(slot_flux)
-    noise = np.concatenate(slot_noise).max(axis=1) / mesh.edge_lengths[slot_edge]
-    owned = np.concatenate(slot_sign) > 0
-    edge_coeffs = np.zeros((mesh.num_edges, k + 1))
-    edge_noise = np.zeros(mesh.num_edges)
-    edge_coeffs[slot_edge[owned]] = flux[owned]
-    edge_noise[slot_edge[owned]] = noise[owned]
-    right = slot_edge[~owned]
-    gaps = (np.abs(flux[~owned] - edge_coeffs[right]).max(axis=1)
-            - noise[~owned] - edge_noise[right])
+    edge_coeffs = copies[0]
+    inner = ~mesh.boundary_mask
+    gaps = (np.abs(copies[1, inner] - edge_coeffs[inner]).max(axis=1)
+            - envelope[1, inner] - envelope[0, inner])
     flux_scale = max(float(np.abs(edge_coeffs).max()), 1e-300)
     flux_gap = max(0.0, float(gaps.max(initial=0.0))) / flux_scale
     if flux_gap > _FLUX_TOL:

@@ -127,6 +127,21 @@ def test_refine_floor_polishes_perturbed_solution():
     assert np.abs(polished - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def test_solution_off_the_certificate_rejected(monkeypatch):
+    # a solution moved off the refined one by a relative 1e-6 leaves a
+    # residual far above the rounding floor, which the certificate refuses
+    refine = linsolve._refine_floor
+    monkeypatch.setattr(linsolve, "_refine_floor",
+                        lambda *args: refine(*args) * (1.0 + 1e-6))
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=9, distortion=0.2)
+    case = get_case("bubble-sine")
+    system = ncvem.assemble(mesh, case.permeability, case.forcing, 1,
+                            boundary=case.pressure)
+    with pytest.raises(SolverError, match="missed its residual certificate") as err:
+        linsolve.solve(system.matrix, system.rhs)
+    assert 0.5e-6 < err.value.residual < 2e-6
+
+
 def test_floor_accepted_solution_is_forward_accurate():
     # rhs aligned with the small end of a cond ~ 1e8 spectrum: the direct
     # solve lands on the certified residual floor, where the unpolished

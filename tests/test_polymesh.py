@@ -116,22 +116,28 @@ def roofed_row():
     return np.array(bottom + top + roofs), loops
 
 
-@pytest.mark.parametrize("bad, expected", [
-    ({5: [5, 6, 13, 12, 19]}, "cell 5: self-intersecting"),   # bowtie
-    ({4: [4, 11, 12, 5]}, "cell 4: loop is not counterclockwise"),
-    ({3: [3, 4, 11, 17, 11]}, "cell 3: repeated vertex"),
-    # cell 4 overlaps cell 3 and runs along its bottom edge 3 -> 4
-    ({4: [3, 4, 11, 10]}, "cells 3 and 4 traverse it in the same direction"),
+@pytest.mark.parametrize("bad, expected, cell", [
+    ({5: [5, 6, 13, 12, 19]}, "cell 5: self-intersecting", 5),   # bowtie
+    ({4: [4, 11, 12, 5]}, "cell 4: loop is not counterclockwise", 4),
+    ({3: [3, 4, 11, 17, 11]}, "cell 3: repeated vertex", 3),
+    # cell 4 overlaps cell 3 and runs along its bottom edge 3 -> 4: the
+    # later cell is named
+    ({4: [3, 4, 11, 10]}, "cells 3 and 4 traverse it in the same direction", 4),
     # the smaller index wins across vertex-count groups
-    ({4: [4, 11, 12, 5], 3: [3, 4, 11, 10, 17]}, "cell 3: self-intersecting"),
-], ids=["bowtie", "clockwise", "repeated-vertex", "same-direction", "two-groups"])
-def test_invalid_loop_error_names_its_cell(bad, expected):
+    ({4: [4, 11, 12, 5], 3: [3, 4, 11, 10, 17]}, "cell 3: self-intersecting", 3),
+    ({0: [0, 1, 8, 10**30]}, "cell 0: vertex index out of range", 0),
+    # an index beyond int64 is checked in cell order like any other
+    ({4: [4, 5, 12, 10**30], 2: [2, 9, 10, 3]}, "cell 2: loop is not counterclockwise", 2),
+], ids=["bowtie", "clockwise", "repeated-vertex", "same-direction", "two-groups",
+        "beyond-int64", "beyond-int64-later"])
+def test_invalid_loop_error_names_its_cell(bad, expected, cell):
     vertices, loops = roofed_row()
     build_topology(vertices, loops)  # the unedited row is valid
     for c, loop in bad.items():
         loops[c] = loop
-    with pytest.raises(MeshError, match=expected):
+    with pytest.raises(MeshError, match=expected) as err:
         build_topology(vertices, loops)
+    assert err.value.cell == cell
 
 
 def test_distortion_zero_equals_uniform():
@@ -370,5 +376,52 @@ def test_clockwise_loop_in_file_rejected(tmp_path):
     path.write_text(
         "polymesh 2d\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 1\n4 0 3 2 1\n"
     )
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError, match="cell 0: loop is not counterclockwise") as err:
         read_mesh(str(path))
+    assert err.value.lineno == 8
+
+
+SQUARE_FILE = "polymesh 2d\nvertices 4\n0 0\n1 0\n1 1\n0 1\n"
+
+
+@pytest.mark.parametrize("content, lineno, message", [
+    ("polymesh 2d\nvertices -2\n", 2, "vertex count must be nonnegative"),
+    # a count is not trusted for an allocation: the file ends first
+    ("polymesh 2d\nvertices 100000000000000\n0 0\n", 3, "unexpected end of file"),
+    ("polymesh 2d\nvertices 1\n0.0 zero\ncells 0\n", 3, "bad coordinate in '0.0 zero'"),
+    ("polymesh 2d\nvertices 0\nfaces 0\n", 3, "expected 'cells M'"),
+    ("polymesh 2d\nvertices 0\ncells x\n", 3, "bad cell count 'x'"),
+    ("polymesh 2d\nvertices 0\n\ncells 1\n3 a b c\n", 5, "bad cell line '3 a b c'"),
+    (SQUARE_FILE + "cells -1\n", 7, "cell count must be nonnegative"),
+    (SQUARE_FILE + "cells 2\n3 0 1 2\n# comment\n\n3 0 2 3 9\n", 11,
+     "cell declares 3 vertices but lists 4"),
+    # cell errors come from build_topology, at the line of the cell named
+    (SQUARE_FILE + "cells 2\n3 0 1 2\n# comment\n\n4 0 2 3 9\n", 11,
+     "cell 1: vertex index out of range"),
+    (SQUARE_FILE + "cells 1\n4 0 1 2 100000000000000000000000000000\n", 8,
+     "cell 0: vertex index out of range"),
+    # two CCW triangles run along edge 0 -> 1: the later one is named
+    (SQUARE_FILE + "cells 2\n3 0 1 2\n3 0 1 3\n", 9,
+     "cells 0 and 1 traverse it in the same direction"),
+], ids=["negative-vertices", "huge-count", "coordinate", "cells-keyword", "cell-count", "cell-line",
+        "negative-cells", "count-mismatch", "out-of-range", "beyond-int64",
+        "same-direction"])
+def test_file_errors_name_line_and_reason(tmp_path, content, lineno, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(MeshFormatError, match=message) as err:
+        read_mesh(str(path))
+    assert err.value.lineno == lineno
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+
+
+def test_file_error_without_a_cell_reports_line_zero(tmp_path):
+    # a square of side 1e-160 has a positive area below the 1e-300 guard
+    # of polygon_centroid, which the star test raises without naming the cell
+    path = tmp_path / "tiny.txt"
+    path.write_text("polymesh 2d\nvertices 4\n0 0\n1e-160 0\n1e-160 1e-160\n0 1e-160\n"
+                    "cells 1\n4 0 1 2 3\n")
+    with pytest.raises(MeshFormatError, match="degenerate polygon: zero area") as err:
+        read_mesh(str(path))
+    assert err.value.lineno == 0
+    assert err.value.cell is None

@@ -186,6 +186,25 @@ def test_local_conservation_violation_rejected(k):
         recover_velocity(system)
 
 
+def test_global_conservation_violation_rejected(monkeypatch):
+    # with the local check relaxed to a relative gap of 1, one cell's int_P f
+    # moved by 1e-6 of the largest source moment still unbalances the total
+    # boundary outflow against the total source
+    monkeypatch.setattr(recovery, "_DIV_TOL", 1.0)
+    case = get_case("bubble-sine")
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=9, distortion=0.2)
+    system = assemble(mesh, case.permeability, case.forcing, 1,
+                      boundary=case.pressure)
+    solve_pressure(system)
+    recover_velocity(system)
+    group = system.groups[-1]
+    row = group.cell.size // 2
+    scale = max(np.abs(g.f_moments[:, 0]).max() for g in system.groups)
+    group.f_moments[row, 0] += 1e-6 * scale
+    with pytest.raises(RecoveryError, match="global conservation violated"):
+        recover_velocity(system)
+
+
 def test_edge_flux_owned_by_left_cell():
     # the returned flux is the left cell's recovery, not the right cell's
     # and not their average; on a solved system the copies differ only at

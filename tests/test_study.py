@@ -1,6 +1,7 @@
 """Convergence harness: error norms, rate tables, CSV output."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,23 @@ def test_error_norms_vanish_on_polynomial_patch():
     assert row.error_p <= 1e-9 * max(row.ref_p, 1.0)
     assert row.error_grad_p <= 1e-9 * max(row.ref_grad_p, 1.0)
     assert row.error_div <= 1e-9 * max(row.ref_div, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_tensor_permeability_matches_scalar(k):
+    # bubble-sine's kappa(x) and the same kappa(x) I returned as (n, 2, 2)
+    # tensors must assemble the same system and integrate the same errors
+    mesh = polymesh.generate_distorted_polygonal(8, 8, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    tensor_case = dataclasses.replace(
+        case, name="bubble-sine-tensor",
+        permeability=lambda pts: case.permeability(pts)[:, None, None] * np.eye(2))
+    assert tensor_case.permeability(np.array([[0.3, 0.7]])).shape == (1, 2, 2)
+    scalar, tensor = (study.solve_case(mesh, c, k) for c in (case, tensor_case))
+    assert np.array_equal(scalar.system.matrix.csr.toarray(),
+                          tensor.system.matrix.csr.toarray())
+    assert np.array_equal(scalar.system.rhs, tensor.system.rhs)
+    assert study.error_norms(scalar, case) == study.error_norms(tensor, tensor_case)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
