@@ -48,9 +48,6 @@ class SparseSpd:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
@@ -170,7 +167,7 @@ def solve(matrix: SparseSpd, b: np.ndarray) -> np.ndarray:
     x = _refine_floor(matrix, b, correct(b), correct)
 
     bnorm = float(np.linalg.norm(scale * b))
-    rnorm = float(np.linalg.norm(scale * (b - matrix.matvec(x))))
+    rnorm = float(np.linalg.norm(scale * (b - matrix.csr @ x)))
     anorm = float((scale * (abs(matrix.csr) @ scale)).max())
     xnorm = float(np.linalg.norm(x / scale))
     floor = 32.0 * np.finfo(float).eps * (anorm * xnorm + bnorm)

@@ -20,13 +20,17 @@ one reference table per order (see `polybasis.edge_reference`), and the
 normal traces of the cell monomials are projected onto the edge monomials
 by one fixed matrix, so no edge Gram is solved.
 
-The global SPD system is scattered from the groups' stacked stiffness
-blocks in one triplet build, with Dirichlet data eliminated.  Everything a
-later velocity recovery needs (projection tables, edge moment tables, the
-residual pieces, the gradient Gram's inverse factor and the DOFs of the
-constant function) is kept in the group arrays, which are the only element
-record: cell `group.cell[i]` is row i of every stacked field.  Every cell
-Gram is formed and factored here, once; nothing after assembly factors one.
+One table numbers every DOF: the unknowns (interior-edge blocks, then
+cell blocks) first, the Dirichlet data of the boundary-edge blocks after
+them.  The groups' whole stacked stiffness blocks are scattered over all
+DOFs in one triplet build, and the data are eliminated by keeping the
+leading block of the matrix and of the load minus the data's stiffness
+product.  Everything a later velocity recovery needs (projection tables,
+edge moment tables, the residual pieces, the gradient Gram's inverse
+factor and the DOFs of the constant function) is kept in the group arrays,
+which are the only element record: cell `group.cell[i]` is row i of every
+stacked field.  Every cell Gram is formed and factored here, once; nothing
+after assembly factors one.
 """
 
 from __future__ import annotations
@@ -99,37 +103,40 @@ def cell_dof_count(n_edges: int, k: int) -> int:
 
 @dataclass
 class NcDofMap:
-    """Global numbering: interior-edge moment blocks first, then cell blocks."""
+    """Global numbering of every DOF block, unknowns first.
+
+    Interior-edge moment blocks come first, in edge order, then the cell
+    blocks: these are the `n_global` unknowns.  The boundary-edge blocks,
+    which hold the Dirichlet data, follow from `n_global` on, in edge order.
+    """
 
     k: int
     n_global: int
-    edge_offset: np.ndarray  # (ne,) start of the edge's DOF block, -1 on boundary
+    edge_offset: np.ndarray  # (ne,) start of the edge's DOF block
     cell_offset: np.ndarray  # (nc,)
 
-    @property
-    def n_cell_dofs(self) -> int:
-        return n_monomials(self.k - 1)
-
     def global_indices(self, edge_ids: np.ndarray, cells) -> np.ndarray:
-        """Global index per local DOF slot, (..., N); -1 marks boundary-edge slots.
+        """Global index per local DOF slot, (..., N); >= n_global on boundary edges.
 
         `edge_ids` (..., n_e) are the cells' edges in loop order and `cells`
         (...) their indices, so a group's whole table comes from one call.
         """
-        base = self.edge_offset[edge_ids][..., None]
-        edge_part = np.where(base >= 0, base + np.arange(self.k + 1), -1)
+        edge_part = self.edge_offset[edge_ids][..., None] + np.arange(self.k + 1)
         edge_part = edge_part.reshape(edge_part.shape[:-2] + (-1,))
-        cell_part = self.cell_offset[cells][..., None] + np.arange(self.n_cell_dofs)
+        cell_part = (self.cell_offset[cells][..., None]
+                     + np.arange(n_monomials(self.k - 1)))
         return np.concatenate([edge_part, cell_part], axis=-1)
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
+    """Number interior-edge, then cell, then boundary-edge blocks (`NcDofMap`)."""
     interior = mesh.edge_right >= 0
-    edge_offset = np.where(interior, (k + 1) * (np.cumsum(interior) - 1), -1)
     pos = (k + 1) * int(np.count_nonzero(interior))
     ncell = n_monomials(k - 1)
     cell_offset = np.arange(mesh.num_cells, dtype=np.int64) * ncell + pos
     n_global = pos + ncell * mesh.num_cells
+    edge_offset = np.where(interior, (k + 1) * (np.cumsum(interior) - 1),
+                           n_global + (k + 1) * (np.cumsum(~interior) - 1))
     return NcDofMap(k=k, n_global=n_global, edge_offset=edge_offset,
                     cell_offset=cell_offset)
 
@@ -379,30 +386,17 @@ def monomial_dofs(element: NcElement) -> np.ndarray:
 
 
 def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:
-    """Scaled edge moments of the Dirichlet datum on boundary edges.
+    """Scaled edge moments of the Dirichlet datum, (nb, k+1).
 
-    Returns (ne, k+1); rows of interior edges are zero and unused.
+    Row i belongs to the i-th boundary edge in edge order, the order of the
+    boundary blocks of `build_dof_map`.
     """
     gfun = scalar_field(g)
-    out = np.zeros((mesh.num_edges, k + 1))
     ref = edge_reference(k, max(k + 2, 10))
     bnd = np.flatnonzero(mesh.edge_right < 0)
     pts = _edge_points(mesh, bnd, ref.nodes)
     gvals = gfun(pts.reshape(-1, 2)).reshape(len(bnd), len(ref.nodes))
-    out[bnd] = gvals @ ref.moments.T
-    return out
-
-
-def _dirichlet_lift(element: NcElement, boundary_values: np.ndarray) -> np.ndarray:
-    """Local DOF vectors (..., N) holding Dirichlet values, zero on free slots.
-
-    Relies on `boundary_edge_values` leaving interior-edge rows at zero.
-    """
-    edge_part = boundary_values[element.edge_ids]
-    out = np.zeros(edge_part.shape[:-2] + (element.n_dofs,))
-    out[..., :edge_part.shape[-2] * edge_part.shape[-1]] = (
-        edge_part.reshape(edge_part.shape[:-2] + (-1,)))
-    return out
+    return gvals @ ref.moments.T
 
 
 @dataclass
@@ -411,7 +405,8 @@ class SpdSystem:
 
     `groups` holds the stacked element records of the mesh's vertex-count
     groups (see `PolyMesh.cell_groups`) and `group_global` each group's
-    (G, N) table of global DOF indices, -1 on boundary-edge slots.
+    (G, N) table of global DOF indices.  `dirichlet` holds the values of
+    the DOFs numbered from `dofmap.n_global` on, the boundary-edge blocks.
     """
 
     matrix: linsolve.SparseSpd
@@ -419,7 +414,7 @@ class SpdSystem:
     dofmap: NcDofMap
     groups: list
     group_global: list
-    boundary_values: np.ndarray
+    dirichlet: np.ndarray
     mesh: PolyMesh = field(repr=False)
     k: int = 0
     solution: np.ndarray | None = None
@@ -428,11 +423,7 @@ class SpdSystem:
         """Full local DOF vectors (G, N) of the solved pressure on group i."""
         if self.solution is None:
             raise RuntimeError("system not solved yet")
-        out = _dirichlet_lift(self.groups[i], self.boundary_values)
-        glob = self.group_global[i]
-        free = glob >= 0
-        out[free] = self.solution[glob[free]]
-        return out
+        return np.concatenate([self.solution, self.dirichlet])[self.group_global[i]]
 
 
 def assemble(
@@ -445,36 +436,37 @@ def assemble(
     """Assemble the global SPD pressure system with Dirichlet elimination.
 
     `boundary` is the Dirichlet datum (callable, constant, or None for
-    homogeneous data).  Each vertex-count group is built at once and every
-    free-free stiffness entry goes into one triplet build.
+    homogeneous data).  Each vertex-count group is built at once, and its
+    whole stiffness blocks go into one triplet build over all DOFs, the
+    Dirichlet ones included (see `NcDofMap`).  The system is the leading
+    n_global block of that matrix, and of the loads minus the stiffness
+    times the known DOF values.
     """
     dofmap = build_dof_map(mesh, k)
-    bvals = boundary_edge_values(mesh, k, boundary)
+    dirichlet = boundary_edge_values(mesh, k, boundary).ravel()
     groups = [build_element(mesh, g, k, K, f) for g in mesh.cell_groups()]
     group_global = [dofmap.global_indices(g.edge_ids, g.cell) for g in groups]
     n = dofmap.n_global
-    rhs = np.zeros(n)
+    known = np.concatenate([np.zeros(n), dirichlet])
+    rhs = np.zeros(len(known))
     rows = [np.empty(0, dtype=np.int64)]
     cols = [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0)]
     for group, glob in zip(groups, group_global):
-        lifted = _dirichlet_lift(group, bvals)
-        local_rhs = group.load - np.einsum("gij,gj->gi", group.stiffness, lifted)
-        free = glob >= 0
-        rhs += np.bincount(glob[free], weights=local_rhs[free], minlength=n)
-        pairs = free[:, :, None] & free[:, None, :]
-        rows.append(np.broadcast_to(glob[:, :, None], pairs.shape)[pairs])
-        cols.append(np.broadcast_to(glob[:, None, :], pairs.shape)[pairs])
-        vals.append(group.stiffness[pairs])
-    matrix = linsolve.SparseSpd.from_triplets(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        local_rhs = group.load - np.einsum("gij,gj->gi", group.stiffness, known[glob])
+        rhs += np.bincount(glob.ravel(), weights=local_rhs.ravel(), minlength=len(known))
+        rows.append(np.broadcast_to(glob[:, :, None], group.stiffness.shape).ravel())
+        cols.append(np.broadcast_to(glob[:, None, :], group.stiffness.shape).ravel())
+        vals.append(group.stiffness.ravel())
+    full = linsolve.SparseSpd.from_triplets(
+        len(known), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     return SpdSystem(
-        matrix=matrix,
-        rhs=rhs,
+        matrix=linsolve.SparseSpd(csr=full.csr[:n, :n]),
+        rhs=rhs[:n],
         dofmap=dofmap,
         groups=groups,
         group_global=group_global,
-        boundary_values=bvals,
+        dirichlet=dirichlet,
         mesh=mesh,
         k=k,
     )

@@ -77,6 +77,10 @@ def polygon_area(coords: np.ndarray):
                         axis=-1)
 
 
+# Smallest signed area of an admissible loop: the centroid divides by it.
+_MIN_AREA = 1e-300
+
+
 def polygon_centroid(coords: np.ndarray) -> np.ndarray:
     """Area centroid of a simple polygon (CCW or CW); (..., 2) for a stack."""
     x = coords[..., 0]
@@ -85,7 +89,7 @@ def polygon_centroid(coords: np.ndarray) -> np.ndarray:
     yn = np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
     area = 0.5 * np.sum(cross, axis=-1)
-    if np.any(np.abs(area) < 1e-300):
+    if np.any(np.abs(area) < _MIN_AREA):
         raise MeshError("degenerate polygon: zero area")
     cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
     cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
@@ -222,7 +226,8 @@ _LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate",
 def _loop_defects(coords: np.ndarray) -> np.ndarray:
     """The one cell-validity routine, over a (G, n, 2) stack of loops.
 
-    A loop is admissible when its signed area is positive, it is simple
+    A loop is admissible when its signed area is at least `_MIN_AREA`
+    (positive, and large enough for `polygon_centroid`), it is simple
     (`_is_simple`) and it is star-shaped (`_is_star`: the centroid
     test, then one stacked `_chebyshev_disks` call for the loops whose
     centroid fails it, a kernel radius > 0 deciding).  Returns (G,)
@@ -230,7 +235,7 @@ def _loop_defects(coords: np.ndarray) -> np.ndarray:
     fails, in that order.  Each test runs only on the loops that passed the
     ones before it.
     """
-    defects = np.where(polygon_area(coords) > 0.0, 0, 1)
+    defects = np.where(polygon_area(coords) >= _MIN_AREA, 0, 1)
     for code, test in ((2, _is_simple), (3, _is_star)):
         rows = np.flatnonzero(defects == 0)
         defects[rows[~test(coords[rows])]] = code

@@ -185,10 +185,11 @@ def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
 def dirichlet_lift(system: SpdSystem, c: int) -> np.ndarray:
     """Local DOF vector of cell c holding its Dirichlet edge values, zero elsewhere.
 
-    Interior-edge rows of `system.boundary_values` are zero.
+    The Dirichlet DOFs are numbered from `dofmap.n_global` on, so the known
+    values of every DOF are zeros for the unknowns, then `system.dirichlet`.
     """
-    edge_part = system.boundary_values[system.mesh.cell_edges[c]].ravel()
-    return np.concatenate([edge_part, np.zeros(n_monomials(system.k - 1))])
+    known = np.concatenate([np.zeros(system.dofmap.n_global), system.dirichlet])
+    return known[system.dofmap.global_indices(system.mesh.cell_edges[c], c)]
 
 
 def exact_velocity_dofs(system: SpdSystem, velocity):
@@ -299,7 +300,7 @@ def monolithic_solve(system: SpdSystem, K):
             n_edges, n_dofs, area = g.n_edges, g.n_dofs, g.area[m]
             edge_ids, edge_signs = g.edge_ids[m], g.edge_signs[m]
             glob = system.dofmap.global_indices(edge_ids, c)
-            free = glob >= 0
+            free = glob < system.dofmap.n_global
             lifted = dirichlet_lift(system, c)
 
             def add_pressure(r, weights):

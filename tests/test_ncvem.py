@@ -50,20 +50,23 @@ def test_global_dof_counts():
 def test_dofmap_partition(k):
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=3, distortion=0.2)
     dofmap = build_dof_map(mesh, k)
-    # interior edges are numbered in edge order, k+1 slots each
-    expected = np.full(mesh.num_edges, -1)
-    interior = np.flatnonzero(mesh.edge_right >= 0)
-    expected[interior] = (k + 1) * np.arange(len(interior))
+    # interior edges are numbered in edge order, k+1 slots each, and the
+    # boundary edges likewise after the unknowns, from n_global on
+    interior = mesh.edge_right >= 0
+    expected = np.empty(mesh.num_edges, dtype=int)
+    expected[interior] = (k + 1) * np.arange(np.count_nonzero(interior))
+    expected[~interior] = dofmap.n_global + (k + 1) * np.arange(np.count_nonzero(~interior))
     assert np.array_equal(dofmap.edge_offset, expected)
-    counts = np.zeros(dofmap.n_global, dtype=int)
+    n_total = dofmap.n_global + (k + 1) * np.count_nonzero(~interior)
+    counts = np.zeros(n_total, dtype=int)
     for c in range(mesh.num_cells):
         glob = dofmap.global_indices(mesh.cell_edges[c], c)
-        np.add.at(counts, glob[glob >= 0], 1)
-    # interior-edge DOFs are seen by exactly two cells, moment DOFs by one
+        np.add.at(counts, glob, 1)
+    # interior-edge DOFs are seen by exactly two cells, boundary-edge and
+    # moment DOFs by one
     for e in range(mesh.num_edges):
         off = dofmap.edge_offset[e]
-        if off >= 0:
-            assert np.all(counts[off:off + k + 1] == 2)
+        assert np.all(counts[off:off + k + 1] == (2 if interior[e] else 1))
     nkm1 = n_monomials(k - 1)
     for c in range(mesh.num_cells):
         off = dofmap.cell_offset[c]
@@ -231,23 +234,34 @@ def test_boundary_edge_values_match_direct_integrals():
         return pts[:, 0] ** 2 + pts[:, 1]
 
     vals = boundary_edge_values(mesh, k, g)
+    bnd = np.flatnonzero(mesh.edge_right < 0)
+    assert vals.shape == (len(bnd), k + 1)
     gx, gw = np.polynomial.legendre.leggauss(8)
     t = 0.5 * (gx + 1.0)
-    for e in range(mesh.num_edges):
-        if mesh.edge_right[e] >= 0:
-            assert np.array_equal(vals[e], np.zeros(k + 1))
-            continue
+    for row, e in enumerate(bnd):
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
         ref = oracles.edge_monomials(t, k) @ (0.5 * gw * g(pts))
-        assert np.abs(vals[e] - ref).max() < 1e-13
+        assert np.abs(vals[row] - ref).max() < 1e-13
 
 
 def test_negative_order_rejected():
     mesh = polymesh.generate_uniform_quads(1, 1)
     with pytest.raises(ValueError):
         build_element(mesh, mesh.cell_groups()[0], -1)
+
+
+def test_constant_permeability_must_be_scalar_or_2x2():
+    with pytest.raises(ValueError, match="constant permeability must be scalar or 2x2"):
+        ncvem.tensor_field(np.eye(3))
+
+
+def test_zero_permeability_rejected():
+    # K = 0 zeroes the consistency term, so the stabilization scale is 0
+    mesh = polymesh.generate_uniform_quads(2, 2)
+    with pytest.raises(ValueError, match="^cell 0: nonpositive stabilization scale"):
+        assemble(mesh, 0.0, 1.0, 1)
 
 
 def test_assembled_system_spd():
@@ -313,7 +327,7 @@ def test_grouped_build_keeps_cell_identity(k):
                 assert np.shape(a) == np.shape(b), (c, name)
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
             glob = system.dofmap.global_indices(mesh.cell_edges[c], c)
-            free = glob >= 0
+            free = glob < n
             lifted = oracles.dirichlet_lift(system, c)
             stiffness = ref.stiffness[0]
             np.add.at(rhs, glob[free], (ref.load[0] - stiffness @ lifted)[free])

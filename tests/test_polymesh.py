@@ -217,6 +217,26 @@ def test_generator_argument_validation():
         generate_distorted_polygonal(0, 4, seed=0, distortion=0.1)
 
 
+def test_generator_gives_up_without_an_admissible_offset(monkeypatch):
+    # every trial loop rejected: each interior vertex exhausts its 100 draws
+    monkeypatch.setattr(polymesh, "_loop_defects",
+                        lambda coords: np.ones(len(coords), dtype=int))
+    with pytest.raises(MeshError, match="no admissible offset for interior vertex"):
+        generate_distorted_polygonal(3, 3, seed=0, distortion=0.2)
+
+
+def test_centroid_rejects_a_loop_below_the_area_guard():
+    tiny = 1e-160 * UNIT_SQUARE
+    assert 0.0 < polymesh.polygon_area(tiny) < polymesh._MIN_AREA
+    with pytest.raises(MeshError, match="degenerate polygon: zero area"):
+        polymesh.polygon_centroid(tiny)
+
+
+def test_build_topology_rejects_vertices_not_in_the_plane():
+    with pytest.raises(MeshError, match=r"vertices must be an \(n, 2\) array"):
+        build_topology(np.zeros((4, 3)), [np.arange(4)])
+
+
 def test_kernel_inradius_against_grid_search():
     cells = [
         UNIT_SQUARE,
@@ -415,13 +435,14 @@ def test_file_errors_name_line_and_reason(tmp_path, content, lineno, message):
     assert str(err.value).startswith(f"{path}:{lineno}: ")
 
 
-def test_file_error_without_a_cell_reports_line_zero(tmp_path):
-    # a square of side 1e-160 has a positive area below the 1e-300 guard
-    # of polygon_centroid, which the star test raises without naming the cell
+def test_file_cell_below_the_area_guard_reports_its_line(tmp_path):
+    # a square of side 1e-160 has a positive area below the 1e-300 guard of
+    # polygon_centroid: the area test rejects it as degenerate, at its line
     path = tmp_path / "tiny.txt"
     path.write_text("polymesh 2d\nvertices 4\n0 0\n1e-160 0\n1e-160 1e-160\n0 1e-160\n"
                     "cells 1\n4 0 1 2 3\n")
-    with pytest.raises(MeshFormatError, match="degenerate polygon: zero area") as err:
+    with pytest.raises(MeshFormatError,
+                       match="loop is not counterclockwise or is degenerate") as err:
         read_mesh(str(path))
-    assert err.value.lineno == 0
-    assert err.value.cell is None
+    assert err.value.lineno == 8
+    assert err.value.cell == 0
