@@ -28,9 +28,11 @@ leading block of the matrix and of the load minus the data's stiffness
 product.  Everything a later velocity recovery needs (projection tables,
 edge moment tables, the residual pieces, the gradient Gram's inverse
 factor and the DOFs of the constant function) is kept in the group arrays,
-which are the only element record: cell `group.cell[i]` is row i of every
-stacked field.  Every cell Gram is formed and factored here, once; nothing
-after assembly factors one.
+and so are the ears the quadrature was mapped onto, on which the error
+integration runs.  They are the only element record: cell `group.cell[i]`
+is row i of every stacked field.  Every cell Gram is formed and factored
+here, once, and every cell is triangulated here, once; nothing after
+assembly factors a Gram or cuts a cell.
 """
 
 from __future__ import annotations
@@ -155,6 +157,7 @@ class NcElement:
     cell: np.ndarray                   # cell index of each member, ascending
     k: int
     coords: np.ndarray
+    ears: np.ndarray                   # (n_e - 2, 3) ear triangles of the quadrature
     basis: ScaledMonomialBasis         # degree k+1, centroid/diameter scaled
     area: np.ndarray
     edge_ids: np.ndarray
@@ -327,6 +330,7 @@ def build_element(
         cell=group.cells,
         k=k,
         coords=coords,
+        ears=quad.ears,
         basis=basis,
         area=area,
         edge_ids=group.edges,
@@ -442,6 +446,8 @@ def assemble(
     n_global block of that matrix, and of the loads minus the stiffness
     times the known DOF values.
     """
+    if k < 0:
+        raise ValueError("polynomial order k must be >= 0")
     dofmap = build_dof_map(mesh, k)
     dirichlet = boundary_edge_values(mesh, k, boundary).ravel()
     groups = [build_element(mesh, g, k, K, f) for g in mesh.cell_groups()]

@@ -17,7 +17,9 @@ Quadrature on a simple polygon cuts it into its n - 2 ears, the first ear
 in loop order at each step, so it needs no star point and no triangle has
 zero area.  A Gauss-Jacobi x Gauss-Legendre tensor rule is mapped onto each
 ear through the collapsed-square transform, giving positive weights and
-exactness up to the requested degree.  Both one-dimensional rules are
+exactness up to the requested degree.  The rule records its ears, and a
+rule of another degree on the same loops takes them instead of cutting
+again, with the same points and weights.  Both one-dimensional rules are
 computed with numpy: Gauss-Legendre by `leggauss`, Gauss-Jacobi by
 Golub-Welsch.
 
@@ -185,11 +187,16 @@ def edge_reference(k: int, npoints: int) -> EdgeReference:
 
 @dataclass
 class PolyQuadrature:
-    """Positive-weight quadrature exact for polynomials up to `degree`."""
+    """Positive-weight quadrature exact for polynomials up to `degree`.
+
+    `ears` (..., n-2, 3) are the vertex indices of the triangles the rule
+    was mapped onto, so a later rule on the same loops can reuse them.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     degree: int
+    ears: np.ndarray
 
 
 def ear_triangles(coords: np.ndarray) -> np.ndarray:
@@ -247,7 +254,8 @@ def ear_triangles(coords: np.ndarray) -> np.ndarray:
     return (ears // g).transpose(2, 0, 1).reshape(coords.shape[:-2] + (n - 2, 3))
 
 
-def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
+def polygon_quadrature(coords: np.ndarray, degree: int,
+                       ears: np.ndarray | None = None) -> PolyQuadrature:
     """Quadrature on a simple CCW polygon, exact to the requested degree.
 
     The polygon is cut into its n - 2 ears (`ear_triangles`), so no
@@ -257,7 +265,9 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     stay positive.  A stack of loops (..., n, 2) with one vertex count
     gives points (..., nq, 2) and weights (..., nq); every member has the
     same nq = (n - 2) x (nodes per triangle).  A loop without an ear
-    (clockwise or self-intersecting) raises MeshError.
+    (clockwise or self-intersecting) raises MeshError.  Passing `ears`, the
+    `ears` of an earlier rule on the same loops, skips the cut and gives
+    the same points and weights bit for bit.
     """
     coords = np.asarray(coords, dtype=float)
     n1 = max(1, (degree + 2 + 1) // 2)  # Jacobi direction carries degree+1
@@ -272,7 +282,8 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
     # corners (G, n-2, 3, 2) of the ears, legs from their first corner
     lead, n = coords.shape[:-2], coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
-    corners = flat[np.arange(len(flat))[:, None, None], ear_triangles(flat)]
+    ears = ear_triangles(coords) if ears is None else ears
+    corners = flat[np.arange(len(flat))[:, None, None], ears.reshape(len(flat), n - 2, 3)]
     origin = corners[..., 0, :]
     e1 = corners[..., 1, :] - origin
     e2 = corners[..., 2, :] - origin
@@ -286,7 +297,7 @@ def polygon_quadrature(coords: np.ndarray, degree: int) -> PolyQuadrature:
         x += e2[..., d, None] * v
     return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
                           weights=(jac[..., None] * wt).reshape(lead + (-1,)),
-                          degree=degree)
+                          degree=degree, ears=ears)
 
 
 def mass_matrix(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) -> np.ndarray:

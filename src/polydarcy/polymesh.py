@@ -44,12 +44,15 @@ import numpy as np
 class MeshError(ValueError):
     """Topologically or geometrically invalid mesh input.
 
-    `cell` is the index of the cell the error names, or None for an error
-    of the mesh as a whole (bad vertex array, generator arguments).
+    `cell` and `vertex` are the indices of the cell or vertex the error
+    names, or None; neither is set for an error of the mesh as a whole (bad
+    vertex array, generator arguments).
     """
 
-    def __init__(self, message: str, cell: int | None = None):
+    def __init__(self, message: str, cell: int | None = None,
+                 vertex: int | None = None):
         self.cell = cell
+        self.vertex = vertex
         super().__init__(message)
 
 
@@ -57,13 +60,14 @@ class MeshFormatError(MeshError):
     """Invalid mesh file; carries the file path and 1-based line number.
 
     Raised for a syntax error at its line, and for a `build_topology` error
-    at the line of the cell it names (line 0 when it names none).
+    at the line of the cell or vertex it names (line 0 when it names none).
     """
 
-    def __init__(self, path: str, lineno: int, message: str, cell: int | None = None):
+    def __init__(self, path: str, lineno: int, message: str, cell: int | None = None,
+                 vertex: int | None = None):
         self.path = path
         self.lineno = lineno
-        super().__init__(f"{path}:{lineno}: {message}", cell)
+        super().__init__(f"{path}:{lineno}: {message}", cell, vertex)
 
 
 def polygon_area(coords: np.ndarray):
@@ -416,18 +420,23 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     """Assemble a PolyMesh from vertex coordinates and CCW cell loops.
 
     This is the one validator of cell loops, for generated meshes and mesh
-    files alike.  Each loop is checked by vertex-count group (at least 3
-    vertices, every index in range, no repeated vertex, then
-    `_loop_defects`: positive signed area, simple, star-shaped), and then
-    global conformity (an edge belongs to at most two cells, with opposite
-    traversal directions when shared).  The MeshError names the first cell
-    that fails, in its message and as `cell`; an edge clash names the later
-    of the two cells.  The edge table is built from sorted vertex pairs
-    (`_edge_table`).
+    files alike.  Every vertex coordinate must be finite; a MeshError names
+    the first vertex that is not, as `vertex`, before any cell is tested.
+    Each loop is checked by vertex-count group (at least 3 vertices, every
+    index in range, no repeated vertex, then `_loop_defects`: positive
+    signed area, simple, star-shaped), and then global conformity (an edge
+    belongs to at most two cells, with opposite traversal directions when
+    shared).  The MeshError names the first cell that fails, in its message
+    and as `cell`; an edge clash names the later of the two cells.  The edge
+    table is built from sorted vertex pairs (`_edge_table`).
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise MeshError(f"vertex {v}: coordinate is not finite", vertex=v)
     loops = [_as_loop(cell) for cell in cells]
     sizes = _check_loops(vertices, loops)
     flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
@@ -654,10 +663,10 @@ def read_mesh(path: str) -> PolyMesh:
     The file holds a `polymesh 2d` line, a `vertices N` line and N `x y`
     lines, then a `cells M` line and M lines `n v_1 ... v_n`; `#` starts a
     comment and blank lines are skipped.  Only this syntax is checked here,
-    with a MeshFormatError at the offending line.  The cells are validated
-    by `build_topology` alone, and its MeshError comes back as a
-    MeshFormatError at the line of the cell it names (line 0 when it names
-    none).
+    with a MeshFormatError at the offending line.  The vertices and cells
+    are validated by `build_topology` alone, and its MeshError comes back
+    as a MeshFormatError at the line of the cell or vertex it names (line 0
+    when it names neither).
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(i, content) for i, line in enumerate(fh, start=1)
@@ -686,7 +695,7 @@ def read_mesh(path: str) -> PolyMesh:
     lineno, header = take()
     if header != "polymesh 2d":
         raise MeshFormatError(path, lineno, f"expected 'polymesh 2d', got '{header}'")
-    vertices = []
+    vertices, vertex_lines = [], []
     for _ in range(count("vertices", "N", "vertex")):
         lineno, line = take()
         parts = line.split()
@@ -696,6 +705,7 @@ def read_mesh(path: str) -> PolyMesh:
             vertices.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise MeshFormatError(path, lineno, f"bad coordinate in '{line}'") from None
+        vertex_lines.append(lineno)
     cells, cell_lines = [], []
     for _ in range(count("cells", "M", "cell")):
         lineno, line = take()
@@ -715,5 +725,8 @@ def read_mesh(path: str) -> PolyMesh:
     try:
         return build_topology(np.array(vertices, dtype=float).reshape(-1, 2), cells)
     except MeshError as exc:
-        lineno = 0 if exc.cell is None else cell_lines[exc.cell]
-        raise MeshFormatError(path, lineno, str(exc), exc.cell) from exc
+        if exc.vertex is not None:
+            lineno = vertex_lines[exc.vertex]
+        else:
+            lineno = 0 if exc.cell is None else cell_lines[exc.cell]
+        raise MeshFormatError(path, lineno, str(exc), exc.cell, exc.vertex) from exc

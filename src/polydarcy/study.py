@@ -10,10 +10,11 @@ error of the Raviart-Thomas-type velocity, from the same solve.
 
 `solve_case` walks no cells itself: `recovery.recover_velocity` fills every
 cellwise field in its one pass, and `error_norms` integrates a vertex-count
-group of cells at a time.  The coefficient blocks of all discrete fields
-are stacked as rows of one (cells, F, pi_{k+1}) table, the lower-degree ones
-zero-padded (graded-lex order nests), so one batched product with the
-group's degree-(k+1) monomial table evaluates every field.  The exact
+group of cells at a time, on the ears that the group's element build cut.
+The coefficient blocks of all discrete fields are stacked as rows of one
+(cells, F, pi_{k+1}) table, the lower-degree ones zero-padded (graded-lex
+order nests), so one batched product with the group's degree-(k+1)
+monomial table evaluates every field.  The exact
 fields go into the same (G, F, nq) layout, and one weighted contraction per
 group gives every reference integral, another every squared error.
 """
@@ -114,8 +115,10 @@ _EXACT_ROWS = 6
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     """Broken L2 errors of velocity, pressure, gradient and divergence.
 
-    At k = 0 the error of the Raviart-Thomas-type velocity is integrated on
-    the same quadrature as well.
+    Each group's rule is mapped onto the ears its element build cut
+    (`NcElement.ears`), so no cell is triangulated again.  At k = 0 the
+    error of the Raviart-Thomas-type velocity is integrated on the same
+    quadrature as well.
     """
     mesh = result.mesh
     k = result.k
@@ -128,7 +131,7 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     err = np.zeros(n_rows)
     ref = np.zeros(_EXACT_ROWS)
     for group in result.system.groups:
-        quad = polygon_quadrature(group.coords, 2 * (k + 3))
+        quad = polygon_quadrature(group.coords, 2 * (k + 3), group.ears)
         w = quad.weights                          # (G, nq)
         diff = _exact_table(case, quad.points, n_rows)
         ref += np.einsum("gq,gfq,gfq->f", w, diff[:, :_EXACT_ROWS],

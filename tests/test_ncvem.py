@@ -10,7 +10,8 @@ from polydarcy.cases import polynomial_case
 from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map,
                              build_element, cell_dof_count, monomial_dofs,
                              solve_pressure)
-from polydarcy.polybasis import cell_basis, gradient_gram, inverse_cholesky, n_monomials
+from polydarcy.polybasis import (cell_basis, ear_triangles, gradient_gram, inverse_cholesky,
+                                 n_monomials)
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
 
@@ -248,8 +249,19 @@ def test_boundary_edge_values_match_direct_integrals():
 
 def test_negative_order_rejected():
     mesh = polymesh.generate_uniform_quads(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomial order k must be >= 0$"):
         build_element(mesh, mesh.cell_groups()[0], -1)
+    # before the Dirichlet table, which has no edge rule for k < 0
+    with pytest.raises(ValueError, match="^polynomial order k must be >= 0$"):
+        assemble(mesh, 1.0, 1.0, -1, boundary=1.0)
+
+
+def test_groups_keep_the_ears_of_their_quadrature():
+    mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
+    system = assemble(mesh, kvar, 1.0, 1)
+    assert [g.coords.shape[1] for g in system.groups] == [4, 5, 6, 7]
+    for group in system.groups:
+        assert np.array_equal(group.ears, ear_triangles(group.coords))
 
 
 def test_constant_permeability_must_be_scalar_or_2x2():
@@ -307,7 +319,7 @@ def test_grouped_build_keeps_cell_identity(k):
     case = polynomial_case(k, seed=3)
     mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
     system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
-    fields = ("coords", "area", "edge_ids", "edge_signs", "edge_lengths", "edge_cross",
+    fields = ("coords", "ears", "area", "edge_ids", "edge_signs", "edge_lengths", "edge_cross",
               "mass", "p_nabla", "p0", "p0k", "grad_proj", "stiffness", "load",
               "f_moments", "f_coeffs", "k_mean", "grad_coeff", "gkperp_rec",
               "inv_grad_gram", "const_dofs")

@@ -208,6 +208,22 @@ def test_stacked_quadrature_equals_per_loop_calls():
             assert np.array_equal(quad.weights[row], one.weights)
 
 
+@pytest.mark.parametrize("degree", [2, 6, 12])
+def test_quadrature_on_given_ears_equals_a_fresh_cut(degree):
+    # a rule mapped onto ears it is given is the rule that cuts them itself
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
+    stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
+    loops = stacks + [HEXAGON_STACK, U_LOOP, COMB_LOOP, PENTAGON]
+    for coords in loops:
+        fresh = polygon_quadrature(coords, degree)
+        ears = ear_triangles(coords)
+        assert np.array_equal(fresh.ears, ears)
+        given = polygon_quadrature(coords, degree, ears)
+        assert np.array_equal(given.points, fresh.points)
+        assert np.array_equal(given.weights, fresh.weights)
+        assert given.ears is ears
+
+
 @pytest.mark.parametrize("n, seed, distortion", [
     (12, 2026, 0.0), (12, 2026, 0.2), (12, 2026, 0.45), (6, 11, 0.45),
 ])

@@ -446,3 +446,19 @@ def test_file_cell_below_the_area_guard_reports_its_line(tmp_path):
         read_mesh(str(path))
     assert err.value.lineno == 8
     assert err.value.cell == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_is_named_before_any_cell(tmp_path, value):
+    # the cell is also clockwise: the vertex is reported, not the loop
+    vertices = UNIT_SQUARE.copy()
+    vertices[2, 1] = float(value)
+    with pytest.raises(MeshError, match="^vertex 2: coordinate is not finite$") as err:
+        build_topology(vertices, [[0, 3, 2, 1]])
+    assert (err.value.vertex, err.value.cell) == (2, None)
+    path = tmp_path / "bad.txt"
+    path.write_text(f"polymesh 2d\nvertices 4\n0 0\n1 0\n1 {value}\n0 1\ncells 1\n4 0 1 2 3\n")
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(str(path))
+    assert str(err.value) == f"{path}:5: vertex 2: coordinate is not finite"
+    assert (err.value.lineno, err.value.vertex, err.value.cell) == (5, 2, None)

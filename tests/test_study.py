@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from polydarcy import linsolve, ncvem, polymesh, recovery, study, vtk_export
+from polydarcy import linsolve, ncvem, polybasis, polymesh, recovery, study, vtk_export
 from polydarcy.cases import get_case, polynomial_case
 from polydarcy.polybasis import n_monomials, polygon_quadrature
 from polydarcy.study import ConvergenceRow
@@ -23,6 +23,12 @@ def test_solve_case_field_shapes():
     assert result.velocity.projected.degree == 1
     assert result.pressure.coeffs.shape == (4, n_monomials(2))
     assert result.grad_pressure.coeffs.shape == (4, 2 * n_monomials(1))
+
+
+def test_solve_case_rejects_negative_order():
+    mesh = polymesh.generate_distorted_polygonal(2, 2, seed=4, distortion=0.2)
+    with pytest.raises(ValueError, match="^polynomial order k must be >= 0$"):
+        study.solve_case(mesh, get_case("bubble-sine"), -1)
 
 
 def test_error_norms_vanish_on_polynomial_patch():
@@ -129,6 +135,22 @@ def test_no_gram_is_factored_after_the_solve(monkeypatch, tmp_path):
         result = study.SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
         assert np.isfinite(study.error_norms(result, case).error_u)
         vtk_export.export_vtk(result, str(tmp_path / f"k{k}.vtk"))
+
+
+def test_error_norms_reuse_the_build_ears(monkeypatch):
+    # every cell is cut into ears once per solve, in the element build;
+    # the error pass maps its rule onto the stored ears
+    mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    results = [study.solve_case(mesh, case, k) for k in range(4)]
+    rows = [study.error_norms(result, case) for result in results]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ear clipping after the element build")
+
+    monkeypatch.setattr(polybasis, "ear_triangles", refuse)
+    for result, row in zip(results, rows):
+        assert study.error_norms(result, case) == row
 
 
 def _row(n, e, **fields):

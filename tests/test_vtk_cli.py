@@ -218,6 +218,16 @@ def test_cli_missing_mesh_file_fails(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["converge", "solve"])
+def test_cli_negative_order_fails(tmp_path, capsys, command):
+    args = {"converge": ["--levels", "3"],
+            "solve": ["--mesh", str(gen_mesh(tmp_path)), "--out-prefix", str(tmp_path / "x")]}
+    rc = cli.main([command, "--order", "-1", *args[command]])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: polynomial order k must be >= 0\n"
+    assert not (tmp_path / "x.vtk").exists()
+
+
 def test_cli_unknown_case_fails(tmp_path, capsys):
     mesh_path = gen_mesh(tmp_path)
     rc = cli.main(["solve", "--mesh", str(mesh_path), "--order", "0",
