@@ -25,6 +25,7 @@ from .polymesh import (
     MeshQualityReport,
     PolyMesh,
     build_topology,
+    ear_triangles,
     euler_check,
     generate_distorted_polygonal,
     generate_uniform_quads,

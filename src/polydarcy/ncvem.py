@@ -11,6 +11,9 @@ Element matrices are dense and small, and the same algebra on every cell,
 so cells with one vertex count are built together as a group: the group's
 stacked coordinates (G, n_v, 2) give one quadrature, one monomial table and
 batched Gram solves for all members (`build_element` of a `CellGroup`).
+The cells' areas, centroids, diameters and ears come from the mesh's
+`CellGroup`, where `build_topology` measured and cut them; nothing here
+measures or cuts a cell.
 Every Gram solve uses a batched Cholesky factor applied as two triangular
 products (`polybasis.inverse_cholesky`): the degree-(k+1) monomial Gram's
 factor serves all L2 projections, since graded-lex order makes its leading
@@ -28,11 +31,10 @@ leading block of the matrix and of the load minus the data's stiffness
 product.  Everything a later velocity recovery needs (projection tables,
 edge moment tables, the residual pieces, the gradient Gram's inverse
 factor and the DOFs of the constant function) is kept in the group arrays,
-and so are the ears the quadrature was mapped onto, on which the error
-integration runs.  They are the only element record: cell `group.cell[i]`
-is row i of every stacked field.  Every cell Gram is formed and factored
-here, once, and every cell is triangulated here, once; nothing after
-assembly factors a Gram or cuts a cell.
+and so are the mesh's ears, on which the error integration runs.  They are
+the only element record: cell `group.cell[i]` is row i of every stacked
+field.  Every cell Gram is formed and factored here, once; nothing after
+assembly factors a Gram.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from . import linsolve
 from .polybasis import (
     GkPerpBasis,
     ScaledMonomialBasis,
-    cell_basis,
     edge_reference,
     factor_solve,
     gk_perp_basis,
@@ -55,7 +56,7 @@ from .polybasis import (
     n_monomials,
     polygon_quadrature,
 )
-from .polymesh import CellGroup, PolyMesh, polygon_area
+from .polymesh import CellGroup, PolyMesh
 
 
 def tensor_field(K):
@@ -97,10 +98,6 @@ def scalar_field(f):
         return lambda pts: np.asarray(f(np.atleast_2d(pts)), dtype=float)
     val = float(f)
     return lambda pts: np.full(len(np.atleast_2d(pts)), val)
-
-
-def cell_dof_count(n_edges: int, k: int) -> int:
-    return n_edges * (k + 1) + n_monomials(k - 1)
 
 
 @dataclass
@@ -157,7 +154,7 @@ class NcElement:
     cell: np.ndarray                   # cell index of each member, ascending
     k: int
     coords: np.ndarray
-    ears: np.ndarray                   # (n_e - 2, 3) ear triangles of the quadrature
+    ears: np.ndarray                   # (n_e - 2, 3) the mesh group's ear triangles
     basis: ScaledMonomialBasis         # degree k+1, centroid/diameter scaled
     area: np.ndarray
     edge_ids: np.ndarray
@@ -206,7 +203,9 @@ def build_element(
     Every step is the same small dense algebra on each member, so it runs
     on the stacked arrays: one quadrature, one monomial table and batched
     products for the whole group, whose stacked record is returned (one
-    cell is `mesh.cell_groups([c])[0]`, a group of one).  Every Gram solve
+    cell is `mesh.cell_groups([c])[0]`, a group of one).  The basis is
+    centered and scaled by the group's centroids and diameters, and the
+    quadrature is mapped onto the group's ears.  Every Gram solve
     goes through a Cholesky factor (see `polybasis.inverse_cholesky`): one
     factor of the degree-(k+1) monomial Gram serves the L2 projections, the
     gradient projection, the source coefficients and the gradient
@@ -229,11 +228,11 @@ def build_element(
     n_edge_slots = n_e * (k + 1)
     N = n_edge_slots + nkm1
 
-    basis = cell_basis(coords, k + 1)
-    area = polygon_area(coords)
+    basis = ScaledMonomialBasis(group.center, group.diameter, k + 1)
+    area = group.area
     if quad_degree is None:
         quad_degree = 2 * (k + 2)
-    quad = polygon_quadrature(coords, quad_degree)
+    quad = polygon_quadrature(coords, quad_degree, group.ears)
     vals = basis.evaluate(quad.points)            # (G, pi_{k+1}, nq)
     w = quad.weights[:, None, :]
     mass = (vals * w) @ vals.mT
@@ -330,7 +329,7 @@ def build_element(
         cell=group.cells,
         k=k,
         coords=coords,
-        ears=quad.ears,
+        ears=group.ears,
         basis=basis,
         area=area,
         edge_ids=group.edges,

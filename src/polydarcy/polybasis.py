@@ -13,15 +13,14 @@ segment that parameter is t - 1/2 for every edge, so one cached table per
 order and rule (`edge_reference`) gives the edge moments and the L2 edge
 projector of all edges.
 
-Quadrature on a simple polygon cuts it into its n - 2 ears, the first ear
-in loop order at each step, so it needs no star point and no triangle has
-zero area.  A Gauss-Jacobi x Gauss-Legendre tensor rule is mapped onto each
-ear through the collapsed-square transform, giving positive weights and
-exactness up to the requested degree.  The rule records its ears, and a
-rule of another degree on the same loops takes them instead of cutting
-again, with the same points and weights.  Both one-dimensional rules are
-computed with numpy: Gauss-Legendre by `leggauss`, Gauss-Jacobi by
-Golub-Welsch.
+Quadrature on a polygon maps a Gauss-Jacobi x Gauss-Legendre tensor rule
+onto each of the n - 2 triangles it is given, through the collapsed-square
+transform, giving positive weights and exactness up to the requested
+degree.  The triangles are the polygon's ears (`polymesh.ear_triangles`),
+which `build_topology` cuts once per mesh and keeps on its cell groups, so
+the rule needs no star point and no triangle has zero area.  Both
+one-dimensional rules are computed with numpy: Gauss-Legendre by
+`leggauss`, Gauss-Jacobi by Golub-Welsch.
 
 Cell Grams are symmetric positive definite, so every solve with one runs
 through its batched Cholesky factor (`inverse_cholesky`, `factor_solve`).
@@ -34,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymesh import MeshError, polygon_centroid, polygon_diameter
+from .polymesh import ear_triangles, polygon_centroid, polygon_diameter
 
 
 def n_monomials(k: int) -> int:
@@ -187,87 +186,24 @@ def edge_reference(k: int, npoints: int) -> EdgeReference:
 
 @dataclass
 class PolyQuadrature:
-    """Positive-weight quadrature exact for polynomials up to `degree`.
-
-    `ears` (..., n-2, 3) are the vertex indices of the triangles the rule
-    was mapped onto, so a later rule on the same loops can reuse them.
-    """
+    """Positive-weight quadrature exact for polynomials up to `degree`."""
 
     points: np.ndarray
     weights: np.ndarray
     degree: int
-    ears: np.ndarray
 
 
-def ear_triangles(coords: np.ndarray) -> np.ndarray:
-    """(..., n-2, 3) vertex indices of the first-ear triangulation of a stack
-    of simple CCW loops (..., n, 2) with one vertex count.
+def polygon_quadrature(coords: np.ndarray, degree: int, ears: np.ndarray) -> PolyQuadrature:
+    """Quadrature on a polygon cut into the given triangles, exact to `degree`.
 
-    An ear is a vertex whose turn (prev, tip, next) is strictly convex and
-    whose triangle holds no other remaining vertex, inside or on its
-    boundary.  Each step cuts the first ear in the current loop order as
-    (prev, tip, next), one stacked step for all loops; the last three
-    vertices are emitted in loop order.  Every simple polygon has an ear
-    (Meisters, "Polygons have ears", 1975); a loop that has none, clockwise
-    or self-intersecting, raises MeshError naming its position in the
-    flattened stack.  Each step tests every tip's three sides against every
-    vertex, so memory grows as n^2 per loop.
-    """
-    n = coords.shape[-2]
-    flat = coords.reshape(-1, n, 2)
-    g = len(flat)
-    loop = np.arange(g)
-    # vertex-major (n, G), so that the stacked arithmetic runs along the loops
-    x, y = flat[..., 0].T.copy(), flat[..., 1].T.copy()
-    alive = np.ones((n, g), dtype=bool)
-    # the remaining loops as linked lists of positions vertex * G + loop:
-    # link[:, j] = (prev, j, next, prev) of vertex j
-    vert = np.arange(n)[:, None]
-    link = np.stack([vert - 1, vert, vert + 1, vert - 1]) % n * g + loop
-    ears = np.empty((n - 2, 3, g), dtype=np.intp)
-    for step in range(n - 2):
-        # the sides a -> b (p -> t, t -> q, q -> p) of every tip's triangle
-        # against every vertex r: turn[side, tip, r] = (b - a) x (r - a)
-        cx, cy = x.take(link), y.take(link)
-        turn = y - cy[:3, :, None]
-        turn *= (cx[1:] - cx[:3])[:, :, None]
-        cross = x - cx[:3, :, None]
-        cross *= (cy[1:] - cy[:3])[:, :, None]
-        turn -= cross
-        # r covers a tip: on or left of all three sides, remaining, no corner
-        covers = turn.min(axis=0) >= 0.0
-        covers &= alive
-        covers.reshape(n, -1)[vert, link[:3]] = False
-        convex = turn[0].reshape(n, -1)[vert, link[2]] > 0.0
-        ear = alive & convex & ~covers.any(axis=1)
-        tip = ear.argmax(axis=0)  # the first ear; vertex 0 if there is none
-        if not ear[tip, loop].all():
-            bad = np.argmin(ear[tip, loop])
-            raise MeshError(f"loop {bad} has no ear: not a simple counterclockwise polygon")
-        if step == n - 3:
-            ears[step] = np.nonzero(alive.T)[1].reshape(g, 3).T * g + loop
-            break
-        ears[step] = cut = link[:3, tip, loop]
-        link.reshape(4, -1)[2, cut[0]] = cut[2]
-        link.reshape(4, -1)[::3, cut[2]] = cut[0]
-        alive.reshape(-1)[cut[1]] = False
-    return (ears // g).transpose(2, 0, 1).reshape(coords.shape[:-2] + (n - 2, 3))
-
-
-def polygon_quadrature(coords: np.ndarray, degree: int,
-                       ears: np.ndarray | None = None) -> PolyQuadrature:
-    """Quadrature on a simple CCW polygon, exact to the requested degree.
-
-    The polygon is cut into its n - 2 ears (`ear_triangles`), so no
-    triangle has zero area; each ear (p, t, q) is integrated by the
+    `ears` (..., n - 2, 3) are the loop positions of the triangles, as
+    `polymesh.ear_triangles` cuts them (`CellGroup.ears`), counterclockwise
+    and covering the polygon.  Each ear (p, t, q) is integrated by the
     collapsed-square map x = p + a (t - p) + b (1 - a) (q - p), whose
     Jacobian (1 - a) is absorbed into a Gauss-Jacobi rule, so all weights
     stay positive.  A stack of loops (..., n, 2) with one vertex count
     gives points (..., nq, 2) and weights (..., nq); every member has the
-    same nq = (n - 2) x (nodes per triangle).  A loop without an ear
-    (clockwise or self-intersecting) raises MeshError.  Passing `ears`, the
-    `ears` of an earlier rule on the same loops, skips the cut and gives
-    the same points and weights bit for bit.
+    same nq = (n - 2) x (nodes per triangle).
     """
     coords = np.asarray(coords, dtype=float)
     n1 = max(1, (degree + 2 + 1) // 2)  # Jacobi direction carries degree+1
@@ -282,7 +218,6 @@ def polygon_quadrature(coords: np.ndarray, degree: int,
     # corners (G, n-2, 3, 2) of the ears, legs from their first corner
     lead, n = coords.shape[:-2], coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
-    ears = ear_triangles(coords) if ears is None else ears
     corners = flat[np.arange(len(flat))[:, None, None], ears.reshape(len(flat), n - 2, 3)]
     origin = corners[..., 0, :]
     e1 = corners[..., 1, :] - origin
@@ -297,14 +232,14 @@ def polygon_quadrature(coords: np.ndarray, degree: int,
         x += e2[..., d, None] * v
     return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
                           weights=(jac[..., None] * wt).reshape(lead + (-1,)),
-                          degree=degree, ears=ears)
+                          degree=degree)
 
 
 def mass_matrix(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) -> np.ndarray:
     """Gram matrix of the scaled monomials of degree <= k on the polygon."""
     basis = cell_basis(coords, k)
     if quad is None or quad.degree < 2 * k:
-        quad = polygon_quadrature(coords, 2 * k)
+        quad = polygon_quadrature(coords, 2 * k, ear_triangles(coords))
     vals = basis.evaluate(quad.points)
     return (vals * quad.weights) @ vals.T
 
@@ -478,7 +413,7 @@ def l2_project_function(
     basis = cell_basis(coords, k)
     if quad is None:
         # data term needs headroom beyond the Gram's 2k exactness
-        quad = polygon_quadrature(coords, 2 * k + 8)
+        quad = polygon_quadrature(coords, 2 * k + 8, ear_triangles(coords))
     vals = basis.evaluate(quad.points)
     fvals = np.asarray(func(quad.points), dtype=float)
     rhs = vals @ (quad.weights * fvals)

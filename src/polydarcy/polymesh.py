@@ -26,6 +26,12 @@ blocks of speculatively placed vertices and rewinds its random stream at a
 rejected candidate, so it returns the meshes of placing one vertex at a
 time.
 
+`build_topology` keeps its vertex-count groups as the mesh's `CellGroup`s:
+each stacks its cells' loops, edges and edge signs with their areas,
+centroids, diameters and first-ear triangulations (`ear_triangles`).  So
+every cell is grouped, measured and cut once per mesh, and the element
+build, the error integration and the quality report read these arrays.
+
 `build_topology` is also the only validator of a mesh file's cells:
 `read_mesh` checks the file's syntax alone and passes the loops on, and a
 `MeshError` that names a cell (`MeshError.cell`) comes back from it as a
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +110,61 @@ def polygon_diameter(coords: np.ndarray):
     """Largest pairwise vertex distance; (...) for a stack of loops."""
     diff = coords[..., :, None, :] - coords[..., None, :, :]
     return np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=(-2, -1)))
+
+
+def ear_triangles(coords: np.ndarray) -> np.ndarray:
+    """(..., n-2, 3) vertex indices of the first-ear triangulation of a stack
+    of simple CCW loops (..., n, 2) with one vertex count.
+
+    An ear is a vertex whose turn (prev, tip, next) is strictly convex and
+    whose triangle holds no other remaining vertex, inside or on its
+    boundary.  Each step cuts the first ear in the current loop order as
+    (prev, tip, next), one stacked step for all loops; the last three
+    vertices are emitted in loop order.  Every simple polygon has an ear
+    (Meisters, "Polygons have ears", 1975); a loop that has none, clockwise
+    or self-intersecting, raises MeshError naming its position in the
+    flattened stack.  Each step tests every tip's three sides against every
+    vertex, so memory grows as n^2 per loop.
+    """
+    n = coords.shape[-2]
+    flat = coords.reshape(-1, n, 2)
+    g = len(flat)
+    loop = np.arange(g)
+    # vertex-major (n, G), so that the stacked arithmetic runs along the loops
+    x, y = flat[..., 0].T.copy(), flat[..., 1].T.copy()
+    alive = np.ones((n, g), dtype=bool)
+    # the remaining loops as linked lists of positions vertex * G + loop:
+    # link[:, j] = (prev, j, next, prev) of vertex j
+    vert = np.arange(n)[:, None]
+    link = np.stack([vert - 1, vert, vert + 1, vert - 1]) % n * g + loop
+    ears = np.empty((n - 2, 3, g), dtype=np.intp)
+    for step in range(n - 2):
+        # the sides a -> b (p -> t, t -> q, q -> p) of every tip's triangle
+        # against every vertex r: turn[side, tip, r] = (b - a) x (r - a)
+        cx, cy = x.take(link), y.take(link)
+        turn = y - cy[:3, :, None]
+        turn *= (cx[1:] - cx[:3])[:, :, None]
+        cross = x - cx[:3, :, None]
+        cross *= (cy[1:] - cy[:3])[:, :, None]
+        turn -= cross
+        # r covers a tip: on or left of all three sides, remaining, no corner
+        covers = turn.min(axis=0) >= 0.0
+        covers &= alive
+        covers.reshape(n, -1)[vert, link[:3]] = False
+        convex = turn[0].reshape(n, -1)[vert, link[2]] > 0.0
+        ear = alive & convex & ~covers.any(axis=1)
+        tip = ear.argmax(axis=0)  # the first ear; vertex 0 if there is none
+        if not ear[tip, loop].all():
+            bad = np.argmin(ear[tip, loop])
+            raise MeshError(f"loop {bad} has no ear: not a simple counterclockwise polygon")
+        if step == n - 3:
+            ears[step] = np.nonzero(alive.T)[1].reshape(g, 3).T * g + loop
+            break
+        ears[step] = cut = link[:3, tip, loop]
+        link.reshape(4, -1)[2, cut[0]] = cut[2]
+        link.reshape(4, -1)[::3, cut[2]] = cut[0]
+        alive.reshape(-1)[cut[1]] = False
+    return (ears // g).transpose(2, 0, 1).reshape(coords.shape[:-2] + (n - 2, 3))
 
 
 def _is_simple(coords: np.ndarray) -> np.ndarray:
@@ -255,11 +316,35 @@ class MeshQualityReport:
     max_diameter: float
 
 
+@dataclass(frozen=True)
+class CellGroup:
+    """Cells of one vertex count n, stacked: row i describes cell `cells[i]`.
+
+    `build_topology` forms the groups and measures and cuts every cell here,
+    once per mesh, with `polygon_area`, `polygon_centroid`,
+    `polygon_diameter` and `ear_triangles` on the stacked loops.
+    """
+
+    cells: np.ndarray     # (G,) cell indices, ascending
+    loops: np.ndarray     # (G, n) vertex loops
+    edges: np.ndarray     # (G, n) edge ids in loop order
+    signs: np.ndarray     # (G, n) +1 where the loop runs along the stored edge
+    area: np.ndarray      # (G,) signed area, positive
+    center: np.ndarray    # (G, 2) area centroid
+    diameter: np.ndarray  # (G,) largest vertex distance
+    ears: np.ndarray      # (G, n - 2, 3) first-ear triangles, as loop positions
+
+    def take(self, rows) -> CellGroup:
+        """The group of the given rows (ascending) only."""
+        return CellGroup(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
 @dataclass
 class PolyMesh:
     """Polygonal mesh with a global, orientation-resolved edge table.
 
     Arrays are built once by build_topology and treated as read-only.
+    `groups` holds the cells by vertex count (see `cell_groups`).
     """
 
     vertices: np.ndarray
@@ -269,8 +354,7 @@ class PolyMesh:
     edge_right: np.ndarray
     edge_normals: np.ndarray
     edge_lengths: np.ndarray
-    cell_edges: list[np.ndarray] = field(repr=False)
-    cell_edge_signs: list[np.ndarray] = field(repr=False)
+    groups: list[CellGroup] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -303,29 +387,14 @@ class PolyMesh:
         """The given cells (default all) grouped by vertex count.
 
         Groups come in ascending vertex count, each with its cells in index
-        order and their loops, edges and edge signs stacked row by row.
+        order; a selection takes the rows of the stored groups.
         """
-        cells = np.arange(self.num_cells) if cells is None else np.asarray(cells)
-        counts = np.array([len(self.cells[c]) for c in cells.tolist()], dtype=np.int64)
-        groups = []
-        for n in np.unique(counts):
-            members = np.sort(cells[counts == n])
-            rows = members.tolist()
-            loops, edges, signs = (
-                np.concatenate([per_cell[c] for c in rows]).reshape(-1, n)
-                for per_cell in (self.cells, self.cell_edges, self.cell_edge_signs))
-            groups.append(CellGroup(cells=members, loops=loops, edges=edges, signs=signs))
-        return groups
-
-
-@dataclass(frozen=True)
-class CellGroup:
-    """Cells of one vertex count, stacked: row i describes cell `cells[i]`."""
-
-    cells: np.ndarray   # (G,) cell indices, ascending
-    loops: np.ndarray   # (G, n) vertex loops
-    edges: np.ndarray   # (G, n) edge ids in loop order
-    signs: np.ndarray   # (G, n) +1 where the loop runs along the stored edge
+        if cells is None:
+            return list(self.groups)
+        chosen = np.zeros(self.num_cells, dtype=bool)
+        chosen[cells] = True
+        rows = [np.flatnonzero(chosen[group.cells]) for group in self.groups]
+        return [group.take(r) for group, r in zip(self.groups, rows) if len(r)]
 
 
 # Why a cell is rejected before its geometry is tested.
@@ -333,14 +402,18 @@ _INDEX_DEFECTS = ("needs at least 3 vertices", "vertex index out of range",
                   "repeated vertex in loop")
 
 
-def _check_loops(vertices: np.ndarray, loops: list) -> np.ndarray:
-    """Vertex counts of the loops; MeshError names the first inadmissible one.
+def _check_loops(vertices: np.ndarray, loops: list) -> tuple:
+    """Vertex counts and stacks of the loops; MeshError names the first
+    inadmissible one.
 
     Index checks run per vertex-count group, and `_loop_defects` on the
     loops that pass them; a cell is reported for the first check it fails.
+    Returns the (C,) vertex counts and, by ascending count n, the (G,)
+    cells of that count with their (G, n) loops.
     """
     sizes = np.array([loop.size if loop.ndim == 1 else 0 for loop in loops], dtype=np.int64)
     defects = np.where(sizes < 3, 1, 0)
+    stacks = []
     for n in np.unique(sizes[sizes >= 3]).tolist():
         members = np.flatnonzero(sizes == n)
         stack = np.stack([loops[c] for c in members.tolist()])
@@ -351,11 +424,12 @@ def _check_loops(vertices: np.ndarray, loops: list) -> np.ndarray:
         geometry = _loop_defects(vertices[stack[rows]])
         found[rows] = np.where(geometry > 0, geometry + len(_INDEX_DEFECTS), 0)
         defects[members] = found
+        stacks.append((members, stack))
     if np.any(defects):
         c = int(np.argmax(defects > 0))
         message = (*_INDEX_DEFECTS, *_LOOP_DEFECTS)[defects[c] - 1]
         raise MeshError(f"cell {c}: {message}", c)
-    return sizes
+    return sizes, stacks
 
 
 def _edge_table(num_vertices: int, flat: np.ndarray, sizes: np.ndarray) -> tuple:
@@ -438,7 +512,7 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
         v = int(np.argmin(finite))
         raise MeshError(f"vertex {v}: coordinate is not finite", vertex=v)
     loops = [_as_loop(cell) for cell in cells]
-    sizes = _check_loops(vertices, loops)
+    sizes, stacks = _check_loops(vertices, loops)
     flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
     edges, edge_left, edge_right, use_edge, use_sign = _edge_table(len(vertices), flat, sizes)
 
@@ -447,18 +521,24 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     tangents = vec / edge_lengths[:, None]
     edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
-    ends = np.cumsum(sizes).tolist()
-    bounds = list(zip([0, *ends[:-1]], ends))
+    groups = []
+    starts = np.cumsum(sizes) - sizes
+    for members, stack in stacks:
+        uses = starts[members, None] + np.arange(stack.shape[1])
+        coords = vertices[stack]
+        groups.append(CellGroup(
+            cells=members, loops=stack, edges=use_edge[uses], signs=use_sign[uses],
+            area=polygon_area(coords), center=polygon_centroid(coords),
+            diameter=polygon_diameter(coords), ears=ear_triangles(coords)))
     return PolyMesh(
         vertices=vertices,
-        cells=[flat[a:b] for a, b in bounds],
+        cells=[flat[a:a + n] for a, n in zip(starts.tolist(), sizes.tolist())],
         edges=edges,
         edge_left=edge_left,
         edge_right=edge_right,
         edge_normals=edge_normals,
         edge_lengths=edge_lengths,
-        cell_edges=[use_edge[a:b] for a, b in bounds],
-        cell_edge_signs=[use_sign[a:b] for a, b in bounds],
+        groups=groups,
     )
 
 
@@ -621,10 +701,8 @@ def generate_distorted_polygonal(
 def _insert_after_edge(loop: list, a: int, b: int, new_id: int) -> list:
     """Copy of `loop` with `new_id` inserted between the endpoints a and b."""
     n = len(loop)
-    for i in range(n):
-        if {loop[i], loop[(i + 1) % n]} == {a, b}:
-            return loop[:i + 1] + [new_id] + loop[i + 1:]
-    raise MeshError("edge not found in incident cell")
+    i = next(i for i in range(n) if {loop[i], loop[(i + 1) % n]} == {a, b})
+    return loop[:i + 1] + [new_id] + loop[i + 1:]
 
 
 def mesh_quality(mesh: PolyMesh) -> MeshQualityReport:
@@ -633,7 +711,7 @@ def mesh_quality(mesh: PolyMesh) -> MeshQualityReport:
     max_h = 0.0
     for group in mesh.cell_groups():
         coords = mesh.vertices[group.loops]
-        h = polygon_diameter(coords)
+        h = group.diameter
         lengths = mesh.edge_lengths[group.edges]
         min_edge_ratio = min(min_edge_ratio, float((lengths.min(axis=1) / h).min()))
         min_kernel_ratio = min(min_kernel_ratio, float((kernel_inradius(coords) / h).min()))

@@ -10,7 +10,8 @@ error of the Raviart-Thomas-type velocity, from the same solve.
 
 `solve_case` walks no cells itself: `recovery.recover_velocity` fills every
 cellwise field in its one pass, and `error_norms` integrates a vertex-count
-group of cells at a time, on the ears that the group's element build cut.
+group of cells at a time, on the ears that `polymesh.build_topology` cut
+for the mesh's group and the element build kept.
 The coefficient blocks of all discrete fields are stacked as rows of one
 (cells, F, pi_{k+1}) table, the lower-degree ones zero-padded (graded-lex
 order nests), so one batched product with the group's degree-(k+1)
@@ -96,8 +97,6 @@ RT_COLUMNS = (
 def solve_case(mesh: polymesh.PolyMesh, case: ManufacturedCase,
                k: int) -> SolveResult:
     """Assemble, solve and recover one manufactured case on one mesh."""
-    if not polymesh.euler_check(mesh):
-        raise polymesh.MeshError("edge-count identity violated")
     system = ncvem.assemble(mesh, case.permeability, case.forcing, k,
                             boundary=case.pressure)
     ncvem.solve_pressure(system)
@@ -115,10 +114,10 @@ _EXACT_ROWS = 6
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     """Broken L2 errors of velocity, pressure, gradient and divergence.
 
-    Each group's rule is mapped onto the ears its element build cut
-    (`NcElement.ears`), so no cell is triangulated again.  At k = 0 the
-    error of the Raviart-Thomas-type velocity is integrated on the same
-    quadrature as well.
+    Each group's rule is mapped onto the mesh's ears, which the element
+    record keeps (`NcElement.ears`), so no cell is triangulated again.  At
+    k = 0 the error of the Raviart-Thomas-type velocity is integrated on
+    the same quadrature as well.
     """
     mesh = result.mesh
     k = result.k

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own numerical paths:
 triangle integrals come from the closed form a! b! / (a + b + 2)! instead of
 the ear-clipped quadrature, nonpolynomial integrals from a plain tensor-Gauss
 rule with an explicit collapse factor, the ear triangulation from clipping
-one vertex of a Python list at a time, the kernel inradius from a dense grid
+one vertex of a Python list at a time, a cell's edges from matching its
+sides against the edge table, the kernel inradius from a dense grid
 search, linear solves from a dense factorization, edge monomials from
 their definition (t - 1/2)^b on the segment a + t (b - a), the coupled
 first-order system from one dense square solve instead of the sequential
@@ -157,13 +158,27 @@ def edge_monomials(t, k: int) -> np.ndarray:
     return np.vstack([(t - 0.5) ** b for b in range(k + 1)])
 
 
+def cell_edges(mesh, c: int) -> tuple:
+    """Edge ids (n,) of cell c in loop order and their signs (n,).
+
+    Each side (v_i, v_i+1) of the loop is looked up among the stored edges
+    by its two endpoints; its sign is +1 when the stored edge runs v_i -> v_i+1.
+    """
+    loop = mesh.cells[c]
+    head = np.roll(loop, -1)
+    ends = np.sort(mesh.edges, axis=1)
+    ids = np.array([np.flatnonzero((ends[:, 0] == min(a, b)) & (ends[:, 1] == max(a, b)))[0]
+                    for a, b in zip(loop.tolist(), head.tolist())])
+    return ids, np.where(mesh.edges[ids, 0] == loop, 1, -1)
+
+
 def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
     """Edge and interior scaled moments of an exact pressure on cell c.
 
     Uses the package's cell-basis definition (that fixes the DOF meaning) but
     integrates with plain Gauss rules.
     """
-    edge_ids = mesh.cell_edges[c]
+    edge_ids = cell_edges(mesh, c)[0]
     nkm1 = n_monomials(k - 1)
     out = np.zeros(len(edge_ids) * (k + 1) + nkm1)
     gx, gw = np.polynomial.legendre.leggauss(k + 6)
@@ -189,7 +204,7 @@ def dirichlet_lift(system: SpdSystem, c: int) -> np.ndarray:
     values of every DOF are zeros for the unknowns, then `system.dirichlet`.
     """
     known = np.concatenate([np.zeros(system.dofmap.n_global), system.dirichlet])
-    return known[system.dofmap.global_indices(system.mesh.cell_edges[c], c)]
+    return known[system.dofmap.global_indices(cell_edges(system.mesh, c)[0], c)]
 
 
 def exact_velocity_dofs(system: SpdSystem, velocity):

@@ -8,8 +8,7 @@ import oracles
 from polydarcy import ncvem, polymesh
 from polydarcy.cases import polynomial_case
 from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map,
-                             build_element, cell_dof_count, monomial_dofs,
-                             solve_pressure)
+                             build_element, monomial_dofs, solve_pressure)
 from polydarcy.polybasis import (cell_basis, ear_triangles, gradient_gram, inverse_cholesky,
                                  n_monomials)
 
@@ -35,12 +34,6 @@ def unit_square_group(k):
     return build_element(mesh, mesh.cell_groups()[0], k)
 
 
-def test_cell_dof_count():
-    assert cell_dof_count(4, 0) == 4
-    assert cell_dof_count(4, 1) == 9
-    assert cell_dof_count(5, 2) == 18
-
-
 def test_global_dof_counts():
     assert build_dof_map(polymesh.generate_uniform_quads(1, 1), 0).n_global == 0
     assert build_dof_map(polymesh.generate_uniform_quads(2, 2), 0).n_global == 4
@@ -61,7 +54,7 @@ def test_dofmap_partition(k):
     n_total = dofmap.n_global + (k + 1) * np.count_nonzero(~interior)
     counts = np.zeros(n_total, dtype=int)
     for c in range(mesh.num_cells):
-        glob = dofmap.global_indices(mesh.cell_edges[c], c)
+        glob = dofmap.global_indices(oracles.cell_edges(mesh, c)[0], c)
         np.add.at(counts, glob, 1)
     # interior-edge DOFs are seen by exactly two cells, boundary-edge and
     # moment DOFs by one
@@ -127,8 +120,8 @@ def test_build_names_member_with_broken_quadrature(monkeypatch, k):
     mesh, group = _five_gon_group()
     real = ncvem.polygon_quadrature
 
-    def broken(coords, degree):
-        quad = real(coords, degree)
+    def broken(coords, degree, ears):
+        quad = real(coords, degree, ears)
         quad.weights[2] *= -1.0
         return quad
 
@@ -338,7 +331,7 @@ def test_grouped_build_keeps_cell_identity(k):
             for name, (a, b) in zip(fields + ("center", "diameter", "gk_perp"), pairs):
                 assert np.shape(a) == np.shape(b), (c, name)
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
-            glob = system.dofmap.global_indices(mesh.cell_edges[c], c)
+            glob = system.dofmap.global_indices(oracles.cell_edges(mesh, c)[0], c)
             free = glob < n
             lifted = oracles.dirichlet_lift(system, c)
             stiffness = ref.stiffness[0]

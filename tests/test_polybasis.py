@@ -134,7 +134,7 @@ def test_edge_reference_gram_closed_form(k):
 
 
 def test_quadrature_integrates_xy_on_unit_square():
-    quad = polygon_quadrature(UNIT_SQUARE, 2)
+    quad = polygon_quadrature(UNIT_SQUARE, 2, ear_triangles(UNIT_SQUARE))
     val = float(quad.weights @ (quad.points[:, 0] * quad.points[:, 1]))
     assert val == pytest.approx(0.25, abs=1e-14)
 
@@ -181,7 +181,7 @@ MANY_VERTICES = np.stack([radius[:, None] * np.column_stack([np.cos(_FORTIETHS),
 ])
 @pytest.mark.parametrize("degree", [1, 3, 6])
 def test_quadrature_exactness_against_closed_form(coords, degree):
-    quad = polygon_quadrature(coords, degree)
+    quad = polygon_quadrature(coords, degree, ear_triangles(coords))
     assert np.all(quad.weights > 0.0)
     members = zip(coords.reshape((-1,) + coords.shape[-2:]),
                   quad.points.reshape((-1,) + quad.points.shape[-2:]),
@@ -201,27 +201,48 @@ def test_stacked_quadrature_equals_per_loop_calls():
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
     stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
     for stack in stacks + [HEXAGON_STACK]:
-        quad = polygon_quadrature(stack, 6)
+        quad = polygon_quadrature(stack, 6, ear_triangles(stack))
         for row, coords in enumerate(stack):
-            one = polygon_quadrature(coords, 6)
+            one = polygon_quadrature(coords, 6, ear_triangles(coords))
             assert np.array_equal(quad.points[row], one.points)
             assert np.array_equal(quad.weights[row], one.weights)
 
 
 @pytest.mark.parametrize("degree", [2, 6, 12])
 def test_quadrature_on_given_ears_equals_a_fresh_cut(degree):
-    # a rule mapped onto ears it is given is the rule that cuts them itself
+    # the rule on a mesh group's stored ears is the rule on a fresh cut
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
-    stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
-    loops = stacks + [HEXAGON_STACK, U_LOOP, COMB_LOOP, PENTAGON]
-    for coords in loops:
-        fresh = polygon_quadrature(coords, degree)
-        ears = ear_triangles(coords)
-        assert np.array_equal(fresh.ears, ears)
-        given = polygon_quadrature(coords, degree, ears)
+    for group in mesh.cell_groups():
+        coords = mesh.vertices[group.loops]
+        given = polygon_quadrature(coords, degree, group.ears)
+        fresh = polygon_quadrature(coords, degree, ear_triangles(coords))
         assert np.array_equal(given.points, fresh.points)
         assert np.array_equal(given.weights, fresh.weights)
-        assert given.ears is ears
+
+
+@pytest.mark.parametrize("coords", [UNIT_SQUARE, PENTAGON, HEXAGON_STACK[0], NOTCHED])
+def test_quadrature_maps_onto_the_ears_it_is_given(coords):
+    # any counterclockwise triangulation serves: each triangle gets its own
+    # copy of the reference rule, here the ears clipped from the loop
+    # rotated by one vertex, which differ from the loop's own ears
+    n = len(coords)
+    ears = (ear_triangles(np.roll(coords, -1, axis=0)) + 1) % n
+    assert not np.array_equal(ears, ear_triangles(coords))
+    quad = polygon_quadrature(coords, 4, ears)
+    per_triangle = len(quad.weights) // (n - 2)
+    for i, (p, t, q) in enumerate(coords[ears]):
+        rows = slice(i * per_triangle, (i + 1) * per_triangle)
+        area = 0.5 * ((t - p)[0] * (q - p)[1] - (t - p)[1] * (q - p)[0])
+        assert quad.weights[rows].sum() == pytest.approx(area, rel=1e-14)
+        # every point lies inside its own triangle
+        for a, b in ((p, t), (t, q), (q, p)):
+            d, r = b - a, quad.points[rows] - a
+            assert np.all(d[0] * r[:, 1] - d[1] * r[:, 0] > 0.0)
+    for a in range(5):
+        for b in range(5 - a):
+            num = float(quad.weights @ (quad.points[:, 0] ** a * quad.points[:, 1] ** b))
+            assert num == pytest.approx(oracles.polygon_monomial_integral(coords, a, b),
+                                        rel=1e-13, abs=1e-14)
 
 
 @pytest.mark.parametrize("n, seed, distortion", [
@@ -256,7 +277,7 @@ def test_quadrature_uses_n_minus_2_triangles(degree):
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
     stacks = [mesh.vertices[group.loops] for group in mesh.cell_groups()]
     for stack in stacks + [HEXAGON_STACK, U_LOOP[None], COMB_LOOP[None], PENTAGON[None]]:
-        quad = polygon_quadrature(stack, degree)
+        quad = polygon_quadrature(stack, degree, ear_triangles(stack))
         assert quad.weights.shape == (len(stack), (stack.shape[1] - 2) * per_triangle)
         assert quad.points.shape == quad.weights.shape + (2,)
 
@@ -269,12 +290,12 @@ def test_quadrature_uses_n_minus_2_triangles(degree):
 ])
 def test_loop_without_ear_is_refused(coords):
     with pytest.raises(MeshError, match="loop 0 has no ear"):
-        polygon_quadrature(coords, 2)
+        ear_triangles(coords)
     # named by its position in a stack, after a regular polygon
     angle = 2.0 * np.pi * np.arange(len(coords)) / len(coords)
     stack = np.stack([np.column_stack([np.cos(angle), np.sin(angle)]), coords])
     with pytest.raises(MeshError, match="loop 1 has no ear"):
-        polygon_quadrature(stack, 2)
+        ear_triangles(stack)
 
 
 def test_mass_matrix_k0_is_area():
@@ -317,7 +338,7 @@ def test_gk_perp_k1_spans_rotation_on_square():
 
 def _check_gk_perp(gkp, coords, k):
     assert gkp.dim == gk_perp_dimension(k)
-    quad = polygon_quadrature(coords, 2 * k + 2)
+    quad = polygon_quadrature(coords, 2 * k + 2, ear_triangles(coords))
     gvals = gkp.evaluate(quad.points)
     basis = cell_basis(coords, k + 1)
     mgrads = basis.evaluate_gradient(quad.points)
@@ -339,7 +360,7 @@ def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
     group = next(g for g in mesh.cell_groups() if g.loops.shape[1] == 5)
     stack = mesh.vertices[group.loops]
-    quad = polygon_quadrature(stack, 2 * k)
+    quad = polygon_quadrature(stack, 2 * k, ear_triangles(stack))
     vals = cell_basis(stack, k).evaluate(quad.points)
     mass = (vals * quad.weights[:, None, :]) @ vals.mT
     stacked = gk_perp_basis(cell_basis(stack, k), inverse_cholesky(mass))
@@ -456,9 +477,9 @@ def test_l2_projection_orthogonality():
     def f(pts):
         return np.cos(2.0 * pts[:, 0]) + pts[:, 1] ** 4
 
-    coeffs = l2_project_function(PENTAGON, k, f, quad=polygon_quadrature(PENTAGON, 14))
+    quad = polygon_quadrature(PENTAGON, 14, ear_triangles(PENTAGON))
+    coeffs = l2_project_function(PENTAGON, k, f, quad=quad)
     basis = cell_basis(PENTAGON, k)
-    quad = polygon_quadrature(PENTAGON, 14)
     vals = basis.evaluate(quad.points)
     residual = f(quad.points) - coeffs @ vals
     # the projection error is L2-orthogonal to every member of P_k

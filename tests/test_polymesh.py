@@ -1,5 +1,6 @@
 """Mesh topology, generators, quality metrics and the text format."""
 
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -71,11 +72,9 @@ def test_cell_areas_tile_the_unit_square(mesh):
 
 def test_outward_normals_close_every_cell():
     mesh = generate_distorted_polygonal(5, 5, seed=11, distortion=0.2)
-    for c in range(mesh.num_cells):
-        edges = mesh.cell_edges[c]
-        signs = mesh.cell_edge_signs[c]
-        total = (signs[:, None] * mesh.edge_lengths[edges, None]
-                 * mesh.edge_normals[edges]).sum(axis=0)
+    for group in mesh.cell_groups():
+        total = (group.signs[..., None] * mesh.edge_lengths[group.edges, None]
+                 * mesh.edge_normals[group.edges]).sum(axis=1)
         assert np.abs(total).max() < 1e-14
 
 
@@ -84,6 +83,62 @@ def test_interior_edges_have_two_distinct_cells():
     interior = ~mesh.boundary_mask
     assert np.all(mesh.edge_left[interior] != mesh.edge_right[interior])
     assert np.all(mesh.edge_left >= 0)
+
+
+def _file_mesh(tmp_path, mesh):
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, str(path))
+    return read_mesh(str(path))
+
+
+@pytest.mark.parametrize("distortion", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("seed", [1, 6, 2026])
+def test_generated_meshes_satisfy_the_edge_count_identity(tmp_path, distortion, seed):
+    # build_topology counts each edge once per incident cell, so every mesh
+    # it returns, generated or read back from a file, satisfies the identity
+    mesh = generate_distorted_polygonal(7, 5, seed=seed, distortion=distortion)
+    assert euler_check(mesh)
+    assert euler_check(_file_mesh(tmp_path, mesh))
+    # the check is live: an edge table with every edge on the boundary fails
+    assert not euler_check(dataclasses.replace(mesh, edge_right=np.full(mesh.num_edges, -1)))
+
+
+GEOMETRY = {"area": polygon_area, "center": polymesh.polygon_centroid,
+            "diameter": polymesh.polygon_diameter, "ears": polymesh.ear_triangles}
+
+
+def _assert_groups_match_fresh_cells(mesh, groups, cells):
+    # the groups hold exactly `cells`, by ascending vertex count and index,
+    # with each cell's loop and edges and its geometry bit for bit as a fresh
+    # call on the stacked loops computes it
+    assert [g.loops.shape[1] for g in groups] == sorted({len(mesh.cells[c]) for c in cells})
+    assert sorted(np.concatenate([g.cells for g in groups]).tolist()) == sorted(set(cells))
+    for group in groups:
+        assert np.all(np.diff(group.cells) > 0)
+        coords = mesh.vertices[group.loops]
+        for name, fresh in GEOMETRY.items():
+            assert np.array_equal(getattr(group, name), fresh(coords)), name
+        for row, c in enumerate(group.cells.tolist()):
+            assert np.array_equal(group.loops[row], mesh.cells[c])
+            edges, signs = oracles.cell_edges(mesh, c)
+            assert np.array_equal(group.edges[row], edges)
+            assert np.array_equal(group.signs[row], signs)
+
+
+@pytest.mark.parametrize("source", ["uniform", "distorted-0.2", "distorted-0.45", "file"])
+def test_mesh_groups_hold_each_cells_geometry(tmp_path, source):
+    if source == "uniform":
+        mesh = generate_uniform_quads(6, 4)
+    elif source == "file":
+        mesh = _file_mesh(tmp_path, generate_distorted_polygonal(8, 8, seed=5, distortion=0.45))
+    else:
+        mesh = generate_distorted_polygonal(8, 8, seed=11, distortion=float(source.split("-")[1]))
+    _assert_groups_match_fresh_cells(mesh, mesh.cell_groups(), range(mesh.num_cells))
+    # a selection, unsorted and with a repeat, takes the stored rows
+    subset = np.random.default_rng(3).choice(mesh.num_cells, 20).tolist()
+    _assert_groups_match_fresh_cells(mesh, mesh.cell_groups(subset), subset)
+    (one,) = mesh.cell_groups([subset[0]])
+    assert one.cells.tolist() == [subset[0]]
 
 
 def test_clockwise_loop_rejected():

@@ -3,13 +3,14 @@
 import csv
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from polydarcy import linsolve, ncvem, polybasis, polymesh, recovery, study, vtk_export
 from polydarcy.cases import get_case, polynomial_case
-from polydarcy.polybasis import n_monomials, polygon_quadrature
+from polydarcy.polybasis import ear_triangles, n_monomials, polygon_quadrature
 from polydarcy.study import ConvergenceRow
 
 
@@ -71,7 +72,8 @@ def test_error_norms_match_cellwise_oracle(k):
     err = dict.fromkeys(["u", "p", "grad_p", "div", "rt"], 0.0)
     ref = dict.fromkeys(["u", "p", "grad_p", "div"], 0.0)
     for c in range(mesh.num_cells):
-        quad = polygon_quadrature(mesh.cell_coords(c), 2 * (k + 3))
+        coords = mesh.cell_coords(c)
+        quad = polygon_quadrature(coords, 2 * (k + 3), ear_triangles(coords))
         pts, w = quad.points, quad.weights
         exact = {"u": case.velocity(pts), "p": case.pressure(pts),
                  "grad_p": case.grad_pressure(pts), "div": case.forcing(pts)}
@@ -138,8 +140,8 @@ def test_no_gram_is_factored_after_the_solve(monkeypatch, tmp_path):
 
 
 def test_error_norms_reuse_the_build_ears(monkeypatch):
-    # every cell is cut into ears once per solve, in the element build;
-    # the error pass maps its rule onto the stored ears
+    # every cell is cut into ears once per mesh, in build_topology; the
+    # error pass maps its rule onto the stored ears
     mesh = polymesh.generate_distorted_polygonal(4, 4, seed=2026, distortion=0.2)
     case = get_case("bubble-sine")
     results = [study.solve_case(mesh, case, k) for k in range(4)]
@@ -149,8 +151,45 @@ def test_error_norms_reuse_the_build_ears(monkeypatch):
         raise AssertionError("ear clipping after the element build")
 
     monkeypatch.setattr(polybasis, "ear_triangles", refuse)
+    monkeypatch.setattr(polymesh, "ear_triangles", refuse)
     for result, row in zip(results, rows):
         assert study.error_norms(result, case) == row
+
+
+def test_no_cell_is_measured_or_cut_after_build_topology(monkeypatch, tmp_path):
+    # build_topology measures and cuts every cell once; with the four
+    # geometry functions refusing under every name that holds them, a solve,
+    # its error pass, its export and the quality report still give the same
+    # rows, files and report
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+
+    def run():
+        out = [polymesh.mesh_quality(mesh)]
+        for k in range(4):
+            result = study.solve_case(mesh, case, k)
+            path = tmp_path / f"k{k}.vtk"
+            vtk_export.export_vtk(result, str(path))
+            out += [study.error_norms(result, case), path.read_text()]
+        return out
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell measured or cut after build_topology")
+
+    geometry = (polymesh.polygon_area, polymesh.polygon_centroid,
+                polymesh.polygon_diameter, polymesh.ear_triangles)
+    holders = [(module, name) for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "polydarcy"
+               for name, value in vars(module).items()
+               if any(value is fn for fn in geometry)]
+    for module, name in holders:
+        monkeypatch.setattr(module, name, refuse)
+    patched = {f"{module.__name__}.{name}" for module, name in holders}
+    assert {"polydarcy.polymesh.ear_triangles", "polydarcy.polybasis.ear_triangles",
+            "polydarcy.polybasis.polygon_centroid", "polydarcy.polymesh.polygon_area"} <= patched
+    assert run() == expected
 
 
 def _row(n, e, **fields):

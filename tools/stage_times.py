@@ -1,5 +1,6 @@
 """Print the stage table of ROADMAP.md ("Where the time goes"): wall time per
-pipeline stage and peak RSS, one cold run per row.
+pipeline stage and peak RSS, each the median of three cold runs per row,
+with times in milliseconds to three significant digits.
 
 Rows: 4096 cells (64 x 64) at k = 0, 1 and 3, and 9216 cells (96 x 96) at
 k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
@@ -11,9 +12,10 @@ k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
 tables, the triplet scatter and the sparse matrix build.  ``points`` counts
 the quadrature points of the build's cell rule over the whole mesh.
 
-Each row runs in a fresh interpreter with BLAS pinned to one thread before
-numpy loads, so the peak RSS it reports (``ru_maxrss`` of that interpreter,
-import included) is its own.  The largest row peaks at about 1 GB.
+Each run of a row is a fresh interpreter with BLAS pinned to one thread
+before numpy loads, so the peak RSS it reports (``ru_maxrss`` of that
+interpreter, import included) is its own.  The runs go one after another;
+the largest row peaks at about 1 GB.
 
 Usage: PYTHONPATH=src python tools/stage_times.py   (takes no options)
 """
@@ -21,12 +23,15 @@ Usage: PYTHONPATH=src python tools/stage_times.py   (takes no options)
 from __future__ import annotations
 
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROWS = ((64, 0), (64, 1), (64, 3), (96, 3))
+RUNS = 3
 SEED = 2026
 DISTORTION = 0.2
 CASE = "bubble-sine"
@@ -98,6 +103,13 @@ def _thousands(n: int) -> str:
     return f"{n / 1000:.1f}k" if n < 100_000 else f"{n / 1000:.0f}k"
 
 
+def _ms(seconds: float) -> str:
+    """Milliseconds to three significant digits, written without an exponent."""
+    ms = float(f"{seconds * 1e3:.3g}")
+    decimals = max(0, 2 - math.floor(math.log10(ms))) if ms > 0.0 else 0
+    return f"{ms:.{decimals}f} ms"
+
+
 def main() -> int:
     env = dict(os.environ, **BLAS_ONE_THREAD)
     here = str(Path(__file__).resolve().parent)
@@ -106,13 +118,17 @@ def main() -> int:
     print("| cells | k | ndof | points | " + " | ".join(stages) + " | peak RSS |")
     print("|" + "------|" * (len(stages) + 5))
     for n, k in ROWS:
-        out = subprocess.run([sys.executable, "-c", CHILD, here, str(n), str(k)],
-                             env=env, check=True, capture_output=True, text=True)
-        rec = json.loads(out.stdout.strip().splitlines()[-1])
-        times = " | ".join(f"{rec['seconds'][s]:.2f} s" for s in stages)
+        runs = []
+        for _ in range(RUNS):
+            out = subprocess.run([sys.executable, "-c", CHILD, here, str(n), str(k)],
+                                 env=env, check=True, capture_output=True, text=True)
+            runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        rec = runs[0]
+        times = " | ".join(_ms(statistics.median(r["seconds"][s] for r in runs))
+                           for s in stages)
+        rss = statistics.median(r["peak_rss_mb"] for r in runs)
         print(f"| {rec['cells']} | {rec['k']} | {_thousands(rec['ndof'])} "
-              f"| {_thousands(rec['points'])} | {times} "
-              f"| {rec['peak_rss_mb']:.0f} MB |", flush=True)
+              f"| {_thousands(rec['points'])} | {times} | {rss:.0f} MB |", flush=True)
     return 0
 
 
