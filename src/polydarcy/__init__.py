@@ -25,6 +25,7 @@ from .polymesh import (
     MeshQualityReport,
     PolyMesh,
     build_topology,
+    distorted_family,
     ear_triangles,
     euler_check,
     generate_distorted_polygonal,

@@ -86,8 +86,10 @@ def _cmd_solve(args) -> int:
 
 
 def _run_study(args, case, k: int, columns) -> int:
-    rows = study.convergence_study(case, k, levels=args.levels, seed=args.seed,
-                                   distortion=args.distortion)
+    if args.levels < 3:
+        raise ValueError("a convergence study needs at least 3 levels")
+    meshes = polymesh.distorted_family(args.levels, args.seed, args.distortion)
+    rows = study.convergence_study(case, k, meshes)
     print(study.format_table(rows, columns))
     if len(rows) < args.levels:
         print(f"warning: the pressure solve failed on level {len(rows) + 1}; "

@@ -28,9 +28,14 @@ time.
 
 `build_topology` keeps its vertex-count groups as the mesh's `CellGroup`s:
 each stacks its cells' loops, edges and edge signs with their areas,
-centroids, diameters and first-ear triangulations (`ear_triangles`).  So
-every cell is grouped, measured and cut once per mesh, and the element
-build, the error integration and the quality report read these arrays.
+centroids and diameters, which `_loop_defects` measured for its tests, and
+their first-ear triangulations (`ear_triangles`).  So every cell is
+grouped, measured and cut once per mesh, and the element build, the error
+integration and the quality report read these arrays.
+
+`distorted_family` is the sequence of distorted meshes that the
+convergence studies run on: one generator, each level halving the mesh
+width, with each mesh built only when the study draws it.
 
 `build_topology` is also the only validator of a mesh file's cells:
 `read_mesh` checks the file's syntax alone and passes the loops on, and a
@@ -89,6 +94,10 @@ def polygon_area(coords: np.ndarray):
 
 # Smallest signed area of an admissible loop: the centroid divides by it.
 _MIN_AREA = 1e-300
+# Largest vertex coordinate magnitude.  The validator's highest-degree
+# product is the centroid's (x + x') (x y' - x' y), at most 4e300 per vertex
+# at this bound, so no sum it forms overflows.
+_MAX_COORD = 1e100
 
 
 def polygon_centroid(coords: np.ndarray) -> np.ndarray:
@@ -167,16 +176,16 @@ def ear_triangles(coords: np.ndarray) -> np.ndarray:
     return (ears // g).transpose(2, 0, 1).reshape(coords.shape[:-2] + (n - 2, 3))
 
 
-def _is_simple(coords: np.ndarray) -> np.ndarray:
+def _is_simple(coords: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """(G,) True where a loop of the (G, n, 2) stack has no self-contact.
 
     Every pair of edges is tested.  Adjacent edges (sharing one endpoint)
     conflict only if they fold back onto each other; non-adjacent edges
-    conflict on any contact, within eps = 1e-12 * diameter^2 for the cross
-    products and 1e-12 for the segment parameters.
+    conflict on any contact, within eps = 1e-12 * scale^2 for the cross
+    products and 1e-12 for the segment parameters; `scale` holds the (G,)
+    loop diameters.
     """
     n = coords.shape[-2]
-    scale = polygon_diameter(coords)
     eps = (1e-12 * scale * scale)[:, None]
     ends = np.roll(coords, -1, axis=-2)
     d = ends - coords
@@ -264,8 +273,9 @@ def kernel_inradius(coords: np.ndarray):
     return np.maximum(_chebyshev_disks(np.asarray(coords, dtype=float))[1], 0.0)
 
 
-def _is_star(pts: np.ndarray) -> np.ndarray:
-    """Mask (...) of the CCW loops (..., n, 2) that are star-shaped.
+def _is_star(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Mask (...) of the CCW loops (..., n, 2) with centroids `center`
+    (..., 2) that are star-shaped.
 
     The kernel is the intersection of the inner half-planes of the edges, so
     a loop is star-shaped when its centroid lies strictly on the inner side
@@ -273,9 +283,8 @@ def _is_star(pts: np.ndarray) -> np.ndarray:
     the exact Chebyshev disk of the kernel (`_chebyshev_disks`), and are
     star-shaped when its radius is positive.
     """
-    c = polygon_centroid(pts)
     d = np.roll(pts, -1, axis=-2) - pts
-    rel = c[..., None, :] - pts
+    rel = center[..., None, :] - pts
     star = np.array(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1))
     if not np.all(star):
         star[~star] = _chebyshev_disks(pts[~star])[1] > 0.0
@@ -288,23 +297,30 @@ _LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate",
                  "self-intersecting polygon", "polygon is not star-shaped")
 
 
-def _loop_defects(coords: np.ndarray) -> np.ndarray:
+def _loop_defects(coords: np.ndarray) -> tuple:
     """The one cell-validity routine, over a (G, n, 2) stack of loops.
 
     A loop is admissible when its signed area is at least `_MIN_AREA`
     (positive, and large enough for `polygon_centroid`), it is simple
-    (`_is_simple`) and it is star-shaped (`_is_star`: the centroid
-    test, then one stacked `_chebyshev_disks` call for the loops whose
-    centroid fails it, a kernel radius > 0 deciding).  Returns (G,)
-    codes: 0 for an admissible loop, else 1, 2 or 3 for the first test it
-    fails, in that order.  Each test runs only on the loops that passed the
-    ones before it.
+    (`_is_simple`, at the scale of its diameter) and it is star-shaped
+    (`_is_star`: the centroid test, then one stacked `_chebyshev_disks`
+    call for the loops whose centroid fails it, a kernel radius > 0
+    deciding).  Each test runs only on the loops that passed the ones
+    before it.  Returns the (G,) codes, 0 for an admissible loop, else 1, 2
+    or 3 for the first test it fails, in that order; then the measures the
+    tests took: the (G,) areas, and the diameters and centroids of the
+    loops that reached the simplicity and the star test, in row order.  So
+    when every code is 0 they are the measures of every loop.
     """
-    defects = np.where(polygon_area(coords) >= _MIN_AREA, 0, 1)
-    for code, test in ((2, _is_simple), (3, _is_star)):
+    measures = [polygon_area(coords)]
+    defects = np.where(measures[0] >= _MIN_AREA, 0, 1)
+    for code, measure, test in ((2, polygon_diameter, _is_simple),
+                                (3, polygon_centroid, _is_star)):
         rows = np.flatnonzero(defects == 0)
-        defects[rows[~test(coords[rows])]] = code
-    return defects
+        loops = coords[rows]
+        measures.append(measure(loops))
+        defects[rows[~test(loops, measures[-1])]] = code
+    return defects, *measures
 
 
 @dataclass
@@ -321,8 +337,10 @@ class CellGroup:
     """Cells of one vertex count n, stacked: row i describes cell `cells[i]`.
 
     `build_topology` forms the groups and measures and cuts every cell here,
-    once per mesh, with `polygon_area`, `polygon_centroid`,
-    `polygon_diameter` and `ear_triangles` on the stacked loops.
+    once per mesh: the area, centroid and diameter are those that
+    `_loop_defects` took with `polygon_area`, `polygon_centroid` and
+    `polygon_diameter` for its tests, and the ears come from
+    `ear_triangles`, all on the stacked loops.
     """
 
     cells: np.ndarray     # (G,) cell indices, ascending
@@ -409,7 +427,8 @@ def _check_loops(vertices: np.ndarray, loops: list) -> tuple:
     Index checks run per vertex-count group, and `_loop_defects` on the
     loops that pass them; a cell is reported for the first check it fails.
     Returns the (C,) vertex counts and, by ascending count n, the (G,)
-    cells of that count with their (G, n) loops.
+    cells of that count with their (G, n) loops and the (G,) areas, (G,)
+    diameters and (G, 2) centroids that `_loop_defects` measured.
     """
     sizes = np.array([loop.size if loop.ndim == 1 else 0 for loop in loops], dtype=np.int64)
     defects = np.where(sizes < 3, 1, 0)
@@ -421,10 +440,10 @@ def _check_loops(vertices: np.ndarray, loops: list) -> tuple:
         ordered = np.sort(stack, axis=1)
         found[(found == 0) & np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = 3
         rows = np.flatnonzero(found == 0)
-        geometry = _loop_defects(vertices[stack[rows]])
+        geometry, *measures = _loop_defects(vertices[stack[rows]])
         found[rows] = np.where(geometry > 0, geometry + len(_INDEX_DEFECTS), 0)
         defects[members] = found
-        stacks.append((members, stack))
+        stacks.append((members, stack, *measures))
     if np.any(defects):
         c = int(np.argmax(defects > 0))
         message = (*_INDEX_DEFECTS, *_LOOP_DEFECTS)[defects[c] - 1]
@@ -494,7 +513,8 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     """Assemble a PolyMesh from vertex coordinates and CCW cell loops.
 
     This is the one validator of cell loops, for generated meshes and mesh
-    files alike.  Every vertex coordinate must be finite; a MeshError names
+    files alike.  A mesh needs at least one cell.  Every vertex coordinate
+    must be finite and at most `_MAX_COORD` in magnitude; a MeshError names
     the first vertex that is not, as `vertex`, before any cell is tested.
     Each loop is checked by vertex-count group (at least 3 vertices, every
     index in range, no repeated vertex, then `_loop_defects`: positive
@@ -502,18 +522,24 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     belongs to at most two cells, with opposite traversal directions when
     shared).  The MeshError names the first cell that fails, in its message
     and as `cell`; an edge clash names the later of the two cells.  The edge
-    table is built from sorted vertex pairs (`_edge_table`).
+    table is built from sorted vertex pairs (`_edge_table`), and each
+    group keeps the areas, diameters and centroids that `_loop_defects`
+    measured.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
-    finite = np.isfinite(vertices).all(axis=1)
-    if not finite.all():
-        v = int(np.argmin(finite))
-        raise MeshError(f"vertex {v}: coordinate is not finite", vertex=v)
     loops = [_as_loop(cell) for cell in cells]
+    if not loops:
+        raise MeshError("mesh has no cells")
+    bounded = (np.abs(vertices) <= _MAX_COORD).all(axis=1)  # False at nan
+    if not bounded.all():
+        v = int(np.argmin(bounded))
+        defect = ("is not finite" if not np.isfinite(vertices[v]).all()
+                  else f"exceeds {_MAX_COORD:g} in magnitude")
+        raise MeshError(f"vertex {v}: coordinate {defect}", vertex=v)
     sizes, stacks = _check_loops(vertices, loops)
-    flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
+    flat = np.concatenate(loops)
     edges, edge_left, edge_right, use_edge, use_sign = _edge_table(len(vertices), flat, sizes)
 
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
@@ -523,13 +549,12 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
 
     groups = []
     starts = np.cumsum(sizes) - sizes
-    for members, stack in stacks:
+    for members, stack, area, diameter, center in stacks:
         uses = starts[members, None] + np.arange(stack.shape[1])
-        coords = vertices[stack]
         groups.append(CellGroup(
             cells=members, loops=stack, edges=use_edge[uses], signs=use_sign[uses],
-            area=polygon_area(coords), center=polygon_centroid(coords),
-            diameter=polygon_diameter(coords), ears=ear_triangles(coords)))
+            area=area, center=center, diameter=diameter,
+            ears=ear_triangles(vertices[stack])))
     return PolyMesh(
         vertices=vertices,
         cells=[flat[a:a + n] for a, n in zip(starts.tolist(), sizes.tolist())],
@@ -601,7 +626,7 @@ def _place_vertices(rng, coords: np.ndarray, ids: np.ndarray, half: float,
             moved = (order >= start) & (order <= owner[:, None])
             xy = coords[loops]
             xy[moved] = points[order[moved] - start]
-            bad[owner[_loop_defects(xy) > 0] - start] = True
+            bad[owner[_loop_defects(xy)[0] > 0] - start] = True
         return bad
 
     failed = []
@@ -703,6 +728,23 @@ def _insert_after_edge(loop: list, a: int, b: int, new_id: int) -> list:
     n = len(loop)
     i = next(i for i in range(n) if {loop[i], loop[(i + 1) % n]} == {a, b})
     return loop[:i + 1] + [new_id] + loop[i + 1:]
+
+
+# Cells per side of the coarsest mesh of `distorted_family`.
+_FAMILY_BASE = 4
+
+
+def distorted_family(levels: int, seed: int = 2026, distortion: float = 0.2):
+    """Yield `levels` distorted meshes, each of half the previous mesh width.
+
+    Level L is `generate_distorted_polygonal(n, n, seed + L, distortion)`
+    with n = 4 * 2**L; distortion 0 gives the uniform quadrilateral meshes.
+    Each mesh is generated when it is drawn, so a study that stops early
+    never builds the finer ones.
+    """
+    for level in range(levels):
+        n = _FAMILY_BASE * 2 ** level
+        yield generate_distorted_polygonal(n, n, seed + level, distortion)
 
 
 def mesh_quality(mesh: PolyMesh) -> MeshQualityReport:

@@ -1,5 +1,9 @@
 """Convergence studies: solve, recover, measure errors, tabulate rates.
 
+A study takes its meshes from the caller, as any iterable of `PolyMesh`
+(`polymesh.distorted_family` gives the distorted family), and draws each
+one only after the previous level has solved.
+
 Error norms are broken (cellwise) L2 norms against the exact solution of a
 manufactured case, integrated at exactness 2(k+3).  Rate tables assume each
 level halves the mesh width, so the estimated order of convergence is the
@@ -210,27 +214,15 @@ def compute_orders(rows: list) -> None:
             cur.order_rt = _order(prev.error_rt, cur.error_rt, cur.ref_u)
 
 
-def convergence_study(
-    case: ManufacturedCase,
-    k: int,
-    levels: int = 5,
-    base_n: int = 4,
-    seed: int = 2026,
-    distortion: float = 0.2,
-) -> list:
-    """Run `levels` refinements (h halves each level) and tabulate errors.
+def convergence_study(case: ManufacturedCase, k: int, meshes) -> list:
+    """Solve `case` at order k on each mesh of `meshes` in turn; tabulate errors.
 
-    Level L solves on the `base_n * 2**L` square distorted mesh with seed
-    `seed + L`; distortion 0 gives the uniform quadrilateral meshes.  A
-    solver failure aborts the study and the partial table is returned.
+    The orders assume that each mesh halves the width of the one before
+    (`compute_orders`).  A solver failure ends the study: the partial table
+    is returned, and no further mesh is drawn from `meshes`.
     """
-    if levels < 3:
-        raise ValueError("a convergence study needs at least 3 levels")
     rows = []
-    for level in range(levels):
-        n = base_n * 2 ** level
-        mesh = polymesh.generate_distorted_polygonal(
-            n, n, seed=seed + level, distortion=distortion)
+    for mesh in meshes:
         try:
             result = solve_case(mesh, case, k)
         except linsolve.SolverError:

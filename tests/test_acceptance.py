@@ -34,7 +34,7 @@ def test_criterion_1_velocity_convergence_rates(capsys):
     seconds = {}
     for k in range(4):
         t0 = time.time()
-        rows = study.convergence_study(case, k)
+        rows = study.convergence_study(case, k, polymesh.distorted_family(5))
         seconds[k] = time.time() - t0
         assert len(rows) == 5 and rows[-1].n_elements == 4096
         eocs[k] = rows[-1].order_u
@@ -49,7 +49,7 @@ def test_criterion_1_velocity_convergence_rates(capsys):
 def test_criterion_2_rt_beats_projection(capsys):
     # K = 1, k = 0, five levels: the RT-type field must be more accurate
     # than the projected velocity at every level and converge at order one
-    rows = study.convergence_study(get_case("bubble-unit"), 0)
+    rows = study.convergence_study(get_case("bubble-unit"), 0, polymesh.distorted_family(5))
     assert len(rows) == 5
     below = all(r.error_rt < r.error_u for r in rows)
     final_order = rows[-1].order_rt

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,24 @@ def test_distorted_mesh_stays_admissible():
     assert sizes - {4} != set()  # some edges were midside-split
 
 
+@pytest.mark.parametrize("seed, distortion", [(2026, 0.0), (7, 0.2), (11, 0.45)])
+def test_distorted_family_yields_the_generators_meshes(seed, distortion):
+    # level L is the (4 * 2**L)-square distorted mesh of seed `seed + L`
+    levels = list(polymesh.distorted_family(4, seed, distortion))
+    assert len(levels) == 4
+    for level, mesh in enumerate(levels):
+        n = 4 * 2 ** level
+        direct = generate_distorted_polygonal(n, n, seed=seed + level, distortion=distortion)
+        assert np.array_equal(mesh.vertices, direct.vertices)
+        assert [c.tolist() for c in mesh.cells] == [c.tolist() for c in direct.cells]
+
+
+def test_distorted_family_defaults():
+    (mesh,) = polymesh.distorted_family(1)
+    direct = generate_distorted_polygonal(4, 4, seed=2026, distortion=0.2)
+    assert np.array_equal(mesh.vertices, direct.vertices)
+
+
 def test_generator_argument_validation():
     with pytest.raises(MeshError):
         generate_uniform_quads(0, 2)
@@ -275,7 +294,7 @@ def test_generator_argument_validation():
 def test_generator_gives_up_without_an_admissible_offset(monkeypatch):
     # every trial loop rejected: each interior vertex exhausts its 100 draws
     monkeypatch.setattr(polymesh, "_loop_defects",
-                        lambda coords: np.ones(len(coords), dtype=int))
+                        lambda coords: (np.ones(len(coords), dtype=int),))
     with pytest.raises(MeshError, match="no admissible offset for interior vertex"):
         generate_distorted_polygonal(3, 3, seed=0, distortion=0.2)
 
@@ -319,7 +338,8 @@ def test_star_test_accepts_every_generated_cell():
     # test finds its kernel nonempty
     mesh = generate_distorted_polygonal(5, 5, seed=6, distortion=0.3)
     for group in mesh.cell_groups():
-        assert polymesh._is_star(mesh.vertices[group.loops]).all()
+        coords = mesh.vertices[group.loops]
+        assert polymesh._is_star(coords, polymesh.polygon_centroid(coords)).all()
 
 
 THIN_L = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0]])
@@ -334,7 +354,7 @@ def test_build_topology_accepts_thin_l_with_centroid_outside_kernel():
     assert not sees_every_edge(THIN_L, polymesh.polygon_centroid(THIN_L))
     mesh = build_topology(THIN_L, [np.arange(6)])
     assert mesh.num_cells == 1
-    assert polymesh._is_star(THIN_L[None]).all()
+    assert polymesh._is_star(THIN_L[None], polymesh.polygon_centroid(THIN_L[None])).all()
 
 
 def test_build_topology_rejects_u_shape():
@@ -503,17 +523,45 @@ def test_file_cell_below_the_area_guard_reports_its_line(tmp_path):
     assert err.value.cell == 0
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "1e200", "square-1e160"])
 def test_non_finite_vertex_is_named_before_any_cell(tmp_path, value):
-    # the cell is also clockwise: the vertex is reported, not the loop
+    # the cell is also clockwise: the vertex is reported, not the loop.  A
+    # finite coordinate beyond 1e100 is named too, before the validator's
+    # products overflow: the unit square scaled by 1e160 has an area of
+    # 1e320, which no float holds
     vertices = UNIT_SQUARE.copy()
-    vertices[2, 1] = float(value)
-    with pytest.raises(MeshError, match="^vertex 2: coordinate is not finite$") as err:
+    if value == "square-1e160":
+        vertices *= 1e160
+        v = 1
+    else:
+        vertices[2, 1] = float(value)
+        v = 2
+    finite = np.isfinite(vertices[v]).all()
+    message = f"vertex {v}: coordinate {'exceeds 1e+100 in magnitude' if finite else 'is not finite'}"
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$") as err:
         build_topology(vertices, [[0, 3, 2, 1]])
-    assert (err.value.vertex, err.value.cell) == (2, None)
+    assert (err.value.vertex, err.value.cell) == (v, None)
     path = tmp_path / "bad.txt"
-    path.write_text(f"polymesh 2d\nvertices 4\n0 0\n1 0\n1 {value}\n0 1\ncells 1\n4 0 1 2 3\n")
+    rows = "".join(f"{x!r} {y!r}\n" for x, y in vertices.tolist())
+    path.write_text(f"polymesh 2d\nvertices 4\n{rows}cells 1\n4 0 1 2 3\n")
     with pytest.raises(MeshFormatError) as err:
         read_mesh(str(path))
-    assert str(err.value) == f"{path}:5: vertex 2: coordinate is not finite"
-    assert (err.value.lineno, err.value.vertex, err.value.cell) == (5, 2, None)
+    assert str(err.value) == f"{path}:{v + 3}: {message}"
+    assert (err.value.lineno, err.value.vertex, err.value.cell) == (v + 3, v, None)
+
+
+@pytest.mark.parametrize("n_vertices", [0, 3])
+def test_mesh_without_cells_is_rejected(tmp_path, n_vertices):
+    # an error of the whole mesh: no cell or vertex is named, and the file
+    # reports it at line 0
+    vertices = UNIT_SQUARE[:n_vertices]
+    with pytest.raises(MeshError, match="^mesh has no cells$") as err:
+        build_topology(vertices, [])
+    assert (err.value.cell, err.value.vertex) == (None, None)
+    path = tmp_path / "empty.txt"
+    rows = "".join(f"{x!r} {y!r}\n" for x, y in vertices.tolist())
+    path.write_text(f"polymesh 2d\nvertices {n_vertices}\n{rows}cells 0\n")
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(str(path))
+    assert str(err.value) == f"{path}:0: mesh has no cells"
+    assert (err.value.lineno, err.value.cell, err.value.vertex) == (0, None, None)

@@ -226,13 +226,64 @@ def test_orders_show_a_rate_unless_both_errors_are_exact():
     assert rows[4].order_u == -math.inf
 
 
-def test_convergence_study_needs_three_levels():
-    with pytest.raises(ValueError):
-        study.convergence_study(get_case("bubble-unit"), 0, levels=2)
+def _squares(*sizes, distortion=0.2):
+    # the n-by-n distorted meshes of `sizes`, the one of level L with seed 2026 + L
+    return [polymesh.generate_distorted_polygonal(n, n, seed=2026 + level, distortion=distortion)
+            for level, n in enumerate(sizes)]
+
+
+def test_convergence_study_takes_any_number_of_meshes():
+    case = get_case("bubble-unit")
+    meshes = _squares(2, 4)
+    assert study.convergence_study(case, 0, []) == []
+    (row,) = study.convergence_study(case, 0, meshes[:1])
+    assert row.n_elements == 4 and row.order_u is None
+    rows = study.convergence_study(case, 0, iter(meshes))
+    assert rows[0] == row
+    assert [r.n_elements for r in rows] == [4, 16]
+    assert isinstance(rows[1].order_u, float)
+
+
+def test_study_draws_no_mesh_after_a_failed_solve(monkeypatch):
+    # the third solve fails, so the family never generates its fourth mesh
+    real_solve = ncvem.solve_pressure
+    real_generate = polymesh.generate_distorted_polygonal
+    solves, generated = {"n": 0}, []
+
+    def flaky(system):
+        solves["n"] += 1
+        if solves["n"] >= 3:
+            raise linsolve.SolverError("no convergence", residual=1.0)
+        return real_solve(system)
+
+    def spy(nx, ny, seed, distortion):
+        generated.append(nx)
+        return real_generate(nx, ny, seed, distortion)
+
+    monkeypatch.setattr(ncvem, "solve_pressure", flaky)
+    monkeypatch.setattr(polymesh, "generate_distorted_polygonal", spy)
+    rows = study.convergence_study(get_case("bubble-unit"), 0, polymesh.distorted_family(4))
+    assert [r.n_elements for r in rows] == [16, 64]
+    assert generated == [4, 8, 16]
+
+
+def test_convergence_study_on_mesh_files_matches_generated_meshes(tmp_path):
+    # write_mesh keeps every coordinate bit for bit, so the read-back
+    # meshes give the same rows as the generated ones
+    case = get_case("bubble-sine")
+    meshes = list(polymesh.distorted_family(3))
+    copies = []
+    for level, mesh in enumerate(meshes):
+        path = str(tmp_path / f"level{level}.txt")
+        polymesh.write_mesh(mesh, path)
+        copies.append(polymesh.read_mesh(path))
+    rows = study.convergence_study(case, 1, copies)
+    assert len(rows) == 3
+    assert rows == study.convergence_study(case, 1, meshes)
 
 
 def test_convergence_study_first_order_rates():
-    rows = study.convergence_study(get_case("bubble-sine"), 0, levels=3)
+    rows = study.convergence_study(get_case("bubble-sine"), 0, polymesh.distorted_family(3))
     assert [r.n_elements for r in rows] == [16, 64, 256]
     assert rows[0].order_u is None
     for prev, cur in zip(rows, rows[1:]):
@@ -249,7 +300,7 @@ def test_convergence_study_first_order_rates():
 
 def test_convergence_study_exact_case_is_marked():
     case = polynomial_case(0, seed=1)
-    rows = study.convergence_study(case, 0, levels=3, base_n=2)
+    rows = study.convergence_study(case, 0, _squares(2, 4, 8))
     for row in rows[1:]:
         assert row.order_u == study.EXACT_MARK
         assert row.order_p == study.EXACT_MARK
@@ -269,8 +320,7 @@ def test_partial_table_after_solver_failure(monkeypatch):
         return real(system)
 
     monkeypatch.setattr(ncvem, "solve_pressure", flaky)
-    rows = study.convergence_study(get_case("bubble-unit"), 0, levels=4,
-                                   base_n=2)
+    rows = study.convergence_study(get_case("bubble-unit"), 0, _squares(2, 4, 8, 16))
     assert len(rows) == 2
     assert rows[1].order_u is not None
 
@@ -285,8 +335,7 @@ def test_rt_errors_require_lowest_order():
 
 
 def test_rt_comparison_study_small():
-    rows = study.convergence_study(get_case("bubble-unit"), 0, levels=3,
-                                   base_n=2)
+    rows = study.convergence_study(get_case("bubble-unit"), 0, _squares(2, 4, 8))
     assert [r.n_elements for r in rows] == [4, 16, 64]
     for row in rows:
         assert 0.0 < row.error_rt < row.error_u
@@ -298,8 +347,7 @@ def test_rt_comparison_study_small():
 
 
 def test_higher_order_rows_have_no_rt_order():
-    rows = study.convergence_study(get_case("bubble-unit"), 1, levels=3,
-                                   base_n=1)
+    rows = study.convergence_study(get_case("bubble-unit"), 1, _squares(1, 2, 4))
     assert all(r.error_rt is None and r.order_rt is None for r in rows)
     assert isinstance(rows[-1].order_u, float)
 
@@ -313,8 +361,8 @@ def test_convergence_study_distortion_zero_is_uniform(monkeypatch):
         return real(mesh, case, k)
 
     monkeypatch.setattr(study, "solve_case", spy)
-    rows = study.convergence_study(get_case("bubble-sine"), 0, levels=3,
-                                   base_n=2, distortion=0.0)
+    rows = study.convergence_study(get_case("bubble-sine"), 0,
+                                   _squares(2, 4, 8, distortion=0.0))
     assert [r.n_elements for r in rows] == [4, 16, 64]
     for mesh in meshes:
         n = int(round(mesh.num_cells ** 0.5))

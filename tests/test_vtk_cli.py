@@ -147,6 +147,23 @@ def test_cli_converge_table_and_csv(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_cli_studies_need_three_levels(capsys):
+    # the library takes any number of meshes; the CLI studies need 3 levels
+    for command in (["converge", "--order", "0"], ["rt-compare"]):
+        assert cli.main([*command, "--levels", "2"]) == 1
+        assert "at least 3 levels" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_a_mesh_without_cells(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("polymesh 2d\nvertices 0\ncells 0\n", encoding="utf-8")
+    rc = cli.main(["solve", "--mesh", str(path), "--order", "0",
+                   "--out-prefix", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:0: mesh has no cells\n"
+    assert not (tmp_path / "run.vtk").exists()
+
+
 def test_cli_converge_reports_failed_solve(monkeypatch, capsys):
     real = ncvem.solve_pressure
     calls = {"n": 0}
