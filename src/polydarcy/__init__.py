@@ -10,7 +10,6 @@ from .cases import CASES, ManufacturedCase, get_case, polynomial_case
 from .linsolve import SolverError, SparseSpd
 from .ncvem import NcDofMap, NcElement, SpdSystem, assemble, build_element, solve_pressure
 from .polybasis import (
-    GkPerpBasis,
     PolyQuadrature,
     ScaledMonomialBasis,
     cell_basis,

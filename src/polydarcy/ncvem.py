@@ -30,11 +30,12 @@ DOFs in one triplet build, and the data are eliminated by keeping the
 leading block of the matrix and of the load minus the data's stiffness
 product.  Everything a later velocity recovery needs (projection tables,
 edge moment tables, the residual pieces, the gradient Gram's inverse
-factor and the DOFs of the constant function) is kept in the group arrays,
-and so are the mesh's ears, on which the error integration runs.  They are
-the only element record: cell `group.cell[i]` is row i of every stacked
-field.  Every cell Gram is formed and factored here, once; nothing after
-assembly factors a Gram.
+factor and the DOFs of the constant function) is kept in the group arrays
+of `NcElement`.  Its geometry is the mesh's `CellGroup` itself, held as
+`NcElement.group`: cell `element.group.cells[i]` is row i of every stacked
+field, and the error integration runs on that group's ears.  Every cell
+Gram is formed and factored here, once; nothing after assembly factors a
+Gram.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from . import linsolve
 from .polybasis import (
-    GkPerpBasis,
     ScaledMonomialBasis,
     edge_reference,
     factor_solve,
@@ -144,22 +144,20 @@ def build_dof_map(mesh: PolyMesh, k: int) -> NcDofMap:
 class NcElement:
     """Discretization record of a group of cells with one vertex count, stacked.
 
-    Every array field has a leading axis over the members (see
-    `build_element`): row i describes cell `cell[i]`, and the bases carry
-    stacked centers and diameters.  The shapes below are per member.
-    Matrices act on the local DOF vector ordered edge blocks first (cell loop
-    order, moments 0..k per edge) followed by the interior moment block.
+    `group` is the mesh's `CellGroup` that the record was built from, the
+    very object and not a copy: it holds each member's cell index, loop,
+    edges, edge signs, area, centroid, diameter and ears, and the cell
+    bases are centered and scaled by its centroids and diameters.  Every
+    array field below has a leading axis over the members (see
+    `build_element`): row i describes cell `group.cells[i]`.  The shapes
+    below are per member.  Matrices act on the local DOF vector ordered
+    edge blocks first (cell loop order, moments 0..k per edge) followed by
+    the interior moment block.
     """
 
-    cell: np.ndarray                   # cell index of each member, ascending
+    group: CellGroup
     k: int
-    coords: np.ndarray
-    ears: np.ndarray                   # (n_e - 2, 3) the mesh group's ear triangles
-    basis: ScaledMonomialBasis         # degree k+1, centroid/diameter scaled
-    area: np.ndarray
-    edge_ids: np.ndarray
-    edge_signs: np.ndarray
-    edge_lengths: np.ndarray
+    edge_lengths: np.ndarray           # (n_e,)
     edge_cross: np.ndarray             # (n_e, k+1, pi_{k+1}) vs cell basis
     mass: np.ndarray                   # (pi_{k+1}, pi_{k+1}) cell-basis Gram
     p_nabla: np.ndarray                # energy projection, (pi_{k+1}, N)
@@ -171,7 +169,7 @@ class NcElement:
     f_moments: np.ndarray              # (pi_k,) raw moments of f
     f_coeffs: np.ndarray               # (pi_k,) Pi0_k f coefficients
     k_mean: np.ndarray                 # (2, 2) cell average of K
-    gk_perp: GkPerpBasis
+    gk_perp: np.ndarray                # (2 pi_k, dim) complement basis (gk_perp_basis)
     gkperp_rec: np.ndarray             # (dim, N) moment-recovery operator
     inv_grad_gram: np.ndarray          # (pi_{k+1}-1,)*2 inverse factor of gradient Gram H'
     const_dofs: np.ndarray             # (N,) DOF vector of the constant function 1
@@ -182,12 +180,12 @@ class NcElement:
 
     @property
     def n_edges(self) -> int:
-        return self.edge_ids.shape[-1]
+        return self.group.edges.shape[-1]
 
     @property
     def grad_coeff(self) -> np.ndarray:
         """(2 pi_k, pi_{k+1}) exact-gradient table of the cell basis."""
-        return gradient_coefficient_matrix(self.k + 1, self.basis.diameter)
+        return gradient_coefficient_matrix(self.k + 1, self.group.diameter)
 
 
 def build_element(
@@ -196,25 +194,24 @@ def build_element(
     k: int,
     K=1.0,
     f=None,
-    quad_degree: int | None = None,
 ) -> NcElement:
     """Assemble all local operators of a `CellGroup` from `mesh.cell_groups`.
 
     Every step is the same small dense algebra on each member, so it runs
     on the stacked arrays: one quadrature, one monomial table and batched
-    products for the whole group, whose stacked record is returned (one
-    cell is `mesh.cell_groups([c])[0]`, a group of one).  The basis is
-    centered and scaled by the group's centroids and diameters, and the
-    quadrature is mapped onto the group's ears.  Every Gram solve
-    goes through a Cholesky factor (see `polybasis.inverse_cholesky`): one
-    factor of the degree-(k+1) monomial Gram serves the L2 projections, the
-    gradient projection, the source coefficients and the gradient
-    complement, and one factor of the gradient Gram gives the energy
-    projection and is stored for the recovery's velocity projection.  A
-    Gram that is not positive definite raises ValueError naming the first
-    such cell.  quad_degree defaults to 2(k+2), enough for every Gram and
-    weighted Gram appearing here; raise it for strongly varying
-    coefficients.
+    products for the whole group, whose stacked record is returned and
+    holds `group` itself (one cell is `mesh.cell_groups([c])[0]`, a group
+    of one).  The basis is centered and scaled by the group's centroids and
+    diameters, and one rule of exactness 2(k+2) is mapped onto the group's
+    ears: it integrates every Gram here exactly, the K-weighted one for K
+    of degree <= 4 and the moments of f for f of degree <= k+4.  Every
+    Gram solve goes through a Cholesky factor (see
+    `polybasis.inverse_cholesky`): one factor of the degree-(k+1) monomial
+    Gram serves the L2 projections, the gradient projection, the source
+    coefficients and the gradient complement, and one factor of the
+    gradient Gram gives the energy projection and is stored for the
+    recovery's velocity projection.  A Gram that is not positive definite
+    raises ValueError naming the first such cell.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
@@ -230,9 +227,7 @@ def build_element(
 
     basis = ScaledMonomialBasis(group.center, group.diameter, k + 1)
     area = group.area
-    if quad_degree is None:
-        quad_degree = 2 * (k + 2)
-    quad = polygon_quadrature(coords, quad_degree, group.ears)
+    quad = polygon_quadrature(coords, 2 * (k + 2), group.ears)
     vals = basis.evaluate(quad.points)            # (G, pi_{k+1}, nq)
     w = quad.weights[:, None, :]
     mass = (vals * w) @ vals.mT
@@ -265,7 +260,7 @@ def build_element(
     # b_g[j, i] = integral over P of chi_i . (components of) g_j via parts:
     # boundary moments of the normal traces minus interior moments of div g_j.
     nrm = group.signs[..., None] * mesh.edge_normals[group.edges]
-    emat_k = gradient_coefficient_matrix(k, basis.diameter)   # (G, 2 pi_{k-1}, pi_k)
+    emat_k = gradient_coefficient_matrix(k, group.diameter)   # (G, 2 pi_{k-1}, pi_k)
     b_g = np.empty((n_g, 2 * nk, N))
     for d in range(2):
         b_g[:, d * nk:(d + 1) * nk, :n_edge_slots] = (
@@ -278,7 +273,7 @@ def build_element(
     # Energy projection onto P_{k+1}: the gradient Gram H' of the nonconstant
     # monomials gives their coefficients, then the boundary-mean condition
     # (1/|dP|) int_dP (Pi p - p) = 0 gives the constant one.
-    emat = gradient_coefficient_matrix(k + 1, basis.diameter)  # (G, 2 pi_k, pi_{k+1})
+    emat = gradient_coefficient_matrix(k + 1, group.diameter)  # (G, 2 pi_k, pi_{k+1})
     inv_h = inverse_cholesky(gradient_gram(mass_k, emat), group.cells, "gradient Gram")
     p_nabla = np.empty((n_g, nk1, N))
     p_nabla[:, 1:] = factor_solve(inv_h, emat[:, :, 1:].mT @ b_g)
@@ -321,19 +316,12 @@ def build_element(
     # Gradient-complement machinery: orthonormal basis and the operator that
     # recovers the complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
-    gkp = gk_perp_basis(ScaledMonomialBasis(basis.center, basis.diameter, k),
-                        inv_mass_k, group.cells)
-    gkperp_rec = -(gkp.coeffs.mT @ mk_w @ grad_proj) / area[:, None, None]
+    gk_perp = gk_perp_basis(k, inv_mass_k, group.cells)
+    gkperp_rec = -(gk_perp.mT @ mk_w @ grad_proj) / area[:, None, None]
 
     return NcElement(
-        cell=group.cells,
+        group=group,
         k=k,
-        coords=coords,
-        ears=group.ears,
-        basis=basis,
-        area=area,
-        edge_ids=group.edges,
-        edge_signs=group.signs,
         edge_lengths=lengths,
         edge_cross=edge_cross,
         mass=mass,
@@ -346,7 +334,7 @@ def build_element(
         f_moments=f_moments,
         f_coeffs=f_coeffs,
         k_mean=k_mean,
-        gk_perp=gkp,
+        gk_perp=gk_perp,
         gkperp_rec=gkperp_rec,
         inv_grad_gram=inv_h,
         const_dofs=d_mat[..., 0].copy(),
@@ -385,7 +373,7 @@ def monomial_dofs(element: NcElement) -> np.ndarray:
     `const_dofs`, so it does not call this.
     """
     return _monomial_dof_table(element.edge_cross, element.edge_lengths,
-                               element.mass, element.area, element.k)
+                               element.mass, element.group.area, element.k)
 
 
 def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:
@@ -450,7 +438,7 @@ def assemble(
     dofmap = build_dof_map(mesh, k)
     dirichlet = boundary_edge_values(mesh, k, boundary).ravel()
     groups = [build_element(mesh, g, k, K, f) for g in mesh.cell_groups()]
-    group_global = [dofmap.global_indices(g.edge_ids, g.cell) for g in groups]
+    group_global = [dofmap.global_indices(e.group.edges, e.group.cells) for e in groups]
     n = dofmap.n_global
     known = np.concatenate([np.zeros(n), dirichlet])
     rhs = np.zeros(len(known))

@@ -244,30 +244,6 @@ def mass_matrix(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) 
     return (vals * quad.weights) @ vals.T
 
 
-@dataclass
-class GkPerpBasis:
-    """L2-orthonormal basis of the complement of gradients in (P_k)^2.
-
-    Members are columns of `coeffs`: vector polynomials sum_j coeffs[j, i] g_j
-    where g_j runs over (m_j, 0) for j < pi_k then (0, m_j).  The complement
-    is of dimension 2 pi_k - pi_{k+1} + 1 and is empty for k = 0.
-    """
-
-    basis: ScaledMonomialBasis
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[-1]
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values (..., dim, n, 2) of all members at the points (..., n, 2)."""
-        vals = self.basis.evaluate(points)
-        nk = len(self.basis)
-        return np.stack([self.coeffs[..., :nk, :].mT @ vals,
-                         self.coeffs[..., nk:, :].mT @ vals], axis=-1)
-
-
 def gk_perp_dimension(k: int) -> int:
     return 2 * n_monomials(k) - n_monomials(k + 1) + 1
 
@@ -375,32 +351,33 @@ def gradient_gram(mass_k: np.ndarray, emat: np.ndarray) -> np.ndarray:
     return ex.mT @ mass_k @ ex + ey.mT @ mass_k @ ey
 
 
-def gk_perp_basis(basis: ScaledMonomialBasis, inv_factor: np.ndarray,
-                  cells=None) -> GkPerpBasis:
-    """Construct the orthonormal complement basis on one polygon or a stack.
+def gk_perp_basis(k: int, inv_factor: np.ndarray, cells=None) -> np.ndarray:
+    """Orthonormal basis of the complement of gradients in (P_k)^2, (..., 2 pi_k, dim).
 
-    `basis` is the cell's degree-k scaled monomial basis and `inv_factor`
-    `inverse_cholesky(mass_k)` of its Gram matrix on the cell, both stacked
-    for a group.  The complement is the kernel of the pairing of (P_k)^2
-    against exact gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the
-    fixed null space of the transposed gradient table; M_vec^{-1} Z is
-    orthonormalized in the L2(P) inner product as M_vec^{-1} Z L^{-T}, with
-    L the Cholesky factor of its small Gram Z^T M_vec^{-1} Z.  The basis is
-    unique up to an orthogonal change within the complement (a sign at
-    k = 1).  Raises ValueError naming the first member (by `cells`, default
-    its position in the stack) whose small Gram is not positive definite or
-    not finite.
+    Column i holds the coefficients of member i, the vector polynomial
+    sum_j c[j, i] g_j with g_j running over (m_j, 0) for j < pi_k, then
+    (0, m_j), in the cell's degree-k scaled monomials m_j.  The complement
+    has dimension 2 pi_k - pi_{k+1} + 1 and is empty for k = 0.
+    `inv_factor` is `inverse_cholesky(mass_k)` of the degree-k monomial
+    Gram on the cell, stacked (..., pi_k, pi_k) for a group.  The
+    complement is the kernel of the pairing of (P_k)^2 against exact
+    gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the fixed null space
+    of the transposed gradient table; M_vec^{-1} Z is orthonormalized in
+    the L2(P) inner product as M_vec^{-1} Z L^{-T}, with L the Cholesky
+    factor of its small Gram Z^T M_vec^{-1} Z.  The basis is unique up to
+    an orthogonal change within the complement (a sign at k = 1).  Raises
+    ValueError naming the first member (by `cells`, default its position in
+    the stack) whose small Gram is not positive definite or not finite.
     """
-    k = basis.degree
     nk = n_monomials(k)
     z = _gradient_annihilator(k)
     if z.shape[1] == 0:
-        return GkPerpBasis(basis=basis, coeffs=np.zeros(inv_factor.shape[:-2] + z.shape))
+        return np.zeros(inv_factor.shape[:-2] + z.shape)
     # M_vec^{-1} Z one diagonal block (x, then y) at a time
     mz = factor_solve(inv_factor[..., None, :, :], z.reshape(2, nk, -1))
     mz = mz.reshape(mz.shape[:-3] + z.shape)
     inv_small = inverse_cholesky(z.T @ mz, cells, "gradient-complement Gram")
-    return GkPerpBasis(basis=basis, coeffs=mz @ inv_small.mT)
+    return mz @ inv_small.mT
 
 
 def l2_project_function(

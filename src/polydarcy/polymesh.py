@@ -676,8 +676,11 @@ def generate_distorted_polygonal(
     candidate offsets drawn at once and validated in stacked calls,
     rewound at a rejection, so the random stream, and hence the mesh, is
     that of placing one vertex at a time.  Fully deterministic for fixed
-    arguments.
+    arguments.  A seed that is not a nonnegative integer raises MeshError,
+    at any distortion.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise MeshError("seed must be a nonnegative integer")
     if not 0.0 <= distortion < 0.5:
         raise MeshError("distortion must lie in [0, 0.5)")
     if distortion == 0.0:

@@ -142,7 +142,7 @@ def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
     nd = n_monomials(degree)
     boundary = np.einsum("...eb,...ebj->...j", edge_coeffs, element.edge_cross[..., :nd])
     interior = np.einsum("...i,...ij->...j", element.f_coeffs, element.mass[..., :nk, :nd])
-    return (boundary - interior)[..., 1:] / element.area[..., None]
+    return (boundary - interior)[..., 1:] / element.group.area[..., None]
 
 
 def recover_gradient_moments(element: NcElement, edge_coeffs: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     Returns (coefficients of div u, noise-deflated relative gap), with a
     leading cell axis on both for a group.
     """
-    area = element.area
+    area = element.group.area
     cross = element.edge_cross[..., 0]
     outflow = np.einsum("...eb,...eb->...", edge_coeffs, cross)
     source = element.f_moments[..., 0]
@@ -193,7 +193,7 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     if np.any(rel > _DIV_TOL):
         worst = np.argmax(rel)
         raise RecoveryError(
-            f"cell {np.ravel(element.cell)[worst]}: recovered fluxes violate "
+            f"cell {np.ravel(element.group.cells)[worst]}: recovered fluxes violate "
             f"local conservation (relative gap {np.ravel(rel)[worst]:.3e}, "
             f"tolerance {_DIV_TOL:.1e})"
         )
@@ -219,10 +219,10 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
     projection; no Gram is formed or factored here.
     """
     nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
-    area = element.area[..., None]
+    area = element.group.area[..., None]
     grad_part = element.grad_coeff[..., 1:] @ factor_solve(element.inv_grad_gram,
                                                            (area * nu)[..., None])
-    gkperp_part = element.gk_perp.coeffs @ (area * gkperp_moments)[..., None]
+    gkperp_part = element.gk_perp @ (area * gkperp_moments)[..., None]
     return (grad_part + gkperp_part)[..., 0]
 
 
@@ -237,8 +237,8 @@ def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
         raise ValueError("RT-like reconstruction is defined for order k = 0")
     gradp = np.einsum("...ij,...j->...i", element.grad_proj, p_loc)
     const = -np.einsum("...ij,...j->...i", element.k_mean, gradp)
-    f_mean = element.f_moments[..., 0] / element.area
-    h = element.basis.diameter
+    f_mean = element.f_moments[..., 0] / element.group.area
+    h = element.group.diameter
     out = np.zeros(np.shape(h) + (6,))
     out[..., 0] = const[..., 0]
     out[..., 1] = 0.5 * f_mean * h
@@ -323,28 +323,29 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     centers = np.zeros((nc, 2))
     diameters = np.zeros(nc)
 
-    for i, group in enumerate(system.groups):
-        cells = group.cell
+    for i, element in enumerate(system.groups):
+        group = element.group
+        cells = group.cells
         p_loc = system.group_pressure(i)
-        local = recover_edge_moments(group, p_loc)
-        noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(group.stiffness), np.abs(p_loc))
-                              + np.abs(group.load))
-        cell_noise[cells] = np.einsum("gi,gi->g", np.abs(group.const_dofs), noise_slots)
-        side = (1 - group.edge_signs) // 2
-        copies[side, group.edge_ids] = group.edge_signs[..., None] * local
-        envelope[side, group.edge_ids] = (noise_slots[:, :local[0].size].reshape(local.shape)
-                                          .max(axis=-1) / mesh.edge_lengths[group.edge_ids])
-        grad_moments[cells] = recover_gradient_moments(group, local)
-        gkperp_moments[cells] = recover_gkperp_moments(group, p_loc)
-        div[cells], div_gaps[cells] = divergence(group, local, f_scale=f_scale,
+        local = recover_edge_moments(element, p_loc)
+        noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(element.stiffness), np.abs(p_loc))
+                              + np.abs(element.load))
+        cell_noise[cells] = np.einsum("gi,gi->g", np.abs(element.const_dofs), noise_slots)
+        side = (1 - group.signs) // 2
+        copies[side, group.edges] = group.signs[..., None] * local
+        envelope[side, group.edges] = (noise_slots[:, :local[0].size].reshape(local.shape)
+                                       .max(axis=-1) / element.edge_lengths)
+        grad_moments[cells] = recover_gradient_moments(element, local)
+        gkperp_moments[cells] = recover_gkperp_moments(element, p_loc)
+        div[cells], div_gaps[cells] = divergence(element, local, f_scale=f_scale,
                                                  noise=cell_noise[cells])
-        proj[cells] = project_velocity(group, local, gkperp_moments[cells])
+        proj[cells] = project_velocity(element, local, gkperp_moments[cells])
         if rt is not None:
-            rt[cells] = rt0_reconstruct(group, p_loc)
-        pressure[cells] = np.einsum("gij,gj->gi", group.p0, p_loc)
-        grad_pressure[cells] = np.einsum("gij,gj->gi", group.grad_proj, p_loc)
-        centers[cells] = group.basis.center
-        diameters[cells] = group.basis.diameter
+            rt[cells] = rt0_reconstruct(element, p_loc)
+        pressure[cells] = np.einsum("gij,gj->gi", element.p0, p_loc)
+        grad_pressure[cells] = np.einsum("gij,gj->gi", element.grad_proj, p_loc)
+        centers[cells] = group.center
+        diameters[cells] = group.diameter
 
     edge_coeffs = copies[0]
     inner = ~mesh.boundary_mask

@@ -15,7 +15,7 @@ error of the Raviart-Thomas-type velocity, from the same solve.
 `solve_case` walks no cells itself: `recovery.recover_velocity` fills every
 cellwise field in its one pass, and `error_norms` integrates a vertex-count
 group of cells at a time, on the ears that `polymesh.build_topology` cut
-for the mesh's group and the element build kept.
+for the mesh's `CellGroup`, which each element record holds.
 The coefficient blocks of all discrete fields are stacked as rows of one
 (cells, F, pi_{k+1}) table, the lower-degree ones zero-padded (graded-lex
 order nests), so one batched product with the group's degree-(k+1)
@@ -118,10 +118,10 @@ _EXACT_ROWS = 6
 def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     """Broken L2 errors of velocity, pressure, gradient and divergence.
 
-    Each group's rule is mapped onto the mesh's ears, which the element
-    record keeps (`NcElement.ears`), so no cell is triangulated again.  At
-    k = 0 the error of the Raviart-Thomas-type velocity is integrated on
-    the same quadrature as well.
+    Each group's rule is mapped onto the ears of the mesh's `CellGroup`,
+    which the element record holds (`NcElement.group`), so no cell is
+    triangulated again.  At k = 0 the error of the Raviart-Thomas-type
+    velocity is integrated on the same quadrature as well.
     """
     mesh = result.mesh
     k = result.k
@@ -133,14 +133,15 @@ def error_norms(result: SolveResult, case: ManufacturedCase) -> ConvergenceRow:
     n_rows = coeffs.shape[1]
     err = np.zeros(n_rows)
     ref = np.zeros(_EXACT_ROWS)
-    for group in result.system.groups:
-        quad = polygon_quadrature(group.coords, 2 * (k + 3), group.ears)
+    for element in result.system.groups:
+        group = element.group
+        quad = polygon_quadrature(mesh.vertices[group.loops], 2 * (k + 3), group.ears)
         w = quad.weights                          # (G, nq)
         diff = _exact_table(case, quad.points, n_rows)
         ref += np.einsum("gq,gfq,gfq->f", w, diff[:, :_EXACT_ROWS],
                          diff[:, :_EXACT_ROWS])
         # the pressure's monomials have degree k+1, the highest of any field
-        diff -= coeffs[group.cell] @ vel.pressure.monomials(group.cell, quad.points)
+        diff -= coeffs[group.cells] @ vel.pressure.monomials(group.cells, quad.points)
         err += np.einsum("gq,gfq,gfq->f", w, diff, diff)
     rows = _NORM_OF_ROW[:n_rows]
     err = np.sqrt(np.maximum(np.bincount(rows, weights=err), 0.0))

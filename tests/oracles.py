@@ -18,8 +18,19 @@ import math
 import numpy as np
 
 from polydarcy.ncvem import SpdSystem, tensor_field
-from polydarcy.polybasis import GkPerpBasis, cell_basis, n_monomials
+from polydarcy.polybasis import cell_basis, n_monomials
 from polydarcy.polymesh import polygon_area
+
+
+def gk_perp_values(coeffs, monomials):
+    """Complement members at the points of a degree-k monomial table, (dim, n, 2).
+
+    `coeffs` (2 pi_k, dim) are the members' coefficients against the vector
+    monomials (m_j, 0), then (0, m_j), and `monomials` (pi_k, n) the values
+    of the m_j; each component is one sum over j.
+    """
+    nk = len(monomials)
+    return np.stack([coeffs[:nk].T @ monomials, coeffs[nk:].T @ monomials], axis=-1)
 
 
 def triangle_monomial_integral(v0, v1, v2, a: int, b: int) -> float:
@@ -232,18 +243,19 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
                                   vals @ (0.5 * gw * un))
     grad = [None] * mesh.num_cells
     perp = [None] * mesh.num_cells
-    for group in system.groups:
-        for row, c in enumerate(group.cell):
-            coords = group.coords[row]
+    for element in system.groups:
+        for row, c in enumerate(element.group.cells):
+            coords = mesh.cell_coords(c)
+            area = polygon_area(coords)
             pts, w = polygon_gauss(coords, 12)
             u = velocity(pts)
             basis = cell_basis(coords, k)
             gm = basis.evaluate_gradient(pts)[1:nk]
             grad[c] = (gm[:, :, 0] @ (w * u[:, 0])
-                       + gm[:, :, 1] @ (w * u[:, 1])) / group.area[row]
-            gv = GkPerpBasis(basis, group.gk_perp.coeffs[row]).evaluate(pts)
+                       + gm[:, :, 1] @ (w * u[:, 1])) / area
+            gv = gk_perp_values(element.gk_perp[row], basis.evaluate(pts))
             perp[c] = (gv[:, :, 0] @ (w * u[:, 0])
-                       + gv[:, :, 1] @ (w * u[:, 1])) / group.area[row]
+                       + gv[:, :, 1] @ (w * u[:, 1])) / area
     return edge, grad, perp
 
 
@@ -293,7 +305,7 @@ def monolithic_solve(system: SpdSystem, K):
     ne = mesh.num_edges
     nc = mesh.num_cells
     n_grad = nk - 1
-    gdim = system.groups[0].gk_perp.dim if nc else 0
+    gdim = system.groups[0].gk_perp.shape[-1] if nc else 0
     kfun = tensor_field(K)
     c_off = 0
     nu_off = c_off + (k + 1) * ne
@@ -301,7 +313,7 @@ def monolithic_solve(system: SpdSystem, K):
     p_off = kp_off + gdim * nc
     n_total = p_off + system.dofmap.n_global
 
-    rows_a = sum(len(g.cell) * (g.n_dofs - 1) for g in system.groups)
+    rows_a = sum(len(g.group.cells) * (g.n_dofs - 1) for g in system.groups)
     rows_b = gdim * nc
     rows_c = nk * nc
     if rows_a + rows_b + rows_c != n_total:
@@ -311,9 +323,10 @@ def monolithic_solve(system: SpdSystem, K):
     rhs = np.zeros(n_total)
     row = 0
     for g in system.groups:
-        for m, c in enumerate(g.cell):
-            n_edges, n_dofs, area = g.n_edges, g.n_dofs, g.area[m]
-            edge_ids, edge_signs = g.edge_ids[m], g.edge_signs[m]
+        for m, c in enumerate(g.group.cells):
+            coords = mesh.cell_coords(c)
+            n_edges, n_dofs, area = g.n_edges, g.n_dofs, polygon_area(coords)
+            edge_ids, edge_signs = cell_edges(mesh, c)
             glob = system.dofmap.global_indices(edge_ids, c)
             free = glob < system.dofmap.n_global
             lifted = dirichlet_lift(system, c)
@@ -359,11 +372,10 @@ def monolithic_solve(system: SpdSystem, K):
             if gdim:
                 # weighted Gram of the vector monomials against the complement
                 # members, by the independent tensor-Gauss rule
-                pts, w = polygon_gauss(g.coords[m], n=12)
+                pts, w = polygon_gauss(coords, n=12)
                 kv = kfun(pts)
-                basis = cell_basis(g.coords[m], k)
-                mv = basis.evaluate(pts)
-                gv = GkPerpBasis(basis, g.gk_perp.coeffs[m]).evaluate(pts)
+                mv = cell_basis(coords, k).evaluate(pts)
+                gv = gk_perp_values(g.gk_perp[m], mv)
                 for j in range(gdim):
                     kg_x = kv[:, 0, 0] * gv[j, :, 0] + kv[:, 1, 0] * gv[j, :, 1]
                     kg_y = kv[:, 0, 1] * gv[j, :, 0] + kv[:, 1, 1] * gv[j, :, 1]

@@ -24,9 +24,15 @@ def kvar(pts):
     return 1.0 + 0.5 * np.sin(pts[:, 0])
 
 
-def build_pentagon(k, K=1.0, f=None, quad_degree=None):
+def kpoly(pts):
+    # positive on the test cells, of degree 4: the build's rule 2(k+2)
+    # integrates the K-weighted Gram exactly at every k
+    return 1.0 + 0.5 * pts[:, 0] ** 2 * pts[:, 1] ** 2 + 0.2 * pts[:, 0] ** 3
+
+
+def build_pentagon(k, K=1.0, f=None):
     mesh = one_cell_mesh(PENTAGON)
-    return build_element(mesh, mesh.cell_groups()[0], k, K, f, quad_degree=quad_degree)
+    return build_element(mesh, mesh.cell_groups()[0], k, K, f)
 
 
 def unit_square_group(k):
@@ -111,7 +117,7 @@ def test_stored_recovery_tables_are_their_definitions(k):
     nk = n_monomials(k)
     assert np.array_equal(element.const_dofs, monomial_dofs(element)[..., 0])
     gram = gradient_gram(element.mass[..., :nk, :nk], element.grad_coeff)
-    assert np.array_equal(element.inv_grad_gram, inverse_cholesky(gram, element.cell))
+    assert np.array_equal(element.inv_grad_gram, inverse_cholesky(gram, element.group.cells))
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -148,13 +154,13 @@ def test_constants_span_stiffness_kernel(k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_energy_exact_on_polynomials(k):
     # sandwiching the stiffness with polynomial DOFs must return the weighted
-    # gradient Gram: the stabilizer vanishes there, and with the coefficient
-    # resolved far beyond its default degree both quadratures see the same K
-    element = build_pentagon(k, K=kvar, quad_degree=40)
+    # gradient Gram: the stabilizer vanishes there, and with K of degree 4
+    # both quadratures integrate it exactly
+    element = build_pentagon(k, K=kpoly)
     d = monomial_dofs(element)[0]
     pts, w = oracles.polygon_gauss(PENTAGON, 20)
     grads = cell_basis(PENTAGON, k + 1).evaluate_gradient(pts)
-    target = np.einsum("n,ina,jna->ij", w * kvar(pts), grads, grads)
+    target = np.einsum("n,ina,jna->ij", w * kpoly(pts), grads, grads)
     got = d.T @ element.stiffness[0] @ d
     assert np.abs(got - target).max() < 1e-11 * max(1.0, np.abs(target).max())
 
@@ -196,7 +202,7 @@ def test_zero_load_without_source():
 def test_constant_load_hits_mean_slot(k):
     # int_P Pi0_k(c) chi = c |P| * (zeroth interior moment of chi)
     element = build_pentagon(k, f=2.5)
-    area = element.area[0]
+    area = element.group.area[0]
     expected = np.zeros(element.n_dofs)
     expected[element.n_edges * (k + 1)] = 2.5 * area
     assert np.abs(element.load[0] - expected).max() < 1e-12 * area
@@ -204,15 +210,17 @@ def test_constant_load_hits_mean_slot(k):
 
 def test_k0_load_is_projected_mean():
     element = build_pentagon(0, f=2.5)
-    expected = 2.5 * element.area[0] * element.p0k[0, 0]
+    expected = 2.5 * element.group.area[0] * element.p0k[0, 0]
     assert np.abs(element.load[0] - expected).max() < 1e-12
 
 
 def test_forcing_projection_matches_dense_oracle():
+    # f of degree 6 = k + 4: the build's rule 2(k+2) integrates its moments
+    # exactly
     def f(pts):
-        return np.sin(pts[:, 0] + 0.3 * pts[:, 1])
+        return (pts[:, 0] + 0.3 * pts[:, 1]) ** 6 - 2.0 * pts[:, 0] * pts[:, 1] ** 2
 
-    element = build_pentagon(2, f=f, quad_degree=16)
+    element = build_pentagon(2, f=f)
     pts, w = oracles.polygon_gauss(PENTAGON, 20)
     vals = cell_basis(PENTAGON, 2).evaluate(pts)
     gram = (vals * w) @ vals.T
@@ -252,9 +260,21 @@ def test_negative_order_rejected():
 def test_groups_keep_the_ears_of_their_quadrature():
     mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
     system = assemble(mesh, kvar, 1.0, 1)
-    assert [g.coords.shape[1] for g in system.groups] == [4, 5, 6, 7]
-    for group in system.groups:
-        assert np.array_equal(group.ears, ear_triangles(group.coords))
+    assert [e.n_edges for e in system.groups] == [4, 5, 6, 7]
+    for element in system.groups:
+        group = element.group
+        assert np.array_equal(group.ears, ear_triangles(mesh.vertices[group.loops]))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_element_holds_the_mesh_group_itself(k):
+    # the record's geometry is the mesh's CellGroup object, not a copy
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    system = assemble(mesh, kvar, 1.0, k)
+    assert len(system.groups) == len(mesh.groups)
+    for element, group in zip(system.groups, mesh.groups):
+        assert element.group is group
+        assert build_element(mesh, group, k).group is group
 
 
 def test_constant_permeability_must_be_scalar_or_2x2():
@@ -297,9 +317,9 @@ def test_patch_exactness_small(k):
     system = assemble(mesh, case.permeability, case.forcing, k,
                       boundary=case.pressure)
     solve_pressure(system)
-    for i, group in enumerate(system.groups):
+    for i, element in enumerate(system.groups):
         got = system.group_pressure(i)
-        for row, c in enumerate(group.cell):
+        for row, c in enumerate(element.group.cells):
             exact = oracles.exact_local_dofs(mesh, c, k, case.pressure)
             assert np.abs(got[row] - exact).max() < 1e-9
 
@@ -312,23 +332,22 @@ def test_grouped_build_keeps_cell_identity(k):
     case = polynomial_case(k, seed=3)
     mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
     system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
-    fields = ("coords", "ears", "area", "edge_ids", "edge_signs", "edge_lengths", "edge_cross",
-              "mass", "p_nabla", "p0", "p0k", "grad_proj", "stiffness", "load",
-              "f_moments", "f_coeffs", "k_mean", "grad_coeff", "gkperp_rec",
-              "inv_grad_gram", "const_dofs")
+    geometry = ("loops", "edges", "signs", "area", "center", "diameter", "ears")
+    fields = ("edge_lengths", "edge_cross", "mass", "p_nabla", "p0", "p0k", "grad_proj",
+              "stiffness", "load", "f_moments", "f_coeffs", "k_mean", "grad_coeff",
+              "gk_perp", "gkperp_rec", "inv_grad_gram", "const_dofs")
     n = system.dofmap.n_global
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for group in system.groups:
-        for row, c in enumerate(group.cell):
+    for element in system.groups:
+        for row, c in enumerate(element.group.cells):
             ref = build_element(mesh, mesh.cell_groups([c])[0], k, kvar, case.forcing)
-            assert ref.cell.tolist() == [c]
-            pairs = [(getattr(group, name)[row], getattr(ref, name)[0])
-                     for name in fields]
-            pairs += [(group.basis.center[row], ref.basis.center[0]),
-                      (group.basis.diameter[row], ref.basis.diameter[0]),
-                      (group.gk_perp.coeffs[row], ref.gk_perp.coeffs[0])]
-            for name, (a, b) in zip(fields + ("center", "diameter", "gk_perp"), pairs):
+            assert ref.group.cells.tolist() == [c]
+            pairs = [(getattr(element.group, name)[row], getattr(ref.group, name)[0])
+                     for name in geometry]
+            pairs += [(getattr(element, name)[row], getattr(ref, name)[0])
+                      for name in fields]
+            for name, (a, b) in zip(geometry + fields, pairs):
                 assert np.shape(a) == np.shape(b), (c, name)
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (c, name)
             glob = system.dofmap.global_indices(oracles.cell_edges(mesh, c)[0], c)

@@ -291,6 +291,16 @@ def test_generator_argument_validation():
         generate_distorted_polygonal(0, 4, seed=0, distortion=0.1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+@pytest.mark.parametrize("distortion", [0.0, 0.2])
+def test_seed_must_be_a_nonnegative_integer(seed, distortion):
+    # at any distortion, before numpy's seeding could reject it
+    with pytest.raises(MeshError, match="^seed must be a nonnegative integer$"):
+        generate_distorted_polygonal(3, 3, seed, distortion)
+    with pytest.raises(MeshError, match="^seed must be a nonnegative integer$"):
+        list(polymesh.distorted_family(3, seed=seed - 1, distortion=distortion))
+
+
 def test_generator_gives_up_without_an_admissible_offset(monkeypatch):
     # every trial loop rejected: each interior vertex exhausts its 100 draws
     monkeypatch.setattr(polymesh, "_loop_defects",

@@ -41,7 +41,7 @@ def test_zero_pressure_zero_velocity():
     assert np.array_equal(recover_gradient_moments(element, local),
                           np.zeros((1, n_monomials(1) - 1)))
     assert np.array_equal(recover_gkperp_moments(element, p_loc),
-                          np.zeros((1, element.gk_perp.dim)))
+                          np.zeros((1, element.gk_perp.shape[-1])))
 
 
 def test_gradient_moment_closed_form_k1():
@@ -50,7 +50,7 @@ def test_gradient_moment_closed_form_k1():
     p_loc = oracles.exact_local_dofs(mesh, 0, element.k, pressure_x)
     local = recover_edge_moments(element, p_loc)
     nu = recover_gradient_moments(element, local)
-    h = element.basis.diameter[0]
+    h = element.group.diameter[0]
     assert np.abs(nu - np.array([-1.0 / h, 0.0])).max() < 1e-13
 
 
@@ -97,7 +97,7 @@ def test_rt_closed_forms():
                   - np.array([-1.0, 0, 0, 0, 0, 0])).max() < 1e-13
     # pure source: u = (f/2)(x - x_c), divergence f
     mesh, element = unit_cell(0, f=2.0)
-    h = element.basis.diameter[0]
+    h = element.group.diameter[0]
     out = rt0_reconstruct(element, np.zeros(element.n_dofs))
     assert np.abs(out - np.array([0, h, 0, 0, 0, h])).max() < 1e-13
 
@@ -152,8 +152,8 @@ def test_structural_gaps_on_manufactured_case(k):
     assert vel.dofs.edge_coeffs.shape == (mesh.num_edges, k + 1)
     assert len(vel.dofs.grad_moments) == mesh.num_cells
     # div u = Pi0_k f by construction: the stored projected source itself
-    for group in system.groups:
-        assert np.array_equal(vel.divergence.coeffs[group.cell], group.f_coeffs)
+    for element in system.groups:
+        assert np.array_equal(vel.divergence.coeffs[element.group.cells], element.f_coeffs)
 
 
 def test_divergence_converges_at_high_order():
@@ -178,11 +178,12 @@ def test_local_conservation_violation_rejected(k):
                       boundary=case.pressure)
     solve_pressure(system)
     recover_velocity(system)
-    group = system.groups[-1]
-    row = group.cell.size // 2
+    element = system.groups[-1]
+    row = element.group.cells.size // 2
     scale = max(np.abs(g.f_moments[:, 0]).max() for g in system.groups)
-    group.f_moments[row, 0] += 1e-6 * scale
-    with pytest.raises(RecoveryError, match=f"cell {group.cell[row]}: .*local conservation"):
+    element.f_moments[row, 0] += 1e-6 * scale
+    with pytest.raises(RecoveryError,
+                       match=f"cell {element.group.cells[row]}: .*local conservation"):
         recover_velocity(system)
 
 
@@ -197,10 +198,10 @@ def test_global_conservation_violation_rejected(monkeypatch):
                       boundary=case.pressure)
     solve_pressure(system)
     recover_velocity(system)
-    group = system.groups[-1]
-    row = group.cell.size // 2
+    element = system.groups[-1]
+    row = element.group.cells.size // 2
     scale = max(np.abs(g.f_moments[:, 0]).max() for g in system.groups)
-    group.f_moments[row, 0] += 1e-6 * scale
+    element.f_moments[row, 0] += 1e-6 * scale
     with pytest.raises(RecoveryError, match="global conservation violated"):
         recover_velocity(system)
 
@@ -216,12 +217,13 @@ def test_edge_flux_owned_by_left_cell():
     solve_pressure(system)
     vel = recover_velocity(system)
     owner = {}
-    for i, group in enumerate(system.groups):
-        local = recover_edge_moments(group, system.group_pressure(i))
-        for row, c in enumerate(group.cell):
-            for pos, e in enumerate(group.edge_ids[row]):
+    for i, element in enumerate(system.groups):
+        local = recover_edge_moments(element, system.group_pressure(i))
+        group = element.group
+        for row, c in enumerate(group.cells):
+            for pos, e in enumerate(group.edges[row]):
                 owner.setdefault(int(e), []).append(
-                    (c, group.edge_signs[row, pos] * local[row, pos]))
+                    (c, group.signs[row, pos] * local[row, pos]))
     distinguishable = False
     for e in range(mesh.num_edges):
         copies = dict(owner[e])
@@ -285,8 +287,9 @@ def test_projection_matches_monolithic_oracle_k1():
     edge_ref, grad_ref, gkp_ref, _ = oracles.monolithic_solve(
         system, case.permeability)
     # rebuild the projection from the oracle's velocity DOFs
-    for group in system.groups:
-        local = group.edge_signs[..., None] * edge_ref[group.edge_ids]
-        kappa = np.array([gkp_ref[c] for c in group.cell])
-        ref = project_velocity(group, local, kappa)
-        assert np.abs(vel.projected.coeffs[group.cell] - ref).max() < 1e-9
+    for element in system.groups:
+        group = element.group
+        local = group.signs[..., None] * edge_ref[group.edges]
+        kappa = np.array([gkp_ref[c] for c in group.cells])
+        ref = project_velocity(element, local, kappa)
+        assert np.abs(vel.projected.coeffs[group.cells] - ref).max() < 1e-9

@@ -245,6 +245,17 @@ def test_cli_negative_order_fails(tmp_path, capsys, command):
     assert not (tmp_path / "x.vtk").exists()
 
 
+@pytest.mark.parametrize("command", ["mesh gen", "converge"])
+def test_cli_negative_seed_fails(tmp_path, capsys, command):
+    args = {"mesh gen": ["--nx", "3", "--ny", "3", "--distortion", "0.3",
+                         "--out", str(tmp_path / "m.txt")],
+            "converge": ["--order", "0", "--levels", "3"]}
+    rc = cli.main([*command.split(), "--seed", "-1", *args[command]])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_cli_unknown_case_fails(tmp_path, capsys):
     mesh_path = gen_mesh(tmp_path)
     rc = cli.main(["solve", "--mesh", str(mesh_path), "--order", "0",
