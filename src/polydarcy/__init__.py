@@ -9,15 +9,7 @@ Raviart-Thomas-type field are then recovered locally, cell by cell.
 from .cases import CASES, ManufacturedCase, get_case, polynomial_case
 from .linsolve import SolverError, SparseSpd
 from .ncvem import NcDofMap, NcElement, SpdSystem, assemble, build_element, solve_pressure
-from .polybasis import (
-    PolyQuadrature,
-    ScaledMonomialBasis,
-    cell_basis,
-    gk_perp_basis,
-    l2_project_function,
-    mass_matrix,
-    polygon_quadrature,
-)
+from .polybasis import PolyQuadrature, gk_perp_basis, polygon_quadrature
 from .polymesh import (
     MeshError,
     MeshFormatError,

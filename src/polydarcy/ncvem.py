@@ -46,7 +46,6 @@ import numpy as np
 
 from . import linsolve
 from .polybasis import (
-    ScaledMonomialBasis,
     edge_reference,
     factor_solve,
     gk_perp_basis,
@@ -55,6 +54,7 @@ from .polybasis import (
     inverse_cholesky,
     n_monomials,
     polygon_quadrature,
+    scaled_monomials,
 )
 from .polymesh import CellGroup, PolyMesh
 
@@ -175,10 +175,6 @@ class NcElement:
     const_dofs: np.ndarray             # (N,) DOF vector of the constant function 1
 
     @property
-    def n_dofs(self) -> int:
-        return self.stiffness.shape[-1]
-
-    @property
     def n_edges(self) -> int:
         return self.group.edges.shape[-1]
 
@@ -225,10 +221,9 @@ def build_element(
     n_edge_slots = n_e * (k + 1)
     N = n_edge_slots + nkm1
 
-    basis = ScaledMonomialBasis(group.center, group.diameter, k + 1)
     area = group.area
     quad = polygon_quadrature(coords, 2 * (k + 2), group.ears)
-    vals = basis.evaluate(quad.points)            # (G, pi_{k+1}, nq)
+    vals = scaled_monomials(quad.points, group.center, group.diameter, k + 1)  # (G, pi_{k+1}, nq)
     w = quad.weights[:, None, :]
     mass = (vals * w) @ vals.mT
     mass_k = mass[:, :nk, :nk]
@@ -252,7 +247,8 @@ def build_element(
     # coefficients of m_j restricted to edge e (degree <= k, so exact).
     ref = edge_reference(k, k + 3)
     pts = _edge_points(mesh, group.edges, ref.nodes)
-    cv = basis.evaluate(pts.reshape(n_g, -1, 2)).reshape(n_g, nk1, n_e, -1)
+    cv = scaled_monomials(pts.reshape(n_g, -1, 2), group.center, group.diameter, k + 1)
+    cv = cv.reshape(n_g, nk1, n_e, -1)
     lengths = mesh.edge_lengths[group.edges]
     edge_cross = lengths[..., None, None] * np.einsum("bq,gjeq->gebj", ref.moments, cv)
     traces = np.einsum("bq,gjeq->gjeb", ref.projector, cv[:, :nk])
@@ -363,17 +359,6 @@ def _monomial_dof_table(edge_cross, edge_lengths, mass, area, k):
     edge_rows = edge_rows.reshape(edge_rows.shape[:-3] + (-1, mass.shape[-1]))
     return np.concatenate([edge_rows, mass[..., :nkm1, :] / area[..., None, None]],
                           axis=-2)
-
-
-def monomial_dofs(element: NcElement) -> np.ndarray:
-    """DOF vectors of the scaled monomials m_beta, as columns (..., N, pi_{k+1}).
-
-    Recomputed from the stored edge and mass tables; used by tests.  The
-    velocity recovery needs only column 0, which the build stores as
-    `const_dofs`, so it does not call this.
-    """
-    return _monomial_dof_table(element.edge_cross, element.edge_lengths,
-                               element.mass, element.group.area, element.k)
 
 
 def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:

@@ -5,13 +5,15 @@ Cell polynomials are spanned by scaled monomials
     m_alpha(x) = ((x - x_D)/h_D)^alpha,   |alpha| <= k,
 
 ordered graded-lexicographically: (0,0), (1,0), (0,1), (2,0), (1,1),
-(0,2), ...  with x_D the polygon centroid and h_D its diameter.  Edge
-polynomials use the signed arclength from the edge midpoint scaled by the
-edge length, measured along the globally stored tangent so that moments on a
-shared edge mean the same thing to both incident cells.  On the reference
-segment that parameter is t - 1/2 for every edge, so one cached table per
-order and rule (`edge_reference`) gives the edge moments and the L2 edge
-projector of all edges.
+(0,2), ...  with x_D the polygon centroid and h_D its diameter, as the
+mesh's cell groups keep them; `scaled_monomials` evaluates them for one
+cell or a stack.  Edge polynomials use the signed arclength from the edge
+midpoint scaled by the edge length, measured along the globally stored
+tangent so that moments on a shared edge mean the same thing to both
+incident cells.  On the reference segment that parameter is t - 1/2 for
+every edge, so one cached table per order and rule (`edge_reference`)
+gives the edge moments, the edge means and the L2 edge projector of all
+edges.
 
 Quadrature on a polygon maps a Gauss-Jacobi x Gauss-Legendre tensor rule
 onto each of the n - 2 triangles it is given, through the collapsed-square
@@ -32,8 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .polymesh import ear_triangles, polygon_centroid, polygon_diameter
 
 
 def n_monomials(k: int) -> int:
@@ -60,61 +60,26 @@ def monomial_index(a: int, b: int) -> int:
     return d * (d + 1) // 2 + b
 
 
-@dataclass
-class ScaledMonomialBasis:
-    """Monomials ((x - center)/diameter)^alpha up to a total degree.
+def scaled_monomials(points: np.ndarray, center, diameter, degree: int) -> np.ndarray:
+    """Values of ((x - center)/diameter)^alpha, |alpha| <= degree, at points.
 
-    `center` (..., 2) and `diameter` (...) may carry a leading stack axis,
-    one basis per cell of a group; `evaluate` and `evaluate_gradient` then
-    take points (..., n, 2).
+    Points (..., n, 2) give (..., pi_degree, n).  `center` (..., 2) and
+    `diameter` (...) may carry a leading stack axis, one basis per cell of a
+    group, matching that of the points.
     """
-
-    center: np.ndarray
-    diameter: float | np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        self.exponents = np.array(monomial_exponents(self.degree), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return n_monomials(self.degree)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values of all members at points (..., n, 2); returns (..., n_members, n)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        center = np.asarray(self.center)[..., None, :]
-        scale = np.asarray(self.diameter)[..., None]
-        xi = (pts[..., 0] - center[..., 0]) / scale
-        eta = (pts[..., 1] - center[..., 1]) / scale
-        xpow, ypow = [np.ones_like(xi)], [np.ones_like(eta)]
-        for _ in range(self.degree):
-            xpow.append(xpow[-1] * xi)
-            ypow.append(ypow[-1] * eta)
-        out = np.empty(xi.shape[:-1] + (len(self), xi.shape[-1]))
-        for j, (a, b) in enumerate(self.exponents):
-            np.multiply(xpow[a], ypow[b], out=out[..., j, :])
-        return out
-
-    def evaluate_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Gradients of all members at points (..., n, 2): (..., n_members, n, 2)."""
-        vals = self.evaluate(points)
-        grads = np.zeros(vals.shape + (2,))
-        h = np.asarray(self.diameter)[..., None]
-        for j, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                grads[..., j, :, 0] = (a / h) * vals[..., monomial_index(a - 1, b), :]
-            if b > 0:
-                grads[..., j, :, 1] = (b / h) * vals[..., monomial_index(a, b - 1), :]
-        return grads
-
-
-def cell_basis(coords: np.ndarray, k: int) -> ScaledMonomialBasis:
-    """Scaled monomial basis of a polygon: centroid center, diameter scale."""
-    return ScaledMonomialBasis(
-        center=polygon_centroid(coords),
-        diameter=polygon_diameter(coords),
-        degree=k,
-    )
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    center = np.asarray(center)[..., None, :]
+    scale = np.asarray(diameter)[..., None]
+    xi = (pts[..., 0] - center[..., 0]) / scale
+    eta = (pts[..., 1] - center[..., 1]) / scale
+    xpow, ypow = [np.ones_like(xi)], [np.ones_like(eta)]
+    for _ in range(degree):
+        xpow.append(xpow[-1] * xi)
+        ypow.append(ypow[-1] * eta)
+    out = np.empty(xi.shape[:-1] + (n_monomials(degree), xi.shape[-1]))
+    for j, (a, b) in enumerate(monomial_exponents(degree)):
+        np.multiply(xpow[a], ypow[b], out=out[..., j, :])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +124,12 @@ class EdgeReference:
 
         int_f s^b v ds = |f| (moments @ v(x(nodes)))[b],
 
-    and `projector @ v(x(nodes))` holds the coefficients of the L2(f)
-    projection of v onto span{s^b : b <= k}, because the edge Gram is |f|
-    times the fixed G_k[i, j] = (1/2)^(i+j) / (i+j+1) (zero for odd i+j) and
-    |f| cancels.  Exact for v of degree <= 2 npoints - 1 - k.
+    so the row sums `moments.sum(axis=1)` are the edge means
+    (1/|f|) int_f s^b ds of the monomials, and `projector @ v(x(nodes))`
+    holds the coefficients of the L2(f) projection of v onto
+    span{s^b : b <= k}, because the edge Gram is |f| times the fixed
+    G_k[i, j] = (1/2)^(i+j) / (i+j+1) (zero for odd i+j) and |f| cancels.
+    Exact for v of degree <= 2 npoints - 1 - k.
     """
 
     nodes: np.ndarray       # (n,) Gauss-Legendre nodes in [0, 1]
@@ -186,11 +153,10 @@ def edge_reference(k: int, npoints: int) -> EdgeReference:
 
 @dataclass
 class PolyQuadrature:
-    """Positive-weight quadrature exact for polynomials up to `degree`."""
+    """Positive-weight quadrature points and weights on a polygon or a stack."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def polygon_quadrature(coords: np.ndarray, degree: int, ears: np.ndarray) -> PolyQuadrature:
@@ -231,17 +197,7 @@ def polygon_quadrature(coords: np.ndarray, degree: int, ears: np.ndarray) -> Pol
         x += origin[..., d, None]
         x += e2[..., d, None] * v
     return PolyQuadrature(points=pts.reshape(lead + (-1, 2)),
-                          weights=(jac[..., None] * wt).reshape(lead + (-1,)),
-                          degree=degree)
-
-
-def mass_matrix(coords: np.ndarray, k: int, quad: PolyQuadrature | None = None) -> np.ndarray:
-    """Gram matrix of the scaled monomials of degree <= k on the polygon."""
-    basis = cell_basis(coords, k)
-    if quad is None or quad.degree < 2 * k:
-        quad = polygon_quadrature(coords, 2 * k, ear_triangles(coords))
-    vals = basis.evaluate(quad.points)
-    return (vals * quad.weights) @ vals.T
+                          weights=(jac[..., None] * wt).reshape(lead + (-1,)))
 
 
 def gk_perp_dimension(k: int) -> int:
@@ -378,21 +334,3 @@ def gk_perp_basis(k: int, inv_factor: np.ndarray, cells=None) -> np.ndarray:
     mz = mz.reshape(mz.shape[:-3] + z.shape)
     inv_small = inverse_cholesky(z.T @ mz, cells, "gradient-complement Gram")
     return mz @ inv_small.mT
-
-
-def l2_project_function(
-    coords: np.ndarray,
-    k: int,
-    func,
-    quad: PolyQuadrature | None = None,
-) -> np.ndarray:
-    """Coefficients of the L2(P) projection of a scalar function onto P_k."""
-    basis = cell_basis(coords, k)
-    if quad is None:
-        # data term needs headroom beyond the Gram's 2k exactness
-        quad = polygon_quadrature(coords, 2 * k + 8, ear_triangles(coords))
-    vals = basis.evaluate(quad.points)
-    fvals = np.asarray(func(quad.points), dtype=float)
-    rhs = vals @ (quad.weights * fvals)
-    mk = (vals * quad.weights) @ vals.T
-    return factor_solve(inverse_cholesky(mk, what="monomial Gram"), rhs)

@@ -398,9 +398,6 @@ class PolyMesh:
     def num_interior_edges(self) -> int:
         return self.num_edges - self.num_boundary_edges
 
-    def cell_coords(self, c: int) -> np.ndarray:
-        return self.vertices[self.cells[c]]
-
     def cell_groups(self, cells=None) -> list[CellGroup]:
         """The given cells (default all) grouped by vertex count.
 

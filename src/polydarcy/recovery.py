@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ncvem import NcElement, SpdSystem
-from .polybasis import ScaledMonomialBasis, factor_solve, gk_perp_dimension, n_monomials
+from .polybasis import (edge_reference, factor_solve, gk_perp_dimension, n_monomials,
+                        scaled_monomials)
 
 
 # Relative tolerances of the structural checks, applied after the rounding
@@ -86,8 +87,7 @@ class PiecewisePolyField:
 
         An array of cells (G,) with points (G, n, 2) gives (G, pi, n).
         """
-        basis = ScaledMonomialBasis(self.centers[c], self.diameters[c], self.degree)
-        return basis.evaluate(points)
+        return scaled_monomials(points, self.centers[c], self.diameters[c], self.degree)
 
     def values(self, c, monomials: np.ndarray) -> np.ndarray:
         """Field on cell c from a monomial table of degree >= `degree`.
@@ -360,9 +360,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         )
 
     # Boundary outflow: the stored normal of a boundary edge points out of
-    # its only cell, and int_f s^b ds = |f| 0.5^b / (b+1) for even b, 0 odd.
-    b = np.arange(k + 1)
-    weights = np.where(b % 2 == 0, 0.5 ** b / (b + 1), 0.0)
+    # its only cell, and the edge table's row sums are the edge means.
+    weights = edge_reference(k, k + 3).moments.sum(axis=1)
     bnd = mesh.boundary_mask
     parts = mesh.edge_lengths[bnd] * (edge_coeffs[bnd] @ weights)
     boundary_flux = float(parts.sum())

@@ -7,7 +7,9 @@ rule with an explicit collapse factor, the ear triangulation from clipping
 one vertex of a Python list at a time, a cell's edges from matching its
 sides against the edge table, the kernel inradius from a dense grid
 search, linear solves from a dense factorization, edge monomials from
-their definition (t - 1/2)^b on the segment a + t (b - a), the coupled
+their definition (t - 1/2)^b on the segment a + t (b - a), cell monomials
+and their gradients from their definition on a centroid taken from the
+exact first moments and a diameter from all vertex pairs, the coupled
 first-order system from one dense square solve instead of the sequential
 solve-then-recover pipeline, and the VTK file from one formatted write per
 line.
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from polydarcy.ncvem import SpdSystem, tensor_field
-from polydarcy.polybasis import cell_basis, n_monomials
+from polydarcy.polybasis import n_monomials
 from polydarcy.polymesh import polygon_area
 
 
@@ -31,6 +33,59 @@ def gk_perp_values(coeffs, monomials):
     """
     nk = len(monomials)
     return np.stack([coeffs[:nk].T @ monomials, coeffs[nk:].T @ monomials], axis=-1)
+
+
+def centroid_and_diameter(coords):
+    """Centroid (int x, int y) / |P| by the closed-form fan integrals, and
+    the largest distance between two vertices."""
+    coords = np.asarray(coords, float)
+    area = polygon_monomial_integral(coords, 0, 0)
+    center = np.array([polygon_monomial_integral(coords, 1, 0),
+                       polygon_monomial_integral(coords, 0, 1)]) / area
+    return center, max(math.dist(a, b) for a in coords for b in coords)
+
+
+def _scaled_coordinates(coords, k, pts):
+    center, h = centroid_and_diameter(coords)
+    pts = np.asarray(pts, float)
+    exponents = [(d - b, b) for d in range(k + 1) for b in range(d + 1)]
+    return (pts[:, 0] - center[0]) / h, (pts[:, 1] - center[1]) / h, h, exponents
+
+
+def cell_monomials(coords, k: int, pts) -> np.ndarray:
+    """Scaled monomials ((x - x_P)/h_P)^(a, b), a + b <= k, at pts: (pi_k, n).
+
+    Graded-lex order, (0,0), (1,0), (0,1), (2,0), ..., on the polygon's
+    centroid x_P and diameter h_P from `centroid_and_diameter`.
+    """
+    x, y, _, exponents = _scaled_coordinates(coords, k, pts)
+    return np.array([x ** a * y ** b for a, b in exponents])
+
+
+def cell_monomial_gradients(coords, k: int, pts) -> np.ndarray:
+    """Gradients of `cell_monomials` at pts by the power rule: (pi_k, n, 2)."""
+    x, y, h, exponents = _scaled_coordinates(coords, k, pts)
+    zero = np.zeros_like(x)
+    return np.array([np.column_stack([a * x ** (a - 1) * y ** b / h if a else zero,
+                                      b * x ** a * y ** (b - 1) / h if b else zero])
+                     for a, b in exponents])
+
+
+def monomial_gram(coords, k: int, n: int = 10) -> np.ndarray:
+    """L2(P) Gram of `cell_monomials` by the tensor-Gauss rule `polygon_gauss`."""
+    pts, w = polygon_gauss(coords, n)
+    vals = cell_monomials(coords, k, pts)
+    return (vals * w) @ vals.T
+
+
+def l2_projection(coords, k: int, f, n: int = 12) -> np.ndarray:
+    """Coefficients against `cell_monomials` of the L2(P) projection of f onto P_k.
+
+    Gram and moments by `polygon_gauss`, then a dense Cholesky solve.
+    """
+    pts, w = polygon_gauss(coords, n)
+    vals = cell_monomials(coords, k, pts)
+    return cholesky_solve((vals * w) @ vals.T, vals @ (w * f(pts)))
 
 
 def triangle_monomial_integral(v0, v1, v2, a: int, b: int) -> float:
@@ -186,8 +241,8 @@ def cell_edges(mesh, c: int) -> tuple:
 def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
     """Edge and interior scaled moments of an exact pressure on cell c.
 
-    Uses the package's cell-basis definition (that fixes the DOF meaning) but
-    integrates with plain Gauss rules.
+    The interior moments are against `cell_monomials` of degree k-1, which
+    fix the DOF meaning; every integral is a plain Gauss rule.
     """
     edge_ids = cell_edges(mesh, c)[0]
     nkm1 = n_monomials(k - 1)
@@ -201,9 +256,9 @@ def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
         vals = edge_monomials(t, k)
         out[pos * (k + 1):(pos + 1) * (k + 1)] = vals @ (0.5 * gw * p(pts))
     if nkm1:
-        coords = mesh.cell_coords(c)
+        coords = mesh.vertices[mesh.cells[c]]
         pts, w = polygon_gauss(coords, 12)
-        vals = cell_basis(coords, k - 1).evaluate(pts)
+        vals = cell_monomials(coords, k - 1, pts)
         out[len(edge_ids) * (k + 1):] = (vals @ (w * p(pts))) / polygon_area(coords)
     return out
 
@@ -245,15 +300,14 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
     perp = [None] * mesh.num_cells
     for element in system.groups:
         for row, c in enumerate(element.group.cells):
-            coords = mesh.cell_coords(c)
+            coords = mesh.vertices[mesh.cells[c]]
             area = polygon_area(coords)
             pts, w = polygon_gauss(coords, 12)
             u = velocity(pts)
-            basis = cell_basis(coords, k)
-            gm = basis.evaluate_gradient(pts)[1:nk]
+            gm = cell_monomial_gradients(coords, k, pts)[1:nk]
             grad[c] = (gm[:, :, 0] @ (w * u[:, 0])
                        + gm[:, :, 1] @ (w * u[:, 1])) / area
-            gv = gk_perp_values(element.gk_perp[row], basis.evaluate(pts))
+            gv = gk_perp_values(element.gk_perp[row], cell_monomials(coords, k, pts))
             perp[c] = (gv[:, :, 0] @ (w * u[:, 0])
                        + gv[:, :, 1] @ (w * u[:, 1])) / area
     return edge, grad, perp
@@ -313,7 +367,7 @@ def monolithic_solve(system: SpdSystem, K):
     p_off = kp_off + gdim * nc
     n_total = p_off + system.dofmap.n_global
 
-    rows_a = sum(len(g.group.cells) * (g.n_dofs - 1) for g in system.groups)
+    rows_a = sum(len(g.group.cells) * (g.stiffness.shape[-1] - 1) for g in system.groups)
     rows_b = gdim * nc
     rows_c = nk * nc
     if rows_a + rows_b + rows_c != n_total:
@@ -324,8 +378,8 @@ def monolithic_solve(system: SpdSystem, K):
     row = 0
     for g in system.groups:
         for m, c in enumerate(g.group.cells):
-            coords = mesh.cell_coords(c)
-            n_edges, n_dofs, area = g.n_edges, g.n_dofs, polygon_area(coords)
+            coords = mesh.vertices[mesh.cells[c]]
+            n_edges, n_dofs, area = g.n_edges, g.stiffness.shape[-1], polygon_area(coords)
             edge_ids, edge_signs = cell_edges(mesh, c)
             glob = system.dofmap.global_indices(edge_ids, c)
             free = glob < system.dofmap.n_global
@@ -374,7 +428,7 @@ def monolithic_solve(system: SpdSystem, K):
                 # members, by the independent tensor-Gauss rule
                 pts, w = polygon_gauss(coords, n=12)
                 kv = kfun(pts)
-                mv = cell_basis(coords, k).evaluate(pts)
+                mv = cell_monomials(coords, k, pts)
                 gv = gk_perp_values(g.gk_perp[m], mv)
                 for j in range(gdim):
                     kg_x = kv[:, 0, 0] * gv[j, :, 0] + kv[:, 1, 0] * gv[j, :, 1]

@@ -12,8 +12,8 @@ import numpy as np
 import oracles
 from polydarcy import linsolve, ncvem, polymesh, study
 from polydarcy.cases import ManufacturedCase, get_case, polynomial_case
-from polydarcy.polybasis import (ear_triangles, gk_perp_basis, gk_perp_dimension,
-                                 inverse_cholesky, mass_matrix, polygon_quadrature)
+from polydarcy.polybasis import gk_perp_dimension, polygon_quadrature
+from polydarcy.polymesh import ear_triangles
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8],
                      [0.6, 1.3], [-0.2, 0.9]])
@@ -94,7 +94,7 @@ def test_criterion_3_patch_exactness(capsys):
                 exact = oracles.exact_local_dofs(mesh, c, k, case.pressure)
                 diffs.append(np.abs(got[row] - exact).max())
         for c in range(mesh.num_cells):
-            pts, _ = oracles.polygon_gauss(mesh.cell_coords(c), 8)
+            pts, _ = oracles.polygon_gauss(mesh.vertices[mesh.cells[c]], 8)
             diffs.append(np.abs(result.velocity.projected.evaluate(c, pts)
                                 - case.velocity(pts)).max())
         worst[k] = max(diffs)
@@ -188,17 +188,17 @@ def test_criterion_6_kernel_suites(capsys):
     dims = [gk_perp_dimension(k) for k in range(5)]
     if dims != [0, 1, 3, 6, 10]:
         failures.append(f"complement dims {dims}")
-    for k in range(5):
-        gkp = gk_perp_basis(k, inverse_cholesky(mass_matrix(PENTAGON, k)))
-        if gkp.shape[1] != dims[k]:
+    mesh = polymesh.build_topology(PENTAGON, [np.arange(5)])
+    elements = [ncvem.build_element(mesh, mesh.cell_groups()[0], k) for k in range(5)]
+    for k, element in enumerate(elements):
+        if element.gk_perp.shape[-1] != dims[k]:
             failures.append(f"complement basis rank k={k}")
 
     # projector polynomial reproduction and idempotence
     worst_proj = 0.0
-    for k in range(4):
-        mesh = polymesh.build_topology(PENTAGON, [np.arange(5)])
-        element = ncvem.build_element(mesh, mesh.cell_groups()[0], k)
-        dmat = ncvem.monomial_dofs(element)[0]
+    for k, element in enumerate(elements[:4]):
+        dmat = ncvem._monomial_dof_table(element.edge_cross, element.edge_lengths,
+                                         element.mass, element.group.area, k)[0]
         p_nabla = element.p_nabla[0]
         eye = np.eye(dmat.shape[1])
         nk = element.p0k.shape[1]
@@ -206,7 +206,7 @@ def test_criterion_6_kernel_suites(capsys):
                          np.abs(p_nabla @ dmat - eye).max(),
                          np.abs(element.p0[0] @ dmat - eye).max(),
                          np.abs(element.p0k[0] @ dmat[:, :nk] - eye[:nk, :nk]).max())
-        chi = np.random.default_rng(k).standard_normal(element.n_dofs)
+        chi = np.random.default_rng(k).standard_normal(element.stiffness.shape[-1])
         once = p_nabla @ chi
         twice = p_nabla @ (dmat @ once)
         worst_proj = max(worst_proj,

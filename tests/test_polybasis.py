@@ -1,4 +1,4 @@
-"""Scaled monomial bases, quadrature, Grams and L2 projections."""
+"""Scaled monomials, quadrature, Grams and L2 projections."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 
 import oracles
 from polydarcy import polymesh
+from polydarcy.ncvem import build_element
 from polydarcy.polybasis import (
-    ScaledMonomialBasis,
     _gauss_jacobi01,
     _gauss_legendre01,
-    cell_basis,
-    ear_triangles,
     edge_reference,
     factor_solve,
     gk_perp_basis,
@@ -20,17 +18,28 @@ from polydarcy.polybasis import (
     gradient_coefficient_matrix,
     gradient_gram,
     inverse_cholesky,
-    l2_project_function,
-    mass_matrix,
     monomial_exponents,
     monomial_index,
     n_monomials,
     polygon_quadrature,
+    scaled_monomials,
 )
-from polydarcy.polymesh import MeshError
+from polydarcy.polymesh import MeshError, ear_triangles
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
+
+
+def one_cell(coords, k, f=None):
+    """The element build's record of the polygon as a mesh of one cell."""
+    mesh = polymesh.build_topology(np.asarray(coords, float), [list(range(len(coords)))])
+    return build_element(mesh, mesh.cell_groups()[0], k, f=f)
+
+
+def build_mass(coords, k):
+    """The degree-k monomial Gram of the polygon, as the element build forms it."""
+    nk = n_monomials(k)
+    return one_cell(coords, k).mass[0, :nk, :nk]
 
 
 def test_monomial_counts_and_order():
@@ -41,24 +50,37 @@ def test_monomial_counts_and_order():
 
 
 def test_cell_basis_scaling_on_unit_square():
-    basis = cell_basis(UNIT_SQUARE, 3)
-    assert len(basis) == 10
-    assert basis.diameter == pytest.approx(math.sqrt(2.0))
-    assert np.allclose(basis.center, [0.5, 0.5])
+    (group,) = polymesh.generate_uniform_quads(1, 1).cell_groups()
+    assert group.diameter[0] == pytest.approx(math.sqrt(2.0))
+    assert np.allclose(group.center[0], [0.5, 0.5])
     # member (1, 0) at the corner (1, 1): (1 - 1/2) / sqrt(2)
-    vals = basis.evaluate(np.array([[1.0, 1.0]]))
+    vals = scaled_monomials(np.array([[1.0, 1.0]]), group.center[0], group.diameter[0], 3)
+    assert vals.shape == (10, 1)
     assert vals[monomial_index(1, 0), 0] == pytest.approx(0.353553, abs=1e-6)
     assert vals[0, 0] == 1.0
 
 
-def test_cell_basis_gradients_match_differences():
-    basis = cell_basis(PENTAGON, 3)
-    pts = np.array([[0.4, 0.3], [0.9, 0.7]])
+def _difference_gradients(pts, center, diameter, degree):
+    """Central differences of `scaled_monomials`, (..., pi_degree, n, 2)."""
     h = 1e-6
-    grads = basis.evaluate_gradient(pts)
-    for d, step in enumerate([np.array([h, 0.0]), np.array([0.0, h])]):
-        fd = (basis.evaluate(pts + step) - basis.evaluate(pts - step)) / (2 * h)
-        assert np.abs(grads[:, :, d] - fd).max() < 1e-8
+    return np.stack([(scaled_monomials(pts + step, center, diameter, degree)
+                      - scaled_monomials(pts - step, center, diameter, degree)) / (2 * h)
+                     for step in (np.array([h, 0.0]), np.array([0.0, h]))], axis=-1)
+
+
+def _table_gradients(pts, center, diameter, degree):
+    """Gradients by the exact-gradient table on the degree-1-lower values."""
+    emat = gradient_coefficient_matrix(degree, diameter)
+    lower = scaled_monomials(pts, center, diameter, degree - 1)
+    nk = n_monomials(degree - 1)
+    return np.stack([emat[..., :nk, :].mT @ lower, emat[..., nk:, :].mT @ lower], axis=-1)
+
+
+def test_cell_basis_gradients_match_differences():
+    center, diameter = oracles.centroid_and_diameter(PENTAGON)
+    pts = np.array([[0.4, 0.3], [0.9, 0.7]])
+    grads = _table_gradients(pts, center, diameter, 3)
+    assert np.abs(grads - _difference_gradients(pts, center, diameter, 3)).max() < 1e-8
 
 
 @pytest.mark.parametrize("mesh, cells", [
@@ -66,18 +88,19 @@ def test_cell_basis_gradients_match_differences():
     (polymesh.generate_uniform_quads(3, 3), None),
 ])
 def test_stacked_basis_gradients_match_differences(mesh, cells):
-    # a group's basis is stacked, one member per cell, on the group's
-    # centroids and diameters as the element build makes it
+    # a group's monomials are stacked, one member per cell, on the group's
+    # centroids and diameters as the element build takes them
     (group,) = mesh.cell_groups(cells)
-    basis = ScaledMonomialBasis(group.center, group.diameter, 1)
     offsets = np.array([[0.02, -0.03], [-0.04, 0.01], [0.0, 0.05]])
-    pts = basis.center[:, None, :] + offsets
-    h = 1e-6
-    grads = basis.evaluate_gradient(pts)
-    assert grads.shape == (len(group.cells), len(basis), len(offsets), 2)
-    for d, step in enumerate([np.array([h, 0.0]), np.array([0.0, h])]):
-        fd = (basis.evaluate(pts + step) - basis.evaluate(pts - step)) / (2 * h)
-        assert np.abs(grads[..., d] - fd).max() < 1e-8
+    pts = group.center[:, None, :] + offsets
+    vals = scaled_monomials(pts, group.center, group.diameter, 2)
+    assert vals.shape == (len(group.cells), n_monomials(2), len(offsets))
+    for i in range(len(group.cells)):
+        one = scaled_monomials(pts[i], group.center[i], group.diameter[i], 2)
+        assert np.array_equal(vals[i], one)
+    grads = _table_gradients(pts, group.center, group.diameter, 2)
+    fd = _difference_gradients(pts, group.center, group.diameter, 2)
+    assert np.abs(grads - fd).max() < 1e-8
 
 
 SKEWED_EDGE = (np.array([0.2, -0.1]), np.array([0.9, 0.6]))
@@ -117,7 +140,7 @@ def test_edge_reference_projector_is_exact(k):
     assert np.abs(ref.projector @ values - coeffs).max() < 1e-13
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", range(7))
 def test_edge_reference_gram_closed_form(k):
     # int_f s^i s^j ds = |f| (1/2)^p / (p + 1) for even p = i + j, else 0
     start, end = SKEWED_EDGE
@@ -131,6 +154,10 @@ def test_edge_reference_gram_closed_form(k):
             p = i + j
             exact = length * 0.5 ** p / (p + 1) if p % 2 == 0 else 0.0
             assert gram[i, j] == pytest.approx(exact, abs=1e-15)
+    # the row sums are the edge means (1/|f|) int_f s^b ds, row 0 of the
+    # closed-form Gram over |f|: the recovery's boundary-outflow weights
+    exact_means = [0.5 ** b / (b + 1) if b % 2 == 0 else 0.0 for b in range(k + 1)]
+    assert np.abs(ref.moments.sum(axis=1) - exact_means).max() <= 1e-15
 
 
 def test_quadrature_integrates_xy_on_unit_square():
@@ -299,19 +326,15 @@ def test_loop_without_ear_is_refused(coords):
 
 
 def test_mass_matrix_k0_is_area():
-    assert mass_matrix(UNIT_SQUARE, 0) == pytest.approx(np.array([[1.0]]))
+    assert one_cell(UNIT_SQUARE, 0).mass[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_mass_matrix_spd_and_matches_oracle():
-    k = 3
-    gram = mass_matrix(PENTAGON, k)
+    # the build's degree-(k+1) Gram against the oracle's monomials and rule
+    gram = one_cell(PENTAGON, 2).mass[0]
     assert np.abs(gram - gram.T).max() < 1e-15
     assert np.linalg.eigvalsh(gram).min() > 0.0
-    basis = cell_basis(PENTAGON, k)
-    pts, w = oracles.polygon_gauss(PENTAGON, n=10)
-    vals = basis.evaluate(pts)
-    ref = (vals * w) @ vals.T
-    assert np.abs(gram - ref).max() < 1e-13
+    assert np.abs(gram - oracles.monomial_gram(PENTAGON, 3)).max() < 1e-13
 
 
 def test_gk_perp_dimensions():
@@ -320,16 +343,16 @@ def test_gk_perp_dimensions():
 
 
 def test_gk_perp_k0_is_empty():
-    gkp = gk_perp_basis(0, inverse_cholesky(mass_matrix(UNIT_SQUARE, 0)))
+    gkp = gk_perp_basis(0, inverse_cholesky(build_mass(UNIT_SQUARE, 0)))
     assert gkp.shape == (2, 0)
 
 
 def test_gk_perp_k1_spans_rotation_on_square():
     square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    gkp = gk_perp_basis(1, inverse_cholesky(mass_matrix(square, 1)))
+    gkp = gk_perp_basis(1, inverse_cholesky(build_mass(square, 1)))
     assert gkp.shape[1] == 1
     pts = np.array([[0.1, 0.2], [-0.3, 0.25], [0.4, -0.1]])
-    vals = oracles.gk_perp_values(gkp, cell_basis(square, 1).evaluate(pts))[0]
+    vals = oracles.gk_perp_values(gkp, oracles.cell_monomials(square, 1, pts))[0]
     rot = np.column_stack([-pts[:, 1], pts[:, 0]])
     ratios = vals / rot
     assert np.abs(ratios - ratios[0, 0]).max() < 1e-12
@@ -339,12 +362,11 @@ def _check_gk_perp(gkp, coords, k):
     dim = gkp.shape[1]
     assert dim == gk_perp_dimension(k)
     quad = polygon_quadrature(coords, 2 * k + 2, ear_triangles(coords))
-    gvals = oracles.gk_perp_values(gkp, cell_basis(coords, k).evaluate(quad.points))
-    basis = cell_basis(coords, k + 1)
-    mgrads = basis.evaluate_gradient(quad.points)
+    gvals = oracles.gk_perp_values(gkp, oracles.cell_monomials(coords, k, quad.points))
+    mgrads = oracles.cell_monomial_gradients(coords, k + 1, quad.points)
     area = abs(polymesh.polygon_area(coords))
     for i in range(dim):
-        for j in range(1, len(basis)):
+        for j in range(1, len(mgrads)):
             pair = float(quad.weights @ (gvals[i] * mgrads[j]).sum(axis=1))
             assert abs(pair) < 1e-10 * area
     gram = np.einsum("q,iqd,jqd->ij", quad.weights, gvals, gvals)
@@ -353,16 +375,14 @@ def _check_gk_perp(gkp, coords, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
-    gkp = gk_perp_basis(k, inverse_cholesky(mass_matrix(PENTAGON, k)))
+    gkp = gk_perp_basis(k, inverse_cholesky(build_mass(PENTAGON, k)))
     _check_gk_perp(gkp, PENTAGON, k)
-    # one stacked input, every member checked: the 5-gon group of a mesh
+    # one stacked input, every member checked: the 5-gon group of a mesh,
+    # as the element build makes its basis
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
     group = next(g for g in mesh.cell_groups() if g.loops.shape[1] == 5)
     stack = mesh.vertices[group.loops]
-    quad = polygon_quadrature(stack, 2 * k, ear_triangles(stack))
-    vals = cell_basis(stack, k).evaluate(quad.points)
-    mass = (vals * quad.weights[:, None, :]) @ vals.mT
-    stacked = gk_perp_basis(k, inverse_cholesky(mass))
+    stacked = build_element(mesh, group, k).gk_perp
     assert stacked.shape == (len(stack), 2 * n_monomials(k), gk_perp_dimension(k))
     for coords, coeffs in zip(stack, stacked):
         _check_gk_perp(coeffs, coords, k)
@@ -374,7 +394,7 @@ def test_gk_perp_names_first_member_with_bad_gram(defect):
     # complement's own small Gram; either error names the member's cell
     stack = np.stack([PENTAGON, PENTAGON + 1.0, PENTAGON - 2.0])
     cells = np.array([4, 12, 30])
-    mass = np.stack([mass_matrix(coords, 1) for coords in stack])
+    mass = np.stack([build_mass(coords, 1) for coords in stack])
     if defect == "negated":
         mass[1] = -mass[1]
         with pytest.raises(ValueError, match="^cell 12: monomial Gram"):
@@ -387,14 +407,13 @@ def test_gk_perp_names_first_member_with_bad_gram(defect):
 
 
 def test_gradient_coefficient_matrix_is_exact():
-    basis = cell_basis(PENTAGON, 2)
-    emat = gradient_coefficient_matrix(2, basis.diameter)
+    _, diameter = oracles.centroid_and_diameter(PENTAGON)
+    emat = gradient_coefficient_matrix(2, diameter)
     pts = np.array([[0.3, 0.4], [0.8, 0.1], [0.5, 0.9]])
-    lower = cell_basis(PENTAGON, 1)
-    vals = lower.evaluate(pts)
-    grads = basis.evaluate_gradient(pts)
-    nk = len(lower)
-    for j in range(len(basis)):
+    vals = oracles.cell_monomials(PENTAGON, 1, pts)
+    grads = oracles.cell_monomial_gradients(PENTAGON, 2, pts)
+    nk = len(vals)
+    for j in range(len(grads)):
         gx = emat[:nk, j] @ vals
         gy = emat[nk:, j] @ vals
         assert np.abs(np.column_stack([gx, gy]) - grads[j]).max() < 1e-13
@@ -404,11 +423,12 @@ def test_gradient_coefficient_matrix_is_exact():
 def test_gradient_gram_pairs_monomial_gradients(k):
     # H'[i, j] = int_P grad m_i . grad m_j over the nonconstant monomials
     # of degree <= k+1, from the degree-k Gram and the gradient table
-    basis = cell_basis(PENTAGON, k + 1)
-    got = gradient_gram(mass_matrix(PENTAGON, k),
-                        gradient_coefficient_matrix(k + 1, basis.diameter))
+    element = one_cell(PENTAGON, k)
+    nk = n_monomials(k)
+    got = gradient_gram(element.mass[0, :nk, :nk],
+                        gradient_coefficient_matrix(k + 1, element.group.diameter[0]))
     pts, w = oracles.polygon_gauss(PENTAGON, n=10)
-    grads = basis.evaluate_gradient(pts)[1:]
+    grads = oracles.cell_monomial_gradients(PENTAGON, k + 1, pts)[1:]
     ref = np.einsum("n,ina,jna->ij", w, grads, grads)
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
 
@@ -432,13 +452,13 @@ def test_inverse_cholesky_solves_stacked_grams():
 
 
 def test_l2_projection_reproduces_polynomials():
-    basis = cell_basis(PENTAGON, 2)
+    # the build's source coefficients Pi0_k f give back a polynomial of P_k
     coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1])
 
     def poly(pts):
-        return coeffs @ basis.evaluate(pts)
+        return coeffs @ oracles.cell_monomials(PENTAGON, 2, pts)
 
-    out = l2_project_function(PENTAGON, 2, poly)
+    out = one_cell(PENTAGON, 2, f=poly).f_coeffs[0]
     assert np.abs(out - coeffs).max() < 1e-12
 
 
@@ -448,26 +468,13 @@ def test_l2_projection_idempotent():
     def f(pts):
         return np.sin(pts[:, 0]) * np.exp(pts[:, 1])
 
-    once = l2_project_function(PENTAGON, k, f)
-    basis = cell_basis(PENTAGON, k)
+    once = one_cell(PENTAGON, k, f=f).f_coeffs[0]
 
     def projected(pts):
-        return once @ basis.evaluate(pts)
+        return once @ oracles.cell_monomials(PENTAGON, k, pts)
 
-    twice = l2_project_function(PENTAGON, k, projected)
+    twice = one_cell(PENTAGON, k, f=projected).f_coeffs[0]
     assert np.abs(twice - once).max() < 1e-12
-
-
-def test_l2_projection_of_sine_matches_dense_oracle():
-    k = 2
-    out = l2_project_function(UNIT_SQUARE, k, lambda pts: np.sin(pts[:, 0]))
-    basis = cell_basis(UNIT_SQUARE, k)
-    pts, w = oracles.polygon_gauss(UNIT_SQUARE, n=12)  # degree-12 class rule
-    vals = basis.evaluate(pts)
-    gram = (vals * w) @ vals.T
-    rhs = vals @ (w * np.sin(pts[:, 0]))
-    ref = oracles.cholesky_solve(gram, rhs)
-    assert np.abs(out - ref).max() < 1e-10
 
 
 def test_l2_projection_orthogonality():
@@ -476,11 +483,13 @@ def test_l2_projection_orthogonality():
     def f(pts):
         return np.cos(2.0 * pts[:, 0]) + pts[:, 1] ** 4
 
-    quad = polygon_quadrature(PENTAGON, 14, ear_triangles(PENTAGON))
-    coeffs = l2_project_function(PENTAGON, k, f, quad=quad)
-    basis = cell_basis(PENTAGON, k)
-    vals = basis.evaluate(quad.points)
-    residual = f(quad.points) - coeffs @ vals
+    element = one_cell(PENTAGON, k, f=f)
+    group = element.group
+    # the build's own rule, exact to 2(k+2), is the inner product that
+    # defines its projection
+    quad = polygon_quadrature(PENTAGON, 2 * (k + 2), group.ears[0])
+    vals = scaled_monomials(quad.points, group.center[0], group.diameter[0], k)
+    residual = f(quad.points) - element.f_coeffs[0] @ vals
     # the projection error is L2-orthogonal to every member of P_k
     pairs = vals @ (quad.weights * residual)
     assert np.abs(pairs).max() < 1e-10

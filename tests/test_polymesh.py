@@ -67,7 +67,7 @@ def test_eight_by_eight_quality():
     generate_distorted_polygonal(6, 6, seed=3, distortion=0.25),
 ])
 def test_cell_areas_tile_the_unit_square(mesh):
-    total = sum(polygon_area(mesh.cell_coords(c)) for c in range(mesh.num_cells))
+    total = sum(polygon_area(mesh.vertices[mesh.cells[c]]) for c in range(mesh.num_cells))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -328,7 +328,7 @@ def test_kernel_inradius_against_grid_search():
                   [1.0, 2.0], [0.0, 2.0]]),  # L-shape, kernel smaller than hull
     ]
     mesh = generate_distorted_polygonal(3, 3, seed=8, distortion=0.3)
-    cells += [mesh.cell_coords(c) for c in range(3)]
+    cells += [mesh.vertices[mesh.cells[c]] for c in range(3)]
     for coords in cells:
         exact = kernel_inradius(coords)
         grid = oracles.kernel_inradius_grid(coords, n=400)

@@ -10,7 +10,8 @@ import pytest
 
 from polydarcy import linsolve, ncvem, polybasis, polymesh, recovery, study, vtk_export
 from polydarcy.cases import get_case, polynomial_case
-from polydarcy.polybasis import ear_triangles, n_monomials, polygon_quadrature
+from polydarcy.polybasis import n_monomials, polygon_quadrature
+from polydarcy.polymesh import ear_triangles
 from polydarcy.study import ConvergenceRow
 
 
@@ -72,7 +73,7 @@ def test_error_norms_match_cellwise_oracle(k):
     err = dict.fromkeys(["u", "p", "grad_p", "div", "rt"], 0.0)
     ref = dict.fromkeys(["u", "p", "grad_p", "div"], 0.0)
     for c in range(mesh.num_cells):
-        coords = mesh.cell_coords(c)
+        coords = mesh.vertices[mesh.cells[c]]
         quad = polygon_quadrature(coords, 2 * (k + 3), ear_triangles(coords))
         pts, w = quad.points, quad.weights
         exact = {"u": case.velocity(pts), "p": case.pressure(pts),
@@ -139,6 +140,14 @@ def test_no_gram_is_factored_after_the_solve(monkeypatch, tmp_path):
         vtk_export.export_vtk(result, str(tmp_path / f"k{k}.vtk"))
 
 
+def _geometry_holders(*functions):
+    """(module, name) of every name in the package's modules bound to one of them."""
+    return [(module, name) for module_name, module in list(sys.modules.items())
+            if module_name.split(".")[0] == "polydarcy"
+            for name, value in vars(module).items()
+            if any(value is fn for fn in functions)]
+
+
 def test_error_norms_reuse_the_build_ears(monkeypatch):
     # every cell is cut into ears once per mesh, in build_topology; the
     # error pass maps its rule onto the stored ears
@@ -150,8 +159,10 @@ def test_error_norms_reuse_the_build_ears(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ear clipping after the element build")
 
-    monkeypatch.setattr(polybasis, "ear_triangles", refuse)
-    monkeypatch.setattr(polymesh, "ear_triangles", refuse)
+    holders = _geometry_holders(polymesh.ear_triangles)
+    for module, name in holders:
+        monkeypatch.setattr(module, name, refuse)
+    assert (polymesh, "ear_triangles") in holders
     for result, row in zip(results, rows):
         assert study.error_norms(result, case) == row
 
@@ -178,17 +189,15 @@ def test_no_cell_is_measured_or_cut_after_build_topology(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a cell measured or cut after build_topology")
 
-    geometry = (polymesh.polygon_area, polymesh.polygon_centroid,
-                polymesh.polygon_diameter, polymesh.ear_triangles)
-    holders = [(module, name) for module_name, module in list(sys.modules.items())
-               if module_name.split(".")[0] == "polydarcy"
-               for name, value in vars(module).items()
-               if any(value is fn for fn in geometry)]
+    holders = _geometry_holders(polymesh.polygon_area, polymesh.polygon_centroid,
+                                polymesh.polygon_diameter, polymesh.ear_triangles)
     for module, name in holders:
         monkeypatch.setattr(module, name, refuse)
     patched = {f"{module.__name__}.{name}" for module, name in holders}
-    assert {"polydarcy.polymesh.ear_triangles", "polydarcy.polybasis.ear_triangles",
-            "polydarcy.polybasis.polygon_centroid", "polydarcy.polymesh.polygon_area"} <= patched
+    assert {"polydarcy.polymesh.ear_triangles", "polydarcy.polymesh.polygon_centroid",
+            "polydarcy.polymesh.polygon_area"} <= patched
+    # the polynomial algebra holds no geometry routine under any name
+    assert not any(module is polybasis for module, _ in holders)
     assert run() == expected
 
 
