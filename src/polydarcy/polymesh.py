@@ -1,10 +1,10 @@
 """Conforming polygonal meshes of 2D domains.
 
-Cells are star-shaped simple polygons stored as counterclockwise vertex
-loops.  The topology builder derives a global edge table in which every edge
-is the unordered pair of its endpoints; two cells sharing an edge therefore
-agree on its identity, which is what makes edge-based degrees of freedom
-single-valued across the mesh.
+Cells are simple polygons, star-shaped or not, stored as counterclockwise
+vertex loops.  The topology builder derives a global edge table in which
+every edge is the unordered pair of its endpoints; two cells sharing an edge
+therefore agree on its identity, which is what makes edge-based degrees of
+freedom single-valued across the mesh.
 
 Conventions fixed here and relied on by the discretization modules:
 
@@ -16,20 +16,20 @@ Conventions fixed here and relied on by the discretization modules:
 
 One validity routine, `_loop_defects`, decides whether loops are admissible
 cells, for a whole stack of loops with one vertex count at a time: positive
-signed area, then the pairwise edge test for simplicity, then
-star-shapedness (the centroid half-plane test of `_is_star`, with
-the exact Chebyshev disk of the kernel, `_chebyshev_disks`, only for the
-loops whose centroid fails it).
+signed area, then the pairwise edge test for simplicity, and nothing else.
 `build_topology` runs it per vertex-count group and builds the edge table
 from the sorted vertex pairs.  The distorted-mesh generator runs it on
 blocks of speculatively placed vertices and rewinds its random stream at a
 rejected candidate, so it returns the meshes of placing one vertex at a
-time.
+time.  Every simple polygon has an ear, so the ear quadrature covers any
+cell.  A nonempty kernel, which the VEM error analysis assumes, is only
+reported: `mesh_quality` gives a cell that is not star-shaped a kernel
+radius ratio of 0.0.
 
 `build_topology` keeps its vertex-count groups as the mesh's `CellGroup`s:
-each stacks its cells' loops, edges and edge signs with their areas,
-centroids and diameters, which `_loop_defects` measured for its tests, and
-their first-ear triangulations (`ear_triangles`).  So every cell is
+each stacks its cells' loops, edges and edge signs with their areas and
+diameters, which `_loop_defects` measured for its tests, their centroids
+and their first-ear triangulations (`ear_triangles`).  So every cell is
 grouped, measured and cut once per mesh, and the element build, the error
 integration and the quality report read these arrays.
 
@@ -94,9 +94,9 @@ def polygon_area(coords: np.ndarray):
 
 # Smallest signed area of an admissible loop: the centroid divides by it.
 _MIN_AREA = 1e-300
-# Largest vertex coordinate magnitude.  The validator's highest-degree
-# product is the centroid's (x + x') (x y' - x' y), at most 4e300 per vertex
-# at this bound, so no sum it forms overflows.
+# Largest vertex coordinate magnitude.  The highest-degree product that
+# `build_topology` forms is the centroid's (x + x') (x y' - x' y), at most
+# 4e300 per vertex at this bound, so no sum it forms overflows.
 _MAX_COORD = 1e100
 
 
@@ -220,8 +220,8 @@ def _is_simple(coords: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return ~(folded.any(axis=-1) | (meet | overlap).any(axis=-1))
 
 
-def _chebyshev_disks(coords: np.ndarray) -> tuple:
-    """Largest disks inside the kernels of a stack of CCW loops (..., n, 2).
+def kernel_inradius(coords: np.ndarray):
+    """Radius of the largest disk inside the kernel of a CCW polygon.
 
     The kernel is the intersection of the half-planes left of each edge.
     With n_i the unit outward normal of edge i and b_i = n_i . a_i for its
@@ -233,13 +233,13 @@ def _chebyshev_disks(coords: np.ndarray) -> tuple:
     score is r where the candidate satisfies every row and less where it
     does not, so the best score is the optimum and no feasibility tolerance
     is needed.  A triple in which two lines face the same way has no unique
-    solution and is masked.  Returns the centers (..., 2) and radii (...); a radius <= 0
-    means an empty kernel (or one without interior).  Raises MeshError for a
-    zero-length edge.
+    solution and is masked.  0.0 for an empty kernel (or one without
+    interior), and (...) radii for a stack (..., n, 2).  Raises MeshError
+    for a zero-length edge.
     """
+    coords = np.asarray(coords, dtype=float)
     n = coords.shape[-2]
-    origin = coords.mean(axis=-2, keepdims=True)  # rows at the loop's own scale
-    a = coords - origin
+    a = coords - coords.mean(axis=-2, keepdims=True)  # rows at the loop's own scale
     d = np.roll(a, -1, axis=-2) - a
     length = np.hypot(d[..., 0], d[..., 1])
     if np.any(length == 0.0):
@@ -259,68 +259,28 @@ def _chebyshev_disks(coords: np.ndarray) -> tuple:
     for m in range(n):
         np.minimum(score, b[..., m, None] - nx[..., m, None] * x - ny[..., m, None] * y,
                    out=score)
-    best = np.argmax(score, axis=-1)[..., None, None]
-    center = np.take_along_axis(np.stack([x, y], axis=-1), best, -2)[..., 0, :]
-    return center + origin[..., 0, :], score.max(axis=-1)
-
-
-def kernel_inradius(coords: np.ndarray):
-    """Radius of the largest disk inside the kernel of a CCW polygon.
-
-    Solved exactly over the triples of edge lines (see `_chebyshev_disks`);
-    0.0 for an empty kernel, and (...) radii for a stack (..., n, 2).
-    """
-    return np.maximum(_chebyshev_disks(np.asarray(coords, dtype=float))[1], 0.0)
-
-
-def _is_star(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Mask (...) of the CCW loops (..., n, 2) with centroids `center`
-    (..., 2) that are star-shaped.
-
-    The kernel is the intersection of the inner half-planes of the edges, so
-    a loop is star-shaped when its centroid lies strictly on the inner side
-    of every edge; only the loops whose centroid fails go, as one stack, to
-    the exact Chebyshev disk of the kernel (`_chebyshev_disks`), and are
-    star-shaped when its radius is positive.
-    """
-    d = np.roll(pts, -1, axis=-2) - pts
-    rel = center[..., None, :] - pts
-    star = np.array(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0, axis=-1))
-    if not np.all(star):
-        star[~star] = _chebyshev_disks(pts[~star])[1] > 0.0
-    return star
+    return np.maximum(score.max(axis=-1), 0.0)
 
 
 # Why a loop is not admissible as a cell; `_loop_defects` returns code i + 1
 # for _LOOP_DEFECTS[i].
-_LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate",
-                 "self-intersecting polygon", "polygon is not star-shaped")
+_LOOP_DEFECTS = ("loop is not counterclockwise or is degenerate", "self-intersecting polygon")
 
 
 def _loop_defects(coords: np.ndarray) -> tuple:
     """The one cell-validity routine, over a (G, n, 2) stack of loops.
 
     A loop is admissible when its signed area is at least `_MIN_AREA`
-    (positive, and large enough for `polygon_centroid`), it is simple
-    (`_is_simple`, at the scale of its diameter) and it is star-shaped
-    (`_is_star`: the centroid test, then one stacked `_chebyshev_disks`
-    call for the loops whose centroid fails it, a kernel radius > 0
-    deciding).  Each test runs only on the loops that passed the ones
-    before it.  Returns the (G,) codes, 0 for an admissible loop, else 1, 2
-    or 3 for the first test it fails, in that order; then the measures the
-    tests took: the (G,) areas, and the diameters and centroids of the
-    loops that reached the simplicity and the star test, in row order.  So
-    when every code is 0 they are the measures of every loop.
+    (positive, and large enough for `polygon_centroid`) and it is simple
+    (`_is_simple`, at the scale of its diameter); any such loop is a cell,
+    star-shaped or not.  Returns the (G,) codes, 0 for an admissible loop,
+    else 1 or 2 for the first test it fails, in that order; then the (G,)
+    areas and diameters the tests took.
     """
-    measures = [polygon_area(coords)]
-    defects = np.where(measures[0] >= _MIN_AREA, 0, 1)
-    for code, measure, test in ((2, polygon_diameter, _is_simple),
-                                (3, polygon_centroid, _is_star)):
-        rows = np.flatnonzero(defects == 0)
-        loops = coords[rows]
-        measures.append(measure(loops))
-        defects[rows[~test(loops, measures[-1])]] = code
-    return defects, *measures
+    area = polygon_area(coords)
+    diameter = polygon_diameter(coords)
+    defects = np.where(area < _MIN_AREA, 1, np.where(_is_simple(coords, diameter), 0, 2))
+    return defects, area, diameter
 
 
 @dataclass
@@ -337,10 +297,10 @@ class CellGroup:
     """Cells of one vertex count n, stacked: row i describes cell `cells[i]`.
 
     `build_topology` forms the groups and measures and cuts every cell here,
-    once per mesh: the area, centroid and diameter are those that
-    `_loop_defects` took with `polygon_area`, `polygon_centroid` and
-    `polygon_diameter` for its tests, and the ears come from
-    `ear_triangles`, all on the stacked loops.
+    once per mesh: the area and diameter are those that `_loop_defects`
+    took with `polygon_area` and `polygon_diameter` for its tests, and the
+    centroid and ears come from `polygon_centroid` and `ear_triangles`, all
+    on the stacked loops.
     """
 
     cells: np.ndarray     # (G,) cell indices, ascending
@@ -424,8 +384,8 @@ def _check_loops(vertices: np.ndarray, loops: list) -> tuple:
     Index checks run per vertex-count group, and `_loop_defects` on the
     loops that pass them; a cell is reported for the first check it fails.
     Returns the (C,) vertex counts and, by ascending count n, the (G,)
-    cells of that count with their (G, n) loops and the (G,) areas, (G,)
-    diameters and (G, 2) centroids that `_loop_defects` measured.
+    cells of that count with their (G, n) loops and the (G,) areas and
+    diameters that `_loop_defects` measured.
     """
     sizes = np.array([loop.size if loop.ndim == 1 else 0 for loop in loops], dtype=np.int64)
     defects = np.where(sizes < 3, 1, 0)
@@ -515,13 +475,14 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
     the first vertex that is not, as `vertex`, before any cell is tested.
     Each loop is checked by vertex-count group (at least 3 vertices, every
     index in range, no repeated vertex, then `_loop_defects`: positive
-    signed area, simple, star-shaped), and then global conformity (an edge
-    belongs to at most two cells, with opposite traversal directions when
-    shared).  The MeshError names the first cell that fails, in its message
-    and as `cell`; an edge clash names the later of the two cells.  The edge
-    table is built from sorted vertex pairs (`_edge_table`), and each
-    group keeps the areas, diameters and centroids that `_loop_defects`
-    measured.
+    signed area and simple, so any simple CCW polygon is a cell), and then
+    global conformity (an edge belongs to at most two cells, with opposite
+    traversal directions when shared).  The MeshError names the first cell
+    that fails, in its message and as `cell`; an edge clash names the later
+    of the two cells.  The edge table is built from sorted vertex pairs
+    (`_edge_table`), and each group keeps the areas and diameters that
+    `_loop_defects` measured, with the centroids and ears of its accepted
+    stack.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -546,12 +507,13 @@ def build_topology(vertices: np.ndarray, cells: list) -> PolyMesh:
 
     groups = []
     starts = np.cumsum(sizes) - sizes
-    for members, stack, area, diameter, center in stacks:
+    for members, stack, area, diameter in stacks:
         uses = starts[members, None] + np.arange(stack.shape[1])
+        coords = vertices[stack]
         groups.append(CellGroup(
             cells=members, loops=stack, edges=use_edge[uses], signs=use_sign[uses],
-            area=area, center=center, diameter=diameter,
-            ears=ear_triangles(vertices[stack])))
+            area=area, center=polygon_centroid(coords), diameter=diameter,
+            ears=ear_triangles(coords)))
     return PolyMesh(
         vertices=vertices,
         cells=[flat[a:a + n] for a, n in zip(starts.tolist(), sizes.tolist())],
@@ -662,9 +624,9 @@ def generate_distorted_polygonal(
     row-major order, by offsets drawn uniformly from
     [-distortion*h, distortion*h]^2 with h the smaller grid spacing; each
     offset is retried (up to 100 draws) until every cell touching the vertex
-    passes the one validity routine `_loop_defects` (CCW, simple,
-    star-shaped), and a MeshError is raised if no admissible offset is
-    found.  A fixed share (15%) of the interior edges then receives a
+    passes the one validity routine `_loop_defects` (CCW and simple, the
+    rule of `build_topology`), and a MeshError is raised if no admissible
+    offset is found.  A fixed share (15%) of the interior edges then receives a
     midside vertex jittered by half as much, retried the same way against
     its two trial loops and left at the exact midpoint if none is found;
     this turns some quads into pentagons and hexagons.

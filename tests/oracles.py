@@ -12,7 +12,10 @@ and their gradients from their definition on a centroid taken from the
 exact first moments and a diameter from all vertex pairs, the coupled
 first-order system from one dense square solve instead of the sequential
 solve-then-recover pipeline, and the VTK file from one formatted write per
-line.
+line.  Polygon moments come from Green's theorem, one exact Gauss rule per
+edge.  Meshes whose cells are not star-shaped (a comb in the unit square, a
+tiling by U-shaped blocks) are built here from integer lattice points, so
+the package gains no generator for them.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 
 from polydarcy.ncvem import SpdSystem, tensor_field
 from polydarcy.polybasis import n_monomials
-from polydarcy.polymesh import polygon_area
+from polydarcy.polymesh import build_topology, polygon_area
 
 
 def gk_perp_values(coeffs, monomials):
@@ -127,6 +130,70 @@ def polygon_monomial_integral(coords, a: int, b: int) -> float:
         total += triangle_monomial_integral(coords[0], coords[i],
                                             coords[i + 1], a, b)
     return total
+
+
+def green_moments(coords, exponents) -> np.ndarray:
+    """Integrals of x^a y^b over a CCW polygon, one per (a, b) in `exponents`,
+    by Green's theorem.
+
+    int_P x^a y^b = 1/(a + 1) * (the boundary integral of x^(a+1) y^b dy),
+    summed over the edges p + t (q - p), t in [0, 1]; the integrand is a
+    polynomial of degree a + b + 1 in t, which a Gauss-Legendre rule with
+    a + b + 2 nodes (here the most any pair needs) integrates exactly.
+    """
+    coords = np.asarray(coords, float)
+    a, b = np.array(exponents).T
+    t, w = np.polynomial.legendre.leggauss(int((a + b).max()) + 2)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    d = np.roll(coords, -1, axis=0) - coords
+    x = (coords[:, :1] + t * d[:, :1])[..., None]  # (edges, nodes, 1)
+    y = (coords[:, 1:] + t * d[:, 1:])[..., None]
+    edge = np.einsum("enm,n,e->m", x ** (a + 1) * y ** b, w, d[:, 1])
+    return edge / (a + 1)
+
+
+def _lattice_mesh(loops, denominator: int):
+    """Mesh of CCW loops of integer lattice points (i, j), placed at
+    (i, j) / denominator; a point shared by loops is one vertex."""
+    index = {}
+    cells = [[index.setdefault(point, len(index)) for point in loop] for loop in loops]
+    return build_topology(np.array(list(index), dtype=float) / denominator, cells)
+
+
+def comb_mesh(notches: int):
+    """The unit square as one comb cell and a rectangle in each of its slots.
+
+    On a lattice of 2m + 1 units per side (m = `notches`), slot i spans
+    [2i + 1, 2i + 2] x [1, 2m + 1], so teeth and slots are one unit wide;
+    m = 1 gives a U cell, m = 2 a comb of three teeth.  Cell 0 is the comb,
+    whose kernel is empty, and the slots follow from left to right.
+    """
+    side = 2 * notches + 1
+    comb = [(0, 0), (side, 0), (side, side)]
+    for i in reversed(range(notches)):
+        comb += [(2 * i + 2, side), (2 * i + 2, 1), (2 * i + 1, 1), (2 * i + 1, side)]
+    comb.append((0, side))
+    slots = [[(2 * i + 1, 1), (2 * i + 2, 1), (2 * i + 2, side), (2 * i + 1, side)]
+             for i in range(notches)]
+    return _lattice_mesh([comb, *slots], side)
+
+
+# The U cell of `comb_mesh(1)` with its sides split at thirds (14 vertices,
+# empty kernel), and the 1 x 2 notch that fills its slot.
+_U_BLOCK = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3), (2, 3),
+            (2, 1), (1, 1), (1, 3), (0, 3), (0, 2), (0, 1)]
+_U_NOTCH = [(1, 1), (2, 1), (2, 3), (1, 3)]
+
+
+def u_block_mesh(n: int):
+    """The unit square as n x n blocks, each a U cell and its notch.
+
+    Every block side is split at its thirds, so neighbouring blocks share
+    their vertices and the tiling conforms; 2 n^2 cells.
+    """
+    loops = [[(3 * bx + i, 3 * by + j) for i, j in shape]
+             for by in range(n) for bx in range(n) for shape in (_U_BLOCK, _U_NOTCH)]
+    return _lattice_mesh(loops, 3 * n)
 
 
 def first_ear_triangles(coords) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Scaled monomials, quadrature, Grams and L2 projections."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from polydarcy import polymesh
@@ -220,6 +223,50 @@ def test_quadrature_exactness_against_closed_form(coords, degree):
                 num = float(weights @ (points[:, 0] ** a * points[:, 1] ** b))
                 ref = oracles.polygon_monomial_integral(polygon, a, b)
                 assert abs(num - ref) < 1e-13 * max(area, 1.0), (a, b)
+
+
+def _untangled(points: list) -> list:
+    """The loop through `points` after 2-opt moves undo every proper crossing.
+
+    A move reverses the path between two crossing edges, which shortens the
+    loop, so the moves end.  The lattice points keep every turn test exact;
+    a loop that still touches itself is left to `_loop_defects`.
+    """
+    loop, n = list(points), len(points)
+
+    def turn(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    crossed = True
+    while crossed:
+        crossed = False
+        for i, j in itertools.combinations(range(n), 2):
+            a, b, c, d = loop[i], loop[(i + 1) % n], loop[j], loop[(j + 1) % n]
+            if turn(a, b, c) * turn(a, b, d) < 0 and turn(c, d, a) * turn(c, d, b) < 0:
+                loop[i + 1:j + 1] = loop[i + 1:j + 1][::-1]
+                crossed = True
+    return loop
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64)),
+                min_size=3, max_size=12, unique=True))
+def test_ear_quadrature_matches_green_moments_on_simple_loops(points):
+    # any simple CCW loop that build_topology accepts, star-shaped or not:
+    # the element build's rule, exact to degree 2(k + 2), integrates every
+    # monomial of that degree as Green's theorem does
+    coords = np.array(_untangled(points), dtype=float) / 64.0
+    if polymesh.polygon_area(coords) < 0.0:
+        coords = coords[::-1]
+    assume(polymesh._loop_defects(coords[None])[0][0] == 0)
+    ears = ear_triangles(coords)
+    for k in range(4):
+        degree = 2 * (k + 2)
+        quad = polygon_quadrature(coords, degree, ears)
+        a, b = np.array(monomial_exponents(degree)).T
+        num = (quad.points[:, :1] ** a * quad.points[:, 1:] ** b).T @ quad.weights
+        ref = oracles.green_moments(coords, monomial_exponents(degree))
+        assert np.abs(num - ref).max() <= 1e-13, k
 
 
 def test_stacked_quadrature_equals_per_loop_calls():

@@ -236,12 +236,12 @@ PINNED_MESHES = [
     # Recorded with the one-vertex-at-a-time generator; at distortion 0.45
     # split candidates get rejected, which no pin above reaches.
     # (6, 11): two pentagon and one hexagon rejection, and one valid
-    # pentagon whose centroid sees not every edge (kernel-disk test).
+    # pentagon whose centroid sees not every edge (the stacked kernel test).
     (6, 11, 0.45, "cac33a8a44a6d2e16d7dffa6286ae80c1781c631e48175bcc432dc644db75104"),
-    # (8, 39): four rejections in 6- and 7-gons, two split vertices each
-    # rejected twice in a row (the retry loop), and four valid loops whose
-    # centroid fails, so their star test needs the kernel's Chebyshev disk.
-    (8, 39, 0.45, "b6f179047e52383c6ccb344095d8bafdc97ca5bcec3b74aa48b591a2f6fcb4f4"),
+    # (8, 39): self-intersections in 5-, 6- and 7-gons rewind three blocks,
+    # one split vertex is rejected twice in a row (the retry loop) and two
+    # more once each, and cell 12, a heptagon, has an empty kernel.
+    (8, 39, 0.45, "597841db3351af1206a3db83fd010f943c19500c6e7afaef2d87f672fdcee0d3"),
     # (4, 37): one rejection, at the second split vertex, after a one-vertex
     # accepted prefix.
     (4, 37, 0.45, "8ae910d2d6997d8ebb8f1ddc8356240e4096d4af5ff3e0e735a947f58d0cea6d"),
@@ -343,15 +343,6 @@ def sees_every_edge(coords, p) -> bool:
     return bool(np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] > 0.0))
 
 
-def test_star_test_accepts_every_generated_cell():
-    # the generator and build_topology accept a loop only when the star
-    # test finds its kernel nonempty
-    mesh = generate_distorted_polygonal(5, 5, seed=6, distortion=0.3)
-    for group in mesh.cell_groups():
-        coords = mesh.vertices[group.loops]
-        assert polymesh._is_star(coords, polymesh.polygon_centroid(coords)).all()
-
-
 THIN_L = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0]])
 L_SHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
 U_SHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
@@ -359,43 +350,65 @@ U_SHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
 
 
 def test_build_topology_accepts_thin_l_with_centroid_outside_kernel():
-    # the centroid (1.357, 1.357) of the thin L lies outside its kernel
-    # [0, 1]^2; the star test falls back to the kernel's largest disk
+    # the centroid (1.357, 1.357) of the thin L lies outside its kernel [0, 1]^2
     assert not sees_every_edge(THIN_L, polymesh.polygon_centroid(THIN_L))
     mesh = build_topology(THIN_L, [np.arange(6)])
     assert mesh.num_cells == 1
-    assert polymesh._is_star(THIN_L[None], polymesh.polygon_centroid(THIN_L[None])).all()
 
 
-def test_build_topology_rejects_u_shape():
-    # simple, counterclockwise, but with an empty kernel
-    with pytest.raises(MeshError, match="cell 0: polygon is not star-shaped"):
-        build_topology(U_SHAPE, [np.arange(8)])
+def test_build_topology_accepts_u_shape():
+    # simple and counterclockwise, with an empty kernel: a cell like any other,
+    # whose six ears tile it
+    mesh = build_topology(U_SHAPE, [np.arange(8)])
+    assert mesh.num_cells == 1
+    (group,) = mesh.cell_groups()
+    assert group.ears.shape == (1, 6, 3)
+    ears = U_SHAPE[group.ears[0]]
+    assert np.all(polygon_area(ears) > 0.0)
+    assert abs(polygon_area(ears).sum() - polygon_area(U_SHAPE)) <= 1e-14
+    assert group.area[0] == polygon_area(U_SHAPE) == 7.0
+
+
+@pytest.mark.parametrize("notches", [1, 2])
+def test_quality_report_gives_a_comb_a_kernel_ratio_of_zero(notches):
+    # the U (one notch) and the three-tooth comb have empty kernels; the
+    # rectangles in their slots do not
+    mesh = oracles.comb_mesh(notches)
+    assert mesh_quality(mesh).min_kernel_radius_ratio == 0.0
+    radii = [kernel_inradius(mesh.vertices[loop]) for loop in mesh.cells]
+    assert radii[0] == 0.0 and min(radii[1:]) > 0.0
+
+
+def test_generator_keeps_a_simple_loop_with_an_empty_kernel():
+    # the generator admits what build_topology admits: the (8, 39) pin keeps
+    # a heptagon without a kernel
+    mesh = generate_distorted_polygonal(8, 8, seed=39, distortion=0.45)
+    assert len(mesh.cells[12]) == 7
+    assert kernel_inradius(mesh.vertices[mesh.cells[12]]) == 0.0
+    assert mesh_quality(mesh).min_kernel_radius_ratio == 0.0
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("coords, radius, center", [
-    (THIN_L, 0.5, (0.5, 0.5)),   # both L kernels are [0, 1]^2
-    (L_SHAPE, 0.5, (0.5, 0.5)),
-    (U_SHAPE, 0.0, None),        # the kernel needs x >= 2 and x <= 1
+@pytest.mark.parametrize("coords, radius", [
+    (THIN_L, 0.5),   # both L kernels are [0, 1]^2
+    (L_SHAPE, 0.5),
+    (U_SHAPE, 0.0),  # the kernel needs x >= 2 and x <= 1
     # the bottom edge split at its exact midpoint: two identical edge lines,
     # so some triples are singular
-    (np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 0.5, (0.5, 0.5)),
+    (np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 0.5),
 ])
-def test_kernel_disk_closed_forms(coords, radius, center):
+def test_kernel_disk_closed_forms(coords, radius):
     assert abs(kernel_inradius(coords) - radius) <= 1e-15
-    if center is not None:
-        assert np.abs(polymesh._chebyshev_disks(coords)[0] - center).max() <= 1e-15
 
 
 @pytest.mark.filterwarnings("error")
 def test_stacked_kernel_calls_equal_per_loop_calls():
-    # the (6, 11) pin has a valid pentagon whose centroid fails the star test
+    # the (6, 11) pin has a pentagon whose centroid lies outside its kernel
     mesh = generate_distorted_polygonal(6, 6, seed=11, distortion=0.45)
     for group in mesh.cell_groups():
         stack = mesh.vertices[group.loops]
         assert np.array_equal(kernel_inradius(stack), [kernel_inradius(xy) for xy in stack])
-    hexagons = np.stack([THIN_L, L_SHAPE])  # only the thin L's centroid fails
+    hexagons = np.stack([THIN_L, L_SHAPE])  # only the thin L's centroid is outside
     assert np.array_equal(kernel_inradius(hexagons), [kernel_inradius(xy) for xy in hexagons])
 
 
@@ -407,10 +420,11 @@ def test_kernel_inradius_rejects_zero_length_edge():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the Gauss rules come from numpy and the star test solves its kernel
-    # disks in closed form, so neither importing the package nor meshing at
-    # distortion 0.45 (the (8, 39) pin has simple loops that fail the star
-    # test) nor the quality report loads scipy.optimize or scipy.special
+    # the Gauss rules come from numpy and the quality report solves its
+    # kernel disks in closed form, so neither importing the package nor
+    # meshing at distortion 0.45 nor the report on that mesh (the (8, 39)
+    # pin has a heptagon with an empty kernel) loads scipy.optimize or
+    # scipy.special
     package_root = str(Path(polymesh.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import polydarcy; "
             "from polydarcy import polymesh; "

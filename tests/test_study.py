@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from polydarcy import linsolve, ncvem, polybasis, polymesh, recovery, study, vtk_export
 from polydarcy.cases import get_case, polynomial_case
 from polydarcy.polybasis import n_monomials, polygon_quadrature
@@ -289,6 +290,33 @@ def test_convergence_study_on_mesh_files_matches_generated_meshes(tmp_path):
     rows = study.convergence_study(case, 1, copies)
     assert len(rows) == 3
     assert rows == study.convergence_study(case, 1, meshes)
+
+
+# Bounds on errorU of the patch test: rounding alone at k <= 1; at k = 2
+# and 3 the floor of the ill-conditioned local algebra (ROADMAP item 3).
+PATCH_BOUNDS = {0: 1e-13, 1: 1e-13, 2: 1e-10, 3: 1e-8}
+
+
+@pytest.mark.parametrize("notches", [1, 2])
+@pytest.mark.parametrize("k", range(4))
+def test_patch_test_on_cells_without_a_kernel(notches, k):
+    # a U cell and a three-tooth comb, each with its slots filled, on the
+    # unit square: p in P_{k+1} comes back exactly, though the comb cell is
+    # not star-shaped
+    mesh = oracles.comb_mesh(notches)
+    case = polynomial_case(k, seed=1)
+    row = study.error_norms(study.solve_case(mesh, case, k), case)
+    assert row.error_u <= PATCH_BOUNDS[k]
+    assert row.error_p <= PATCH_BOUNDS[k]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_u_block_family_converges_at_order_k_plus_1(k):
+    # 4 x 4 to 16 x 16 blocks, each a U cell and its notch (32 to 512 cells)
+    meshes = (oracles.u_block_mesh(n) for n in (4, 8, 16))
+    rows = study.convergence_study(get_case("bubble-sine"), k, meshes)
+    assert [r.n_elements for r in rows] == [32, 128, 512]
+    assert abs(rows[-1].order_u - (k + 1)) <= 0.2
 
 
 def test_convergence_study_first_order_rates():

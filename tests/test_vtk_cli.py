@@ -1,5 +1,6 @@
 """VTK snapshot writer and the command-line driver."""
 
+import csv
 import os
 import shutil
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 import oracles
 import polydarcy
-from polydarcy import cli, linsolve, ncvem, polymesh, study, vtk_export
-from polydarcy.cases import get_case
+from polydarcy import cases, cli, linsolve, ncvem, polymesh, study, vtk_export
+from polydarcy.cases import get_case, polynomial_case
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -134,6 +135,24 @@ def test_cli_solve_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "run.vtk").exists()
     csv_text = (tmp_path / "run.csv").read_text(encoding="utf-8")
     assert csv_text.startswith("nElements,errorU,orderU")
+
+
+def test_cli_solves_a_mesh_file_with_a_u_cell(tmp_path, monkeypatch, capsys):
+    # read_mesh -> build_topology admits the U cell of a mesh file, and the
+    # solve reproduces p in P_2 to rounding
+    mesh_path = tmp_path / "u.txt"
+    polymesh.write_mesh(oracles.comb_mesh(1), str(mesh_path))
+    monkeypatch.setitem(cases.CASES, "poly-2", polynomial_case(1, seed=1))
+    prefix = tmp_path / "run"
+    rc = cli.main(["solve", "--mesh", str(mesh_path), "--order", "1",
+                   "--case", "poly-2", "--out-prefix", str(prefix)])
+    assert rc == 0, capsys.readouterr().err
+    assert "solved 'poly-2' k=1: 2 cells" in capsys.readouterr().out
+    with open(tmp_path / "run.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["errorU"]) <= 1e-13
+    assert float(row["errorP"]) <= 1e-13
+    assert (tmp_path / "run.vtk").exists()
 
 
 def test_cli_converge_table_and_csv(tmp_path, capsys):

@@ -12,8 +12,8 @@ meshes (and raises the same errors) over the sweep:
   at seeds s, s + 1, s + 2) for s = 7301..7310 and 2026, and ``solve-k3``
   (n = 12 at seed s) for s = 7401..7405 and 2026;
 * seeds 0-39, n = 2..24, distortion 0.45, where candidate offsets get
-  rejected and the star test of some loops, whose centroid sees not every
-  edge, needs the largest disk in their kernel.
+  rejected as self-intersecting, the generator rewinds and retries, and
+  some accepted cells are not star-shaped.
 
 Usage: python tools/mesh_digests.py > digests.txt   (takes no options)
 
