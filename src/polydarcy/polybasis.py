@@ -7,13 +7,13 @@ Cell polynomials are spanned by scaled monomials
 ordered graded-lexicographically: (0,0), (1,0), (0,1), (2,0), (1,1),
 (0,2), ...  with x_D the polygon centroid and h_D its diameter, as the
 mesh's cell groups keep them; `scaled_monomials` evaluates them for one
-cell or a stack.  Edge polynomials use the signed arclength from the edge
-midpoint scaled by the edge length, measured along the globally stored
-tangent so that moments on a shared edge mean the same thing to both
-incident cells.  On the reference segment that parameter is t - 1/2 for
-every edge, so one cached table per order and rule (`edge_reference`)
-gives the edge moments, the edge means and the L2 edge projector of all
-edges.
+cell or a stack.  Edge polynomials are the orthonormal Legendre polynomials
+phi_b(t) = sqrt(2b + 1) P_b(2t - 1) of the reference parameter t in [0, 1],
+measured along the globally stored tangent so that moments on a shared
+edge mean the same thing to both incident cells.  Their edge Gram is |f|
+times the identity on every edge, so one cached table per order and rule
+(`edge_reference`) gives the edge moments, the edge means and the L2 edge
+projection coefficients of all edges, and no edge Gram is ever solved.
 
 Quadrature on a polygon maps a Gauss-Jacobi x Gauss-Legendre tensor rule
 onto each of the n - 2 triangles it is given, through the collapsed-square
@@ -116,39 +116,33 @@ def _gauss_jacobi01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class EdgeReference:
-    """Edge-monomial tables on the reference segment t in [0, 1].
+    """Edge-basis tables on the reference segment t in [0, 1].
 
     An edge f from a to b (stored orientation) is x(t) = a + t (b - a), and
-    its monomials s^b use s = t - 1/2, the signed arclength from the midpoint
-    over |f|.  The tables therefore serve every edge alike:
+    its basis is phi_b(t) = sqrt(2b + 1) P_b(2t - 1), b <= k, orthonormal in
+    (1/|f|) int_f.  The tables therefore serve every edge alike:
 
-        int_f s^b v ds = |f| (moments @ v(x(nodes)))[b],
+        int_f phi_b v ds = |f| (moments @ v(x(nodes)))[b],
 
-    so the row sums `moments.sum(axis=1)` are the edge means
-    (1/|f|) int_f s^b ds of the monomials, and `projector @ v(x(nodes))`
-    holds the coefficients of the L2(f) projection of v onto
-    span{s^b : b <= k}, because the edge Gram is |f| times the fixed
-    G_k[i, j] = (1/2)^(i+j) / (i+j+1) (zero for odd i+j) and |f| cancels.
-    Exact for v of degree <= 2 npoints - 1 - k.
+    so `moments @ v(x(nodes))` holds the coefficients of the L2(f)
+    projection of v onto span{phi_b : b <= k}, and the row sums
+    `moments.sum(axis=1)` are the edge means of the phi_b: 1 for phi_0 = 1
+    and 0 for every higher one.  Exact for v of degree <= 2 npoints - 1 - k.
     """
 
     nodes: np.ndarray       # (n,) Gauss-Legendre nodes in [0, 1]
-    moments: np.ndarray     # (k+1, n) V W: monomial values times weights
-    projector: np.ndarray   # (k+1, n) G_k^{-1} V W
+    moments: np.ndarray     # (k+1, n) basis values times weights
 
 
 @lru_cache(maxsize=None)
 def edge_reference(k: int, npoints: int) -> EdgeReference:
     """Cached reference tables for edge order k on an npoints Gauss rule."""
     t, w = _gauss_legendre01(npoints)
-    s = t - 0.5
-    moments = np.vstack([s ** b for b in range(k + 1)]) * w
-    p = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-    gram = np.where(p % 2 == 0, 0.5 ** p / (p + 1), 0.0)
-    projector = np.linalg.solve(gram, moments)
-    for table in (t, moments, projector):  # shared through the caches
+    scale = np.sqrt(2.0 * np.arange(k + 1) + 1.0)
+    moments = (np.polynomial.legendre.legvander(2.0 * t - 1.0, k) * scale).T * w
+    for table in (t, moments):  # shared through the caches
         table.setflags(write=False)
-    return EdgeReference(nodes=t, moments=moments, projector=projector)
+    return EdgeReference(nodes=t, moments=moments)
 
 
 @dataclass

@@ -6,10 +6,12 @@ the ear-clipped quadrature, nonpolynomial integrals from a plain tensor-Gauss
 rule with an explicit collapse factor, the ear triangulation from clipping
 one vertex of a Python list at a time, a cell's edges from matching its
 sides against the edge table, the kernel inradius from a dense grid
-search, linear solves from a dense factorization, edge monomials from
-their definition (t - 1/2)^b on the segment a + t (b - a), cell monomials
-and their gradients from their definition on a centroid taken from the
-exact first moments and a diameter from all vertex pairs, the coupled
+search, linear solves from a dense factorization, the orthonormal edge
+polynomials sqrt(2b + 1) P_b(2t - 1) on the segment a + t (b - a) from
+Bonnet's three-term recurrence, cell monomials and their gradients from
+their definition on a centroid taken from the exact first moments and a
+diameter from all vertex pairs, the orthonormal interior DOF polynomials
+from a dense Cholesky factor of the oracle's own monomial Gram, the coupled
 first-order system from one dense square solve instead of the sequential
 solve-then-recover pipeline, and the VTK file from one formatted write per
 line.  Polygon moments come from Green's theorem, one exact Gauss rule per
@@ -282,13 +284,18 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower.T, y)
 
 
-def edge_monomials(t, k: int) -> np.ndarray:
-    """Edge monomials s^b, b <= k, at the segment parameters t in [0, 1].
+def edge_legendre(t, k: int) -> np.ndarray:
+    """Orthonormal edge polynomials sqrt(2b + 1) P_b(2t - 1), b <= k, at t in [0, 1].
 
-    s = t - 1/2 is the signed arclength from the midpoint over the length,
-    along the stored edge direction; returns (k+1, len(t)).
+    t runs along the stored edge direction, and P_b comes from Bonnet's
+    recurrence (b + 1) P_{b+1}(x) = (2b + 1) x P_b(x) - b P_{b-1}(x); the
+    rows are orthonormal in int_0^1 dt.  Returns (k+1, len(t)).
     """
-    return np.vstack([(t - 0.5) ** b for b in range(k + 1)])
+    x = 2.0 * np.asarray(t, float) - 1.0
+    rows = [np.ones_like(x), x]
+    for b in range(1, k):
+        rows.append(((2 * b + 1) * x * rows[b] - b * rows[b - 1]) / (b + 1))
+    return np.vstack([math.sqrt(2 * b + 1) * rows[b] for b in range(k + 1)])
 
 
 def cell_edges(mesh, c: int) -> tuple:
@@ -308,8 +315,11 @@ def cell_edges(mesh, c: int) -> tuple:
 def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
     """Edge and interior scaled moments of an exact pressure on cell c.
 
-    The interior moments are against `cell_monomials` of degree k-1, which
-    fix the DOF meaning; every integral is a plain Gauss rule.
+    The edge moments are against `edge_legendre`.  The interior moments are
+    (1/|P|) int_P p q with q = T m over the `cell_monomials` m of degree
+    k-1 and T = sqrt|P| L^{-1}, L L^T their Gram: q is orthonormal in
+    (1/|P|) int_P, which fixes the DOF meaning.  Every integral is a plain
+    Gauss rule.
     """
     edge_ids = cell_edges(mesh, c)[0]
     nkm1 = n_monomials(k - 1)
@@ -320,13 +330,15 @@ def exact_local_dofs(mesh, c: int, k: int, p) -> np.ndarray:
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-        vals = edge_monomials(t, k)
+        vals = edge_legendre(t, k)
         out[pos * (k + 1):(pos + 1) * (k + 1)] = vals @ (0.5 * gw * p(pts))
     if nkm1:
         coords = mesh.vertices[mesh.cells[c]]
         pts, w = polygon_gauss(coords, 12)
         vals = cell_monomials(coords, k - 1, pts)
-        out[len(edge_ids) * (k + 1):] = (vals @ (w * p(pts))) / polygon_area(coords)
+        lower = np.linalg.cholesky((vals * w) @ vals.T)
+        out[len(edge_ids) * (k + 1):] = (np.linalg.solve(lower, vals @ (w * p(pts)))
+                                         / math.sqrt(polygon_area(coords)))
     return out
 
 
@@ -343,8 +355,9 @@ def dirichlet_lift(system: SpdSystem, c: int) -> np.ndarray:
 def exact_velocity_dofs(system: SpdSystem, velocity):
     """Edge-normal coefficients and cell moments of an analytic velocity.
 
-    Matches the layout of the recovered velocity DOFs: per-edge polynomial
-    coefficients of u . n against the globally oriented edge monomials, then
+    Matches the layout of the recovered velocity DOFs: per-edge Legendre
+    coefficients of u . n, its moments against the globally oriented
+    `edge_legendre` polynomials, then
     per-cell the scaled gradient moments (1/|P|) int_P u . grad m over the
     nonconstant monomials of degree <= k, and the moments against the
     gradient-complement basis.
@@ -359,10 +372,8 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-        vals = edge_monomials(t, k)
         un = velocity(pts) @ mesh.edge_normals[e]
-        edge[e] = np.linalg.solve((vals * (0.5 * gw)) @ vals.T,
-                                  vals @ (0.5 * gw * un))
+        edge[e] = edge_legendre(t, k) @ (0.5 * gw * un)
     grad = [None] * mesh.num_cells
     perp = [None] * mesh.num_cells
     for element in system.groups:
@@ -408,8 +419,8 @@ def cholesky_solve_longdouble(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def monolithic_solve(system: SpdSystem, K):
     """Dense solve of the coupled flux/pressure square system.
 
-    Unknowns: per edge (boundary edges included) the k+1 coefficients of
-    u . n against the globally oriented edge monomials; per cell the
+    Unknowns: per edge (boundary edges included) the k+1 Legendre
+    coefficients of u . n along the globally oriented edge; per cell the
     pi_k - 1 scaled gradient moments and the complement moments of u; then
     the free pressure DOFs.  Equations per cell: the flux-balance relation
     for every local pressure test slot except the first edge's zeroth

@@ -12,7 +12,7 @@ import numpy as np
 import oracles
 from polydarcy import linsolve, ncvem, polymesh, study
 from polydarcy.cases import ManufacturedCase, get_case, polynomial_case
-from polydarcy.polybasis import gk_perp_dimension, polygon_quadrature
+from polydarcy.polybasis import gk_perp_dimension, inverse_cholesky, polygon_quadrature
 from polydarcy.polymesh import ear_triangles
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8],
@@ -198,7 +198,8 @@ def test_criterion_6_kernel_suites(capsys):
     worst_proj = 0.0
     for k, element in enumerate(elements[:4]):
         dmat = ncvem._monomial_dof_table(element.edge_cross, element.edge_lengths,
-                                         element.mass, element.group.area, k)[0]
+                                         element.mass, inverse_cholesky(element.mass),
+                                         element.group.area, k)[0]
         p_nabla = element.p_nabla[0]
         eye = np.eye(dmat.shape[1])
         nk = element.p0k.shape[1]

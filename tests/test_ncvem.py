@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import oracles
 from polydarcy import ncvem, polymesh
-from polydarcy.cases import polynomial_case
+from polydarcy.cases import get_case, polynomial_case
 from polydarcy.ncvem import (_monomial_dof_table, assemble, boundary_edge_values,
                              build_dof_map, build_element, solve_pressure)
 from polydarcy.polybasis import gradient_gram, inverse_cholesky, n_monomials
@@ -33,7 +33,7 @@ def kpoly(pts):
 def monomial_dofs(element):
     """DOF vectors of the scaled monomials, (..., N, pi_{k+1}), from the stored tables."""
     return _monomial_dof_table(element.edge_cross, element.edge_lengths, element.mass,
-                               element.group.area, element.k)
+                               inverse_cholesky(element.mass), element.group.area, element.k)
 
 
 def build_pentagon(k, K=1.0, f=None):
@@ -93,8 +93,8 @@ def _source(pts):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_projectors_reproduce_polynomials(k):
     # the pentagon, then every member of a stacked 5-gon group at the same
-    # bound; at k = 3 the monomial basis holds the group only to 1e-11..5e-11
-    # (ROADMAP item 3), so there it is left out
+    # bound; at k = 3 the projectors, which act in scaled monomials, hold the
+    # group's gradient table only to 2.1e-11, so there it is left out
     mesh, group = _five_gon_group()
     stacked = build_element(mesh, group, k, kvar, _source)
     elements = [build_pentagon(k, K=kvar)]
@@ -140,6 +140,20 @@ def test_build_names_member_with_broken_quadrature(monkeypatch, k):
     monkeypatch.setattr(ncvem, "polygon_quadrature", broken)
     with pytest.raises(ValueError, match=f"^cell {group.cells[2]}: "):
         build_element(mesh, group, k, kvar, _source)
+
+
+@pytest.mark.parametrize("k, bound", [(3, 1.52e4), (4, 8.80e4)])
+def test_local_stiffness_condition_bounded(k, bound):
+    # largest over smallest nonzero singular value of every cell stiffness
+    # (constants are its one kernel direction) on 16x16 distorted cells: 10
+    # times the 1.52e3 and 8.80e3 of the orthonormal DOFs, which monomial
+    # moments exceeded at 2.8e8 and 2.9e12
+    case = get_case("bubble-sine")
+    mesh = polymesh.generate_distorted_polygonal(16, 16, seed=2026, distortion=0.2)
+    system = assemble(mesh, case.permeability, case.forcing, k)
+    for element in system.groups:
+        sv = np.linalg.svd(element.stiffness, compute_uv=False)
+        assert (sv[:, 0] / sv[:, -2]).max() <= bound, element.n_edges
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -247,7 +261,7 @@ def test_boundary_edge_values_match_direct_integrals():
         va = mesh.vertices[mesh.edges[e, 0]]
         vb = mesh.vertices[mesh.edges[e, 1]]
         pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-        ref = oracles.edge_monomials(t, k) @ (0.5 * gw * g(pts))
+        ref = oracles.edge_legendre(t, k) @ (0.5 * gw * g(pts))
         assert np.abs(vals[row] - ref).max() < 1e-13
 
 

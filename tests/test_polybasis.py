@@ -134,33 +134,31 @@ def test_gauss_rules_exact_to_degree_2n_minus_1(n):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_edge_reference_projector_is_exact(k):
-    # any edge polynomial of degree <= k comes back with its coefficients
+    # the edge basis is orthonormal, so the moments are the projector: any
+    # edge polynomial of degree <= k comes back with its Legendre coefficients
     start, end = SKEWED_EDGE
     ref = edge_reference(k, k + 3)
     coeffs = np.random.default_rng(k).standard_normal(k + 1)
     s = arclength_param(start, end, edge_points(start, end, ref.nodes))
-    values = sum(c * s ** b for b, c in enumerate(coeffs))
-    assert np.abs(ref.projector @ values - coeffs).max() < 1e-13
+    values = coeffs @ oracles.edge_legendre(s + 0.5, k)
+    assert np.abs(ref.moments @ values - coeffs).max() < 1e-13
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_edge_reference_gram_closed_form(k):
-    # int_f s^i s^j ds = |f| (1/2)^p / (p + 1) for even p = i + j, else 0
+    # int_f phi_i phi_j ds = |f| delta_ij for the orthonormal edge basis
     start, end = SKEWED_EDGE
     length = math.hypot(*(end - start))
     ref = edge_reference(k, k + 3)
     s = arclength_param(start, end, edge_points(start, end, ref.nodes))
-    powers = np.vstack([s ** b for b in range(k + 1)])
-    gram = length * ref.moments @ powers.T
-    for i in range(k + 1):
-        for j in range(k + 1):
-            p = i + j
-            exact = length * 0.5 ** p / (p + 1) if p % 2 == 0 else 0.0
-            assert gram[i, j] == pytest.approx(exact, abs=1e-15)
-    # the row sums are the edge means (1/|f|) int_f s^b ds, row 0 of the
-    # closed-form Gram over |f|: the recovery's boundary-outflow weights
-    exact_means = [0.5 ** b / (b + 1) if b % 2 == 0 else 0.0 for b in range(k + 1)]
-    assert np.abs(ref.moments.sum(axis=1) - exact_means).max() <= 1e-15
+    gram = length * ref.moments @ oracles.edge_legendre(s + 0.5, k).T
+    # phi_b reaches sqrt(2b + 1) at the ends, so the summands reach 2k + 1
+    tol = 1e-15 * (2 * k + 1)
+    assert np.abs(gram - length * np.eye(k + 1)).max() <= tol
+    # the row sums are the edge means (1/|f|) int_f phi_b ds: 1 for phi_0 = 1
+    # and 0 for every higher one, so the recovery's boundary outflow reads
+    # coefficient 0 alone
+    assert np.abs(ref.moments.sum(axis=1) - np.eye(k + 1)[0]).max() <= tol
 
 
 def test_quadrature_integrates_xy_on_unit_square():

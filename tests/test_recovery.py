@@ -1,5 +1,7 @@
 """Velocity recovery: edge fluxes, moments, projection, RT field, checks."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -156,16 +158,48 @@ def test_structural_gaps_on_manufactured_case(k):
         assert np.array_equal(vel.divergence.coeffs[element.group.cells], element.f_coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _distorted_study(k):
+    """Rows of the 4-level `bubble-sine` study at order k, 16 to 1024 cells."""
+    return tuple(study.convergence_study(get_case("bubble-sine"), k,
+                                         polymesh.distorted_family(4)))
+
+
 def test_divergence_converges_at_high_order():
     # the divergence is Pi0_k f itself, so it keeps order k + 1 at k = 4 and
-    # reaches the rounding floor at k = 5, where the pressure does neither
-    case = get_case("bubble-sine")
-    rows = study.convergence_study(case, 4, polymesh.distorted_family(4))
-    orders = [r.order_div for r in rows[1:]]
+    # reaches the rounding floor at k = 5
+    orders = [r.order_div for r in _distorted_study(4)[1:]]
     assert all(order >= 4.7 for order in orders), orders
-    errors = [r.error_div for r in study.convergence_study(case, 5, polymesh.distorted_family(4))]
+    errors = [r.error_div for r in _distorted_study(5)]
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
     assert errors[-1] <= 1e-12, errors
+
+
+@pytest.mark.parametrize("k, levels", [(4, 3), (5, 2)])
+def test_high_order_velocity_and_gradient_rates(k, levels):
+    # orthonormal DOFs keep the local algebra well conditioned, so velocity
+    # and pressure gradient keep order >= 4.5 up to the rounding floor: at
+    # every level for k = 4 (5.09, 4.89, 4.88 and 5.23, 5.05, 4.96), and at
+    # levels 1-2 for k = 5, whose 1024-cell velocity error is 7.5e-13
+    rows = _distorted_study(k)
+    assert [r.n_elements for r in rows] == [16, 64, 256, 1024]
+    for row in rows[1:levels + 1]:
+        assert row.order_u >= 4.5 and row.order_grad_p >= 4.5, (k, row)
+
+
+def test_order_six_study_completes():
+    # every pressure solve of the k = 6 study is certified (no SolverError)
+    assert [r.n_elements for r in _distorted_study(6)] == [16, 64, 256, 1024]
+
+
+def test_raw_gaps_are_visible():
+    # flux agreement and global conservation are checked raw, so their gaps
+    # read the rounding of a solved k = 3 system: nonzero, and far (here
+    # 4.7e-14 and 1.5e-15) inside their tolerances
+    mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
+    vel = study.solve_case(mesh, get_case("bubble-sine"), 3).velocity
+    assert 0.0 < vel.flux_gap <= 1e-2 * recovery._FLUX_TOL
+    assert 0.0 < vel.conservation_gap <= 1e-2 * recovery._CONSERVATION_TOL
 
 
 @pytest.mark.parametrize("k", [0, 2])

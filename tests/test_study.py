@@ -292,8 +292,11 @@ def test_convergence_study_on_mesh_files_matches_generated_meshes(tmp_path):
     assert rows == study.convergence_study(case, 1, meshes)
 
 
-# Bounds on errorU of the patch test: rounding alone at k <= 1; at k = 2
-# and 3 the floor of the ill-conditioned local algebra (ROADMAP item 3).
+# Bounds on errorU and errorP of the patch test, set when monomial DOFs left
+# k = 2 and 3 at the floor of an ill-conditioned local algebra.  With
+# orthonormal DOFs the U and comb cells give at most 1.1e-12 (k = 2) and
+# 2.4e-12 (k = 3), and U cells with other notches and loop starts at most
+# 6.5e-12 and 2.0e-11.
 PATCH_BOUNDS = {0: 1e-13, 1: 1e-13, 2: 1e-10, 3: 1e-8}
 
 
@@ -308,6 +311,19 @@ def test_patch_test_on_cells_without_a_kernel(notches, k):
     row = study.error_norms(study.solve_case(mesh, case, k), case)
     assert row.error_u <= PATCH_BOUNDS[k]
     assert row.error_p <= PATCH_BOUNDS[k]
+
+
+@pytest.mark.parametrize("k, bound", [(3, 1.1e-10), (4, 1.2e-10)])
+def test_high_order_patch_test_on_distorted_meshes(k, bound):
+    # p in P_{k+1} with constant K on 4x4 to 32x32 distorted cells (seed
+    # 2026): 10 times the worst errorU of the orthonormal DOFs, 1.1e-11
+    # (k = 3) and 1.2e-11 (k = 4) at 32x32, where monomial DOFs gave 1.3e-9
+    # and 4.2e-7
+    case = polynomial_case(k, seed=1)
+    for n in (4, 8, 16, 32):
+        mesh = polymesh.generate_distorted_polygonal(n, n, seed=2026, distortion=0.2)
+        row = study.error_norms(study.solve_case(mesh, case, k), case)
+        assert row.error_u <= bound and row.error_p <= bound, (n, row.error_u, row.error_p)
 
 
 @pytest.mark.parametrize("k", range(4))

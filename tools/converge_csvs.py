@@ -1,4 +1,4 @@
-"""Print the four-level convergence CSVs of orders k = 0..5, one after another.
+"""Print the four-level convergence CSVs of orders k = 0..6, one after another.
 
 For each k the output is a ``# k = <k>`` line followed by exactly the CSV
 that ``polydarcy converge --order <k> --levels 4 --csv FILE`` writes with the
@@ -19,7 +19,7 @@ import tempfile
 
 from polydarcy import cli
 
-ORDERS = range(6)
+ORDERS = range(7)
 LEVELS = 4
 
 
