@@ -3,46 +3,56 @@
 The pressure space of order k+1 is nonconforming across edges: its degrees of
 freedom are, per edge, the k+1 scaled moments (1/|f|) int_f p phi_b against
 the orthonormal Legendre polynomials of the edge and, per cell, the scaled
-moments (1/|P|) int_P p q_gamma against the polynomials q = T m of degree
-<= k-1 that are orthonormal in that scaled product, with m the cell's
-scaled monomials and T from the Cholesky factor of their Gram.  Orthonormal
-functionals keep the local algebra well conditioned (a worst local
-stiffness condition of about 1.5e3 at k = 3 and 8.8e3 at k = 4 on a 16x16
-distorted mesh, against 2.8e8 and 2.9e12 with monomial moments), while the
-projector algebra itself stays in the scaled monomials.  The local
-space is "enhanced" so that cell moments of degrees k and k+1 of a function
-equal those of its energy projection, which makes the full L2 projection
-onto P_{k+1} computable from the degrees of freedom alone.
+moments (1/|P|) int_P p q_gamma against the cell polynomials q of degree
+<= k-1.  The cell basis q = T m of P_{k+1} is orthonormal in that scaled
+product, with m the cell's scaled monomials and T = sqrt|P| L^{-1} from the
+Cholesky factor L of their degree-(k+1) Gram; graded-lex order makes its
+leading blocks the bases of the lower degrees, and q_0 = 1.  The local
+space is "enhanced" so that cell moments against the monomials of degrees
+k and k+1 of a function equal those of its energy projection, which makes
+the full L2 projection onto P_{k+1} computable from the degrees of freedom
+alone.
+
+The projector algebra runs in the q coordinates, where every cell Gram is
+|P| I: the gradient projection Pi0_k grad p is its by-parts moments over
+|P|, the L2 projection onto P_k is the leading rows of the one onto
+P_{k+1}, the source coefficients are the moments of f over |P|, and the
+interior rows of the DOF table of the q are [I 0].  The energy projection
+solves with the gradient Gram H' = E'^T E' of the nonconstant q, E the
+exact-gradient table of the q in the vector q basis of (P_k)^2, through its
+Cholesky factor.  Keeping the enhancement against the monomials costs one
+correction of the high coefficients of the L2 projection (see
+`build_element`).  Orthonormal functionals and coordinates keep the local
+algebra well conditioned (a worst local stiffness condition of about 1.5e3
+at k = 3 and 8.8e3 at k = 4 on a 16x16 distorted mesh, against 2.8e8 and
+2.9e12 with monomial moments).  Every table that needs quadrature (the
+monomial Gram, the K-weighted vector Gram, the edge and source moments) is
+formed in the monomials and moved to q on its small coefficient axes; q is
+never evaluated at a point.
 
 Element matrices are dense and small, and the same algebra on every cell,
 so cells with one vertex count are built together as a group: the group's
 stacked coordinates (G, n_v, 2) give one quadrature, one monomial table and
-batched Gram solves for all members (`build_element` of a `CellGroup`).
+batched factors for all members (`build_element` of a `CellGroup`).
 The cells' areas, centroids, diameters and ears come from the mesh's
 `CellGroup`, where `build_topology` measured and cut them; nothing here
-measures or cuts a cell.
-Every Gram solve uses a batched Cholesky factor applied as two triangular
-products (`polybasis.inverse_cholesky`): the degree-(k+1) monomial Gram's
-factor serves all L2 projections, since graded-lex order makes its leading
-block the factor of the degree-k Gram, and the gradient Gram of the
-nonconstant monomials gives the energy projection.  Edge moments come from
-one reference table per order (see `polybasis.edge_reference`); the edge
-basis is orthonormal, so those moments are also the coefficients of the
-normal traces of the cell monomials, and no edge Gram is solved.
+measures or cuts a cell.  Edge moments come from one reference table per
+order (see `polybasis.edge_reference`); the edge basis is orthonormal, so
+those moments are also the coefficients of the normal traces of the cell
+polynomials, and no edge Gram is solved.
 
 One table numbers every DOF: the unknowns (interior-edge blocks, then
 cell blocks) first, the Dirichlet data of the boundary-edge blocks after
 them.  The groups' whole stacked stiffness blocks are scattered over all
 DOFs in one triplet build, and the data are eliminated by keeping the
 leading block of the matrix and of the load minus the data's stiffness
-product.  Everything a later velocity recovery needs (projection tables,
-edge moment tables, the residual pieces, the gradient Gram's inverse
-factor and the DOFs of the constant function) is kept in the group arrays
-of `NcElement`.  Its geometry is the mesh's `CellGroup` itself, held as
-`NcElement.group`: cell `element.group.cells[i]` is row i of every stacked
-field, and the error integration runs on that group's ears.  Every cell
-Gram is formed and factored here, once; nothing after assembly factors a
-Gram.
+product.  Everything a later velocity recovery needs (the basis T, the
+projection and gradient tables, edge moment tables, the residual pieces
+and the inverse factor of H') is kept in the group arrays of `NcElement`.
+Its geometry is the mesh's `CellGroup` itself, held as `NcElement.group`:
+cell `element.group.cells[i]` is row i of every stacked field, and the
+error integration runs on that group's ears.  Every Gram is formed and
+factored here, once; nothing after assembly factors a Gram.
 """
 
 from __future__ import annotations
@@ -53,12 +63,11 @@ import numpy as np
 
 from . import linsolve
 from .polybasis import (
+    cholesky_factors,
     edge_reference,
     factor_solve,
     gk_perp_basis,
     gradient_coefficient_matrix,
-    gradient_gram,
-    inverse_cholesky,
     n_monomials,
     polygon_quadrature,
     scaled_monomials,
@@ -159,36 +168,32 @@ class NcElement:
     `build_element`): row i describes cell `group.cells[i]`.  The shapes
     below are per member.  Matrices act on the local DOF vector ordered
     edge blocks first (cell loop order, moments 0..k per edge) followed by
-    the interior moment block.
+    the interior moment block.  Polynomial coefficients and moments are in
+    the orthonormal cell basis q = `basis` @ m of the scaled monomials m
+    (vector fields: the x block, then the y block, each against q).
     """
 
     group: CellGroup
     k: int
     edge_lengths: np.ndarray           # (n_e,)
-    edge_cross: np.ndarray             # (n_e, k+1, pi_{k+1}) vs cell basis
-    mass: np.ndarray                   # (pi_{k+1}, pi_{k+1}) cell-basis Gram
+    edge_cross: np.ndarray             # (n_e, k+1, pi_{k+1}) int_f phi_b q_j
+    basis: np.ndarray                  # (pi_{k+1}, pi_{k+1}) lower-triangular T, q = T m
+    grad_coeff: np.ndarray             # (2 pi_k, pi_{k+1}) exact gradients of the q_j
     p_nabla: np.ndarray                # energy projection, (pi_{k+1}, N)
     p0: np.ndarray                     # L2 projection onto P_{k+1}, (pi_{k+1}, N)
-    p0k: np.ndarray                    # L2 projection onto P_k, (pi_k, N)
     grad_proj: np.ndarray              # Pi0_k of the gradient, (2 pi_k, N)
     stiffness: np.ndarray              # (N, N), consistency + stabilization
     load: np.ndarray                   # (N,)
-    f_moments: np.ndarray              # (pi_k,) raw moments of f
+    f_moments: np.ndarray              # (pi_k,) raw moments int_P f q_j
     f_coeffs: np.ndarray               # (pi_k,) Pi0_k f coefficients
     k_mean: np.ndarray                 # (2, 2) cell average of K
-    gk_perp: np.ndarray                # (2 pi_k, dim) complement basis (gk_perp_basis)
+    gk_perp: np.ndarray                # (2 pi_k, dim) L2(P)-orthonormal complement basis
     gkperp_rec: np.ndarray             # (dim, N) moment-recovery operator
-    inv_grad_gram: np.ndarray          # (pi_{k+1}-1,)*2 inverse factor of gradient Gram H'
-    const_dofs: np.ndarray             # (N,) DOF vector of the constant function 1
+    inv_grad_gram: np.ndarray          # (pi_{k+1}-1,)*2 inverse factor of H'
 
     @property
     def n_edges(self) -> int:
         return self.group.edges.shape[-1]
-
-    @property
-    def grad_coeff(self) -> np.ndarray:
-        """(2 pi_k, pi_{k+1}) exact-gradient table of the cell basis."""
-        return gradient_coefficient_matrix(self.k + 1, self.group.diameter)
 
 
 def build_element(
@@ -207,14 +212,13 @@ def build_element(
     of one).  The basis is centered and scaled by the group's centroids and
     diameters, and one rule of exactness 2(k+2) is mapped onto the group's
     ears: it integrates every Gram here exactly, the K-weighted one for K
-    of degree <= 4 and the moments of f for f of degree <= k+4.  Every
-    Gram solve goes through a Cholesky factor (see
-    `polybasis.inverse_cholesky`): one factor of the degree-(k+1) monomial
-    Gram serves the L2 projections, the gradient projection, the source
-    coefficients and the gradient complement, and one factor of the
-    gradient Gram gives the energy projection and is stored for the
-    recovery's velocity projection.  A Gram that is not positive definite
-    raises ValueError naming the first such cell.
+    of degree <= 4 and the moments of f for f of degree <= k+4.  The
+    Cholesky factor of the degree-(k+1) monomial Gram gives the orthonormal
+    cell basis q (see the module docstring), in which every other cell Gram
+    is |P| I; the gradient Gram H' of q is the one Gram left to solve, and
+    its inverse factor is stored for the recovery's velocity projection.
+    A Gram that is not positive definite raises ValueError naming the first
+    such cell.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
@@ -232,20 +236,15 @@ def build_element(
     quad = polygon_quadrature(coords, 2 * (k + 2), group.ears)
     vals = scaled_monomials(quad.points, group.center, group.diameter, k + 1)  # (G, pi_{k+1}, nq)
     w = quad.weights[:, None, :]
-    mass = (vals * w) @ vals.mT
-    mass_k = mass[:, :nk, :nk]
-    # Graded-lex order nests the degrees, so the leading pi_k block of the
-    # Gram's inverse factor is the inverse factor of mass_k.
-    inv_mass = inverse_cholesky(mass, group.cells, "monomial Gram")
-    inv_mass_k = inv_mass[:, :nk, :nk]
-    # Interior DOFs are (1/|P|) int_P p q_gamma with q = T m orthonormal in
-    # that scaled product: T = sqrt|P| L^{-1} for the degree-(k-1) Gram
-    # L L^T, whose inverse factor is the leading block of inv_mass (see
-    # _monomial_dof_table).  T^{-1} = L / sqrt|P| maps the DOFs back to the
-    # scaled monomial moments, in which the projector algebra below stays.
-    from_dofs = np.linalg.cholesky(mass[:, :nkm1, :nkm1]) / np.sqrt(area)[:, None, None]
+    # q = T m with T = sqrt|P| L^{-1} for the monomial Gram L L^T, so that
+    # (1/|P|) int_P q q^T = I.  The interior DOFs are the moments against
+    # q_0..q_{pi_{k-1}-1}.
+    lower, inv_lower = cholesky_factors((vals * w) @ vals.mT, group.cells, "monomial Gram")
+    basis = np.sqrt(area)[:, None, None] * inv_lower
+    basis_k = basis[:, :nk, :nk]
 
-    # K-weighted vector Gram, one tensor component at a time
+    # K-weighted vector Gram in the monomials, one tensor component at a
+    # time, then moved to q
     kvals = Kfun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape + (2, 2))
     k_mean = np.einsum("gq,gqij->gij", quad.weights, kvals) / area[:, None, None]
     vk = vals[:, :nk]
@@ -253,75 +252,91 @@ def build_element(
     for i in range(2):
         for j in range(2):
             mk_w[:, i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = (
-                (vk * (w * kvals[:, None, :, i, j])) @ vk.mT)
+                basis_k @ ((vk * (w * kvals[:, None, :, i, j])) @ vk.mT) @ basis_k.mT)
 
     # Edge tables from the reference segment, all edges at once:
-    # edge_cross[e, b, j] = int_f phi_b m_j, and traces[j, e] = edge-basis
-    # coefficients of m_j restricted to edge e (degree <= k, so exact),
-    # which the orthonormal basis makes the scaled moments themselves.
+    # edge_cross[e, b, j] = int_f phi_b q_j, formed against the monomials and
+    # moved to q.  The edge basis is orthonormal, so edge_cross / |f| holds
+    # the scaled edge moments of q_j, and for q_j of degree <= k also the
+    # edge-basis coefficients of its trace.
     ref = edge_reference(k, k + 3)
     pts = _edge_points(mesh, group.edges, ref.nodes)
     cv = scaled_monomials(pts.reshape(n_g, -1, 2), group.center, group.diameter, k + 1)
     cv = cv.reshape(n_g, nk1, n_e, -1)
     lengths = mesh.edge_lengths[group.edges]
-    edge_cross = lengths[..., None, None] * np.einsum("bq,gjeq->gebj", ref.moments, cv)
-    traces = np.einsum("bq,gjeq->gjeb", ref.moments, cv[:, :nk])
+    edge_cross = (lengths[..., None, None] * np.einsum("bq,gjeq->gebj", ref.moments, cv)
+                  @ basis.mT[:, None])
 
-    # b_g[j, i] = integral over P of chi_i . (components of) g_j via parts:
-    # boundary moments of the normal traces minus interior moments of div g_j.
+    # Exact gradients of the q_j in the vector basis of (P_k)^2:
+    # grad q = T grad m, and the q_k of degree k are T_k m_k, so the table
+    # is blockdiag(L_k^T) E L^{-T} for the monomial gradient table E.
+    emat = gradient_coefficient_matrix(k + 1, group.diameter) @ inv_lower.mT
+    grad_coeff = (lower[:, None, :nk, :nk].mT @ emat.reshape(n_g, 2, nk, nk1)
+                  ).reshape(n_g, 2 * nk, nk1)
+
+    # Pi0_k grad p by parts, (1/|P|) int_P grad p . g_j for g_j = q_j e_d:
+    # boundary moments of the normal traces of q_j, minus the interior
+    # moments of d/dx_d q_j, whose degree k-1 makes them interior DOFs.
     nrm = group.signs[..., None] * mesh.edge_normals[group.edges]
-    emat_k = gradient_coefficient_matrix(k, group.diameter)   # (G, 2 pi_{k-1}, pi_k)
-    b_g = np.empty((n_g, 2 * nk, N))
+    traces = edge_cross[..., :nk].transpose(0, 3, 1, 2)       # (G, pi_k, n_e, k+1)
+    grad_proj = np.empty((n_g, 2 * nk, N))
     for d in range(2):
-        b_g[:, d * nk:(d + 1) * nk, :n_edge_slots] = (
-            traces * (lengths * nrm[..., d])[:, None, :, None]).reshape(n_g, nk, -1)
-        b_g[:, d * nk:(d + 1) * nk, n_edge_slots:] = (
-            -area[:, None, None] * emat_k[:, d * nkm1:(d + 1) * nkm1].mT @ from_dofs)
-    grad_proj = factor_solve(inv_mass_k[:, None], b_g.reshape(n_g, 2, nk, N))
-    grad_proj = grad_proj.reshape(n_g, 2 * nk, N)
+        grad_proj[:, d * nk:(d + 1) * nk, :n_edge_slots] = (
+            (traces * nrm[:, None, :, d, None]).reshape(n_g, nk, -1) / area[:, None, None])
+        grad_proj[:, d * nk:(d + 1) * nk, n_edge_slots:] = (
+            -grad_coeff[:, d * nk:d * nk + nkm1, :nk].mT)
 
-    # Energy projection onto P_{k+1}: the gradient Gram H' of the nonconstant
-    # monomials gives their coefficients, then the boundary-mean condition
-    # (1/|dP|) int_dP (Pi p - p) = 0 gives the constant one.
-    emat = gradient_coefficient_matrix(k + 1, group.diameter)  # (G, 2 pi_k, pi_{k+1})
-    inv_h = inverse_cholesky(gradient_gram(mass_k, emat), group.cells, "gradient Gram")
+    # Energy projection onto P_{k+1}: the scaled gradient Gram
+    # H' = E'^T E' = (1/|P|) int_P grad q_i . grad q_j of the nonconstant q
+    # (E' the columns 1.. of grad_coeff) gives their coefficients, then the
+    # boundary-mean condition (1/|dP|) int_dP (Pi p - p) = 0 gives the one
+    # of q_0 = 1.
+    grad_nc = grad_coeff[:, :, 1:]
+    _, inv_h = cholesky_factors(grad_nc.mT @ grad_nc, group.cells, "gradient Gram")
     p_nabla = np.empty((n_g, nk1, N))
-    p_nabla[:, 1:] = factor_solve(inv_h, emat[:, :, 1:].mT @ b_g)
+    p_nabla[:, 1:] = factor_solve(inv_h, grad_nc.mT @ grad_proj)
     perimeter = lengths.sum(axis=-1, keepdims=True)
-    means = edge_cross[:, :, 0, :].sum(axis=1) / perimeter    # boundary means of m_j
-    p_nabla[:, 0] = -np.einsum("gj,gjn->gn", means[:, 1:], p_nabla[:, 1:])
+    means = edge_cross[:, :, 0, 1:].sum(axis=1) / perimeter    # boundary means of q_j
+    p_nabla[:, 0] = -np.einsum("gj,gjn->gn", means, p_nabla[:, 1:])
     p_nabla[:, 0, :n_edge_slots:k + 1] += lengths / perimeter
-    p_nabla[:, 0] /= means[:, :1]
 
-    # Moment table: low degrees come from the interior DOFs, degrees k and
-    # k+1 from the energy projection (enhancement), then invert Grams.
-    b0 = mass @ p_nabla
-    b0[:, :nkm1] = 0.0
-    b0[:, :nkm1, n_edge_slots:] = area[:, None, None] * from_dofs
-    p0 = factor_solve(inv_mass, b0)
-    p0k = factor_solve(inv_mass_k, b0[:, :nk])
-
-    # DOF matrix of monomials, for the dofi-dofi stabilization.
-    d_mat = _monomial_dof_table(edge_cross, lengths, mass, inv_mass, area, k)
+    # L2 projection: the interior DOFs are the coefficients of q_lo, of
+    # degree <= k-1.  The enhancement makes the moments against the
+    # monomials of degree k and k+1 those of the energy projection; as
+    # q_hi = T_hl m_lo + T_hh m_hi, the coefficients of q_hi are those of
+    # Pi^nabla p plus T_hl T_ll^{-1} = (L^{-1})_hl L_ll times the gap
+    # between the interior DOFs and the low coefficients of Pi^nabla p.
+    dof_lo = np.zeros((nkm1, N))
+    dof_lo[:, n_edge_slots:] = np.eye(nkm1)
+    p0 = np.empty_like(p_nabla)
+    p0[:, :nkm1] = dof_lo
+    p0[:, nkm1:] = p_nabla[:, nkm1:] + (
+        inv_lower[:, nkm1:, :nkm1] @ lower[:, :nkm1, :nkm1] @ (dof_lo - p_nabla[:, :nkm1]))
 
     consistency = grad_proj.mT @ mk_w @ grad_proj
     tau = np.trace(consistency, axis1=-2, axis2=-1) / N
     bad = ~(np.isfinite(tau) & (tau > 0.0))
     if bad.any():
         raise ValueError(f"cell {group.cells[bad][0]}: nonpositive stabilization scale")
-    residual = np.eye(N) - d_mat @ p0
+    # dofi-dofi stabilization (I - D p0), D the DOF table of the q: its
+    # interior rows are [I 0], which p0 reproduces exactly, so only the edge
+    # rows (the scaled edge moments of the q) leave a residual.
+    edge_dofs = (edge_cross / lengths[..., None, None]).reshape(n_g, n_edge_slots, nk1)
+    residual = -(edge_dofs @ p0)
+    residual[:, :, :n_edge_slots] += np.eye(n_edge_slots)
     stiffness = consistency + tau[:, None, None] * (residual.mT @ residual)
     stiffness = 0.5 * (stiffness + stiffness.mT)
 
     fq = ffun(quad.points.reshape(-1, 2)).reshape(quad.weights.shape)
-    f_moments = np.einsum("gjq,gq->gj", vk, quad.weights * fq)
-    f_coeffs = factor_solve(inv_mass_k, f_moments[..., None])[..., 0]
-    load = np.einsum("gjn,gj->gn", p0k, f_moments)
+    f_moments = np.einsum("gij,gj->gi", basis_k, np.einsum("gjq,gq->gj", vk, quad.weights * fq))
+    f_coeffs = f_moments / area[:, None]
+    load = np.einsum("gjn,gj->gn", p0[:, :nk], f_moments)
 
-    # Gradient-complement machinery: orthonormal basis and the operator that
-    # recovers the complement moments of the velocity from local pressures:
+    # Gradient-complement machinery: orthonormal basis, as coefficients
+    # against q = sqrt|P| L^{-1} m, and the operator that recovers the
+    # complement moments of the velocity from local pressures:
     # (1/|P|) int_P u . g with u = -K Pi0_k(grad p).
-    gk_perp = gk_perp_basis(k, inv_mass_k, group.cells)
+    gk_perp = gk_perp_basis(k, inv_lower[:, :nk, :nk], group.cells) / np.sqrt(area)[:, None, None]
     gkperp_rec = -(gk_perp.mT @ mk_w @ grad_proj) / area[:, None, None]
 
     return NcElement(
@@ -329,10 +344,10 @@ def build_element(
         k=k,
         edge_lengths=lengths,
         edge_cross=edge_cross,
-        mass=mass,
+        basis=basis,
+        grad_coeff=grad_coeff,
         p_nabla=p_nabla,
         p0=p0,
-        p0k=p0k,
         grad_proj=grad_proj,
         stiffness=stiffness,
         load=load,
@@ -342,7 +357,6 @@ def build_element(
         gk_perp=gk_perp,
         gkperp_rec=gkperp_rec,
         inv_grad_gram=inv_h,
-        const_dofs=d_mat[..., 0].copy(),
     )
 
 
@@ -355,21 +369,6 @@ def _edge_points(mesh: PolyMesh, edge_ids: np.ndarray, nodes: np.ndarray) -> np.
     va = mesh.vertices[mesh.edges[edge_ids, 0]]
     vb = mesh.vertices[mesh.edges[edge_ids, 1]]
     return va[..., None, :] + nodes[:, None] * (vb - va)[..., None, :]
-
-
-def _monomial_dof_table(edge_cross, edge_lengths, mass, inv_mass, area, k):
-    """DOF vectors of the scaled monomials m_beta, as columns (..., N, pi_{k+1}).
-
-    Edge slots are the scaled edge moments (cross table over |f|), interior
-    slots the scaled cell moments against q = T m (T times the mass rows of
-    degree <= k-1 over |P|), with T = sqrt|P| times the leading block of
-    `inv_mass`, the inverse Cholesky factor of `mass`.
-    """
-    nkm1 = n_monomials(k - 1)
-    edge_rows = edge_cross / edge_lengths[..., None, None]
-    edge_rows = edge_rows.reshape(edge_rows.shape[:-3] + (-1, mass.shape[-1]))
-    t_over_area = inv_mass[..., :nkm1, :nkm1] / np.sqrt(area)[..., None, None]
-    return np.concatenate([edge_rows, t_over_area @ mass[..., :nkm1, :]], axis=-2)
 
 
 def boundary_edge_values(mesh: PolyMesh, k: int, g) -> np.ndarray:

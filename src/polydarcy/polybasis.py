@@ -24,8 +24,15 @@ the rule needs no star point and no triangle has zero area.  Both
 one-dimensional rules are computed with numpy: Gauss-Legendre by
 `leggauss`, Gauss-Jacobi by Golub-Welsch.
 
-Cell Grams are symmetric positive definite, so every solve with one runs
-through its batched Cholesky factor (`inverse_cholesky`, `factor_solve`).
+The element build does its projector algebra in the cell basis q = T m
+orthonormal in the scaled product (1/|P|) int_P, with T = sqrt|P| L^{-1}
+from the Cholesky factor L of the degree-(k+1) monomial Gram: graded-lex
+order makes the leading blocks of T the bases of the lower degrees, and
+q_0 = 1.  Tables are formed in the monomials and moved to q on their small
+coefficient axes, never by evaluating q.  The Grams that remain (the one
+monomial Gram behind T, the gradient Gram of q and the small Gram of the
+gradient complement) are symmetric positive definite and factored batched
+(`cholesky_factors`, applied by `factor_solve`).
 """
 
 from __future__ import annotations
@@ -237,16 +244,16 @@ def _gradient_annihilator(k: int) -> np.ndarray:
     return z
 
 
-def inverse_cholesky(gram: np.ndarray, cells=None, what: str = "Gram") -> np.ndarray:
-    """L^{-1} for the Cholesky factor gram = L L^T of one SPD matrix or a stack.
+def cholesky_factors(gram: np.ndarray, cells=None, what: str = "Gram") -> tuple:
+    """(L, L^{-1}) for the Cholesky factor gram = L L^T of one SPD matrix or a stack.
 
     numpy has no batched triangular solve, so the inverse is built by row
     substitution vectorized over the stack, one step per row; each column is
-    the forward substitution of a unit vector.  Apply it with `factor_solve`.
-    The leading n x n block of L^{-1} is the inverse factor of the leading
-    n x n block of `gram`.  Raises ValueError naming the first member (by
-    `cells`, default its position in the stack) whose factorization fails
-    or is not finite, with `what` naming the matrix.
+    the forward substitution of a unit vector.  Apply L^{-1} with
+    `factor_solve`.  The leading n x n blocks of L and L^{-1} are the
+    factors of the leading n x n block of `gram`.  Raises ValueError naming
+    the first member (by `cells`, default its position in the stack) whose
+    factorization fails or is not finite, with `what` naming the matrix.
     """
     flat = gram.reshape((-1,) + gram.shape[-2:])
     try:
@@ -269,14 +276,14 @@ def inverse_cholesky(gram: np.ndarray, cells=None, what: str = "Gram") -> np.nda
             f"cell {name}: {what} is not positive definite or not finite; "
             "degenerate cell geometry or broken quadrature"
         )
-    return inv.reshape(gram.shape)
+    return lower.reshape(gram.shape), inv.reshape(gram.shape)
 
 
 def factor_solve(inv_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """gram^{-1} rhs as the two triangular products L^{-T} (L^{-1} rhs).
 
-    `inv_lower` is `inverse_cholesky(gram)`; gram^{-1} itself is never
-    formed, which would cost accuracy at the rounding floor.
+    `inv_lower` is the L^{-1} of `cholesky_factors(gram)`; gram^{-1} itself
+    is never formed, which would cost accuracy at the rounding floor.
     """
     return inv_lower.mT @ (inv_lower @ rhs)
 
@@ -288,43 +295,32 @@ def _cholesky_ok(matrix: np.ndarray) -> bool:
         return False
 
 
-def gradient_gram(mass_k: np.ndarray, emat: np.ndarray) -> np.ndarray:
-    """H' = E'^T M_vec E', the L2(P) Gram of the gradients of the
-    nonconstant degree-(k+1) scaled monomials.
-
-    `mass_k` is the degree-k Gram and `emat` the degree-(k+1)
-    `gradient_coefficient_matrix`, both possibly stacked; E' drops the
-    table's zero constant column, so H' is SPD, (..., pi_{k+1}-1, pi_{k+1}-1).
-    """
-    nk = mass_k.shape[-1]
-    ex, ey = emat[..., :nk, 1:], emat[..., nk:, 1:]
-    return ex.mT @ mass_k @ ex + ey.mT @ mass_k @ ey
-
-
 def gk_perp_basis(k: int, inv_factor: np.ndarray, cells=None) -> np.ndarray:
     """Orthonormal basis of the complement of gradients in (P_k)^2, (..., 2 pi_k, dim).
 
-    Column i holds the coefficients of member i, the vector polynomial
-    sum_j c[j, i] g_j with g_j running over (m_j, 0) for j < pi_k, then
-    (0, m_j), in the cell's degree-k scaled monomials m_j.  The complement
-    has dimension 2 pi_k - pi_{k+1} + 1 and is empty for k = 0.
-    `inv_factor` is `inverse_cholesky(mass_k)` of the degree-k monomial
-    Gram on the cell, stacked (..., pi_k, pi_k) for a group.  The
-    complement is the kernel of the pairing of (P_k)^2 against exact
-    gradients of P_{k+1}, so it is M_vec^{-1} Z with Z the fixed null space
-    of the transposed gradient table; M_vec^{-1} Z is orthonormalized in
-    the L2(P) inner product as M_vec^{-1} Z L^{-T}, with L the Cholesky
-    factor of its small Gram Z^T M_vec^{-1} Z.  The basis is unique up to
-    an orthogonal change within the complement (a sign at k = 1).  Raises
-    ValueError naming the first member (by `cells`, default its position in
-    the stack) whose small Gram is not positive definite or not finite.
+    `inv_factor` is L^{-1} of the degree-k monomial Gram L L^T on the cell,
+    stacked (..., pi_k, pi_k) for a group, so r = L^{-1} m is the basis of
+    P_k orthonormal in L2(P).  Column i holds the coefficients of member i,
+    the vector polynomial sum_j c[j, i] g_j with g_j running over (r_j, 0)
+    for j < pi_k, then (0, r_j).  The complement has dimension
+    2 pi_k - pi_{k+1} + 1 and is empty for k = 0.  It is the kernel of the
+    pairing of (P_k)^2 against exact gradients of P_{k+1}: in the vector
+    monomials that kernel is M_vec^{-1} Z, with Z the fixed null space of the
+    transposed gradient table E^T, and in the r coordinates it is
+    Y = blockdiag(L^{-1}) Z.  The r coordinates are L2(P)-orthonormal, so Y
+    is orthonormalized as Y L_s^{-T}, with L_s the Cholesky factor of Y^T Y.
+    The basis is unique up to an orthogonal change within the complement (a
+    sign at k = 1).
+    Raises ValueError naming the first member (by `cells`, default its
+    position in the stack) whose Y^T Y is not positive definite or not
+    finite.
     """
     nk = n_monomials(k)
     z = _gradient_annihilator(k)
     if z.shape[1] == 0:
         return np.zeros(inv_factor.shape[:-2] + z.shape)
-    # M_vec^{-1} Z one diagonal block (x, then y) at a time
-    mz = factor_solve(inv_factor[..., None, :, :], z.reshape(2, nk, -1))
-    mz = mz.reshape(mz.shape[:-3] + z.shape)
-    inv_small = inverse_cholesky(z.T @ mz, cells, "gradient-complement Gram")
-    return mz @ inv_small.mT
+    # blockdiag(L^{-1}) Z one diagonal block (x, then y) at a time
+    y = inv_factor[..., None, :, :] @ z.reshape(2, nk, -1)
+    y = y.reshape(y.shape[:-3] + z.shape)
+    _, inv_small = cholesky_factors(y.mT @ y, cells, "gradient-complement Gram")
+    return y @ inv_small.mT

@@ -10,23 +10,28 @@ with phi_alpha the orthonormal Legendre polynomial of the edge
 (`polybasis.edge_reference`), so the slot is |f| times the Legendre
 coefficient alpha of u . n_P.
 
-Moments of u against gradients of cell monomials follow from the divergence
-theorem together with div u = Pi0_k f, and the moments against the gradient
-complement come from a precomputed operator applied to the local pressure.
-Those three families determine the L2 projection of u onto cellwise (P_k)^2
-and, at lowest order, a Raviart-Thomas-like field whose divergence is exactly
-the cell-averaged source.  The projection applies the gradient Gram H'
-through the inverse Cholesky factor that the element build formed for its
-energy projection, so no Gram is formed or factored after assembly.  The
-divergence of u itself is Pi0_k f by construction; what the fluxes must show
-is local conservation, their sum over a cell's boundary matching int_P f.
+Moments of u against gradients of the orthonormal cell basis q = T m of the
+element build (`NcElement.basis`) follow from the divergence theorem together
+with div u = Pi0_k f, and the moments against the gradient complement come
+from a precomputed operator applied to the local pressure.  Those three
+families determine the L2 projection of u onto cellwise (P_k)^2 and, at
+lowest order, a Raviart-Thomas-like field whose divergence is exactly the
+cell-averaged source.  In the q coordinates every cell Gram is |P| I, so the
+interior term of the moments is |P| times the source coefficients, and the
+projection applies the gradient Gram H' of q through the inverse Cholesky
+factor that the element build formed for its energy projection; no Gram is
+formed or factored after assembly.  The divergence of u itself is Pi0_k f by
+construction; what the fluxes must show is local conservation, their sum
+over a cell's boundary matching int_P f.
 
 `recover_velocity` is the one walk over the solved cells, taken a
 vertex-count group at a time: it gathers each group's local pressures once
 and fills every cellwise field of the post-processing (velocity DOFs,
 projected velocity, its divergence, the RT field, the projected pressure and
-its gradient) as a `PiecewisePolyField`.  The helpers below take a group's
-stacked element record and broadcast over its leading cell axis.
+its gradient) as a `PiecewisePolyField`, whose coefficients are in the
+scaled monomials: each group's fields are moved from q by T^T once.  The
+helpers below take a group's stacked element record and broadcast over its
+leading cell axis.
 Every interior-edge flux is recovered from both incident cells; the left
 cell's copy is kept, and a velocity whose two copies disagree, or that
 violates local conservation on a cell or global conservation, is refused.
@@ -62,10 +67,11 @@ class VelocityDofs:
     edge_coeffs[e] holds the Legendre coefficients of u . n_e on edge e, in
     the orthonormal edge basis of `polybasis.edge_reference`, with n_e the
     globally stored normal; coefficient 0 is the edge mean.
-    grad_moments[c] holds the pi_k - 1 scaled moments (1/|P|) int_P u . grad m
-    over the nonconstant scaled monomials of degree <= k on cell c, and
-    gkperp_moments[c] the scaled moments against the orthonormal complement
-    basis of the gradients inside (P_k)^2.
+    grad_moments[c] holds the pi_k - 1 scaled moments (1/|P|) int_P u . grad q_j
+    over the nonconstant members q_1 .. q_{pi_k - 1} of the orthonormal cell
+    basis q = T m of cell c (`NcElement.basis`), like the interior pressure
+    DOFs, and gkperp_moments[c] the scaled moments against the orthonormal
+    complement basis of the gradients inside (P_k)^2 (`NcElement.gk_perp`).
     """
 
     k: int
@@ -137,22 +143,36 @@ def recover_edge_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     return edge_part / element.edge_lengths[..., None]
 
 
+def _monomial_coeffs(element: NcElement, coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Scaled-monomial coefficients of a field given in the cell basis q.
+
+    `coeffs` (..., n_components * pi_degree) holds one block per component;
+    q = T m makes each block's monomial coefficients T^T times its q ones,
+    with T the leading pi_degree block of `element.basis`.
+    """
+    n = n_monomials(degree)
+    blocks = coeffs.reshape(coeffs.shape[:-1] + (-1, n))
+    return (blocks @ element.basis[..., :n, :n]).reshape(coeffs.shape)
+
+
 def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
                          degree: int) -> np.ndarray:
-    """(1/|P|) int_P u . grad m over nonconstant monomials up to `degree`.
+    """(1/|P|) int_P u . grad q_j over the nonconstant q_j up to `degree`.
 
     Divergence theorem with div u = Pi0_k f; exact because u . n is a known
-    polynomial on each edge and Pi0_k f a known polynomial on the cell.
+    polynomial on each edge and Pi0_k f a known polynomial on the cell, whose
+    moments against the orthonormal q are |P| times its coefficients, and 0
+    above degree k.
     """
-    nk = n_monomials(element.k)
     nd = n_monomials(degree)
-    boundary = np.einsum("...eb,...ebj->...j", edge_coeffs, element.edge_cross[..., :nd])
-    interior = np.einsum("...i,...ij->...j", element.f_coeffs, element.mass[..., :nk, :nd])
-    return (boundary - interior)[..., 1:] / element.group.area[..., None]
+    moments = np.einsum("...eb,...ebj->...j", edge_coeffs, element.edge_cross[..., :nd])
+    moments /= element.group.area[..., None]
+    moments[..., :n_monomials(element.k)] -= element.f_coeffs
+    return moments[..., 1:]
 
 
 def recover_gradient_moments(element: NcElement, edge_coeffs: np.ndarray) -> np.ndarray:
-    """Scaled moments of u against gradients of M_k minus constants.
+    """Scaled moments of u against the gradients of q_1 .. q_{pi_k - 1}.
 
     These pi_k - 1 values are the interior gradient-type degrees of freedom
     of the velocity; edge_coeffs are the per-edge u . n_P coefficients from
@@ -171,9 +191,10 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
     """Coefficients of div u on the cell, after checking local conservation.
 
     div u = Pi0_k f holds by construction, so the coefficients returned are
-    the stored `f_coeffs`.  What the recovery can get wrong is the edge
-    fluxes, and the one moment of div u they determine alone is the
-    constant one: local conservation, sum over edges of int_f u . n_P = int_P f.
+    the stored `f_coeffs`, moved to the scaled monomials.  What the recovery
+    can get wrong is the edge fluxes, and the one moment of div u they
+    determine alone is the constant one: local conservation, sum over edges
+    of int_f u . n_P = int_P f.
     Its gap beyond `noise` (absolute; the rounding envelope of the residual
     evaluation that produced the fluxes, see recover_velocity), relative to
     the larger of the boundary terms, int_P f and an optional caller-provided
@@ -203,33 +224,33 @@ def divergence(element: NcElement, edge_coeffs: np.ndarray,
             f"local conservation (relative gap {np.ravel(rel)[worst]:.3e}, "
             f"tolerance {_DIV_TOL:.1e})"
         )
-    return element.f_coeffs, rel
+    return _monomial_coeffs(element, element.f_coeffs, element.k), rel
 
 
 def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
                      gkperp_moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection of u onto (P_k)^2 on each cell.
+    """Scaled-monomial coefficients of the L2 projection of u onto (P_k)^2.
 
-    The projection is pinned down by its moments against gradients of the
-    nonconstant monomials up to degree k+1 (the k+1 layer computed by the
+    The projection is pinned down by its moments against the gradients of
+    the nonconstant q_j up to degree k+1 (the k+1 layer computed by the
     same divergence-theorem formula as the stored DOFs, exactly), the
     scaled moments nu, and against the complement basis C, the scaled
-    moments m; together these span (P_k)^2.  Because Z^T E' = 0 and C is
-    L2(P)-orthonormal, the two families decouple and the projection is
+    moments m; together these span (P_k)^2.  The two families are
+    L2(P)-orthogonal, and the vector q basis is orthonormal in the scaled
+    product, so in q coordinates the projection is
 
-        x = E' H'^{-1} (|P| nu) + C (|P| m),
+        x = E' H'^{-1} nu + C (|P| m),
 
-    with E' the gradient table of the nonconstant monomials and
-    H' = E'^T M_vec E' their gradient Gram, applied through the inverse
-    Cholesky factor `inv_grad_gram` that the build formed for the energy
-    projection; no Gram is formed or factored here.
+    with E' the exact-gradient table of the nonconstant q (`grad_coeff`)
+    and H' = E'^T E', applied through the inverse Cholesky factor
+    `inv_grad_gram` that the build formed for the energy projection; no
+    Gram is formed or factored here.  x is returned as T^T x.
     """
     nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
     area = element.group.area[..., None]
-    grad_part = element.grad_coeff[..., 1:] @ factor_solve(element.inv_grad_gram,
-                                                           (area * nu)[..., None])
+    grad_part = element.grad_coeff[..., 1:] @ factor_solve(element.inv_grad_gram, nu[..., None])
     gkperp_part = element.gk_perp @ (area * gkperp_moments)[..., None]
-    return (grad_part + gkperp_part)[..., 0]
+    return _monomial_coeffs(element, (grad_part + gkperp_part)[..., 0], element.k)
 
 
 def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
@@ -241,7 +262,8 @@ def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
     """
     if element.k != 0:
         raise ValueError("RT-like reconstruction is defined for order k = 0")
-    gradp = np.einsum("...ij,...j->...i", element.grad_proj, p_loc)
+    gradp = _monomial_coeffs(element, np.einsum("...ij,...j->...i", element.grad_proj, p_loc),
+                             0)
     const = -np.einsum("...ij,...j->...i", element.k_mean, gradp)
     f_mean = element.f_moments[..., 0] / element.group.area
     h = element.group.diameter
@@ -297,9 +319,10 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     With orthonormal DOFs the local algebra is well conditioned, so flux
     agreement and global conservation are checked and reported on their raw
     gaps.  Local conservation alone first subtracts the rounding envelope
-    4 eps (|K_loc| |p_loc| + |load|) of the residual slots, weighted by the
-    DOFs of the constant function, because its raw gap grows with the mesh
-    (see the loop below); its reported gap is deflated by that envelope.
+    4 eps (|K_loc| |p_loc| + |load|) of the residual slots, summed over the
+    slots where the constant function's DOFs are 1, because its raw gap
+    grows with the mesh (see the loop below); its reported gap is deflated
+    by that envelope.
     An unsolved system raises RuntimeError.
     """
     mesh = system.mesh
@@ -307,8 +330,8 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     nc = mesh.num_cells
     nk = n_monomials(k)
     eps4 = 4.0 * float(np.finfo(float).eps)
-    f_scale = max((float(np.abs(g.f_coeffs).max(initial=0.0)) for g in system.groups),
-                  default=0.0)
+    f_scale = max((float(np.abs(_monomial_coeffs(g, g.f_coeffs, k)).max(initial=0.0))
+                   for g in system.groups), default=0.0)
     # Both copies of every edge's u . n_e, written by edge sign.  An edge is
     # stored in its left cell's direction, so copy 0 (sign +1) is the left
     # cell's and is kept; copy 1 (sign -1) is the right cell's, present on
@@ -337,7 +360,10 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         # three orders or more below theirs.
         noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(element.stiffness), np.abs(p_loc))
                               + np.abs(element.load))
-        cell_noise = np.einsum("gi,gi->g", np.abs(element.const_dofs), noise_slots)
+        # The constant 1 has DOFs 1 in slot 0 of every edge block and in the
+        # first interior slot (q_0 = 1), 0 elsewhere: slots 0, k+1, ...,
+        # n_e (k+1), the last one absent at k = 0.
+        cell_noise = noise_slots[:, :element.n_edges * (k + 1) + 1:k + 1].sum(axis=-1)
         side = (1 - group.signs) // 2
         copies[side, group.edges] = group.signs[..., None] * local
         grad_moments[cells] = recover_gradient_moments(element, local)
@@ -347,8 +373,10 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         proj[cells] = project_velocity(element, local, gkperp_moments[cells])
         if rt is not None:
             rt[cells] = rt0_reconstruct(element, p_loc)
-        pressure[cells] = np.einsum("gij,gj->gi", element.p0, p_loc)
-        grad_pressure[cells] = np.einsum("gij,gj->gi", element.grad_proj, p_loc)
+        pressure[cells] = _monomial_coeffs(
+            element, np.einsum("gij,gj->gi", element.p0, p_loc), k + 1)
+        grad_pressure[cells] = _monomial_coeffs(
+            element, np.einsum("gij,gj->gi", element.grad_proj, p_loc), k)
         centers[cells] = group.center
         diameters[cells] = group.diameter
 

@@ -11,7 +11,9 @@ polynomials sqrt(2b + 1) P_b(2t - 1) on the segment a + t (b - a) from
 Bonnet's three-term recurrence, cell monomials and their gradients from
 their definition on a centroid taken from the exact first moments and a
 diameter from all vertex pairs, the orthonormal interior DOF polynomials
-from a dense Cholesky factor of the oracle's own monomial Gram, the coupled
+from a dense Cholesky factor of the oracle's own monomial Gram (the
+velocity oracles take the build's cell basis q = T m only as its stored T,
+applied to these monomials), the coupled
 first-order system from one dense square solve instead of the sequential
 solve-then-recover pipeline, and the VTK file from one formatted write per
 line.  Polygon moments come from Green's theorem, one exact Gauss rule per
@@ -30,11 +32,12 @@ from polydarcy.polymesh import build_topology, polygon_area
 
 
 def gk_perp_values(coeffs, monomials):
-    """Complement members at the points of a degree-k monomial table, (dim, n, 2).
+    """Complement members at the points of a degree-k basis table, (dim, n, 2).
 
     `coeffs` (2 pi_k, dim) are the members' coefficients against the vector
-    monomials (m_j, 0), then (0, m_j), and `monomials` (pi_k, n) the values
-    of the m_j; each component is one sum over j.
+    basis (b_j, 0), then (0, b_j), and `monomials` (pi_k, n) the values of
+    the b_j (scaled monomials, or the build's cell basis q = T m of them);
+    each component is one sum over j.
     """
     nk = len(monomials)
     return np.stack([coeffs[:nk].T @ monomials, coeffs[nk:].T @ monomials], axis=-1)
@@ -358,9 +361,10 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
     Matches the layout of the recovered velocity DOFs: per-edge Legendre
     coefficients of u . n, its moments against the globally oriented
     `edge_legendre` polynomials, then
-    per-cell the scaled gradient moments (1/|P|) int_P u . grad m over the
-    nonconstant monomials of degree <= k, and the moments against the
-    gradient-complement basis.
+    per-cell the scaled gradient moments (1/|P|) int_P u . grad q over the
+    nonconstant members of degree <= k of the build's cell basis
+    q = T m (`NcElement.basis`, applied to `cell_monomials`), and the moments
+    against the gradient-complement basis.
     """
     mesh = system.mesh
     k = system.k
@@ -382,10 +386,12 @@ def exact_velocity_dofs(system: SpdSystem, velocity):
             area = polygon_area(coords)
             pts, w = polygon_gauss(coords, 12)
             u = velocity(pts)
-            gm = cell_monomial_gradients(coords, k, pts)[1:nk]
+            gm = np.einsum("ij,jqd->iqd", element.basis[row, :nk, :nk],
+                           cell_monomial_gradients(coords, k, pts))[1:]
             grad[c] = (gm[:, :, 0] @ (w * u[:, 0])
                        + gm[:, :, 1] @ (w * u[:, 1])) / area
-            gv = gk_perp_values(element.gk_perp[row], cell_monomials(coords, k, pts))
+            gv = gk_perp_values(element.gk_perp[row],
+                                element.basis[row, :nk, :nk] @ cell_monomials(coords, k, pts))
             perp[c] = (gv[:, :, 0] @ (w * u[:, 0])
                        + gv[:, :, 1] @ (w * u[:, 1])) / area
     return edge, grad, perp
@@ -421,13 +427,14 @@ def monolithic_solve(system: SpdSystem, K):
 
     Unknowns: per edge (boundary edges included) the k+1 Legendre
     coefficients of u . n along the globally oriented edge; per cell the
-    pi_k - 1 scaled gradient moments and the complement moments of u; then
-    the free pressure DOFs.  Equations per cell: the flux-balance relation
+    pi_k - 1 scaled gradient moments (against the gradients of the build's
+    cell basis q = T m) and the complement moments of u; then the free
+    pressure DOFs.  Equations per cell: the flux-balance relation
     for every local pressure test slot except the first edge's zeroth
     moment (testing with the constant function yields one identically
     trivial combination), the complement pairing of u against every member
     of the gradient-complement basis, and the divergence-moment match for
-    every cell monomial up to degree k.  The count is square by the
+    every member of q up to degree k.  The count is square by the
     edge-count identity.  Returns (edge_coeffs, grad_moments,
     gkperp_moments, pressure), shaped like the pipeline's recovery output.
     """
@@ -491,7 +498,7 @@ def monolithic_solve(system: SpdSystem, K):
                     e = edge_ids[pos]
                     amat[row, c_off + (k + 1) * e + alpha] += (
                         edge_signs[pos] * g.edge_lengths[m, pos])
-                proj_i = g.p0k[m, :, i]
+                proj_i = g.p0[m, :nk, i]
                 for gamma in range(nk):
                     w = proj_i[gamma]
                     if w == 0.0:
@@ -502,11 +509,11 @@ def monolithic_solve(system: SpdSystem, K):
                 row += 1
 
             if gdim:
-                # weighted Gram of the vector monomials against the complement
+                # weighted Gram of the vector q basis against the complement
                 # members, by the independent tensor-Gauss rule
                 pts, w = polygon_gauss(coords, n=12)
                 kv = kfun(pts)
-                mv = cell_monomials(coords, k, pts)
+                mv = g.basis[m, :nk, :nk] @ cell_monomials(coords, k, pts)
                 gv = gk_perp_values(g.gk_perp[m], mv)
                 for j in range(gdim):
                     kg_x = kv[:, 0, 0] * gv[j, :, 0] + kv[:, 1, 0] * gv[j, :, 1]

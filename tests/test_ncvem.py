@@ -7,9 +7,10 @@ import scipy.sparse as sp
 import oracles
 from polydarcy import ncvem, polymesh
 from polydarcy.cases import get_case, polynomial_case
-from polydarcy.ncvem import (_monomial_dof_table, assemble, boundary_edge_values,
-                             build_dof_map, build_element, solve_pressure)
-from polydarcy.polybasis import gradient_gram, inverse_cholesky, n_monomials
+from polydarcy.ncvem import (assemble, boundary_edge_values, build_dof_map, build_element,
+                             solve_pressure)
+from polydarcy.polybasis import (cholesky_factors, gradient_coefficient_matrix, n_monomials,
+                                 polygon_quadrature, scaled_monomials)
 from polydarcy.polymesh import ear_triangles
 
 PENTAGON = np.array([[0.0, 0.0], [1.1, -0.1], [1.4, 0.8], [0.6, 1.3], [-0.2, 0.9]])
@@ -30,10 +31,25 @@ def kpoly(pts):
     return 1.0 + 0.5 * pts[:, 0] ** 2 * pts[:, 1] ** 2 + 0.2 * pts[:, 0] ** 3
 
 
+def basis_dofs(element):
+    """DOF vectors of the cell basis q = T m, (..., N, pi_{k+1}), from the stored tables.
+
+    Edge slots are the scaled edge moments (cross table over |f|); the
+    interior slots are the moments against q_0 .. q_{pi_{k-1}-1}, which
+    orthonormality makes [I 0].
+    """
+    k = element.k
+    edge_rows = element.edge_cross / element.edge_lengths[..., None, None]
+    edge_rows = edge_rows.reshape(edge_rows.shape[:-3] + (-1, edge_rows.shape[-1]))
+    nkm1 = n_monomials(k - 1)
+    interior = np.broadcast_to(np.eye(nkm1, edge_rows.shape[-1]),
+                               edge_rows.shape[:-2] + (nkm1, edge_rows.shape[-1]))
+    return np.concatenate([edge_rows, interior], axis=-2)
+
+
 def monomial_dofs(element):
-    """DOF vectors of the scaled monomials, (..., N, pi_{k+1}), from the stored tables."""
-    return _monomial_dof_table(element.edge_cross, element.edge_lengths, element.mass,
-                               inverse_cholesky(element.mass), element.group.area, element.k)
+    """DOF vectors of the scaled monomials m = T^{-1} q, (..., N, pi_{k+1})."""
+    return np.linalg.solve(element.basis, basis_dofs(element).mT).mT
 
 
 def build_pentagon(k, K=1.0, f=None):
@@ -90,40 +106,71 @@ def _source(pts):
     return np.sin(pts[:, 0] + 0.3 * pts[:, 1])
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_projectors_reproduce_polynomials(k):
-    # the pentagon, then every member of a stacked 5-gon group at the same
-    # bound; at k = 3 the projectors, which act in scaled monomials, hold the
-    # group's gradient table only to 2.1e-11, so there it is left out
+    # the pentagon, then every member of a stacked 5-gon group, at one bound:
+    # each projector gives back every member of the cell basis q, whose
+    # coordinates it acts in, and the gradient projection its exact gradient
     mesh, group = _five_gon_group()
     stacked = build_element(mesh, group, k, kvar, _source)
-    elements = [build_pentagon(k, K=kvar)]
-    if k < 3:
-        elements.append(stacked)
     nk1 = n_monomials(k + 1)
     nk = n_monomials(k)
-    for i, element in enumerate(elements):
-        d = monomial_dofs(element)
+    for i, element in enumerate([build_pentagon(k, K=kvar), stacked]):
+        d = basis_dofs(element)
         assert np.abs(element.p_nabla @ d - np.eye(nk1)).max() < 1e-11, i
         assert np.abs(element.p0 @ d - np.eye(nk1)).max() < 1e-11, i
-        assert np.abs(element.p0k @ d[..., :nk] - np.eye(nk)).max() < 1e-11, i
+        assert np.abs(element.p0[:, :nk] @ d[..., :nk] - np.eye(nk)).max() < 1e-11, i
         assert np.abs(element.grad_proj @ d - element.grad_coeff).max() < 1e-11, i
-    # source coefficients against an LU oracle on the stored Gram
-    ref = np.linalg.solve(stacked.mass[:, :nk, :nk], stacked.f_moments[..., None])[..., 0]
-    assert np.abs(stacked.f_coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    # Pi0_k f leaves a residual orthogonal to P_k in the build's own rule
+    quad = polygon_quadrature(mesh.vertices[group.loops], 2 * (k + 2), group.ears)
+    vals = scaled_monomials(quad.points, group.center, group.diameter, k)
+    coeffs = np.einsum("gi,gij->gj", stacked.f_coeffs, stacked.basis[:, :nk, :nk])
+    source = _source(quad.points.reshape(-1, 2)).reshape(quad.weights.shape)
+    residual = source - np.einsum("gj,gjq->gq", coeffs, vals)
+    pairs = np.einsum("gjq,gq->gj", vals, quad.weights * residual)
+    assert np.abs(pairs).max() <= 1e-15 * np.abs(source).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_cell_basis_is_orthonormal(k):
+    # (1/|P|) int_P q_i q_j = delta_ij and q_0 = 1, on every cell of a
+    # distorted mesh, by the independent tensor-Gauss rule; the monomial
+    # Gram behind T reaches a condition of about 1e11 at k = 5
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    nk1 = n_monomials(k + 1)
+    for group in mesh.cell_groups():
+        element = build_element(mesh, group, k)
+        assert np.array_equal(element.basis, np.tril(element.basis))
+        assert np.abs(element.basis[:, 0, 0] - 1.0).max() < 1e-14
+        for row, c in enumerate(group.cells):
+            coords = mesh.vertices[mesh.cells[c]]
+            pts, w = oracles.polygon_gauss(coords)
+            q = element.basis[row] @ oracles.cell_monomials(coords, k + 1, pts)
+            gram = (q * w) @ q.T / polymesh.polygon_area(coords)
+            assert np.abs(gram - np.eye(nk1)).max() < 1e-11, c
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_stored_recovery_tables_are_their_definitions(k):
-    # the recovery reads the build's gradient-Gram factor and the DOFs of the
-    # constant function instead of recomputing them; both are the recomputed
-    # values bit for bit
+    # the recovery reads the build's gradient table and gradient-Gram factor
+    # instead of recomputing them, and takes the DOFs of the constant
+    # function as a fixed 0/1 pattern
     mesh, group = _five_gon_group()
     element = build_element(mesh, group, k, kvar, _source)
     nk = n_monomials(k)
-    assert np.array_equal(element.const_dofs, monomial_dofs(element)[..., 0])
-    gram = gradient_gram(element.mass[..., :nk, :nk], element.grad_coeff)
-    assert np.array_equal(element.inv_grad_gram, inverse_cholesky(gram, element.group.cells))
+    # grad q_j = sum_i T[j, i] grad m_i: blockdiag(T_k^T) E_q = E T^T
+    blocks = element.grad_coeff.reshape(len(group.cells), 2, nk, -1)
+    monomial_part = (element.basis[:, None, :nk, :nk].mT @ blocks).reshape(element.grad_coeff.shape)
+    exact = gradient_coefficient_matrix(k + 1, group.diameter) @ element.basis.mT
+    assert np.abs(monomial_part - exact).max() <= 1e-13 * np.abs(exact).max()
+    grad_nc = element.grad_coeff[..., 1:]
+    _, inv_h = cholesky_factors(grad_nc.mT @ grad_nc, group.cells)
+    assert np.array_equal(element.inv_grad_gram, inv_h)
+    # the constant 1 = q_0: 1 in slot 0 of every edge block and in the first
+    # interior slot
+    pattern = np.zeros(element.stiffness.shape[-1])
+    pattern[:element.n_edges * (k + 1) + 1:k + 1] = 1.0
+    assert np.abs(basis_dofs(element)[..., 0] - pattern).max() < 1e-14
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -230,7 +277,7 @@ def test_constant_load_hits_mean_slot(k):
 
 def test_k0_load_is_projected_mean():
     element = build_pentagon(0, f=2.5)
-    expected = 2.5 * element.group.area[0] * element.p0k[0, 0]
+    expected = 2.5 * element.group.area[0] * element.p0[0, 0]
     assert np.abs(element.load[0] - expected).max() < 1e-12
 
 
@@ -242,7 +289,8 @@ def test_forcing_projection_matches_dense_oracle():
 
     element = build_pentagon(2, f=f)
     ref = oracles.l2_projection(PENTAGON, 2, f, n=20)
-    assert np.abs(element.f_coeffs[0] - ref).max() < 1e-10
+    nk = n_monomials(2)
+    assert np.abs(element.f_coeffs[0] @ element.basis[0, :nk, :nk] - ref).max() < 1e-10
 
 
 def test_boundary_edge_values_match_direct_integrals():
@@ -350,9 +398,9 @@ def test_grouped_build_keeps_cell_identity(k):
     mesh = polymesh.generate_distorted_polygonal(12, 12, seed=2026, distortion=0.2)
     system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
     geometry = ("loops", "edges", "signs", "area", "center", "diameter", "ears")
-    fields = ("edge_lengths", "edge_cross", "mass", "p_nabla", "p0", "p0k", "grad_proj",
-              "stiffness", "load", "f_moments", "f_coeffs", "k_mean", "grad_coeff",
-              "gk_perp", "gkperp_rec", "inv_grad_gram", "const_dofs")
+    fields = ("edge_lengths", "edge_cross", "basis", "grad_coeff", "p_nabla", "p0",
+              "grad_proj", "stiffness", "load", "f_moments", "f_coeffs", "k_mean",
+              "gk_perp", "gkperp_rec", "inv_grad_gram")
     n = system.dofmap.n_global
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)

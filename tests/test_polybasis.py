@@ -16,11 +16,10 @@ from polydarcy.polybasis import (
     _gauss_legendre01,
     edge_reference,
     factor_solve,
+    cholesky_factors,
     gk_perp_basis,
     gk_perp_dimension,
     gradient_coefficient_matrix,
-    gradient_gram,
-    inverse_cholesky,
     monomial_exponents,
     monomial_index,
     n_monomials,
@@ -39,10 +38,28 @@ def one_cell(coords, k, f=None):
     return build_element(mesh, mesh.cell_groups()[0], k, f=f)
 
 
-def build_mass(coords, k):
-    """The degree-k monomial Gram of the polygon, as the element build forms it."""
+def inverse_factor(coords, k):
+    """L^{-1} of the degree-k monomial Gram L L^T of the polygon, from the build.
+
+    The build's cell basis is T = sqrt|P| L^{-1}, and its leading pi_k
+    block belongs to the degree-k Gram.
+    """
+    element = one_cell(coords, k)
     nk = n_monomials(k)
-    return one_cell(coords, k).mass[0, :nk, :nk]
+    return element.basis[0, :nk, :nk] / math.sqrt(element.group.area[0])
+
+
+def build_gram(coords, k):
+    """The build's degree-(k+1) monomial Gram, |P| T^{-1} T^{-T} from its basis T."""
+    element = one_cell(coords, k)
+    inv_t = np.linalg.inv(element.basis[0])
+    return element.group.area[0] * inv_t @ inv_t.T
+
+
+def source_coeffs(element):
+    """Scaled-monomial coefficients T_k^T f_coeffs of the build's Pi0_k f."""
+    nk = n_monomials(element.k)
+    return element.f_coeffs[0] @ element.basis[0, :nk, :nk]
 
 
 def test_monomial_counts_and_order():
@@ -371,12 +388,13 @@ def test_loop_without_ear_is_refused(coords):
 
 
 def test_mass_matrix_k0_is_area():
-    assert one_cell(UNIT_SQUARE, 0).mass[0, 0, 0] == pytest.approx(1.0)
+    assert build_gram(UNIT_SQUARE, 0)[0, 0] == pytest.approx(1.0)
 
 
 def test_mass_matrix_spd_and_matches_oracle():
-    # the build's degree-(k+1) Gram against the oracle's monomials and rule
-    gram = one_cell(PENTAGON, 2).mass[0]
+    # the build's degree-(k+1) Gram behind its basis T against the oracle's
+    # monomials and rule
+    gram = build_gram(PENTAGON, 2)
     assert np.abs(gram - gram.T).max() < 1e-15
     assert np.linalg.eigvalsh(gram).min() > 0.0
     assert np.abs(gram - oracles.monomial_gram(PENTAGON, 3)).max() < 1e-13
@@ -388,26 +406,28 @@ def test_gk_perp_dimensions():
 
 
 def test_gk_perp_k0_is_empty():
-    gkp = gk_perp_basis(0, inverse_cholesky(build_mass(UNIT_SQUARE, 0)))
+    gkp = gk_perp_basis(0, inverse_factor(UNIT_SQUARE, 0))
     assert gkp.shape == (2, 0)
 
 
 def test_gk_perp_k1_spans_rotation_on_square():
     square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    gkp = gk_perp_basis(1, inverse_cholesky(build_mass(square, 1)))
+    inv = inverse_factor(square, 1)
+    gkp = gk_perp_basis(1, inv)
     assert gkp.shape[1] == 1
     pts = np.array([[0.1, 0.2], [-0.3, 0.25], [0.4, -0.1]])
-    vals = oracles.gk_perp_values(gkp, oracles.cell_monomials(square, 1, pts))[0]
+    vals = oracles.gk_perp_values(gkp, inv @ oracles.cell_monomials(square, 1, pts))[0]
     rot = np.column_stack([-pts[:, 1], pts[:, 0]])
     ratios = vals / rot
     assert np.abs(ratios - ratios[0, 0]).max() < 1e-12
 
 
-def _check_gk_perp(gkp, coords, k):
+def _check_gk_perp(gkp, coords, k, basis):
+    # `basis` maps the monomials to the polynomials the coefficients refer to
     dim = gkp.shape[1]
     assert dim == gk_perp_dimension(k)
     quad = polygon_quadrature(coords, 2 * k + 2, ear_triangles(coords))
-    gvals = oracles.gk_perp_values(gkp, oracles.cell_monomials(coords, k, quad.points))
+    gvals = oracles.gk_perp_values(gkp, basis @ oracles.cell_monomials(coords, k, quad.points))
     mgrads = oracles.cell_monomial_gradients(coords, k + 1, quad.points)
     area = abs(polymesh.polygon_area(coords))
     for i in range(dim):
@@ -420,17 +440,18 @@ def _check_gk_perp(gkp, coords, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gk_perp_orthogonal_to_gradients_and_orthonormal(k):
-    gkp = gk_perp_basis(k, inverse_cholesky(build_mass(PENTAGON, k)))
-    _check_gk_perp(gkp, PENTAGON, k)
+    inv = inverse_factor(PENTAGON, k)
+    _check_gk_perp(gk_perp_basis(k, inv), PENTAGON, k, inv)
     # one stacked input, every member checked: the 5-gon group of a mesh,
-    # as the element build makes its basis
+    # as the element build makes its basis, against its cell basis q = T m
     mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
     group = next(g for g in mesh.cell_groups() if g.loops.shape[1] == 5)
     stack = mesh.vertices[group.loops]
-    stacked = build_element(mesh, group, k).gk_perp
-    assert stacked.shape == (len(stack), 2 * n_monomials(k), gk_perp_dimension(k))
-    for coords, coeffs in zip(stack, stacked):
-        _check_gk_perp(coeffs, coords, k)
+    element = build_element(mesh, group, k)
+    nk = n_monomials(k)
+    assert element.gk_perp.shape == (len(stack), 2 * nk, gk_perp_dimension(k))
+    for coords, coeffs, basis in zip(stack, element.gk_perp, element.basis):
+        _check_gk_perp(coeffs, coords, k, basis[:nk, :nk])
 
 
 @pytest.mark.parametrize("defect", ["negated", "nan"])
@@ -439,13 +460,13 @@ def test_gk_perp_names_first_member_with_bad_gram(defect):
     # complement's own small Gram; either error names the member's cell
     stack = np.stack([PENTAGON, PENTAGON + 1.0, PENTAGON - 2.0])
     cells = np.array([4, 12, 30])
-    mass = np.stack([build_mass(coords, 1) for coords in stack])
+    mass = np.stack([oracles.monomial_gram(coords, 1) for coords in stack])
     if defect == "negated":
         mass[1] = -mass[1]
         with pytest.raises(ValueError, match="^cell 12: monomial Gram"):
-            inverse_cholesky(mass, cells, "monomial Gram")
+            cholesky_factors(mass, cells, "monomial Gram")
     else:
-        inv_factor = inverse_cholesky(mass, cells, "monomial Gram")
+        _, inv_factor = cholesky_factors(mass, cells, "monomial Gram")
         inv_factor[1] = np.nan
         with pytest.raises(ValueError, match="^cell 12: gradient-complement Gram"):
             gk_perp_basis(1, inv_factor, cells)
@@ -466,15 +487,16 @@ def test_gradient_coefficient_matrix_is_exact():
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_gradient_gram_pairs_monomial_gradients(k):
-    # H'[i, j] = int_P grad m_i . grad m_j over the nonconstant monomials
-    # of degree <= k+1, from the degree-k Gram and the gradient table
+    # |P| H' = |P| E'^T E' from the build's gradient table is
+    # int_P grad q_i . grad q_j over the nonconstant q = T m of degree
+    # <= k+1: the oracle's pairing of the monomial gradients, moved by T
     element = one_cell(PENTAGON, k)
-    nk = n_monomials(k)
-    got = gradient_gram(element.mass[0, :nk, :nk],
-                        gradient_coefficient_matrix(k + 1, element.group.diameter[0]))
+    grad_nc = element.grad_coeff[0, :, 1:]
+    got = element.group.area[0] * grad_nc.T @ grad_nc
     pts, w = oracles.polygon_gauss(PENTAGON, n=10)
     grads = oracles.cell_monomial_gradients(PENTAGON, k + 1, pts)[1:]
-    ref = np.einsum("n,ina,jna->ij", w, grads, grads)
+    t = element.basis[0, 1:, 1:]      # grad q_0 = 0, and grad m_0 = 0
+    ref = t @ np.einsum("n,ina,jna->ij", w, grads, grads) @ t.T
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
 
 
@@ -482,18 +504,19 @@ def test_inverse_cholesky_solves_stacked_grams():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 6, 6))
     grams = a @ a.mT + 0.1 * np.eye(6)
-    inv = inverse_cholesky(grams)
-    assert np.abs(inv @ np.linalg.cholesky(grams) - np.eye(6)).max() < 1e-12
+    lower, inv = cholesky_factors(grams)
+    assert np.array_equal(lower, np.linalg.cholesky(grams))
+    assert np.abs(inv @ lower - np.eye(6)).max() < 1e-12
     assert np.all(np.triu(inv, 1) == 0.0)
     rhs = rng.standard_normal((4, 6, 3))
     ref = oracles.cholesky_solve(grams[2], rhs[2])
     assert np.abs(factor_solve(inv, rhs)[2] - ref).max() < 1e-10 * np.abs(ref).max()
     # the leading block of the inverse factor is that of the leading Gram
-    lead = inverse_cholesky(grams[:, :3, :3])
+    _, lead = cholesky_factors(grams[:, :3, :3])
     assert np.abs(inv[:, :3, :3] - lead).max() < 1e-13 * np.abs(lead).max()
     grams[1, 4, 4] = -1.0
     with pytest.raises(ValueError, match="^cell 9: test Gram is not positive definite"):
-        inverse_cholesky(grams, cells=np.array([3, 9, 12, 20]), what="test Gram")
+        cholesky_factors(grams, cells=np.array([3, 9, 12, 20]), what="test Gram")
 
 
 def test_l2_projection_reproduces_polynomials():
@@ -503,7 +526,7 @@ def test_l2_projection_reproduces_polynomials():
     def poly(pts):
         return coeffs @ oracles.cell_monomials(PENTAGON, 2, pts)
 
-    out = one_cell(PENTAGON, 2, f=poly).f_coeffs[0]
+    out = source_coeffs(one_cell(PENTAGON, 2, f=poly))
     assert np.abs(out - coeffs).max() < 1e-12
 
 
@@ -513,12 +536,12 @@ def test_l2_projection_idempotent():
     def f(pts):
         return np.sin(pts[:, 0]) * np.exp(pts[:, 1])
 
-    once = one_cell(PENTAGON, k, f=f).f_coeffs[0]
+    once = source_coeffs(one_cell(PENTAGON, k, f=f))
 
     def projected(pts):
         return once @ oracles.cell_monomials(PENTAGON, k, pts)
 
-    twice = one_cell(PENTAGON, k, f=projected).f_coeffs[0]
+    twice = source_coeffs(one_cell(PENTAGON, k, f=projected))
     assert np.abs(twice - once).max() < 1e-12
 
 
@@ -534,7 +557,7 @@ def test_l2_projection_orthogonality():
     # defines its projection
     quad = polygon_quadrature(PENTAGON, 2 * (k + 2), group.ears[0])
     vals = scaled_monomials(quad.points, group.center[0], group.diameter[0], k)
-    residual = f(quad.points) - element.f_coeffs[0] @ vals
+    residual = f(quad.points) - source_coeffs(element) @ vals
     # the projection error is L2-orthogonal to every member of P_k
     pairs = vals @ (quad.weights * residual)
     assert np.abs(pairs).max() < 1e-10

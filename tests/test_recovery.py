@@ -47,13 +47,17 @@ def test_zero_pressure_zero_velocity():
 
 
 def test_gradient_moment_closed_form_k1():
-    # (1/|P|) int u . grad m_(1,0) = -1/h for u = (-1, 0)
+    # (1/|P|) int u . grad m = (-1/h, 0) for u = (-1, 0) over m_(1,0), m_(0,1),
+    # and the moments against grad q_j, q = T m, are T's rows applied to them
     mesh, element = unit_cell(1)
     p_loc = oracles.exact_local_dofs(mesh, 0, element.k, pressure_x)
     local = recover_edge_moments(element, p_loc)
     nu = recover_gradient_moments(element, local)
     h = element.group.diameter[0]
-    assert np.abs(nu - np.array([-1.0 / h, 0.0])).max() < 1e-13
+    # unit square: (1/|P|) int m_(1,0)^2 = 1/24, so q_1 = sqrt(24) m_(1,0)
+    assert element.basis[0, 1, 1] == pytest.approx(np.sqrt(24.0), rel=1e-14)
+    expected = element.basis[0, 1:3, 1:3] @ np.array([-1.0 / h, 0.0])
+    assert np.abs(nu[0] - expected).max() < 1e-13
 
 
 def test_gkperp_moments_empty_at_k0():
@@ -153,9 +157,12 @@ def test_structural_gaps_on_manufactured_case(k):
     assert vel.conservation_gap <= 1e-9
     assert vel.dofs.edge_coeffs.shape == (mesh.num_edges, k + 1)
     assert len(vel.dofs.grad_moments) == mesh.num_cells
-    # div u = Pi0_k f by construction: the stored projected source itself
+    # div u = Pi0_k f by construction: the stored projected source itself,
+    # moved from the cell basis q = T m to the monomials by T^T
+    nk = n_monomials(k)
     for element in system.groups:
-        assert np.array_equal(vel.divergence.coeffs[element.group.cells], element.f_coeffs)
+        ref = (element.f_coeffs[:, None, :] @ element.basis[:, :nk, :nk])[:, 0]
+        assert np.array_equal(vel.divergence.coeffs[element.group.cells], ref)
 
 
 @functools.lru_cache(maxsize=None)

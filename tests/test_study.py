@@ -316,9 +316,10 @@ def test_patch_test_on_cells_without_a_kernel(notches, k):
 @pytest.mark.parametrize("k, bound", [(3, 1.1e-10), (4, 1.2e-10)])
 def test_high_order_patch_test_on_distorted_meshes(k, bound):
     # p in P_{k+1} with constant K on 4x4 to 32x32 distorted cells (seed
-    # 2026): 10 times the worst errorU of the orthonormal DOFs, 1.1e-11
-    # (k = 3) and 1.2e-11 (k = 4) at 32x32, where monomial DOFs gave 1.3e-9
-    # and 4.2e-7
+    # 2026): 10 times the worst errorU of the orthonormal DOFs with monomial
+    # projector algebra, 1.1e-11 (k = 3) and 1.2e-11 (k = 4) at 32x32, where
+    # monomial DOFs gave 1.3e-9 and 4.2e-7; with the orthonormal cell basis
+    # throughout the build they are 5.0e-11 and 2.5e-11
     case = polynomial_case(k, seed=1)
     for n in (4, 8, 16, 32):
         mesh = polymesh.generate_distorted_polygonal(n, n, seed=2026, distortion=0.2)
