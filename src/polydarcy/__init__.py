@@ -30,13 +30,7 @@ from .recovery import (
     RecoveredVelocity,
     RecoveryError,
     VelocityDofs,
-    divergence,
-    project_velocity,
-    recover_edge_moments,
-    recover_gkperp_moments,
-    recover_gradient_moments,
     recover_velocity,
-    rt0_reconstruct,
 )
 from .study import (
     ConvergenceRow,

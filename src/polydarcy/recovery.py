@@ -25,18 +25,17 @@ construction; what the fluxes must show is local conservation, their sum
 over a cell's boundary matching int_P f.
 
 `recover_velocity` is the one walk over the solved cells, taken a
-vertex-count group at a time: it gathers each group's local pressures once
-and fills every cellwise field of the post-processing (velocity DOFs,
-projected velocity, its divergence, the RT field, the projected pressure and
-its gradient) as a `PiecewisePolyField`, whose coefficients are in the
-scaled monomials: each group's fields are moved from q by T^T once.  The
-helpers below take a group's stacked element record and broadcast over its
-leading cell axis.
-Every interior-edge flux is recovered from both incident cells; the left
-cell's copy is kept, and a velocity whose two copies disagree, or that
-violates local conservation on a cell or global conservation, is refused.
-The flux and global-conservation gaps are checked raw; the local one beyond
-a rounding envelope (see `recover_velocity`).
+vertex-count group at a time: it forms each group's local residual once and
+fills every cellwise field of the post-processing (velocity DOFs, projected
+velocity, its divergence, the RT field, the projected pressure and its
+gradient) as a `PiecewisePolyField`, whose coefficients are in the scaled
+monomials: each group's fields are moved from q by T^T once.  Every
+interior-edge flux is recovered from both incident cells; the left cell's
+copy is kept.  After the walk the three structural checks run on what it
+stored, and a velocity that violates local conservation on a cell, whose two
+flux copies disagree, or that violates global conservation is refused.
+Every gap is reported raw; local conservation alone is decided beyond a
+rounding envelope (see `recover_velocity`).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .polybasis import factor_solve, gk_perp_dimension, n_monomials, scaled_mono
 
 
 # Relative tolerances of the structural checks; only local conservation
-# subtracts a rounding envelope first (see recover_velocity).
+# subtracts a rounding envelope before comparing (see recover_velocity).
 _FLUX_TOL = 1e-9
 _DIV_TOL = 1e-10
 _CONSERVATION_TOL = 1e-9
@@ -128,21 +127,6 @@ class PiecewisePolyField:
         return self.coeffs[:, ::n_monomials(self.degree)]
 
 
-def recover_edge_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
-    """Edge-basis coefficients of u . n_P per edge of the cell, (n_e, k+1).
-
-    The local residual paired with the canonical basis function of the moment
-    slot (f, alpha) equals |f| times the alpha-th coefficient of u . n_P on f,
-    because the slot's functional is the scaled moment against the very same
-    orthonormal edge polynomial.  n_P is the outward normal of this cell; multiply by the
-    edge sign to express the flux against the globally stored edge normal.
-    """
-    n_e, k = element.n_edges, element.k
-    residual = element.load - np.einsum("...ij,...j->...i", element.stiffness, p_loc)
-    edge_part = residual[..., :n_e * (k + 1)].reshape(residual.shape[:-1] + (n_e, k + 1))
-    return edge_part / element.edge_lengths[..., None]
-
-
 def _monomial_coeffs(element: NcElement, coeffs: np.ndarray, degree: int) -> np.ndarray:
     """Scaled-monomial coefficients of a field given in the cell basis q.
 
@@ -155,87 +139,13 @@ def _monomial_coeffs(element: NcElement, coeffs: np.ndarray, degree: int) -> np.
     return (blocks @ element.basis[..., :n, :n]).reshape(coeffs.shape)
 
 
-def _scaled_grad_moments(element: NcElement, edge_coeffs: np.ndarray,
-                         degree: int) -> np.ndarray:
-    """(1/|P|) int_P u . grad q_j over the nonconstant q_j up to `degree`.
-
-    Divergence theorem with div u = Pi0_k f; exact because u . n is a known
-    polynomial on each edge and Pi0_k f a known polynomial on the cell, whose
-    moments against the orthonormal q are |P| times its coefficients, and 0
-    above degree k.
-    """
-    nd = n_monomials(degree)
-    moments = np.einsum("...eb,...ebj->...j", edge_coeffs, element.edge_cross[..., :nd])
-    moments /= element.group.area[..., None]
-    moments[..., :n_monomials(element.k)] -= element.f_coeffs
-    return moments[..., 1:]
-
-
-def recover_gradient_moments(element: NcElement, edge_coeffs: np.ndarray) -> np.ndarray:
-    """Scaled moments of u against the gradients of q_1 .. q_{pi_k - 1}.
-
-    These pi_k - 1 values are the interior gradient-type degrees of freedom
-    of the velocity; edge_coeffs are the per-edge u . n_P coefficients from
-    recover_edge_moments.
-    """
-    return _scaled_grad_moments(element, edge_coeffs, element.k)
-
-
-def recover_gkperp_moments(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
-    """Scaled moments of u against the orthonormal complement basis."""
-    return np.einsum("...ij,...j->...i", element.gkperp_rec, p_loc)
-
-
-def divergence(element: NcElement, edge_coeffs: np.ndarray,
-               f_scale: float = 0.0, noise: float = 0.0) -> tuple:
-    """Coefficients of div u on the cell, after checking local conservation.
-
-    div u = Pi0_k f holds by construction, so the coefficients returned are
-    the stored `f_coeffs`, moved to the scaled monomials.  What the recovery
-    can get wrong is the edge fluxes, and the one moment of div u they
-    determine alone is the constant one: local conservation, sum over edges
-    of int_f u . n_P = int_P f.
-    Its gap beyond `noise` (absolute; the rounding envelope of the residual
-    evaluation that produced the fluxes, see recover_velocity), relative to
-    the larger of the boundary terms, int_P f and an optional caller-provided
-    global f scale times |P|, must stay within `_DIV_TOL`, or RecoveryError
-    is raised.  The higher moments are not compared: with the gradient
-    moments built from the same fluxes they reduce to (M f_coeffs) whatever
-    the fluxes are.
-
-    Returns (coefficients of div u, noise-deflated relative gap), with a
-    leading cell axis on both for a group.
-    """
-    area = element.group.area
-    cross = element.edge_cross[..., 0]
-    outflow = np.einsum("...eb,...eb->...", edge_coeffs, cross)
-    source = element.f_moments[..., 0]
-    scale = np.maximum.reduce([
-        f_scale * area,
-        np.einsum("...eb,...eb->...", np.abs(edge_coeffs), np.abs(cross)),
-        np.abs(source),
-        np.full_like(area, 1e-300),
-    ])
-    rel = np.maximum(0.0, np.abs(outflow - source) - noise) / scale
-    if np.any(rel > _DIV_TOL):
-        worst = np.argmax(rel)
-        raise RecoveryError(
-            f"cell {np.ravel(element.group.cells)[worst]}: recovered fluxes violate "
-            f"local conservation (relative gap {np.ravel(rel)[worst]:.3e}, "
-            f"tolerance {_DIV_TOL:.1e})"
-        )
-    return _monomial_coeffs(element, element.f_coeffs, element.k), rel
-
-
-def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
-                     gkperp_moments: np.ndarray) -> np.ndarray:
+def _project_velocity(element: NcElement, nu: np.ndarray,
+                      gkperp_moments: np.ndarray) -> np.ndarray:
     """Scaled-monomial coefficients of the L2 projection of u onto (P_k)^2.
 
-    The projection is pinned down by its moments against the gradients of
-    the nonconstant q_j up to degree k+1 (the k+1 layer computed by the
-    same divergence-theorem formula as the stored DOFs, exactly), the
-    scaled moments nu, and against the complement basis C, the scaled
-    moments m; together these span (P_k)^2.  The two families are
+    The projection is pinned down by its scaled moments nu against the
+    gradients of the nonconstant q_j up to degree k+1 and m against the
+    complement basis C; together these span (P_k)^2.  The two families are
     L2(P)-orthogonal, and the vector q basis is orthonormal in the scaled
     product, so in q coordinates the projection is
 
@@ -246,33 +156,10 @@ def project_velocity(element: NcElement, edge_coeffs: np.ndarray,
     `inv_grad_gram` that the build formed for the energy projection; no
     Gram is formed or factored here.  x is returned as T^T x.
     """
-    nu = _scaled_grad_moments(element, edge_coeffs, element.k + 1)
     area = element.group.area[..., None]
     grad_part = element.grad_coeff[..., 1:] @ factor_solve(element.inv_grad_gram, nu[..., None])
     gkperp_part = element.gk_perp @ (area * gkperp_moments)[..., None]
     return _monomial_coeffs(element, (grad_part + gkperp_part)[..., 0], element.k)
-
-
-def rt0_reconstruct(element: NcElement, p_loc: np.ndarray) -> np.ndarray:
-    """Lowest-order Raviart-Thomas-like velocity on each cell.
-
-    u_rt = -K_mean Pi0_0(grad p_h) + (f_mean / 2)(x - x_c) with x_c the cell
-    centroid; its divergence is exactly the cell mean of f.  Returns the six
-    coefficients of the field in the degree-1 scaled monomial basis.
-    """
-    if element.k != 0:
-        raise ValueError("RT-like reconstruction is defined for order k = 0")
-    gradp = _monomial_coeffs(element, np.einsum("...ij,...j->...i", element.grad_proj, p_loc),
-                             0)
-    const = -np.einsum("...ij,...j->...i", element.k_mean, gradp)
-    f_mean = element.f_moments[..., 0] / element.group.area
-    h = element.group.diameter
-    out = np.zeros(np.shape(h) + (6,))
-    out[..., 0] = const[..., 0]
-    out[..., 1] = 0.5 * f_mean * h
-    out[..., 3] = const[..., 1]
-    out[..., 5] = 0.5 * f_mean * h
-    return out
 
 
 @dataclass
@@ -280,12 +167,13 @@ class RecoveredVelocity:
     """Velocity DOFs, every cellwise field of one solve, and the check gaps.
 
     `divergence` (degree k) is div u of the recovered conservative velocity,
-    Pi0_k f by construction, not that of its projection `projected`;
-    `div_gap` is the largest local-conservation gap of a cell (see
-    `divergence`).  `rt` is the Raviart-Thomas-like
-    field, present at k = 0 only.  `pressure` is
+    Pi0_k f by construction, not that of its projection `projected`.  `rt`
+    is the Raviart-Thomas-like field, present at k = 0 only.  `pressure` is
     the L2 projection of the pressure onto P_{k+1} and `grad_pressure` that
-    of its gradient onto (P_k)^2.
+    of its gradient onto (P_k)^2.  The three gaps are the raw relative gaps
+    of the structural checks (see `recover_velocity`): `flux_gap` of flux
+    agreement, `div_gap` the largest local-conservation gap of a cell, and
+    `conservation_gap` of global conservation.
     """
 
     dofs: VelocityDofs
@@ -302,10 +190,32 @@ class RecoveredVelocity:
 def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     """Recover the velocity on the whole mesh and verify its structure.
 
-    Raises RecoveryError if interior-edge fluxes from the two incident cells
-    disagree (relative to the largest flux coefficient), if any cell's
-    boundary outflow misses its integrated source (local conservation), or
-    if the total boundary outflow does not balance the integrated source.
+    One walk over the solved vertex-count groups forms each group's local
+    residual load - K_loc p_loc once; its edge slot (f, alpha) is |f| times
+    the Legendre coefficient alpha of u . n_P on f (see the module
+    docstring), which the edge sign turns into the flux against the stored
+    edge normal.  The scaled moments nu_j = (1/|P|) int_P u . grad q_j over
+    the nonconstant q_j up to degree k+1 follow from the divergence theorem
+    with div u = Pi0_k f, exactly: u . n is a known polynomial on each edge
+    and Pi0_k f a known polynomial on the cell, whose moments against the
+    orthonormal q are |P| times its coefficients and 0 above degree k.  The
+    leading pi_k - 1 of them are the stored gradient DOFs, and all of them
+    with the complement moments (`gkperp_rec` applied to p_loc) give the
+    projection (`_project_velocity`).  At k = 0 the Raviart-Thomas-like
+    field is u_rt = -K_mean Pi0_0(grad p_h) + (f_mean / 2)(x - x_c), x_c the
+    cell centroid, whose divergence is exactly the cell mean of f.
+
+    After the walk RecoveryError is raised, in this order, if any cell's
+    boundary outflow misses its integrated source (local conservation), if
+    interior-edge fluxes from the two incident cells disagree (relative to
+    the largest flux coefficient), or if the total boundary outflow does not
+    balance the integrated source.  div u = Pi0_k f holds by construction,
+    so the one moment of div u that the fluxes decide alone is the constant
+    one; its gap is relative to the larger of the boundary terms, |int_P f|
+    and |P| times the largest source coefficient of the mesh.  The higher
+    moments are not compared: with the gradient moments built from the same
+    fluxes they reduce to |P| times the source coefficients whatever the
+    fluxes are.
 
     The left and right recoveries of an interior-edge flux differ by exactly
     (global residual row) / |f|, and the global conservation mismatch is a
@@ -316,28 +226,26 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     copy of `mesh.edge_left`, its incident cell of lowest index, which is the
     cell whose loop runs along the stored edge direction (edge sign +1).
 
-    With orthonormal DOFs the local algebra is well conditioned, so flux
-    agreement and global conservation are checked and reported on their raw
-    gaps.  Local conservation alone first subtracts the rounding envelope
-    4 eps (|K_loc| |p_loc| + |load|) of the residual slots, summed over the
-    slots where the constant function's DOFs are 1, because its raw gap
-    grows with the mesh (see the loop below); its reported gap is deflated
-    by that envelope.
-    An unsolved system raises RuntimeError.
+    Every gap is reported raw.  Flux agreement and global conservation are
+    also decided on their raw gaps; local conservation alone is decided
+    after subtracting the rounding envelope 4 eps (|K_loc| |p_loc| + |load|)
+    of the residual slots, summed over the slots where the constant
+    function's DOFs are 1, because its raw gap grows with the mesh (see the
+    walk below).  An unsolved system raises RuntimeError.
     """
     mesh = system.mesh
     k = system.k
     nc = mesh.num_cells
     nk = n_monomials(k)
     eps4 = 4.0 * float(np.finfo(float).eps)
-    f_scale = max((float(np.abs(_monomial_coeffs(g, g.f_coeffs, k)).max(initial=0.0))
-                   for g in system.groups), default=0.0)
     # Both copies of every edge's u . n_e, written by edge sign.  An edge is
     # stored in its left cell's direction, so copy 0 (sign +1) is the left
     # cell's and is kept; copy 1 (sign -1) is the right cell's, present on
     # interior edges only, and is checked against it.
     copies = np.zeros((2, mesh.num_edges, k + 1))
-    div_gaps = np.zeros(nc)
+    # Local conservation per cell: boundary outflow, int_P f, the larger of
+    # their terms, the rounding envelope of the outflow, and |P|.
+    outflow, source, scale, noise, areas = np.zeros((5, nc))
     grad_moments = np.zeros((nc, nk - 1))
     gkperp_moments = np.zeros((nc, gk_perp_dimension(k)))
     div = np.zeros((nc, nk))
@@ -351,34 +259,65 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
     for i, element in enumerate(system.groups):
         group = element.group
         cells = group.cells
+        area = group.area
         p_loc = system.group_pressure(i)
-        local = recover_edge_moments(element, p_loc)
+        n_slots = element.n_edges * (k + 1)
+        residual = element.load - np.einsum("gij,gj->gi", element.stiffness, p_loc)
+        local = (residual[:, :n_slots].reshape(-1, element.n_edges, k + 1)
+                 / element.edge_lengths[..., None])
+        side = (1 - group.signs) // 2
+        copies[side, group.edges] = group.signs[..., None] * local
+        # int_P u . grad q_j = sum_f int_f (u . n_P) q_j - int_P (div u) q_j,
+        # whose boundary term at q_0 = 1 is the cell's outflow
+        moments = np.einsum("geb,gebj->gj", local, element.edge_cross)
+        outflow[cells] = moments[:, 0]
+        nu = moments / area[:, None]
+        nu[:, :nk] -= element.f_coeffs
+        grad_moments[cells] = nu[:, 1:nk]
+        gkperp_moments[cells] = np.einsum("gij,gj->gi", element.gkperp_rec, p_loc)
+        proj[cells] = _project_velocity(element, nu[:, 1:], gkperp_moments[cells])
+        div[cells] = _monomial_coeffs(element, element.f_coeffs, k)
+        pressure[cells] = _monomial_coeffs(
+            element, np.einsum("gij,gj->gi", element.p0, p_loc), k + 1)
+        grad_pressure[cells] = _monomial_coeffs(
+            element, np.einsum("gij,gj->gi", element.grad_proj, p_loc), k)
+        if rt is not None:
+            # at k = 0 grad_pressure is Pi0_0(grad p_h) itself
+            f_mean = element.f_moments[:, 0] / area
+            rt[np.ix_(cells, [0, 3])] = -np.einsum("gij,gj->gi", element.k_mean,
+                                                   grad_pressure[cells])
+            rt[np.ix_(cells, [1, 5])] = (0.5 * f_mean * group.diameter)[:, None]
+        source[cells] = element.f_moments[:, 0]
+        scale[cells] = np.maximum(
+            np.einsum("geb,geb->g", np.abs(local), np.abs(element.edge_cross[..., 0])),
+            np.abs(source[cells]))
         # Local conservation alone keeps a rounding envelope: its raw relative
         # gap grows with the mesh (k = 3: 2.4e-13 at 16x16, 7.5e-12 at 64x64,
         # 1.3e-11 at 128x128; k = 4: 2.6e-11 at 96x96), within a decade of
         # _DIV_TOL = 1e-10, while flux agreement and global conservation stay
         # three orders or more below theirs.
-        noise_slots = eps4 * (np.einsum("gij,gj->gi", np.abs(element.stiffness), np.abs(p_loc))
-                              + np.abs(element.load))
         # The constant 1 has DOFs 1 in slot 0 of every edge block and in the
         # first interior slot (q_0 = 1), 0 elsewhere: slots 0, k+1, ...,
         # n_e (k+1), the last one absent at k = 0.
-        cell_noise = noise_slots[:, :element.n_edges * (k + 1) + 1:k + 1].sum(axis=-1)
-        side = (1 - group.signs) // 2
-        copies[side, group.edges] = group.signs[..., None] * local
-        grad_moments[cells] = recover_gradient_moments(element, local)
-        gkperp_moments[cells] = recover_gkperp_moments(element, p_loc)
-        div[cells], div_gaps[cells] = divergence(element, local, f_scale=f_scale,
-                                                 noise=cell_noise)
-        proj[cells] = project_velocity(element, local, gkperp_moments[cells])
-        if rt is not None:
-            rt[cells] = rt0_reconstruct(element, p_loc)
-        pressure[cells] = _monomial_coeffs(
-            element, np.einsum("gij,gj->gi", element.p0, p_loc), k + 1)
-        grad_pressure[cells] = _monomial_coeffs(
-            element, np.einsum("gij,gj->gi", element.grad_proj, p_loc), k)
+        const_slots = slice(0, n_slots + 1, k + 1)
+        noise[cells] = eps4 * (
+            np.einsum("gij,gj->gi", np.abs(element.stiffness[:, const_slots]), np.abs(p_loc))
+            + np.abs(element.load[:, const_slots])).sum(axis=-1)
+        areas[cells] = area
         centers[cells] = group.center
         diameters[cells] = group.diameter
+
+    scale = np.maximum.reduce([scale, float(np.abs(div).max(initial=0.0)) * areas,
+                               np.full(nc, 1e-300)])
+    imbalance = np.abs(outflow - source)
+    excess = np.maximum(0.0, imbalance - noise) / scale
+    if np.any(excess > _DIV_TOL):
+        worst = int(np.argmax(excess))
+        raise RecoveryError(
+            f"cell {worst}: recovered fluxes violate local conservation (relative "
+            f"gap {imbalance[worst] / scale[worst]:.3e}, tolerance {_DIV_TOL:.1e})"
+        )
+    div_gap = float((imbalance / scale).max(initial=0.0))
 
     edge_coeffs = copies[0]
     inner = ~mesh.boundary_mask
@@ -418,6 +357,6 @@ def recover_velocity(system: SpdSystem) -> RecoveredVelocity:
         pressure=field(k + 1, pressure),
         grad_pressure=field(k, grad_pressure),
         flux_gap=flux_gap,
-        div_gap=float(div_gaps.max(initial=0.0)),
+        div_gap=div_gap,
         conservation_gap=conservation_gap,
     )
