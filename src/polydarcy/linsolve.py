@@ -6,6 +6,10 @@ once with SuperLU in symmetric mode, certifies positive definiteness from
 the factor's pivots, and polishes the solution by mixed-precision iterative
 refinement against that same factor.  A solution is returned only when its
 residual sits at the double-precision rounding floor.
+
+No copy of the whole matrix lives beside the factor: the norm of |A|
+that the certificate needs is taken before factoring, and the refinement
+forms its long-double residual over bounded row blocks of A.
 """
 
 from __future__ import annotations
@@ -103,6 +107,38 @@ def _factor(matrix: SparseSpd,
     return lambda r: scale * lu.solve(scale * r)
 
 
+# Stored entries per row block of the long-double residual in `_refine_floor`:
+# 256 KB of long double, at which the blocked product runs as fast as the
+# whole-matrix one
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _residual_longdouble(csr: sp.csr_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x evaluated in long double over row blocks of A, rounded to double.
+
+    A block holds at most `_BLOCK_ENTRIES` stored entries (or one longer
+    row): its slice of A's `data` in long double and its slice of A's
+    `indices` (which scipy copies, at a quarter of the data's size).  The
+    sparse product sums each row in stored order whatever the block, so the
+    result is that of the whole-matrix product.
+    """
+    indptr = csr.indptr
+    n = csr.shape[0]
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        lo = int(indptr[start])
+        stop = max(int(np.searchsorted(indptr, lo + _BLOCK_ENTRIES, side="right")) - 1,
+                   start + 1)
+        hi = int(indptr[stop])
+        # one expression, so that each block is freed before the next is made
+        out[start:stop] = b[start:stop] - sp.csr_matrix(
+            (csr.data[lo:hi].astype(np.longdouble), csr.indices[lo:hi],
+             indptr[start:stop + 1] - lo), shape=(stop - start, csr.shape[1])) @ x
+        start = stop
+    return out
+
+
 def _refine_floor(matrix: SparseSpd, b: np.ndarray, x: np.ndarray,
                   correct: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Polish a solution by mixed-precision iterative refinement.
@@ -112,19 +148,20 @@ def _refine_floor(matrix: SparseSpd, b: np.ndarray, x: np.ndarray,
     the best representable solution when the conditioning is poor.  No
     double-precision residual can see past that, so the residual is
     re-evaluated in extended precision and the correction solved with
-    `correct`, the factored solve from `_factor`.  Each pass contracts the
-    forward error by roughly the correction solve's accuracy, so one or two
-    passes reach the extended-precision floor; at most three are made.  On
-    platforms where long double is plain double this degrades to classical
-    fixed precision refinement, which still cannot make the solution worse.
+    `correct`, the factored solve from `_factor`.  The residual is formed
+    block by block (see `_residual_longdouble`): no long-double copy of the
+    whole matrix is made, so refinement adds no matrix-sized array beside
+    the factor.  Each pass contracts the forward error by roughly the
+    correction solve's accuracy, so one or two passes reach the
+    extended-precision floor; at most three are made.  On platforms where
+    long double is plain double this degrades to classical fixed precision
+    refinement, which still cannot make the solution worse.
     """
     xl = np.asarray(x, dtype=np.longdouble)
-    al = matrix.csr.astype(np.longdouble)
     bl = np.asarray(b, dtype=np.longdouble)
     done = 256.0 * np.finfo(float).eps
     for _ in range(3):
-        residual = np.asarray(bl - al @ xl, dtype=float)
-        delta = correct(residual)
+        delta = correct(_residual_longdouble(matrix.csr, bl, xl))
         xl = xl + delta
         if np.linalg.norm(delta) <= done * np.linalg.norm(np.asarray(xl, float)):
             break
@@ -163,12 +200,17 @@ def solve(matrix: SparseSpd, b: np.ndarray) -> np.ndarray:
         raise SolverError("matrix has a nonpositive diagonal entry", np.inf)
 
     scale = 1.0 / np.sqrt(diag)
+    # ||D A D||_inf, from |A| on A's own index arrays, taken before the
+    # factor exists so that the two are never alive together
+    csr = matrix.csr
+    abs_a = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+    anorm = float((scale * (abs_a @ scale)).max())
+    del abs_a
     correct = _factor(matrix, scale)
     x = _refine_floor(matrix, b, correct(b), correct)
 
     bnorm = float(np.linalg.norm(scale * b))
-    rnorm = float(np.linalg.norm(scale * (b - matrix.csr @ x)))
-    anorm = float((scale * (abs(matrix.csr) @ scale)).max())
+    rnorm = float(np.linalg.norm(scale * (b - csr @ x)))
     xnorm = float(np.linalg.norm(x / scale))
     floor = 32.0 * np.finfo(float).eps * (anorm * xnorm + bnorm)
     if rnorm <= floor:

@@ -43,10 +43,13 @@ polynomials, and no edge Gram is solved.
 
 One table numbers every DOF: the unknowns (interior-edge blocks, then
 cell blocks) first, the Dirichlet data of the boundary-edge blocks after
-them.  The groups' whole stacked stiffness blocks are scattered over all
-DOFs in one triplet build, and the data are eliminated by keeping the
-leading block of the matrix and of the load minus the data's stiffness
-product.  Everything a later velocity recovery needs (the basis T, the
+them.  The data are eliminated from the load by subtracting the data's
+stiffness product, scattered over all DOFs and cut to the unknowns.  The
+matrix is only ever formed on the unknowns: each group's stacked
+stiffness blocks are masked to their pairs of unknowns and written into
+one preallocated triplet set (int32 indices while they fit), which scipy
+turns into CSR, so no matrix over all DOFs is built and none is sliced.
+Everything a later velocity recovery needs (the basis T, the
 projection and gradient tables, edge moment tables, the residual pieces
 and the inverse factor of H') is kept in the group arrays of `NcElement`.
 Its geometry is the mesh's `CellGroup` itself, held as `NcElement.group`:
@@ -422,11 +425,15 @@ def assemble(
     """Assemble the global SPD pressure system with Dirichlet elimination.
 
     `boundary` is the Dirichlet datum (callable, constant, or None for
-    homogeneous data).  Each vertex-count group is built at once, and its
-    whole stiffness blocks go into one triplet build over all DOFs, the
-    Dirichlet ones included (see `NcDofMap`).  The system is the leading
-    n_global block of that matrix, and of the loads minus the stiffness
-    times the known DOF values.
+    homogeneous data).  Each vertex-count group is built at once.  The
+    load is the loads minus the stiffness times the known DOF values,
+    scattered over all DOFs (see `NcDofMap`) and cut to the n_global
+    unknowns.  The matrix takes only the stiffness entries whose row and
+    column are both unknowns: their count is known from the groups' DOF
+    tables, so the triplets go straight into arrays of that length, with
+    int32 indices while n_global and the count fit (`_index_dtype`), and
+    one conversion to CSR sums the duplicates.  Its arrays are those of
+    the leading n_global block of the scatter over all DOFs.
     """
     if k < 0:
         raise ValueError("polynomial order k must be >= 0")
@@ -437,19 +444,25 @@ def assemble(
     n = dofmap.n_global
     known = np.concatenate([np.zeros(n), dirichlet])
     rhs = np.zeros(len(known))
-    rows = [np.empty(0, dtype=np.int64)]
-    cols = [np.empty(0, dtype=np.int64)]
-    vals = [np.empty(0)]
-    for group, glob in zip(groups, group_global):
+    # the stiffness entries between unknowns, cell by cell in the groups' order
+    free = [glob < n for glob in group_global]
+    count = sum(int(np.square(mask.sum(axis=1)).sum()) for mask in free)
+    index = _index_dtype(n, count)
+    rows = np.empty(count, dtype=index)
+    cols = np.empty(count, dtype=index)
+    vals = np.empty(count)
+    start = 0
+    for group, glob, mask in zip(groups, group_global, free):
         local_rhs = group.load - np.einsum("gij,gj->gi", group.stiffness, known[glob])
         rhs += np.bincount(glob.ravel(), weights=local_rhs.ravel(), minlength=len(known))
-        rows.append(np.broadcast_to(glob[:, :, None], group.stiffness.shape).ravel())
-        cols.append(np.broadcast_to(glob[:, None, :], group.stiffness.shape).ravel())
-        vals.append(group.stiffness.ravel())
-    full = linsolve.SparseSpd.from_triplets(
-        len(known), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        pair = mask[:, :, None] & mask[:, None, :]
+        stop = start + int(np.count_nonzero(pair))
+        rows[start:stop] = np.broadcast_to(glob[:, :, None], pair.shape)[pair]
+        cols[start:stop] = np.broadcast_to(glob[:, None, :], pair.shape)[pair]
+        vals[start:stop] = group.stiffness[pair]
+        start = stop
     return SpdSystem(
-        matrix=linsolve.SparseSpd(csr=full.csr[:n, :n]),
+        matrix=linsolve.SparseSpd.from_triplets(n, rows, cols, vals),
         rhs=rhs[:n],
         dofmap=dofmap,
         groups=groups,
@@ -458,6 +471,11 @@ def assemble(
         mesh=mesh,
         k=k,
     )
+
+
+def _index_dtype(n: int, count: int) -> type:
+    """int32 while the matrix order and the triplet count fit in it, else int64."""
+    return np.int32 if max(n, count) <= np.iinfo(np.int32).max else np.int64
 
 
 def solve_pressure(system: SpdSystem) -> np.ndarray:

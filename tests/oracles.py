@@ -19,12 +19,15 @@ solve-then-recover pipeline, and the VTK file from one formatted write per
 line.  Polygon moments come from Green's theorem, one exact Gauss rule per
 edge.  Meshes whose cells are not star-shaped (a comb in the unit square, a
 tiling by U-shaped blocks) are built here from integer lattice points, so
-the package gains no generator for them.
+the package gains no generator for them.  The reduced matrix is rebuilt
+the long way, over every DOF and then cut to the unknowns, and the
+long-double refinement residual from one whole-matrix copy.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from polydarcy.ncvem import SpdSystem, tensor_field
 from polydarcy.polybasis import n_monomials
@@ -285,6 +288,45 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lower = np.linalg.cholesky(np.asarray(a, float))
     y = np.linalg.solve(lower, np.asarray(b, float))
     return np.linalg.solve(lower.T, y)
+
+
+def all_dof_matrix(system: SpdSystem) -> sp.csr_matrix:
+    """The reduced matrix from a scatter over every DOF, cut to the unknowns.
+
+    Every group's whole (G, N, N) stiffness blocks go into one COO matrix
+    over all DOFs, the Dirichlet ones included; its CSR form (duplicates
+    summed, explicit zeros dropped) is then sliced to the leading n_global
+    block.
+    """
+    n_all = system.dofmap.n_global + len(system.dirichlet)
+    rows, cols, vals = [], [], []
+    for group, glob in zip(system.groups, system.group_global):
+        shape = group.stiffness.shape
+        rows.append(np.broadcast_to(glob[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(glob[:, None, :], shape).ravel())
+        vals.append(group.stiffness.ravel())
+    full = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_all, n_all)).tocsr()
+    full.eliminate_zeros()
+    n = system.dofmap.n_global
+    return full[:n, :n]
+
+
+def refine_floor_whole(csr, b, x, correct) -> np.ndarray:
+    """Long-double iterative refinement with one long-double copy of all of A.
+
+    The passes and the stopping rule of `linsolve._refine_floor`.
+    """
+    xl = np.asarray(x, dtype=np.longdouble)
+    al = csr.astype(np.longdouble)
+    bl = np.asarray(b, dtype=np.longdouble)
+    done = 256.0 * np.finfo(float).eps
+    for _ in range(3):
+        delta = correct(np.asarray(bl - al @ xl, dtype=float))
+        xl = xl + delta
+        if np.linalg.norm(delta) <= done * np.linalg.norm(np.asarray(xl, float)):
+            break
+    return np.asarray(xl, dtype=float)
 
 
 def edge_legendre(t, k: int) -> np.ndarray:

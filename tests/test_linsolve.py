@@ -1,5 +1,7 @@
 """Sparse SPD storage and the certified sparse direct solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -125,6 +127,45 @@ def test_refine_floor_polishes_perturbed_solution():
     correct = linsolve._factor(matrix, 1.0 / np.sqrt(matrix.diagonal()))
     polished = linsolve._refine_floor(matrix, b, rough, correct)
     assert np.abs(polished - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def assembled_k3(cells: int):
+    mesh = polymesh.generate_distorted_polygonal(cells, cells, seed=2026, distortion=0.2)
+    case = get_case("bubble-sine")
+    return ncvem.assemble(mesh, case.permeability, case.forcing, 3, boundary=case.pressure)
+
+
+@pytest.mark.parametrize("entries", ["one-row", "fifth"])
+def test_blocked_refinement_is_the_whole_matrix_refinement(monkeypatch, entries):
+    # blocks of a fifth of the stored entries, or of one row each (every
+    # row is longer than the cap), sum each row as the whole product does
+    system = assembled_k3(8)
+    matrix = system.matrix
+    cap = 1 if entries == "one-row" else matrix.nnz // 5
+    assert matrix.nnz >= 4 * cap
+    monkeypatch.setattr(linsolve, "_BLOCK_ENTRIES", cap)
+    correct = linsolve._factor(matrix, 1.0 / np.sqrt(matrix.diagonal()))
+    # a rough start makes the refinement take more than one pass
+    rough = correct(system.rhs) * (1.0 + 1e-7)
+    ref = oracles.refine_floor_whole(matrix.csr, system.rhs, rough, correct)
+    got = linsolve._refine_floor(matrix, system.rhs, rough, correct)
+    assert not np.array_equal(ref, rough)
+    assert np.array_equal(got, ref)
+
+
+def test_refinement_makes_no_matrix_sized_copy():
+    # a whole-matrix long-double copy alone takes twice A.data.nbytes
+    system = assembled_k3(24)
+    matrix = system.matrix
+    correct = linsolve._factor(matrix, 1.0 / np.sqrt(matrix.diagonal()))
+    x = correct(system.rhs)
+    tracemalloc.start()
+    try:
+        linsolve._refine_floor(matrix, system.rhs, x, correct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.csr.data.nbytes
 
 
 def test_solution_off_the_certificate_rejected(monkeypatch):

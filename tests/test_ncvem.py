@@ -293,6 +293,22 @@ def test_forcing_projection_matches_dense_oracle():
     assert np.abs(element.f_coeffs[0] @ element.basis[0, :nk, :nk] - ref).max() < 1e-10
 
 
+def test_sine_source_projection_carries_the_rule_error():
+    # f = sin x is no polynomial, so the build's rule of exactness 2(k+2)
+    # leaves a quadrature error in Pi0_k f (1.32e-9 at k = 2 on the unit
+    # square, the same against a 12- or 20-point oracle rule); the bound
+    # states how far the recovered divergence may sit from Pi0_k f
+    def sine(pts):
+        return np.sin(pts[:, 0])
+
+    mesh = polymesh.generate_uniform_quads(1, 1)
+    group = mesh.cell_groups()[0]
+    element = build_element(mesh, group, 2, f=sine)
+    ref = oracles.l2_projection(mesh.vertices[group.loops[0]], 2, sine, n=20)
+    nk = n_monomials(2)
+    assert np.abs(element.f_coeffs[0] @ element.basis[0, :nk, :nk] - ref).max() < 1.9e-9
+
+
 def test_boundary_edge_values_match_direct_integrals():
     mesh = polymesh.generate_uniform_quads(2, 2)
     k = 2
@@ -364,6 +380,26 @@ def test_assembled_system_spd():
     x = solve_pressure(system)
     assert system.solution is not None
     assert np.array_equal(system.solution, x)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_assembled_matrix_is_the_all_dof_scatter_cut_to_the_unknowns(k):
+    # the scatter over the unknowns alone gives the very arrays of the
+    # leading block of the scatter over every DOF
+    case = polynomial_case(k, seed=3)
+    mesh = polymesh.generate_distorted_polygonal(6, 6, seed=2026, distortion=0.2)
+    system = assemble(mesh, kvar, case.forcing, k, boundary=case.pressure)
+    ref = oracles.all_dof_matrix(system)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(system.matrix.csr, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_index_width_follows_the_order_and_the_triplet_count():
+    top = int(np.iinfo(np.int32).max)
+    assert ncvem._index_dtype(top, top) is np.int32
+    assert ncvem._index_dtype(top + 1, 10) is np.int64
+    assert ncvem._index_dtype(10, top + 1) is np.int64
 
 
 def test_zero_data_zero_solution():

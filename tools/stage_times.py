@@ -1,6 +1,6 @@
 """Print the stage table of ROADMAP.md ("Where the time goes"): wall time per
-pipeline stage and peak RSS, each the median of three cold runs per row,
-with times in milliseconds to three significant digits.
+pipeline stage and RSS high-water marks, each the median of three cold runs
+per row, with times in milliseconds to three significant digits.
 
 Rows: 4096 cells (64 x 64) at k = 0, 1 and 3, and 9216 cells (96 x 96) at
 k = 3, all on the distorted mesh of seed 2026 at distortion 0.2 with the
@@ -13,9 +13,14 @@ tables, the triplet scatter and the sparse matrix build.  ``points`` counts
 the quadrature points of the build's cell rule over the whole mesh.
 
 Each run of a row is a fresh interpreter with BLAS pinned to one thread
-before numpy loads, so the peak RSS it reports (``ru_maxrss`` of that
-interpreter, import included) is its own.  The runs go one after another;
-the largest row peaks at about 1 GB.
+before numpy loads, so the RSS high-water marks it reports (``ru_maxrss``
+of that interpreter, import included) are its own: ``after assemble`` and
+``after solve`` are read as those stages return, ``peak RSS`` at the end of
+the run.  The memory allocator is glibc's malloc with its defaults: every
+``MALLOC_*`` variable is removed from the runs' environment, since glibc's
+dynamic mmap threshold alone moves the largest peak by tens of MB.  The
+runs go one after another; the largest row (96 x 96, k = 3) peaks at
+840-875 MB on a 2-vCPU x86-64 Linux host with numpy 2.4 and scipy 1.17.
 
 Usage: PYTHONPATH=src python tools/stage_times.py   (takes no options)
 """
@@ -71,6 +76,9 @@ def row(n: int, k: int) -> None:
         points.append(quad.weights.size)
         return quad
 
+    def high_water_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
     mesh = timed("mesh", polymesh.generate_distorted_polygonal, n, n, SEED, DISTORTION)
     # assemble reaches the element build, and the build its cell rule,
     # through the module attributes
@@ -85,7 +93,9 @@ def row(n: int, k: int) -> None:
         ncvem.build_element = real_build
         ncvem.polygon_quadrature = real_quadrature
     seconds["scatter"] = seconds["assemble"] - seconds["build"]
+    rss_assemble = high_water_mb()
     timed("solve", ncvem.solve_pressure, system)
+    rss_solve = high_water_mb()
     velocity = timed("recover", recovery.recover_velocity, system)
     result = study.SolveResult(mesh=mesh, k=k, system=system, velocity=velocity)
     timed("error_norms", study.error_norms, result, case)
@@ -95,7 +105,7 @@ def row(n: int, k: int) -> None:
         "cells": mesh.num_cells, "k": k, "ndof": system.matrix.shape[0],
         "points": sum(points),
         "seconds": seconds,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "rss_mb": {"assemble": rss_assemble, "solve": rss_solve, "peak": high_water_mb()},
     }))
 
 
@@ -111,12 +121,15 @@ def _ms(seconds: float) -> str:
 
 
 def main() -> int:
-    env = dict(os.environ, **BLAS_ONE_THREAD)
+    env = {var: value for var, value in os.environ.items() if not var.startswith("MALLOC_")}
+    env.update(BLAS_ONE_THREAD)
     here = str(Path(__file__).resolve().parent)
     stages = ("mesh", "assemble", "build", "scatter", "solve", "recover", "error_norms",
               "vtk")
-    print("| cells | k | ndof | points | " + " | ".join(stages) + " | peak RSS |")
-    print("|" + "------|" * (len(stages) + 5))
+    marks = ("assemble", "solve", "peak")
+    print("| cells | k | ndof | points | " + " | ".join(stages)
+          + " | RSS after assemble | RSS after solve | peak RSS |")
+    print("|" + "------|" * (len(stages) + 4 + len(marks)))
     for n, k in ROWS:
         runs = []
         for _ in range(RUNS):
@@ -126,9 +139,10 @@ def main() -> int:
         rec = runs[0]
         times = " | ".join(_ms(statistics.median(r["seconds"][s] for r in runs))
                            for s in stages)
-        rss = statistics.median(r["peak_rss_mb"] for r in runs)
+        rss = " | ".join(f"{statistics.median(r['rss_mb'][m] for r in runs):.0f} MB"
+                         for m in marks)
         print(f"| {rec['cells']} | {rec['k']} | {_thousands(rec['ndof'])} "
-              f"| {_thousands(rec['points'])} | {times} | {rss:.0f} MB |", flush=True)
+              f"| {_thousands(rec['points'])} | {times} | {rss} |", flush=True)
     return 0
 
 
